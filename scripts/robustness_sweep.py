@@ -31,7 +31,7 @@ def main():
 
     ub = pc.UncertaintyBounds(1.0, 1.0, 1.0)
     gains = pc.suggest_gains("PID", ub, ki=1.0)
-    cert = pc.certify_margin("PID", gains, ub, 1, seed=args.seed)
+    cert = pc.certify_margin("PID", gains, ub, 1)
     print(
         f"one gain triple ({gains.kp:.2f}, {gains.ki:.2f}, {gains.kd:.2f}), "
         f"certified alpha={cert.alpha:.4f}, M={cert.M:.3f}, lambda={cert.lambda_decay:.5f}\n"

@@ -16,9 +16,10 @@ from .certificates import (
     build_P_pi,
     build_P_pid,
     certify_margin,
+    pd_closed_form_margin,
+    pi_closed_form_margin,
     q_report,
     sample_frozen_uncertainty,
-    schur_chain_certified,
 )
 from .equilibrium import EquilibriumSolution, monotonicity_probe, solve_equilibrium
 from .errors import (

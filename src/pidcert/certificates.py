@@ -7,15 +7,20 @@ uniform lower bound alpha on lambda_min(Q) over the whole uncertainty ball
 
     |a| <= L1,  |b| <= L2,  Sym[theta] >= b_lower * I.
 
-The PD and PI margins are exact closed forms; the PID margin is a sampled,
-safety-deflated estimate of the ball minimum (the minimum exists but has no
-closed form), flagged as an estimate in all outputs.  From (P, alpha) we get
-the trajectory envelope constants: decay rate lambda = alpha/(2 lambda_max(P))
-and overshoot gain M.
+All three kinds share one margin path, a sandwich on a 2x2 or 3x3 core that
+does not depend on n.  The upper bound is the smallest eigenvalue over the
+corners a = +-L1 I, b = +-L2 I, which lie in the ball.  The lower bound is an
+S-procedure bound that holds for every n.  alpha is the lower of the two;
+the certificate records both and their gap, and its method reads ``exact``
+when they agree to 1e-9 relative and ``lower_bound`` otherwise.  The paper's
+closed-form PI and PD margins are kept as named functions.  From (P, alpha)
+we get the trajectory envelope constants: decay rate
+lambda = alpha/(2 lambda_max(P)) and overshoot gain M.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -37,6 +42,10 @@ from .gain_sets import (
 )
 
 BOUND_SLACK = 1e-9
+# relative gap between the sandwich bounds up to which alpha counts as exact
+EXACT_GAP = 1e-9
+# relative mismatch allowed between a stored and a recomputed certificate
+RELOAD_RTOL = 1e-12
 
 
 @dataclass
@@ -93,13 +102,14 @@ class LyapunovCertificate:
     bounds: UncertaintyBounds
     P: np.ndarray
     alpha: float
+    alpha_lower: float
+    alpha_upper: float
+    gap: float
     lambda_min_P: float
     lambda_max_P: float
     M: float
     lambda_decay: float
     method: str
-    seed: Optional[int] = None
-    samples: Optional[int] = None
 
     def to_json_dict(self) -> dict:
         g = self.gains
@@ -115,13 +125,14 @@ class LyapunovCertificate:
                 "order": ub.order,
             },
             "alpha": self.alpha,
+            "alpha_lower": self.alpha_lower,
+            "alpha_upper": self.alpha_upper,
+            "gap": self.gap,
             "lambda_min_P": self.lambda_min_P,
             "lambda_max_P": self.lambda_max_P,
             "M": self.M,
             "lambda": self.lambda_decay,
             "method": self.method,
-            "seed": self.seed,
-            "samples": self.samples,
         }
 
     def save(self, path) -> None:
@@ -131,6 +142,12 @@ class LyapunovCertificate:
 
     @staticmethod
     def from_json_dict(d: dict) -> "LyapunovCertificate":
+        """Re-certify the stored gains and bounds; reject stale numbers.
+
+        alpha, M and lambda must match the recomputed certificate to
+        RELOAD_RTOL relative, so a file written by another margin method
+        fails here instead of being applied.
+        """
         ub = UncertaintyBounds(
             L1=d["bounds"]["L1"],
             L2=d["bounds"]["L2"],
@@ -138,22 +155,15 @@ class LyapunovCertificate:
             order=d["bounds"]["order"],
         )
         g = GainVector(d["kind"], d["gains"]["kp"], d["gains"]["ki"], d["gains"]["kd"])
-        P = build_P(d["kind"], g, ub, d["n"])
-        return LyapunovCertificate(
-            kind=d["kind"],
-            n=d["n"],
-            gains=g,
-            bounds=ub,
-            P=P,
-            alpha=d["alpha"],
-            lambda_min_P=d["lambda_min_P"],
-            lambda_max_P=d["lambda_max_P"],
-            M=d["M"],
-            lambda_decay=d["lambda"],
-            method=d["method"],
-            seed=d.get("seed"),
-            samples=d.get("samples"),
-        )
+        cert = certify_margin(d["kind"], g, ub, d["n"])
+        for key, fresh in (("alpha", cert.alpha), ("M", cert.M), ("lambda", cert.lambda_decay)):
+            stored = float(d[key])
+            if not abs(stored - fresh) <= RELOAD_RTOL * abs(fresh):
+                raise CertificateError(
+                    f"stored {key} = {stored!r} (method {d.get('method')!r}) does not "
+                    f"match the recomputed {fresh!r} (method {cert.method!r}); re-certify"
+                )
+        return cert
 
     @staticmethod
     def load(path) -> "LyapunovCertificate":
@@ -170,15 +180,22 @@ def _require_member(g: GainVector, ub: UncertaintyBounds, what: str) -> None:
         )
 
 
-def _core_P_pid(g: GainVector, b: float) -> np.ndarray:
-    kp, ki, kd = g.kp, g.ki, g.kd
-    return np.array(
-        [
-            [2 * ki * kp * b, 2 * ki * kd * b, ki],
-            [2 * ki * kd * b, 2 * kp * kd * b - ki, kp],
-            [ki, kp, kd],
-        ]
-    )
+def _core_P(kind: str, g: GainVector, b: float) -> np.ndarray:
+    """Core block of P; the Lyapunov matrix is its Kronecker lift core x I_n."""
+    kp, ki, kd, b = float(g.kp), float(g.ki), float(g.kd), float(b)
+    if kind == PID:
+        return np.array(
+            [
+                [2 * ki * kp * b, 2 * ki * kd * b, ki],
+                [2 * ki * kd * b, 2 * kp * kd * b - ki, kp],
+                [ki, kp, kd],
+            ]
+        )
+    if kind == PD:
+        return np.array([[2 * kp * kd * b, kp], [kp, kd]])
+    if kind == PI:
+        return np.array([[2 * kp * ki * b, ki], [ki, kp]])
+    raise UsageError(f"unknown certificate kind {kind!r}")
 
 
 def pid_det_formula(g: GainVector, b: float) -> float:
@@ -194,7 +211,7 @@ def build_P_pid(g: GainVector, ub: UncertaintyBounds, n: int) -> np.ndarray:
     copies of the 3x3 core spectrum.
     """
     _require_member(g, ub, "build_P_pid")
-    core = _core_P_pid(g, ub.b_lower)
+    core = _core_P(PID, g, ub.b_lower)
     m1 = core[0, 0]
     m2 = core[0, 0] * core[1, 1] - core[0, 1] ** 2
     m3 = pid_det_formula(g, ub.b_lower)
@@ -211,22 +228,20 @@ def build_P_pd(g: GainVector, ub: UncertaintyBounds, n: int) -> np.ndarray:
     """2n x 2n Lyapunov matrix for PD gains."""
     _require_member(g, ub, "build_P_pd")
     kp, kd, b = g.kp, g.kd, ub.b_lower
-    core = np.array([[2 * kp * kd * b, kp], [kp, kd]])
     # positivity reduces to kp * (2 kd^2 b - kp) > 0
     if not (2 * kp * kd * b > 0 and kp * (2 * kd**2 * b - kp) > 0):
         raise CertificateError("PD Lyapunov block failed its positivity check")
-    return mk.kronecker(core, np.eye(n))
+    return mk.kronecker(_core_P(PD, g, b), np.eye(n))
 
 
 def build_P_pi(g: GainVector, ub: UncertaintyBounds, n: int) -> np.ndarray:
     """2n x 2n Lyapunov matrix for PI gains."""
     _require_member(g, ub, "build_P_pi")
     kp, ki, b = g.kp, g.ki, ub.b_lower
-    core = np.array([[2 * kp * ki * b, ki], [ki, kp]])
     # positivity reduces to ki * (2 kp^2 b - ki) > 0
     if not (2 * kp * ki * b > 0 and ki * (2 * kp**2 * b - ki) > 0):
         raise CertificateError("PI Lyapunov block failed its positivity check")
-    return mk.kronecker(core, np.eye(n))
+    return mk.kronecker(_core_P(PI, g, b), np.eye(n))
 
 
 def build_P(kind: str, g: GainVector, ub: UncertaintyBounds, n: int) -> np.ndarray:
@@ -343,92 +358,6 @@ def q_report(
     )
 
 
-# ---------------------------------------------------------------------------
-# Batch Q0 assembly over sampled (a, b) for the uniform margin estimate.
-# ---------------------------------------------------------------------------
-
-
-def _batch_q0_pid(g: GainVector, ub: UncertaintyBounds, A: np.ndarray, B: np.ndarray):
-    kp, ki, kd = g.kp, g.ki, g.kd
-    b_ = ub.b_lower
-    N, n, _ = A.shape
-    k1 = (kp**2 - 2 * ki * kd) * b_
-    k2 = kd**2 * b_ - kp
-    I = np.eye(n)
-    At = np.transpose(A, (0, 2, 1))
-    Bt = np.transpose(B, (0, 2, 1))
-    Q = np.zeros((N, 3 * n, 3 * n))
-    Q[:, :n, :n] = 2 * ki**2 * b_ * I
-    Q[:, :n, n : 2 * n] = -ki * A
-    Q[:, :n, 2 * n :] = -ki * B
-    Q[:, n : 2 * n, n : 2 * n] = 2 * k1 * I - kp * (A + At)
-    Q[:, n : 2 * n, 2 * n :] = -(kp * B + kd * At)
-    Q[:, 2 * n :, 2 * n :] = 2 * k2 * I - kd * (B + Bt)
-    Q[:, n : 2 * n, :n] = np.transpose(Q[:, :n, n : 2 * n], (0, 2, 1))
-    Q[:, 2 * n :, :n] = np.transpose(Q[:, :n, 2 * n :], (0, 2, 1))
-    Q[:, 2 * n :, n : 2 * n] = np.transpose(Q[:, n : 2 * n, 2 * n :], (0, 2, 1))
-    return Q
-
-
-def _batch_q0_pd(g: GainVector, ub: UncertaintyBounds, A: np.ndarray, B: np.ndarray):
-    kp, kd = g.kp, g.kd
-    b_ = ub.b_lower
-    N, n, _ = A.shape
-    I = np.eye(n)
-    At = np.transpose(A, (0, 2, 1))
-    Bt = np.transpose(B, (0, 2, 1))
-    Q = np.zeros((N, 2 * n, 2 * n))
-    Q[:, :n, :n] = 2 * kp**2 * b_ * I - kp * (A + At)
-    Q[:, :n, n:] = -(kp * B + kd * At)
-    Q[:, n:, n:] = 2 * (kd**2 * b_ - kp) * I - kd * (B + Bt)
-    Q[:, n:, :n] = np.transpose(Q[:, :n, n:], (0, 2, 1))
-    return Q
-
-
-def _batch_q0_pi(g: GainVector, ub: UncertaintyBounds, A: np.ndarray, B=None):
-    kp, ki = g.kp, g.ki
-    b_ = ub.b_lower
-    N, n, _ = A.shape
-    I = np.eye(n)
-    At = np.transpose(A, (0, 2, 1))
-    Q = np.zeros((N, 2 * n, 2 * n))
-    Q[:, :n, :n] = 2 * ki**2 * b_ * I
-    Q[:, :n, n:] = -ki * A
-    Q[:, n:, n:] = 2 * kp**2 * b_ * I - kp * (A + At) - 2 * ki * I
-    Q[:, n:, :n] = np.transpose(Q[:, :n, n:], (0, 2, 1))
-    return Q
-
-
-def _structured_ball_points(L: float, n: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Extreme-leaning candidates of the operator-norm ball of radius L."""
-    pts = [np.zeros((n, n)), L * np.eye(n), -L * np.eye(n)]
-    if n == 1 or L == 0.0:
-        return pts
-    for _ in range(3):
-        signs = rng.choice([-1.0, 1.0], size=n)
-        pts.append(L * np.diag(signs))
-    for _ in range(3):
-        qmat, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        pts.append(L * qmat)
-    return pts
-
-
-def _random_ball_points(L: float, n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Boundary-biased sample of the operator-norm ball: half the draws sit
-    on the sphere, half at a uniform fraction of the radius."""
-    out = np.zeros((count, n, n))
-    if L == 0.0 or count == 0:
-        return out
-    for i in range(count):
-        direction = rng.standard_normal((n, n))
-        nrm = np.linalg.norm(direction, 2)
-        if nrm == 0.0:
-            continue
-        radius = L if rng.random() < 0.5 else L * rng.random()
-        out[i] = direction * (radius / nrm)
-    return out
-
-
 def sample_frozen_uncertainty(
     ub: UncertaintyBounds, n: int, rng: np.random.Generator
 ) -> FrozenUncertainty:
@@ -450,120 +379,123 @@ def sample_frozen_uncertainty(
     return FrozenUncertainty.checked(ub, a=a, theta=theta, b=b)
 
 
-def schur_chain_certified(g: GainVector, ub: UncertaintyBounds) -> bool:
-    """Sampling-free sufficient PID check, uniform over the whole ball.
+# ---------------------------------------------------------------------------
+# Uniform decrease margin over the uncertainty ball: the sandwich certificate.
+# ---------------------------------------------------------------------------
 
-    Uses the analytic lower/upper bounds on the complement blocks:
-    the check is conservative (True implies a positive uniform margin
-    exists) and returns no numeric alpha.
+
+def pi_closed_form_margin(g: GainVector, ub: UncertaintyBounds) -> float:
+    """The paper's PI margin gamma: lambda_min of the worst-case 2x2 block at a = L."""
+    if g.kind != PI:
+        raise UsageError(f"the closed-form gamma margin is for PI gains, got {g.kind}")
+    kp, ki = float(g.kp), float(g.ki)
+    L, b_ = float(ub.L), float(ub.b_lower)
+    q1 = np.array(
+        [
+            [2 * ki**2 * b_, -ki * L],
+            [-ki * L, 2 * (kp**2 * b_ - kp * L - ki)],
+        ]
+    )
+    return float(np.linalg.eigvalsh(q1)[0])
+
+
+def pd_closed_form_margin(g: GainVector, ub: UncertaintyBounds) -> float:
+    """The paper's PD margin beta = 2 min((kp^2 - kbar) b, kd^2 b - kp - kbar b).
+
+    Sound but loose: it bounds each cross term by its norm separately.
     """
-    _require_member(g, ub, "schur_chain_certified")
-    kp, ki, kd = g.kp, g.ki, g.kd
-    L1, L2, b_ = ub.L1, ub.L2, ub.b_lower
-    d1 = 2 * (kp**2 - 2 * ki * kd) * b_ - 2 * kp * L1 - L1**2 / (2 * b_)
-    e1 = 2 * (kd**2 * b_ - kp) - 2 * kd * L2 - L2**2 / (2 * b_)
-    b1 = kp * L2 + kd * L1 + L1 * L2 / (2 * b_)
-    return d1 > 0 and e1 > 0 and d1 * e1 > b1**2
+    if g.kind != PD:
+        raise UsageError(f"the closed-form beta margin is for PD gains, got {g.kind}")
+    kp, kd, b_ = float(g.kp), float(g.kd), float(ub.b_lower)
+    kbar = coupling_term(kp, kd, ub)
+    return 2.0 * min((kp**2 - kbar) * b_, kd**2 * b_ - kp - kbar * b_)
+
+
+def _margin_core(kind: str, g: GainVector, ub: UncertaintyBounds):
+    """(C, u, channels) with Q0(A, B) = kron(C, I) - 2 Sym[kron(u, I) sum_j A_j E_j].
+
+    C is diagonal, u holds the gains and the n x mn selector E_j picks the
+    state block that the uncertainty matrix A_j (A = df/dx1, B = df/dx2)
+    multiplies.  ``channels`` lists (block index j, bound L_j) for every
+    matrix whose bound is positive; a zero bound pins its matrix to 0, so
+    its term drops out.
+    """
+    kp, ki, kd, b_ = float(g.kp), float(g.ki), float(g.kd), float(ub.b_lower)
+    if kind == PID:
+        core = [2 * ki**2 * b_, 2 * (kp**2 - 2 * ki * kd) * b_, 2 * (kd**2 * b_ - kp)]
+        u, blocks = [ki, kp, kd], [(1, ub.L1), (2, ub.L2)]
+    elif kind == PD:
+        core = [2 * kp**2 * b_, 2 * (kd**2 * b_ - kp)]
+        u, blocks = [kp, kd], [(0, ub.L1), (1, ub.L2)]
+    elif kind == PI:
+        core = [2 * ki**2 * b_, 2 * kp**2 * b_ - 2 * ki]
+        u, blocks = [ki, kp], [(1, ub.L)]
+    else:
+        raise UsageError(f"unknown certificate kind {kind!r}")
+    channels = [(j, float(L)) for j, L in blocks if L > 0]
+    return np.diag(core), np.array(u), channels
+
+
+def sandwich_margin(kind: str, g: GainVector, ub: UncertaintyBounds) -> tuple[float, float]:
+    """(lower, upper) bounds on the ball minimum of lambda_min(Q0(A, B)).
+
+    Upper: the smallest eigenvalue over the corners A_j = +-L_j I.  They lie
+    in the ball, so the minimum is at most this value.
+
+    Lower: with w = sum_i u_i z_i, each cross term obeys
+    2 |w^T A_j z_j| <= tau_j |w|^2 + (L_j^2 / tau_j) |z_j|^2, hence
+    Q0 >= kron(C - sum_j tau_j u u^T - sum_j (L_j^2 / tau_j) e_j e_j^T, I)
+    for every n, every A_j in the ball and every tau_j > 0 (S-procedure).
+    tau_j is chosen where the inequality is tight at the worst corner's
+    eigenvector x; a poor choice costs tightness, never soundness.
+    """
+    C, u, channels = _margin_core(kind, g, ub)
+    js = [j for j, _ in channels]
+    # corner A_j = s_j L_j I gives the core C - (u v^T + v u^T), v = sum_j s_j L_j e_j
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=len(js))))
+    v = np.zeros((signs.shape[0], u.size))
+    v[:, js] = signs * [L for _, L in channels]
+    uv = u[None, :, None] * v[:, None, :]
+    lam, vec = np.linalg.eigh(C - uv - uv.transpose(0, 2, 1))
+    worst = int(np.argmin(lam[:, 0]))
+    upper = float(lam[worst, 0])
+    x = vec[worst, :, 0]
+    ux = abs(float(u @ x))
+    bound = C.copy()
+    tau_sum = 0.0
+    for j, L in channels:
+        tau = L * abs(float(x[j])) / ux if ux > 0.0 else 0.0
+        if not (tau > 0.0 and math.isfinite(tau) and math.isfinite(L * L / tau)):
+            tau = L / float(np.linalg.norm(u))  # balances the two terms at |w| = |u||z_j|
+        bound[j, j] -= L * L / tau
+        tau_sum += tau
+    bound -= tau_sum * np.outer(u, u)
+    lower = float(np.linalg.eigvalsh(bound)[0])
+    return lower, upper
 
 
 def certify_margin(
-    kind: str,
-    g: GainVector,
-    ub: UncertaintyBounds,
-    n: int,
-    strategy: str | None = None,
-    samples: int = 20_000,
-    safety: float = 0.2,
-    seed: int = 0,
-):
+    kind: str, g: GainVector, ub: UncertaintyBounds, n: int
+) -> LyapunovCertificate:
     """Certificate with a uniform decrease margin over the uncertainty ball.
 
-    Strategies: ``exact_gamma`` (PI and PD closed forms), ``sampled``
-    (boundary-biased sampling of (a, b), deflated by ``safety``), and
-    ``schur_chain`` (PID only; returns the bare boolean of the sampling-free
-    check instead of a certificate).
+    ``alpha`` is the smaller of the two sandwich bounds, so it is a sound
+    lower bound on the ball minimum.  The certificate records both bounds
+    and their relative gap; it is labelled ``exact`` when the gap is at most
+    EXACT_GAP and ``lower_bound`` otherwise.
     """
-    if strategy is None:
-        strategy = "sampled" if kind == PID else "exact_gamma"
-    if strategy == "schur_chain":
-        if kind != PID:
-            raise UsageError("schur_chain strategy applies to the PID kind only")
-        return schur_chain_certified(g, ub)
     _require_member(g, ub, "certify_margin")
     P = build_P(kind, g, ub, n)
-    lam_min_p, lam_max_p = mk.eig_extrema(P)
-    used_seed: Optional[int] = None
-    used_samples: Optional[int] = None
-
-    if strategy == "exact_gamma":
-        if kind == PI:
-            L, b_ = ub.L, ub.b_lower
-            q1 = np.array(
-                [
-                    [2 * g.ki**2 * b_, -g.ki * L],
-                    [-g.ki * L, 2 * (g.kp**2 * b_ - g.kp * L - g.ki)],
-                ]
-            )
-            alpha, _ = mk.eig_extrema(q1)
-        elif kind == PD:
-            kbar = coupling_term(g.kp, g.kd, ub)
-            b_ = ub.b_lower
-            alpha = 2.0 * min(
-                (g.kp**2 - kbar) * b_, g.kd**2 * b_ - g.kp - kbar * b_
-            )
-        else:
-            raise UsageError("no exact margin formula for the PID kind; use sampled")
-        method = "exact_gamma"
-    elif strategy == "sampled":
-        if not 0.0 <= safety < 1.0:
-            raise UsageError("safety must be in [0, 1)")
-        rng = np.random.default_rng(seed)
-        struct_a = _structured_ball_points(ub.L1, n, rng)
-        struct_b = _structured_ball_points(ub.L2, n, rng) if kind != PI else [None]
-        pairs_a = []
-        pairs_b = []
-        for sa in struct_a:
-            for sb in struct_b:
-                pairs_a.append(sa)
-                if sb is not None:
-                    pairs_b.append(sb)
-        n_random = max(0, samples - len(pairs_a))
-        rand_a = _random_ball_points(ub.L1, n, n_random, rng)
-        A = np.concatenate([np.stack(pairs_a), rand_a], axis=0)
-        if kind != PI:
-            rand_b = _random_ball_points(ub.L2, n, n_random, rng)
-            B = np.concatenate([np.stack(pairs_b), rand_b], axis=0)
-        else:
-            B = None
-        if kind == PID:
-            Q0 = _batch_q0_pid(g, ub, A, B)
-        elif kind == PD:
-            Q0 = _batch_q0_pd(g, ub, A, B)
-        else:
-            Q0 = _batch_q0_pi(g, ub, A)
-        lam = np.linalg.eigvalsh(Q0)[:, 0]
-        idx = int(np.argmin(lam))
-        ball_min = float(lam[idx])
-        # cross-check the batch eigensolver at the minimizing sample
-        check, _ = mk.eig_extrema(mk.symmetrize(Q0[idx]))
-        if abs(check - ball_min) > 1e-9 * (1.0 + abs(ball_min)):
-            raise CertificateError(
-                f"eigen cross-check mismatch at ball minimum: {check} vs {ball_min}"
-            )
-        if ball_min <= 0:
-            raise CertificateError(
-                f"sampled ball minimum is not positive ({ball_min:.3e}); "
-                "gains sit too close to the region boundary"
-            )
-        alpha = (1.0 - safety) * ball_min
-        method = "sampled"
-        used_seed = seed
-        used_samples = int(A.shape[0])
-    else:
-        raise UsageError(f"unknown strategy {strategy!r}")
-
+    # P = core x I_n has the extreme eigenvalues of its core
+    lam_p = np.linalg.eigvalsh(_core_P(kind, g, ub.b_lower))
+    lam_min_p, lam_max_p = float(lam_p[0]), float(lam_p[-1])
+    lower, upper = sandwich_margin(kind, g, ub)
+    alpha = min(lower, upper)
     if not alpha > 0:
-        raise CertificateError(f"certified margin is not positive: {alpha:.3e}")
+        raise CertificateError(
+            f"certified margin is not positive: {alpha:.3e} (upper bound {upper:.3e})"
+        )
+    gap = (upper - alpha) / upper
     m1 = math.sqrt(2.0 * lam_max_p / lam_min_p)
     if kind == PID:
         M = max(m1, m1 / g.ki)
@@ -571,19 +503,19 @@ def certify_margin(
         M = m1
     else:
         M = math.sqrt(lam_max_p / lam_min_p)
-    lam_decay = alpha / (2.0 * lam_max_p)
     return LyapunovCertificate(
         kind=kind,
         n=n,
         gains=g,
         bounds=ub,
         P=P,
-        alpha=float(alpha),
+        alpha=alpha,
+        alpha_lower=lower,
+        alpha_upper=upper,
+        gap=gap,
         lambda_min_P=lam_min_p,
         lambda_max_P=lam_max_p,
         M=float(M),
-        lambda_decay=float(lam_decay),
-        method=method,
-        seed=used_seed,
-        samples=used_samples,
+        lambda_decay=alpha / (2.0 * lam_max_p),
+        method="exact" if gap <= EXACT_GAP else "lower_bound",
     )

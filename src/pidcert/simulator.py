@@ -134,7 +134,6 @@ class AuditReport:
     first_violation_time: Optional[float]
     atol_envelope: float
     samples: int
-    near_violations: int = 0
 
 
 @dataclass
@@ -380,44 +379,25 @@ def fit_decay(traj: Trajectory, window: tuple[float, float]) -> tuple[float, flo
 def envelope_audit(
     traj: Trajectory,
     atol_envelope: Optional[float] = None,
-    safety_band: Optional[float] = None,
 ) -> AuditReport:
     """Check the recorded envelope margin at every sample time.
 
-    A sampled decrease margin is an estimate, so an extra banded envelope
-    (decay rate deflated once more by the safety factor) separates sampling
-    artifacts from real violations: samples below the primary envelope but
-    above the banded one are counted as ``near_violations`` without failing
-    the audit.  Exact certificates get no band.
+    Any sample more than ``atol_envelope`` below the envelope fails the
+    audit; the default tolerance is 1e-7 of the initial envelope value.
     """
     if traj.envelope_margin is None:
         raise UsageError("trajectory has no envelope margins to audit")
     if atol_envelope is None:
         atol_envelope = 1e-7 * traj.initial_envelope_value()
-    if safety_band is None:
-        safety_band = 0.2 if (traj.cert is not None and traj.cert.method == "sampled") else 0.0
     margin = traj.envelope_margin
-    min_margin = float(np.min(margin))
-    primary = np.nonzero(margin < -atol_envelope)[0]
-    if safety_band > 0.0 and primary.size:
-        cert = traj.cert
-        banded_env = traj.envelope[0] * np.exp(
-            -(1.0 - safety_band) * cert.lambda_decay * traj.times
-        )
-        banded_margin = margin + (banded_env - traj.envelope)
-        violations = np.nonzero(banded_margin < -atol_envelope)[0]
-        near = int(primary.size - violations.size)
-    else:
-        violations = primary
-        near = 0
+    violations = np.nonzero(margin < -atol_envelope)[0]
     first_violation = float(traj.times[violations[0]]) if violations.size else None
     return AuditReport(
         passes=violations.size == 0,
-        min_margin=min_margin,
+        min_margin=float(np.min(margin)),
         first_violation_time=first_violation,
         atol_envelope=float(atol_envelope),
         samples=int(margin.size),
-        near_violations=near,
     )
 
 

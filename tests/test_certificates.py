@@ -8,7 +8,7 @@ import pytest
 
 from pidcert import certificates as ct
 from pidcert import matrix_kernel as mk
-from pidcert.errors import UsageError
+from pidcert.errors import CertificateError, UsageError
 from pidcert.gain_sets import GainVector, UncertaintyBounds, suggest_gains
 
 UB111 = UncertaintyBounds(1.0, 1.0, 1.0)
@@ -183,40 +183,64 @@ class TestCertifyMargin:
     def test_pi_exact_gamma(self):
         cert = ct.certify_margin("PI", G_PI, UB_PI, 1)
         assert abs(cert.alpha - (6 - math.sqrt(17))) < 1e-12
+        assert abs(ct.pi_closed_form_margin(G_PI, UB_PI) - (6 - math.sqrt(17))) < 1e-12
         assert abs(cert.lambda_max_P - (9 + math.sqrt(13)) / 2) < 1e-12
         assert abs(cert.lambda_decay - cert.alpha / (2 * cert.lambda_max_P)) < 1e-15
-        assert cert.method == "exact_gamma"
+        assert cert.method == "exact"
 
     def test_pd_exact_beta(self):
+        # worst corner a = b = +1: [[60, -12], [-12, 48]], eigmin 54 - 6 sqrt(5);
+        # the paper's closed form bounds each cross term alone and gives 12
         cert = ct.certify_margin("PD", G_PD, UB111, 1)
-        assert cert.alpha == 12.0
+        assert abs(cert.alpha - (54 - 6 * math.sqrt(5))) < 1e-12
+        assert ct.pd_closed_form_margin(G_PD, UB111) == 12.0
+        assert cert.method == "exact"
         assert cert.M == math.sqrt(2 * cert.lambda_max_P / cert.lambda_min_P)
 
     def test_pid_degenerate_ball(self):
         ub = UncertaintyBounds(0.0, 0.0, 1.0)
-        cert = ct.certify_margin("PID", G_PID, ub, 1, samples=100, seed=0)
-        # single-point ball: Q0(0,0) = diag(2, 70, 84), so alpha = 0.8 * 2
-        assert abs(cert.alpha - 1.6) < 1e-12
-        assert cert.method == "sampled"
+        cert = ct.certify_margin("PID", G_PID, ub, 1)
+        # single-point ball: Q0(0,0) = diag(2, 70, 84), so alpha = 2
+        assert cert.alpha == 2.0
+        assert cert.alpha_lower == cert.alpha_upper == 2.0
+        assert cert.method == "exact"
+
+    def test_zero_bound_channel_drops_out(self):
+        # PI with L = 0: Q0 = diag(2 ki^2 b, 2 kp^2 b - 2 ki) = diag(2, 16)
+        cert = ct.certify_margin("PI", G_PI, UncertaintyBounds.first_order(0.0, 1.0), 2)
+        assert cert.alpha == 2.0 and cert.method == "exact"
+        # PD with L1 = 0 only: corners b = +-1 give [[72, -6], [-6, 48]] at b = +1
+        cert = ct.certify_margin("PD", G_PD, UncertaintyBounds(0.0, 1.0, 1.0), 1)
+        assert abs(cert.alpha - (60 - math.sqrt(180))) < 1e-12
+        assert cert.method == "exact"
+
+    def test_integer_gains_and_bounds(self):
+        cert = ct.certify_margin("PD", GainVector("PD", 6, kd=6), UncertaintyBounds(1, 1, 1), 2)
+        assert abs(cert.alpha - (54 - 6 * math.sqrt(5))) < 1e-12
 
     def test_pid_M_includes_integral_scaling(self):
         g = suggest_gains("PID", UB111, ki=0.25)
-        cert = ct.certify_margin("PID", g, UB111, 1, samples=500, seed=2)
+        cert = ct.certify_margin("PID", g, UB111, 1)
         m1 = math.sqrt(2 * cert.lambda_max_P / cert.lambda_min_P)
         assert abs(cert.M - m1 / 0.25) < 1e-12
 
     def test_decay_identity(self):
-        cert = ct.certify_margin("PID", G_PID, UB111, 1, samples=500, seed=3)
+        cert = ct.certify_margin("PID", G_PID, UB111, 1)
         assert abs(cert.lambda_decay * 2 * cert.lambda_max_P - cert.alpha) <= 1e-12 * cert.alpha
 
-    def test_schur_chain_strategy_boolean(self):
-        assert ct.certify_margin("PID", G_PID, UB111, 1, strategy="schur_chain") is True
-        with pytest.raises(UsageError):
-            ct.certify_margin("PD", G_PD, UB111, 1, strategy="schur_chain")
+    def test_pid_reference_margin_is_corner_value(self):
+        # the corner a = b = +1 of the (1, 1, 1) ball (see TestQReport)
+        cert = ct.certify_margin("PID", G_PID, UB111, 3)
+        assert abs(cert.alpha - 1.9568874038683) < 1e-9
+        assert cert.method == "exact"
+        assert 0.0 <= cert.gap <= 1e-9
 
     def test_pid_exact_gamma_rejected(self):
+        # the paper's closed forms cover PI and PD only
         with pytest.raises(UsageError):
-            ct.certify_margin("PID", G_PID, UB111, 1, strategy="exact_gamma")
+            ct.pi_closed_form_margin(G_PID, UB111)
+        with pytest.raises(UsageError):
+            ct.pd_closed_form_margin(G_PID, UB111)
 
     def test_non_member_rejected(self):
         with pytest.raises(UsageError):
@@ -226,7 +250,7 @@ class TestCertifyMargin:
         """A reloaded certificate must reproduce bitwise-identical margins."""
         import pidcert as pc
 
-        cert = ct.certify_margin("PID", G_PID, UB111, 1, samples=1000, seed=4)
+        cert = ct.certify_margin("PID", G_PID, UB111, 1)
         path = tmp_path / "cert.json"
         cert.save(path)
         loaded = ct.LyapunovCertificate.load(path)
@@ -239,7 +263,7 @@ class TestCertifyMargin:
         assert np.array_equal(m1, m2)
 
     def test_json_roundtrip(self, tmp_path):
-        cert = ct.certify_margin("PID", G_PID, UB111, 2, samples=400, seed=9)
+        cert = ct.certify_margin("PID", G_PID, UB111, 2)
         path = tmp_path / "cert.json"
         cert.save(path)
         loaded = ct.LyapunovCertificate.load(path)
@@ -250,9 +274,104 @@ class TestCertifyMargin:
         with open(path) as fh:
             keys = set(json.load(fh))
         assert keys == {
-            "kind", "n", "gains", "bounds", "alpha", "lambda_min_P",
-            "lambda_max_P", "M", "lambda", "method", "seed", "samples",
+            "kind", "n", "gains", "bounds", "alpha", "alpha_lower", "alpha_upper",
+            "gap", "lambda_min_P", "lambda_max_P", "M", "lambda", "method",
         }
+
+    def test_stale_certificate_rejected_on_load(self, tmp_path):
+        """A file whose numbers do not match a fresh certification (here: a
+        20%-deflated sampled estimate) must not be applied."""
+        d = ct.certify_margin("PID", G_PID, UB111, 1).to_json_dict()
+        d.update(alpha=0.8 * d["alpha"], method="sampled", seed=0, samples=20000)
+        d["lambda"] = 0.8 * d["lambda"]
+        path = tmp_path / "stale.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(CertificateError, match="re-certify"):
+            ct.LyapunovCertificate.load(path)
+        # a mismatch in M alone is caught too
+        d = ct.certify_margin("PD", G_PD, UB111, 1).to_json_dict()
+        d["M"] *= 1.0 + 1e-9
+        with pytest.raises(CertificateError):
+            ct.LyapunovCertificate.from_json_dict(d)
+
+
+def _ball_matrix(L, n, rng):
+    """A point of the operator-norm ball of radius L: half on the sphere."""
+    d = rng.standard_normal((n, n))
+    radius = L if rng.random() < 0.5 else L * rng.random()
+    return d * (radius / np.linalg.norm(d, 2))
+
+
+def _q0_min_eig(kind, g, ub, n, a, b):
+    """lambda_min of -(P A0 + A0^T P) at theta = b_lower I, assembled explicitly."""
+    P = ct.build_P(kind, g, ub, n)
+    fu = ct.FrozenUncertainty(a=a, theta=ub.b_lower * np.eye(n), b=b)
+    A0 = ct.assemble_A(kind, g, fu, n)
+    Q0 = -(P @ A0 + A0.T @ P)
+    return float(np.linalg.eigvalsh((Q0 + Q0.T) / 2.0)[0])
+
+
+def _random_member(kind, rng):
+    if kind == "PI":
+        ub = UncertaintyBounds.first_order(rng.uniform(0, 3), rng.uniform(0.3, 3))
+        g = suggest_gains("PI", ub, ki=rng.uniform(0.1, 2.0), margin=rng.uniform(0.0, 1.0))
+        return g, ub
+    ub = UncertaintyBounds(rng.uniform(0, 3), rng.uniform(0, 3), rng.uniform(0.3, 3))
+    extra = {"ki": rng.uniform(0.1, 2.0)} if kind == "PID" else {}
+    return suggest_gains(kind, ub, margin=rng.uniform(0.0, 1.0), **extra), ub
+
+
+class TestSandwichMargin:
+    @pytest.mark.parametrize("kind", ["PID", "PD", "PI"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_alpha_below_sampled_ball_minimum(self, kind, n):
+        """Sampling oracle: alpha never exceeds lambda_min(Q0(A, B)) at
+        random points (A, B) of the ball, half of them on its boundary."""
+        rng = np.random.default_rng(100 * n + len(kind))
+        for _ in range(10):
+            g, ub = _random_member(kind, rng)
+            cert = ct.certify_margin(kind, g, ub, n)
+            sampled = min(
+                _q0_min_eig(
+                    kind, g, ub, n,
+                    _ball_matrix(ub.L1, n, rng),
+                    None if kind == "PI" else _ball_matrix(ub.L2, n, rng),
+                )
+                for _ in range(40)
+            )
+            assert cert.alpha <= sampled + 1e-9 * (1.0 + abs(sampled))
+
+    @pytest.mark.parametrize("kind", ["PID", "PD", "PI"])
+    def test_alpha_equals_corner_minimum(self, kind):
+        """On random region members the lower bound meets the attained
+        corner minimum A = +-L1 I, B = +-L2 I, assembled explicitly."""
+        rng = np.random.default_rng({"PID": 5, "PD": 6, "PI": 7}[kind])
+        for _ in range(60):
+            g, ub = _random_member(kind, rng)
+            n = int(rng.integers(1, 4))
+            eye = np.eye(n)
+            b_corners = [None] if kind == "PI" else [ub.L2 * eye, -ub.L2 * eye]
+            corner = min(
+                _q0_min_eig(kind, g, ub, n, sa * ub.L1 * eye, b)
+                for sa in (1.0, -1.0)
+                for b in b_corners
+            )
+            cert = ct.certify_margin(kind, g, ub, n)
+            assert abs(cert.alpha - corner) <= 1e-9 * abs(corner), (g, ub, n)
+            assert cert.alpha_lower <= cert.alpha_upper * (1 + 1e-12)
+            assert cert.method == "exact"
+
+    def test_closed_forms_are_sound_lower_bounds(self):
+        """The paper's PD closed form never exceeds the certified margin;
+        the PI closed form meets it."""
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            g, ub = _random_member("PD", rng)
+            alpha = ct.certify_margin("PD", g, ub, 1).alpha
+            assert ct.pd_closed_form_margin(g, ub) <= alpha * (1 + 1e-12)
+            g, ub = _random_member("PI", rng)
+            alpha = ct.certify_margin("PI", g, ub, 1).alpha
+            assert abs(ct.pi_closed_form_margin(g, ub) - alpha) <= 1e-9 * (1.0 + alpha)
 
 
 class TestCertificateOrdering:
@@ -266,7 +385,7 @@ class TestCertificateOrdering:
                 rng.uniform(0, 3), rng.uniform(0, 3), rng.uniform(0.3, 3)
             )
             g = suggest_gains("PID", ub, ki=rng.uniform(0.1, 2.0))
-            cert = ct.certify_margin("PID", g, ub, n, samples=400, seed=trial)
+            cert = ct.certify_margin("PID", g, ub, n)
             fu = ct.sample_frozen_uncertainty(ub, n, rng)
             rep = ct.q_report("PID", g, ub, fu, n)
             assert rep.lambda_min_Q >= rep.lambda_min_Q0 - 1e-9

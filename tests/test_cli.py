@@ -1,8 +1,14 @@
 """End-to-end tests of the batch CLI: configs in, files and exit codes out."""
 
 import json
+from pathlib import Path
+
+import pytest
 
 from pidcert import cli
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+SHIPPED_CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
 
 
 def write_config(tmp_path, name, payload):
@@ -35,7 +41,6 @@ class TestCertifyMode:
                 "gains": {"kp": 7, "ki": 1, "kd": 7},
                 "bounds": {"L1": 1, "L2": 1, "b_lower": 1},
                 "n": 1,
-                "samples": 2000,
             },
         )
         out = tmp_path / "out"
@@ -45,7 +50,9 @@ class TestCertifyMode:
         assert saved["alpha"] > 0
         assert saved["M"] > 0
         assert saved["lambda"] > 0
-        assert saved["method"] == "sampled"
+        assert saved["method"] == "exact"
+        assert saved["alpha"] == min(saved["alpha_lower"], saved["alpha_upper"])
+        assert 0.0 <= saved["gap"] <= 1e-9
 
     def test_non_member_is_usage_error(self, tmp_path):
         cfg = write_config(
@@ -69,7 +76,6 @@ class TestSimulateMode:
                 "y_star": 1.5707963267948966,
                 "x0": [0.0, 0.0],
                 "t_final": 20.0,
-                "samples": 2000,
                 "certify": True,
             },
         )
@@ -101,7 +107,6 @@ class TestSweepMode:
                 ],
                 "setpoints": [0.5, -1.0],
                 "sim": {"t_final": 15.0},
-                "certify_samples": 1500,
             },
         )
 
@@ -212,3 +217,10 @@ class TestErrorPaths:
         )
         code = cli.main(["gains", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 0
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
+def test_shipped_config_runs(path, tmp_path, capsys):
+    """Every config under scripts/configs runs in its declared mode and passes."""
+    mode = json.loads(path.read_text())["mode"]
+    assert cli.run(mode, str(path), out_dir=str(tmp_path / "out")) == 0
