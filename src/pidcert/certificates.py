@@ -91,7 +91,6 @@ class QReport:
     Q0: np.ndarray
     lambda_min_Q: float
     lambda_min_Q0: float
-    schur_chain_pass: bool
 
 
 @dataclass
@@ -221,7 +220,7 @@ def build_P_pid(g: GainVector, ub: UncertaintyBounds, n: int) -> np.ndarray:
             "leading-minor chain failed for a region member "
             f"(minors {m1:.6g}, {m2:.6g}, {m3:.6g}, lambda_min {lam_min:.6g})"
         )
-    return mk.kronecker(core, np.eye(n))
+    return np.kron(core, np.eye(n))
 
 
 def build_P_pd(g: GainVector, ub: UncertaintyBounds, n: int) -> np.ndarray:
@@ -231,7 +230,7 @@ def build_P_pd(g: GainVector, ub: UncertaintyBounds, n: int) -> np.ndarray:
     # positivity reduces to kp * (2 kd^2 b - kp) > 0
     if not (2 * kp * kd * b > 0 and kp * (2 * kd**2 * b - kp) > 0):
         raise CertificateError("PD Lyapunov block failed its positivity check")
-    return mk.kronecker(_core_P(PD, g, b), np.eye(n))
+    return np.kron(_core_P(PD, g, b), np.eye(n))
 
 
 def build_P_pi(g: GainVector, ub: UncertaintyBounds, n: int) -> np.ndarray:
@@ -241,7 +240,7 @@ def build_P_pi(g: GainVector, ub: UncertaintyBounds, n: int) -> np.ndarray:
     # positivity reduces to ki * (2 kp^2 b - ki) > 0
     if not (2 * kp * ki * b > 0 and ki * (2 * kp**2 * b - ki) > 0):
         raise CertificateError("PI Lyapunov block failed its positivity check")
-    return mk.kronecker(_core_P(PI, g, b), np.eye(n))
+    return np.kron(_core_P(PI, g, b), np.eye(n))
 
 
 def build_P(kind: str, g: GainVector, ub: UncertaintyBounds, n: int) -> np.ndarray:
@@ -333,15 +332,13 @@ def q_report(
         )
     lam_q, _ = mk.eig_extrema(Q)
     lam_q0, _ = mk.eig_extrema(Q0)
-    chain = True
     if kind == PID:
         D1, B1, E1 = _schur_chain_matrices(g, ub, fu)
-        chain = (
+        if not (
             mk.is_positive_definite(D1)
             and mk.is_positive_definite(E1)
             and mk.eigen_gap_sufficient(D1, B1, E1)
-        )
-        if not chain:
+        ):
             raise CertificateError(
                 "Schur complement chain failed for a region member"
             )
@@ -349,13 +346,7 @@ def q_report(
             raise CertificateError(
                 f"worst-case decrease block check failed: lambda_min(Q0) = {lam_q0:.3e}"
             )
-    return QReport(
-        Q=Q,
-        Q0=Q0,
-        lambda_min_Q=lam_q,
-        lambda_min_Q0=lam_q0,
-        schur_chain_pass=bool(chain),
-    )
+    return QReport(Q=Q, Q0=Q0, lambda_min_Q=lam_q, lambda_min_Q0=lam_q0)
 
 
 def sample_frozen_uncertainty(

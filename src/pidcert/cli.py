@@ -1,7 +1,7 @@
 """Batch front end: JSON configs in, certificates/trajectories/reports out.
 
 Usage:
-    pidcert <mode> --config <path> [--seed N] [--out DIR] [--workers K]
+    pidcert <mode> --config <path> [--seed N] [--out DIR]
 
 Modes: gains, certify, simulate, sweep, planar, verify-class.
 Exit codes: 0 all checks pass, 1 usage/config error, 2 a certification or
@@ -14,7 +14,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -40,21 +39,42 @@ def _expect(cond: bool, msg: str) -> None:
         raise _fail(msg)
 
 
+# keys each mode reads from the config root; any other key is a usage error
+_SIM_KEYS = {"t_final", "dt_max", "integrator", "rtol", "atol"}
+_MODE_KEYS = {
+    "gains": {"kind", "bounds", "ki", "margin"},
+    "certify": {"kind", "bounds", "gains", "n"},
+    "simulate": {"plant", "bounds", "kind", "gains", "suggest", "certify", "y_star", "x0"}
+    | _SIM_KEYS,
+    "sweep": {"kind", "bounds", "plants", "gain_sets", "setpoints", "x0s", "sim"},
+    "planar": {"necessity", "bounds", "gains", "y_star", "plant", "grid"},
+    "verify-class": {"plant", "samples", "box_radius"},
+}
+
+
+def _check_keys(node, allowed, where: str) -> None:
+    _expect(isinstance(node, dict), f"{where} must be an object")
+    unknown = sorted(set(node) - set(allowed))
+    _expect(not unknown, f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
+
+
 def _parse_bounds(node, where: str) -> gs.UncertaintyBounds:
     _expect(isinstance(node, dict), f"{where}: bounds must be an object")
+    keys = ("L", "b_lower") if "L" in node else ("L1", "L2", "b_lower")
+    _check_keys(node, keys, f"{where}: bounds")
+    for key in keys:
+        _expect(key in node, f"{where}: missing bounds field {key!r}")
     if "L" in node:
         return gs.UncertaintyBounds.first_order(
             L=float(node["L"]), b_lower=float(node["b_lower"])
         )
-    for key in ("L1", "L2", "b_lower"):
-        _expect(key in node, f"{where}: missing bounds field {key!r}")
     return gs.UncertaintyBounds(
         L1=float(node["L1"]), L2=float(node["L2"]), b_lower=float(node["b_lower"])
     )
 
 
 def _parse_gains(node, kind: str, where: str) -> gs.GainVector:
-    _expect(isinstance(node, dict), f"{where}: gains must be an object")
+    _check_keys(node, ("kp", "ki", "kd"), f"{where}: gains")
     return gs.GainVector(
         kind,
         kp=float(node.get("kp", 0.0)),
@@ -64,7 +84,7 @@ def _parse_gains(node, kind: str, where: str) -> gs.GainVector:
 
 
 def _parse_plant(node, where: str) -> pm.PlantModel:
-    _expect(isinstance(node, dict), f"{where}: plant must be an object")
+    _check_keys(node, ("family", "params"), f"{where}: plant")
     _expect("family" in node, f"{where}: plant needs a 'family' field")
     return pm.build_family(node["family"], node.get("params", {}))
 
@@ -82,7 +102,7 @@ def _dump_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def mode_gains(config: dict, out: Path, seed: int, workers: int) -> int:
+def mode_gains(config: dict, out: Path, seed: int) -> int:
     kind = config.get("kind", gs.PID)
     ub = _parse_bounds(config.get("bounds"), "gains mode")
     g = gs.suggest_gains(
@@ -100,7 +120,7 @@ def mode_gains(config: dict, out: Path, seed: int, workers: int) -> int:
     return EXIT_OK
 
 
-def mode_certify(config: dict, out: Path, seed: int, workers: int) -> int:
+def mode_certify(config: dict, out: Path, seed: int) -> int:
     kind = config.get("kind", gs.PID)
     ub = _parse_bounds(config.get("bounds"), "certify mode")
     g = _parse_gains(config.get("gains"), kind, "certify mode")
@@ -131,7 +151,7 @@ def _sim_config_from(config: dict, plant: pm.PlantModel, g: gs.GainVector) -> si
     )
 
 
-def mode_simulate(config: dict, out: Path, seed: int, workers: int) -> int:
+def mode_simulate(config: dict, out: Path, seed: int) -> int:
     plant = _parse_plant(config.get("plant"), "simulate mode")
     ub = (
         _parse_bounds(config["bounds"], "simulate mode")
@@ -145,6 +165,7 @@ def mode_simulate(config: dict, out: Path, seed: int, workers: int) -> int:
         g = _parse_gains(config["gains"], kind, "simulate mode")
     else:
         suggest = config.get("suggest", {})
+        _check_keys(suggest, ("ki", "margin"), "simulate mode: suggest")
         g = gs.suggest_gains(
             kind, ub, ki=suggest.get("ki"), margin=float(suggest.get("margin", 0.1))
         )
@@ -214,9 +235,10 @@ def _sweep_cells(config: dict):
     return cells
 
 
-def mode_sweep(config: dict, out: Path, seed: int, workers: int) -> int:
+def mode_sweep(config: dict, out: Path, seed: int) -> int:
     kind = config.get("kind", gs.PID)
     sim_node = config.get("sim", {})
+    _check_keys(sim_node, _SIM_KEYS, "sweep mode: sim")
     cells = _sweep_cells(config)
     plants = [
         _parse_plant(node, f"sweep mode: plants[{i}]")
@@ -300,12 +322,7 @@ def mode_sweep(config: dict, out: Path, seed: int, workers: int) -> int:
             row["error"] = f"{type(exc).__name__}: {exc}"
         return row
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_cell, cells))
-    else:
-        rows = [run_cell(c) for c in cells]
-    rows.sort(key=lambda r: r["cell"])
+    rows = [run_cell(c) for c in cells]
 
     out.mkdir(parents=True, exist_ok=True)
     fieldnames = [
@@ -338,11 +355,12 @@ def mode_sweep(config: dict, out: Path, seed: int, workers: int) -> int:
     return EXIT_OK if len(passed) == len(judged) else EXIT_CHECK_FAILED
 
 
-def mode_planar(config: dict, out: Path, seed: int, workers: int) -> int:
+def mode_planar(config: dict, out: Path, seed: int) -> int:
     payload: dict = {}
     code = EXIT_OK
     if "necessity" in config:
         node = config["necessity"]
+        _check_keys(node, ("case",), "planar mode: necessity")
         ub = _parse_bounds(config.get("bounds"), "planar mode")
         g = _parse_gains(config.get("gains"), gs.PI, "planar mode")
         report = planar_pi.necessity_counterexample(
@@ -362,6 +380,7 @@ def mode_planar(config: dict, out: Path, seed: int, workers: int) -> int:
         g = _parse_gains(config.get("gains"), gs.PI, "planar mode")
         field = planar_pi.PlanarField.build(plant, g, float(config.get("y_star", 0.0)))
         grid = config.get("grid", {})
+        _check_keys(grid, ("radius", "points"), "planar mode: grid")
         report = planar_pi.jacobian_conditions(
             field,
             radius=float(grid.get("radius", 20.0)),
@@ -381,7 +400,7 @@ def mode_planar(config: dict, out: Path, seed: int, workers: int) -> int:
     return code
 
 
-def mode_verify_class(config: dict, out: Path, seed: int, workers: int) -> int:
+def mode_verify_class(config: dict, out: Path, seed: int) -> int:
     plant = _parse_plant(config.get("plant"), "verify-class mode")
     report = pm.validate_class_membership(
         plant,
@@ -419,7 +438,7 @@ _MODES = {
 }
 
 
-def run(mode: str, config_path: str, seed: int = 0, out_dir: str = "pidcert_out", workers: int = 1) -> int:
+def run(mode: str, config_path: str, seed: int = 0, out_dir: str = "pidcert_out") -> int:
     """Execute one mode; returns the process exit code."""
     if mode not in _MODES:
         print(f"error: unknown mode {mode!r}", file=sys.stderr)
@@ -444,7 +463,8 @@ def run(mode: str, config_path: str, seed: int = 0, out_dir: str = "pidcert_out"
         )
         return EXIT_USAGE
     try:
-        return _MODES[mode](config, Path(out_dir), seed, workers)
+        _check_keys(config, _MODE_KEYS[mode] | {"mode"}, f"{mode} mode")
+        return _MODES[mode](config, Path(out_dir), seed)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -463,9 +483,8 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to a JSON config")
     parser.add_argument("--seed", type=int, default=0, help="seed for all sampling")
     parser.add_argument("--out", default="pidcert_out", help="output directory")
-    parser.add_argument("--workers", type=int, default=1, help="sweep worker limit")
     args = parser.parse_args(argv)
-    code = run(args.mode, args.config, seed=args.seed, out_dir=args.out, workers=args.workers)
+    code = run(args.mode, args.config, seed=args.seed, out_dir=args.out)
     if argv is None:
         sys.exit(code)
     return code

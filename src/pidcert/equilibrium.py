@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import matrix_kernel as mk
 from .errors import NumericalError, UsageError
@@ -101,6 +100,9 @@ def _bisect_scalar(phi, y, tol, start) -> EquilibriumSolution:
     Phi is strictly increasing in u for scalar in-class plants, so a bracket
     always exists.
     """
+    # deferred: scipy is needed only for scalar plants
+    from scipy.optimize import brentq
+
     scalar = lambda v: float(phi(np.array([v]))[0])
     u0 = float(start[0])
     span = 1.0

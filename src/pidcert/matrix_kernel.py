@@ -1,18 +1,15 @@
 """Dense symmetric linear-algebra primitives used by the certificate checks.
 
 Everything here operates on plain ``numpy`` float arrays.  Eigenvalues of
-symmetric matrices are computed with a cyclic Jacobi rotation sweep, which is
-simple and accurate for the small matrices this package produces (dimension a
-few tens at most).  Tests cross-check every routine against independent
-references.
+symmetric matrices come from LAPACK (``numpy.linalg.eigvalsh``) and spectral
+norms from ``numpy.linalg.norm(., 2)``; the wrappers add input validation, an
+exact-symmetry check and the package's own error types.  The Schur-chain
+tests ``is_positive_definite`` and ``eigen_gap_sufficient`` are built on them.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DimensionError, NumericalError, UsageError
 
@@ -33,11 +30,6 @@ def as_square(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def is_symmetric(m: np.ndarray) -> bool:
-    """Exact (bitwise) symmetry test."""
-    return bool(np.array_equal(m, m.T))
-
-
 def symmetrize(m) -> np.ndarray:
     """Return (m + m^T)/2; the result is exactly symmetric."""
     a = as_square(m)
@@ -46,153 +38,43 @@ def symmetrize(m) -> np.ndarray:
     return s
 
 
-def require_symmetric(m, name: str = "matrix") -> np.ndarray:
-    a = as_square(m, name)
-    if not is_symmetric(a):
-        raise UsageError(f"{name} must be exactly symmetric; use symmetrize() first")
-    return a
-
-
-def jacobi_eigenvalues(s, max_sweeps: int = 60) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix via cyclic Jacobi rotations.
-
-    Returns the eigenvalues in ascending order.  Raises NumericalError if the
-    off-diagonal mass has not collapsed after ``max_sweeps`` full sweeps.
-    """
-    a = require_symmetric(s).copy()
-    n = a.shape[0]
-    if n == 1:
-        return a.ravel().copy()
-    scale = np.linalg.norm(a) + 1.0
-    eps = np.finfo(float).eps
-    # the off-diagonal mass cannot drop below the roundoff floor of a sweep
-    off_tol = 30.0 * n * eps * scale
-    prev_off = math.inf
-    off_mask = ~np.eye(n, dtype=bool)
-    for sweep in range(max_sweeps):
-        off = float(np.linalg.norm(a[off_mask]))
-        if off <= off_tol or (off >= prev_off and off <= 1e-10 * scale):
-            return np.sort(np.diag(a))
-        prev_off = off
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * scale:
-                    a[p, q] = a[q, p] = 0.0
-                    continue
-                # rotation angle that annihilates a[p,q]
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                sn = t * c
-                app, aqq = a[p, p], a[q, q]
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - sn * row_q
-                a[q, :] = sn * row_p + c * row_q
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - sn * col_q
-                a[:, q] = sn * col_p + c * col_q
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = a[q, p] = 0.0
-    raise NumericalError(
-        f"Jacobi eigenvalue iteration did not converge after {max_sweeps} sweeps"
-    )
-
-
 def eig_extrema(s) -> tuple[float, float]:
-    """(smallest, largest) eigenvalue of a symmetric matrix."""
-    vals = jacobi_eigenvalues(s)
+    """(smallest, largest) eigenvalue of an exactly symmetric matrix."""
+    a = as_square(s)
+    if not np.array_equal(a, a.T):
+        raise UsageError("matrix must be exactly symmetric; use symmetrize() first")
+    try:
+        vals = np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"symmetric eigenvalue solver failed: {exc}") from exc
     return float(vals[0]), float(vals[-1])
 
 
 def operator_norm(m) -> float:
     """Spectral norm sup_{|x|=1} |Mx| = largest singular value."""
-    a = as_square(m)
-    gram = symmetrize(a.T @ a)
-    _, lam_max = eig_extrema(gram)
-    return math.sqrt(max(0.0, lam_max))
-
-
-def pd_tolerance(s: np.ndarray, rel: float = PD_TOL_REL) -> float:
-    """Positive-definiteness margin: strict inequalities get a numerical slack."""
-    return rel * (1.0 + float(np.linalg.norm(s)))
+    return float(np.linalg.norm(as_square(m), 2))
 
 
 def is_positive_definite(s, rel: float = PD_TOL_REL) -> bool:
-    """True iff lambda_min(s) exceeds the scaled tolerance."""
-    a = require_symmetric(s)
-    lam_min, _ = eig_extrema(a)
-    return lam_min > pd_tolerance(a, rel)
-
-
-def schur_positive(d, b, e, rel: float = PD_TOL_REL) -> bool:
-    """Positive definiteness of the block matrix [[d, b], [b^T, e]].
-
-    Checks d > 0 and the complement e - b^T d^{-1} b > 0.  The inverse is
-    applied through a Cholesky solve; Cholesky failure (d not positive
-    definite) short-circuits to False without attempting an inversion.
-    """
-    dm = require_symmetric(d, "d")
-    em = require_symmetric(e, "e")
-    bm = np.atleast_2d(np.array(b, dtype=float))
-    if bm.shape != (dm.shape[0], em.shape[0]):
-        raise DimensionError(
-            f"b must be {dm.shape[0]}x{em.shape[0]}, got {bm.shape}"
-        )
-    lam_min_d, _ = eig_extrema(dm)
-    if lam_min_d <= pd_tolerance(dm, rel):
-        return False
-    try:
-        chol = cho_factor(dm, lower=True)
-    except np.linalg.LinAlgError:
-        return False
-    except ValueError:
-        return False
-    complement = symmetrize(em - bm.T @ cho_solve(chol, bm))
-    lam_min_c, _ = eig_extrema(complement)
-    return lam_min_c > pd_tolerance(complement, rel)
+    """True iff lambda_min(s) exceeds rel * (1 + |s|_F), a slack for strictness."""
+    lam_min, _ = eig_extrema(s)
+    return lam_min > rel * (1.0 + float(np.linalg.norm(s)))
 
 
 def eigen_gap_sufficient(d, b, e) -> bool:
     """Sufficient block-positivity test: lambda_min(d)*lambda_min(e) > |b|^2.
 
-    One-directional: True here implies schur_positive(d, b, e), never the
+    One-directional: True here implies [[d, b], [b^T, e]] > 0, never the
     converse.
     """
-    dm = require_symmetric(d, "d")
-    em = require_symmetric(e, "e")
+    dm, em = as_square(d, "d"), as_square(e, "e")
     bm = np.atleast_2d(np.array(b, dtype=float))
     if bm.shape != (dm.shape[0], em.shape[0]):
-        raise DimensionError(
-            f"b must be {dm.shape[0]}x{em.shape[0]}, got {bm.shape}"
-        )
+        raise DimensionError(f"b must be {dm.shape[0]}x{em.shape[0]}, got {bm.shape}")
+    if not np.all(np.isfinite(bm)):
+        raise UsageError("b contains NaN or Inf entries")
     lam_d, _ = eig_extrema(dm)
     lam_e, _ = eig_extrema(em)
     if lam_d <= 0.0 or lam_e <= 0.0:
         return False
-    return lam_d * lam_e > operator_norm_rect(bm) ** 2
-
-
-def operator_norm_rect(m) -> float:
-    """Spectral norm for a possibly rectangular matrix."""
-    a = np.atleast_2d(np.array(m, dtype=float))
-    if not np.all(np.isfinite(a)):
-        raise UsageError("matrix contains NaN or Inf entries")
-    gram = symmetrize(a.T @ a) if a.shape[0] >= a.shape[1] else symmetrize(a @ a.T)
-    _, lam_max = eig_extrema(gram)
-    return math.sqrt(max(0.0, lam_max))
-
-
-def kronecker(a, b) -> np.ndarray:
-    """Kronecker product; preserves symmetry/PSD of both factors."""
-    am = as_square(a, "a")
-    bm = as_square(b, "b")
-    return np.kron(am, bm)
-
-
-def assemble_block_2x2(d: np.ndarray, b: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """[[d, b], [b^T, e]] as one dense symmetric matrix."""
-    return np.block([[d, b], [b.T, e]])
+    return lam_d * lam_e > float(np.linalg.norm(bm, 2)) ** 2

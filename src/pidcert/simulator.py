@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .certificates import LyapunovCertificate
 from .equilibrium import solve_equilibrium
@@ -209,6 +208,9 @@ def _integrate_rk4(rhs, s0: np.ndarray, t_final: float, dt: float):
 
 
 def _integrate_rk45(rhs, s0: np.ndarray, cfg: SimConfig):
+    # deferred: scipy is needed only for adaptive integration
+    from scipy.integrate import solve_ivp
+
     n_rec = max(2, int(round(cfg.t_final / cfg.dt_max)) + 1)
     t_eval = np.linspace(0.0, cfg.t_final, n_rec)
     sol = solve_ivp(

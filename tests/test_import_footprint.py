@@ -1,0 +1,44 @@
+"""The certificate path runs on numpy alone.
+
+scipy is imported only inside the adaptive integrator and the scalar
+equilibrium solve; a stray top-level import would load it (and its memory)
+for every run.  Checked in a fresh interpreter so other tests' imports do not
+leak in.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pidcert
+
+SRC = Path(pidcert.__file__).resolve().parents[1]
+CERTIFY_CONFIG = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "certify_pid.json"
+
+PROBE = """
+import sys
+import pidcert
+from pidcert import cli
+
+assert cli.run("certify", sys.argv[1], out_dir=sys.argv[2]) == 0
+loaded = sorted(
+    m for m in sys.modules
+    if m.split(".")[:2] in (["scipy", "linalg"], ["scipy", "optimize"], ["scipy", "integrate"])
+)
+assert not loaded, loaded
+"""
+
+
+def test_certify_loads_no_scipy_solvers(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, str(CERTIFY_CONFIG), str(tmp_path / "out")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "certificate.json").exists()
