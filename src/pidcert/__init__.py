@@ -41,6 +41,7 @@ from .gain_sets import (
     MembershipReport,
     UncertaintyBounds,
     coupling_term,
+    covers,
     membership,
     pd_membership,
     pi_membership,

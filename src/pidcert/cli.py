@@ -133,22 +133,30 @@ def mode_certify(config: dict, out: Path, seed: int) -> int:
     return EXIT_OK
 
 
-def _sim_config_from(config: dict, plant: pm.PlantModel, g: gs.GainVector) -> sim.SimConfig:
+def _sim_config(node: dict, plant: pm.PlantModel, g: gs.GainVector, y_node, x_node,
+                where: str) -> sim.SimConfig:
+    """SimConfig from the ``_SIM_KEYS`` set in ``node``; the others keep
+    SimConfig's defaults, t_final defaults to 30 and x0 to rest."""
     n = plant.n
-    y_star = _vector(config.get("y_star", 0.0), n, "simulate mode: y_star")
     want = 2 * n if plant.order == gs.SECOND_ORDER else n
-    x0 = _vector(config.get("x0", [0.0] * want), want, "simulate mode: x0")
+    opts = {k: node[k] if k == "integrator" else float(node[k]) for k in _SIM_KEYS if k in node}
+    opts.setdefault("t_final", 30.0)
     return sim.SimConfig(
         plant=plant,
         gains=g,
-        y_star=y_star,
-        x0=x0,
-        t_final=float(config.get("t_final", 30.0)),
-        dt_max=float(config.get("dt_max", 0.01)),
-        integrator=config.get("integrator", sim.RK45_ADAPTIVE),
-        rtol=float(config.get("rtol", 1e-8)),
-        atol=float(config.get("atol", 1e-10)),
+        y_star=_vector(y_node, n, f"{where}: y_star"),
+        x0=np.zeros(want) if x_node is None else _vector(x_node, want, f"{where}: x0"),
+        **opts,
     )
+
+
+def _fit_decay(traj: sim.Trajectory, t_final: float):
+    """(lambda_emp, M_emp) on [0.1, 0.9] t_final, or (None, None) when the
+    error signal sits at the floor (a run that starts at rest has nothing to fit)."""
+    try:
+        return sim.fit_decay(traj, (0.1 * t_final, 0.9 * t_final))
+    except UsageError:
+        return None, None
 
 
 def mode_simulate(config: dict, out: Path, seed: int) -> int:
@@ -172,7 +180,7 @@ def mode_simulate(config: dict, out: Path, seed: int) -> int:
     cert = None
     if config.get("certify", True):
         cert = cert_mod.certify_margin(kind, g, ub, plant.n)
-    cfg = _sim_config_from(config, plant, g)
+    cfg = _sim_config(config, plant, g, config.get("y_star", 0.0), config.get("x0"), "simulate mode")
     traj = sim.simulate(cfg, cert=cert)
     out.mkdir(parents=True, exist_ok=True)
     traj.to_csv(out / "trajectory.csv")
@@ -186,11 +194,7 @@ def mode_simulate(config: dict, out: Path, seed: int) -> int:
     if cert is not None:
         audit = sim.envelope_audit(traj)
         monitor = sim.lyapunov_monitor(traj, cert)
-        lo, hi = 0.1 * cfg.t_final, 0.9 * cfg.t_final
-        try:
-            lam_emp, m_emp = sim.fit_decay(traj, (lo, hi))
-        except UsageError:
-            lam_emp, m_emp = None, None  # signal at the floor: nothing to fit
+        lam_emp, m_emp = _fit_decay(traj, cfg.t_final)
         summary.update(
             {
                 "certificate": cert.to_json_dict(),
@@ -263,8 +267,6 @@ def mode_sweep(config: dict, out: Path, seed: int) -> int:
         for g in gains
     ]
 
-    t_final = float(sim_node.get("t_final", 30.0))
-
     def run_cell(cell):
         idx, ip, _, ig, _, ynode, xnode = cell
         plant = plants[ip]
@@ -288,34 +290,17 @@ def mode_sweep(config: dict, out: Path, seed: int) -> int:
             return row
         cert = certs[ig]
         try:
-            y_star = _vector(ynode, plant.n, "sweep cell: y_star")
-            want = 2 * plant.n if plant.order == gs.SECOND_ORDER else plant.n
-            x0 = (
-                np.zeros(want)
-                if xnode is None
-                else _vector(xnode, want, "sweep cell: x0")
-            )
-            cfg = sim.SimConfig(
-                plant=plant,
-                gains=g,
-                y_star=y_star,
-                x0=x0,
-                t_final=t_final,
-                dt_max=float(sim_node.get("dt_max", 0.01)),
-                integrator=sim_node.get("integrator", sim.RK45_ADAPTIVE),
-                rtol=float(sim_node.get("rtol", 1e-8)),
-                atol=float(sim_node.get("atol", 1e-10)),
-            )
+            cfg = _sim_config(sim_node, plant, g, ynode, xnode, "sweep cell")
             traj = sim.simulate(cfg, cert=cert)
             audit = sim.envelope_audit(traj)
-            lam_emp, _ = sim.fit_decay(traj, (0.1 * t_final, 0.9 * t_final))
+            lam_emp, _ = _fit_decay(traj, cfg.t_final)
             row.update(
                 {
                     "alpha": repr(cert.alpha),
                     "lambda": repr(cert.lambda_decay),
                     "envelope_pass": audit.passes,
                     "min_margin": repr(audit.min_margin),
-                    "lambda_emp": repr(lam_emp),
+                    "lambda_emp": "" if lam_emp is None else repr(lam_emp),
                 }
             )
         except PidcertError as exc:

@@ -55,6 +55,17 @@ class UncertaintyBounds:
         return self.L1
 
 
+def covers(cert_bounds: UncertaintyBounds, plant_bounds: UncertaintyBounds) -> bool:
+    """True iff the class ``cert_bounds`` contains the class ``plant_bounds``:
+    same order, L1 and L2 no larger and b_lower no smaller."""
+    return (
+        cert_bounds.order == plant_bounds.order
+        and plant_bounds.L1 <= cert_bounds.L1
+        and plant_bounds.L2 <= cert_bounds.L2
+        and plant_bounds.b_lower >= cert_bounds.b_lower
+    )
+
+
 @dataclass(frozen=True)
 class GainVector:
     """Controller gains with a kind tag; unused entries stay at 0."""

@@ -111,12 +111,11 @@ def validate_class_membership(
     samples: int = 1000,
     box_radius: float = 10.0,
     seed: int = 0,
-    fd_check: bool = True,
 ) -> ValidationReport:
     """Sample the declared bounds over a uniform box and report the extremes.
 
     Also compares finite-difference Jacobians against the analytic ones at
-    each sampled point when ``fd_check`` is set.
+    each sampled point.
     """
     if samples < 1:
         raise UsageError("samples must be >= 1")
@@ -145,25 +144,23 @@ def validate_class_membership(
             max_j2 = max(max_j2, mk.operator_norm(j2))
             jacs.append(j2)
         jacs.append(ju)
-        if fd_check:
-            for idx, analytic in zip(range(nargs), jacs):
-                def slice_fn(v, idx=idx):
-                    call = list(args)
-                    call[idx] = v
-                    return p.eval_checked(*call)
+        for idx, analytic in enumerate(jacs):
+            def slice_fn(v, idx=idx):
+                call = list(args)
+                call[idx] = v
+                return p.eval_checked(*call)
 
-                fd = fd_jacobian(slice_fn, args[idx])
-                denom = 1.0 + float(np.linalg.norm(analytic))
-                max_fd = max(max_fd, float(np.max(np.abs(fd - analytic))) / denom)
+            fd = fd_jacobian(slice_fn, args[idx])
+            denom = 1.0 + float(np.linalg.norm(analytic))
+            max_fd = max(max_fd, float(np.max(np.abs(fd - analytic))) / denom)
 
     ub = p.declared_bounds
     ok = (
         max_j1 <= ub.L1 + slack
         and (p.order == FIRST_ORDER or max_j2 <= ub.L2 + slack)
         and min_sym_ju >= ub.b_lower - slack
+        and max_fd <= 1e-5
     )
-    if fd_check:
-        ok = ok and max_fd <= 1e-5
     return ValidationReport(
         samples=samples,
         box_radius=box_radius,
@@ -385,14 +382,44 @@ _BUILDERS = {
     "rotation_gain": _family_rotation_gain,
 }
 
+# params keys each family reads for each order it has (besides "order"); the
+# matrices have no default and must be given
+_ACCEPTED = {
+    ("linear_matrix", SECOND_ORDER): {"A1", "A2", "Theta"},
+    ("linear_matrix", FIRST_ORDER): {"A", "Theta"},
+    ("sinusoidal_scalar", SECOND_ORDER): {"c1", "c2"},
+    ("sinusoidal_scalar", FIRST_ORDER): {"c1"},
+    ("tanh_coupled", SECOND_ORDER): {"n", "l1", "l2", "b_lower", "w_scale"},
+    ("nonaffine_cubic_u", SECOND_ORDER): {"c1", "c2", "b_lower"},
+    ("nonaffine_cubic_u", FIRST_ORDER): {"c1", "b_lower"},
+    ("rotation_gain", SECOND_ORDER): {"b_lower", "s", "a1", "a2"},
+}
+_REQUIRED = {"A", "A1", "A2", "Theta"}
+
 
 def build_family(family_id: str, params: dict | None = None) -> PlantModel:
-    """Instantiate a built-in plant family with exact declared bounds."""
+    """Instantiate a built-in plant family with exact declared bounds.
+
+    A params key the family does not read for its order, or a missing
+    matrix, is a UsageError naming the keys.
+    """
     if family_id not in _BUILDERS:
         raise UsageError(
             f"unknown plant family {family_id!r}; choose one of {FAMILY_IDS}"
         )
-    return _BUILDERS[family_id](dict(params or {}))
+    params = dict(params or {})
+    order = params.get("order", SECOND_ORDER)
+    accepted = _ACCEPTED.get((family_id, order))
+    if accepted is None:
+        raise UsageError(f"plant family {family_id!r} has no order {order!r}")
+    unknown = sorted(set(params) - accepted - {"order"})
+    missing = sorted((accepted & _REQUIRED) - set(params))
+    if unknown or missing:
+        raise UsageError(
+            f"plant family {family_id!r} ({order}): unknown params {unknown}, "
+            f"missing params {missing}; accepted {sorted(accepted | {'order'})}"
+        )
+    return _BUILDERS[family_id](params)
 
 
 def custom_plant(

@@ -1,9 +1,17 @@
 """Closed-loop simulation and trajectory-level audits.
 
+PID, PD and PI close the same loop and differ only in which state blocks
+exist: the integral of the error ``i``, the position ``x`` and the velocity
+``v``.  ``_LAYOUT`` lists the blocks of each kind in state-vector order; the
+right-hand side, the control law, the initial state, the shifted coordinates
+z, the envelope and the CSV header are all built from it.
+
 The controller is computed from measured state only: the derivative channel
-uses edot = -x2 directly (the setpoint is constant), never a numerical
+uses edot = -v directly (the setpoint is constant), never a numerical
 difference of e.  The integral channel is an extra state block adjoined to
-the ODE.  Trajectories are recorded both in physical coordinates and in the
+the ODE.  After integration e, edot and u are rebuilt with array operations
+on the whole trajectory; only PI's edot = -f(x, u) calls the plant once per
+sample.  Trajectories are recorded both in physical coordinates and in the
 shifted coordinates z used by the certificates, so the exponential envelope
 and the Lyapunov decrease can be checked pointwise.
 """
@@ -19,12 +27,39 @@ import numpy as np
 
 from .certificates import LyapunovCertificate
 from .equilibrium import solve_equilibrium
-from .errors import IntegrationError, UsageError
-from .gain_sets import FIRST_ORDER, PD, PI, PID, SECOND_ORDER, GainVector
+from .errors import CertificateError, IntegrationError, UsageError
+from .gain_sets import FIRST_ORDER, PD, PI, PID, SECOND_ORDER, GainVector, covers
 from .plant_models import PlantModel, equilibrium_shift_check
 
 RK4_FIXED = "rk4_fixed"
 RK45_ADAPTIVE = "rk45_adaptive"
+
+# state blocks of each kind in state-vector order, each with its CSV column
+# prefix: i is the integral of the error, x the position, v the velocity
+_LAYOUT = {
+    PID: {"i": "i", "x": "x1", "v": "x2"},
+    PD: {"x": "x1", "v": "x2"},
+    PI: {"i": "i", "x": "x"},
+}
+
+
+def _split(kind: str, n: int, s: np.ndarray) -> dict:
+    """Named blocks of a state vector, or of a (samples, dim) state array."""
+    return {name: s[..., k * n : (k + 1) * n] for k, name in enumerate(_LAYOUT[kind])}
+
+
+def _control(g: GainVector, blocks: dict, e: np.ndarray) -> np.ndarray:
+    """u = kp e + ki i + kd edot with edot = -v, for the blocks the kind has.
+
+    Missing terms are left out rather than added as zeros, which would turn
+    a -0.0 into 0.0.
+    """
+    u = g.kp * e
+    if "i" in blocks:
+        u = u + g.ki * blocks["i"]
+    if "v" in blocks:
+        u = u + g.kd * -blocks["v"]
+    return u
 
 
 @dataclass
@@ -56,10 +91,9 @@ class SimConfig:
                 np.asarray(self.integral_state0, dtype=float)
             ).reshape(n)
         kind = self.gains.kind
-        if kind in (PID, PD) and self.plant.order != SECOND_ORDER:
-            raise UsageError(f"{kind} control needs a second-order plant")
-        if kind == PI and self.plant.order != FIRST_ORDER:
-            raise UsageError("PI control needs a first-order plant")
+        order = SECOND_ORDER if "v" in _LAYOUT[kind] else FIRST_ORDER
+        if self.plant.order != order:
+            raise UsageError(f"{kind} control needs a {order.replace('_', '-')} plant")
 
 
 @dataclass
@@ -80,9 +114,9 @@ class Trajectory:
     cert: Optional[LyapunovCertificate] = None
 
     def error_signal(self) -> np.ndarray:
-        """|e(t)| for PI, |e(t)| + |edot(t)| for PID/PD."""
+        """|e(t)|, plus |edot(t)| for the kinds with a velocity block (PID, PD)."""
         e = np.linalg.norm(self.errors, axis=1)
-        if self.kind == PI:
+        if "v" not in _LAYOUT[self.kind]:
             return e
         return e + np.linalg.norm(self.edots, axis=1)
 
@@ -92,37 +126,23 @@ class Trajectory:
         return float(self.envelope[0])
 
     def to_csv(self, path) -> None:
-        n = self.n
-        state_cols = []
-        if self.kind in (PID, PI):
-            state_cols += [f"i_{j}" for j in range(n)]
-        if self.kind in (PID, PD):
-            state_cols += [f"x1_{j}" for j in range(n)] + [f"x2_{j}" for j in range(n)]
-        else:
-            state_cols += [f"x_{j}" for j in range(n)]
-        header = (
-            ["t"]
-            + state_cols
-            + [f"e_{j}" for j in range(n)]
-            + [f"edot_{j}" for j in range(n)]
-            + [f"u_{j}" for j in range(n)]
-            + ["V", "envelope_margin"]
+        def cols(prefix):
+            return [f"{prefix}_{j}" for j in range(self.n)]
+
+        header = ["t"]
+        for prefix in [*_LAYOUT[self.kind].values(), "e", "edot", "u"]:
+            header += cols(prefix)
+        header += ["V", "envelope_margin"]
+        body = np.column_stack(
+            [self.times, self.states, self.errors, self.edots, self.controls]
         )
+        tail = (self.v_values, self.envelope_margin)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for k in range(self.times.size):
-                row = [repr(float(self.times[k]))]
-                row += [repr(float(v)) for v in self.states[k]]
-                row += [repr(float(v)) for v in self.errors[k]]
-                row += [repr(float(v)) for v in self.edots[k]]
-                row += [repr(float(v)) for v in self.controls[k]]
-                row.append("" if self.v_values is None else repr(float(self.v_values[k])))
-                row.append(
-                    ""
-                    if self.envelope_margin is None
-                    else repr(float(self.envelope_margin[k]))
-                )
+            for k in range(body.shape[0]):
+                row = [repr(v) for v in body[k].tolist()]
+                row += ["" if a is None else repr(float(a[k])) for a in tail]
                 writer.writerow(row)
 
 
@@ -145,46 +165,19 @@ class MonitorReport:
     worst_decrease_excess: float
 
 
-def _controller(kind: str, g: GainVector, n: int):
-    if kind == PID:
-        def u_of(e, edot, istate):
-            return g.kp * e + g.ki * istate + g.kd * edot
-    elif kind == PD:
-        def u_of(e, edot, istate):
-            return g.kp * e + g.kd * edot
-    else:
-        def u_of(e, edot, istate):
-            return g.kp * e + g.ki * istate
-    return u_of
-
-
 def _rhs_factory(cfg: SimConfig):
     plant, g, y = cfg.plant, cfg.gains, cfg.y_star
-    n = plant.n
-    kind = g.kind
-    u_of = _controller(kind, g, n)
-    if kind == PID:
-        def rhs(t, s):
-            istate, x1, x2 = s[:n], s[n : 2 * n], s[2 * n :]
-            e = y - x1
-            u = u_of(e, -x2, istate)
-            return np.concatenate([e, x2, plant.eval_checked(x1, x2, u)])
-        dim = 3 * n
-    elif kind == PD:
-        def rhs(t, s):
-            x1, x2 = s[:n], s[n:]
-            e = y - x1
-            u = u_of(e, -x2, None)
-            return np.concatenate([x2, plant.eval_checked(x1, x2, u)])
-        dim = 2 * n
-    else:
-        def rhs(t, s):
-            istate, x = s[:n], s[n:]
-            e = y - x
-            u = u_of(e, None, istate)
-            return np.concatenate([e, plant.eval_checked(x, u)])
-        dim = 2 * n
-    return rhs, dim
+    kind, n = g.kind, plant.n
+
+    def rhs(t, s):
+        b = _split(kind, n, s)
+        e = y - b["x"]
+        plant_state = [b[k] for k in b if k != "i"]  # (x, v) or (x,)
+        f = plant.eval_checked(*plant_state, _control(g, b, e))
+        # d/dt of (i, x, v) is (e, v, f); a kind without i or v drops its entry
+        return np.concatenate(([e] if "i" in b else []) + plant_state[1:] + [f])
+
+    return rhs
 
 
 def _integrate_rk4(rhs, s0: np.ndarray, t_final: float, dt: float):
@@ -227,7 +220,8 @@ def _integrate_rk45(rhs, s0: np.ndarray, cfg: SimConfig):
         raise IntegrationError(
             f"adaptive integration failed at t = {t_last:.6g}: {sol.message}"
         )
-    return sol.t, sol.y.T
+    # row-major, so e, edot, u and z rebuilt from it are row-major too
+    return sol.t, np.ascontiguousarray(sol.y.T)
 
 
 def simulate(
@@ -243,20 +237,26 @@ def simulate(
     plant, g = cfg.plant, cfg.gains
     n = plant.n
     kind = g.kind
+    layout = _LAYOUT[kind]
     if cert is not None:
         if cert.kind != kind or cert.n != n:
             raise UsageError("certificate kind/dimension does not match the run")
         cg = cert.gains
         if (cg.kp, cg.ki, cg.kd) != (g.kp, g.ki, g.kd):
             raise UsageError("certificate gains do not match the configured gains")
+        if not covers(cert.bounds, plant.declared_bounds):
+            raise CertificateError(
+                f"out of class: the plant's declared {plant.declared_bounds} "
+                f"are not inside the certificate's {cert.bounds}"
+            )
 
     # u* for the shifted coordinates; PD regulation assumes f(y*,0,0)=0
     ustar = None
     if u_star is not None:
         ustar = np.atleast_1d(np.asarray(u_star, dtype=float)).reshape(n)
-    elif kind in (PID, PI) and g.ki > 0:
+    elif "i" in layout and g.ki > 0:
         ustar = solve_equilibrium(plant, cfg.y_star).u_star
-    elif kind == PD:
+    elif "i" not in layout:
         # PD regulation is only guaranteed at uncontrolled equilibria
         if cert is not None and not equilibrium_shift_check(plant, cfg.y_star):
             raise UsageError(
@@ -265,67 +265,35 @@ def simulate(
             )
         ustar = np.zeros(n)
 
-    rhs, dim = _rhs_factory(cfg)
-    s0 = np.zeros(dim)
-    if kind in (PID, PI):
-        if cfg.integral_state0 is not None:
-            s0[:n] = cfg.integral_state0
-        s0[n:] = cfg.x0
-    else:
-        s0[:] = cfg.x0
+    rhs = _rhs_factory(cfg)
+    i0 = cfg.integral_state0 if cfg.integral_state0 is not None else np.zeros(n)
+    s0 = np.concatenate(([i0] if "i" in layout else []) + [cfg.x0])
 
     if cfg.integrator == RK4_FIXED:
         times, states = _integrate_rk4(rhs, s0, cfg.t_final, cfg.dt_max)
     else:
         times, states = _integrate_rk45(rhs, s0, cfg)
 
-    u_of = _controller(kind, g, n)
-    N = times.size
-    errors = np.zeros((N, n))
-    edots = np.zeros((N, n))
-    controls = np.zeros((N, n))
-    for k in range(N):
-        s = states[k]
-        if kind == PID:
-            istate, x1, x2 = s[:n], s[n : 2 * n], s[2 * n :]
-            e, ed = cfg.y_star - x1, -x2
-            u = u_of(e, ed, istate)
-        elif kind == PD:
-            x1, x2 = s[:n], s[n:]
-            e, ed = cfg.y_star - x1, -x2
-            u = u_of(e, ed, None)
-        else:
-            istate, x = s[:n], s[n:]
-            e = cfg.y_star - x
-            u = u_of(e, None, istate)
-            ed = -plant.eval_checked(x, u)
-        errors[k], edots[k], controls[k] = e, ed, u
+    b = _split(kind, n, states)
+    errors = cfg.y_star - b["x"]
+    controls = _control(g, b, errors)
+    if "v" in layout:
+        edots = -b["v"]
+    else:
+        # edot = -f(x, u); a plant takes one n-vector, so one call per sample
+        edots = np.empty_like(errors)
+        for k in range(times.size):
+            edots[k] = -plant.eval_checked(b["x"][k], controls[k])
 
+    # z = (i - u*/ki, e, edot) over the blocks the kind has; i needs u* and ki > 0
     z = None
-    if kind == PD:
-        z = np.hstack([errors, edots])
-    elif g.ki > 0 and ustar is not None:
-        z0 = states[:, :n] - ustar / g.ki
-        if kind == PID:
-            z = np.hstack([z0, errors, edots])
-        else:
-            z = np.hstack([z0, errors])
+    if "i" not in layout or (g.ki > 0 and ustar is not None):
+        shifted = {"x": errors, "v": edots}
+        if "i" in layout:
+            shifted["i"] = b["i"] - ustar / g.ki
+        z = np.hstack([shifted[k] for k in layout])
 
-    v_values = None
-    envelope = None
-    margin = None
-    if cert is not None:
-        if z is None:
-            raise UsageError("cannot evaluate the certificate without z coordinates")
-        v_values = np.einsum("ki,ij,kj->k", z, cert.P, z)
-        s0_env = _envelope_initial(kind, errors[0], edots[0], ustar)
-        envelope = cert.M * np.exp(-cert.lambda_decay * times) * s0_env
-        sig = np.linalg.norm(errors, axis=1)
-        if kind != PI:
-            sig = sig + np.linalg.norm(edots, axis=1)
-        margin = envelope - sig
-
-    return Trajectory(
+    traj = Trajectory(
         kind=kind,
         n=n,
         times=times,
@@ -336,21 +304,21 @@ def simulate(
         y_star=cfg.y_star.copy(),
         z=z,
         u_star=ustar,
-        v_values=v_values,
-        envelope=envelope,
-        envelope_margin=margin,
         cert=cert,
     )
-
-
-def _envelope_initial(kind: str, e0: np.ndarray, edot0: np.ndarray, ustar) -> float:
-    e = float(np.linalg.norm(e0))
-    if kind == PI:
-        return e + float(np.linalg.norm(ustar))
-    total = e + float(np.linalg.norm(edot0))
-    if kind == PID:
-        total += float(np.linalg.norm(ustar))
-    return total
+    if cert is not None:
+        if z is None:
+            raise UsageError("cannot evaluate the certificate without z coordinates")
+        traj.v_values = np.einsum("ki,ij,kj->k", z, cert.P, z)
+        # envelope scale |e(0)| + |edot(0)| + |u*| over the blocks the kind has
+        s0_env = float(np.linalg.norm(errors[0]))
+        if "v" in layout:
+            s0_env += float(np.linalg.norm(edots[0]))
+        if "i" in layout:
+            s0_env += float(np.linalg.norm(ustar))
+        traj.envelope = cert.M * np.exp(-cert.lambda_decay * times) * s0_env
+        traj.envelope_margin = traj.envelope - traj.error_signal()
+    return traj
 
 
 def fit_decay(traj: Trajectory, window: tuple[float, float]) -> tuple[float, float]:

@@ -1,5 +1,6 @@
 """End-to-end tests of the batch CLI: configs in, files and exit codes out."""
 
+import csv
 import json
 from pathlib import Path
 
@@ -90,6 +91,22 @@ class TestSimulateMode:
         assert summary["lambda_emp"] > 0
 
 
+    def test_out_of_class_plant_exits_two(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, "s.json",
+            {
+                "plant": {"family": "sinusoidal_scalar", "params": {"c1": 5.0, "c2": 5.0}},
+                "bounds": {"L1": 0.01, "L2": 0.01, "b_lower": 1},
+                "gains": {"kp": 3.5, "ki": 1, "kd": 3.5},
+                "y_star": 1.0,
+                "t_final": 5.0,
+            },
+        )
+        out = tmp_path / "out"
+        assert cli.run("simulate", cfg, out_dir=str(out)) == 2
+        assert "out of class" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
 class TestSweepMode:
     def sweep_config(self, tmp_path):
         return write_config(
@@ -135,6 +152,56 @@ class TestSweepMode:
         cli.run("sweep", cfg, seed=1, out_dir=str(out))
         last = (out / "sweep.csv").read_text().splitlines()[-1]
         assert last.startswith("pass_fraction,1.0")
+
+
+    def test_out_of_class_cell_is_not_a_pass(self, tmp_path, capsys):
+        """Bounds (0.01, 0.01, 1) certify gains that a plant with declared
+        bounds (5, 5, 1) lies outside of: the cell records the error and the
+        sweep fails instead of counting a pass."""
+        cfg = write_config(
+            tmp_path, "ooc.json",
+            {
+                "kind": "PID",
+                "bounds": {"L1": 0.01, "L2": 0.01, "b_lower": 1},
+                "plants": [{"family": "sinusoidal_scalar", "params": {"c1": 5.0, "c2": 5.0}}],
+                "gain_sets": [{"kp": 3.5, "ki": 1, "kd": 3.5}],
+                "setpoints": [1.0],
+                "sim": {"t_final": 20.0},
+            },
+        )
+        out = tmp_path / "out"
+        assert cli.run("sweep", cfg, out_dir=str(out)) == 2
+        assert "0/1 certified cells passed" in capsys.readouterr().out
+        rows = list(csv.DictReader((out / "sweep.csv").open()))
+        assert rows[0]["member"] == "True"
+        assert rows[0]["error"].startswith("CertificateError: out of class")
+        assert rows[0]["envelope_pass"] == ""
+        assert rows[-1]["plant"] == "0.0"  # pass fraction
+
+    def test_cell_at_rest_passes_without_a_fit(self, tmp_path, capsys):
+        """y* = 0 and x0 = 0 on a plant with f(0, 0, 0) = 0: the error signal
+        is 0 throughout, so there is no decay to fit; the envelope audit
+        alone judges the cell, as in simulate mode."""
+        cfg = write_config(
+            tmp_path, "rest.json",
+            {
+                "kind": "PID",
+                "bounds": {"L1": 1, "L2": 1, "b_lower": 1},
+                "plants": [{"family": "sinusoidal_scalar", "params": {"c1": 1.0, "c2": 1.0}}],
+                "gain_sets": [{"kp": 7, "ki": 1, "kd": 7}],
+                "setpoints": [0.0],
+                "x0s": [[0.0, 0.0]],
+                "sim": {"t_final": 10.0},
+            },
+        )
+        out = tmp_path / "out"
+        assert cli.run("sweep", cfg, out_dir=str(out)) == 0
+        assert "1/1 certified cells passed" in capsys.readouterr().out
+        row = next(csv.DictReader((out / "sweep.csv").open()))
+        assert row["envelope_pass"] == "True"
+        assert row["min_margin"] == "0.0"
+        assert row["lambda_emp"] == ""
+        assert row["error"] == ""
 
 
 class TestPlanarMode:
@@ -189,6 +256,23 @@ class TestVerifyClassMode:
             {"plant": {"family": "nope"}, "samples": 10},
         )
         assert cli.run("verify-class", cfg, out_dir=str(tmp_path / "out")) == 1
+
+
+    @pytest.mark.parametrize(
+        "plant,keys",
+        [
+            ({"family": "sinusoidal_scalar", "params": {"c1": 1.0, "C2": 5.0}}, ["'C2'"]),
+            ({"family": "linear_matrix", "params": {"order": "first_order"}}, ["'A'", "'Theta'"]),
+        ],
+    )
+    def test_bad_plant_params_are_usage_errors(self, tmp_path, capsys, plant, keys):
+        cfg = write_config(tmp_path, "v.json", {"plant": plant, "samples": 10})
+        out = tmp_path / "out"
+        assert cli.run("verify-class", cfg, out_dir=str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert all(k in err for k in keys)
+        assert not (out / "validation.json").exists()
 
 
 class TestErrorPaths:

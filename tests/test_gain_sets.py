@@ -204,3 +204,32 @@ class TestStructuralProperties:
         )
         if not gs.pid_membership(g, ub).member:
             assert not gs.pid_membership(g, harder).member
+
+
+class TestCovers:
+    """A certificate for cert_bounds applies to a plant declaring plant_bounds
+    only when the plant's class lies inside the certificate's."""
+
+    UB = gs.UncertaintyBounds(1.0, 1.0, 1.0)
+
+    def test_same_and_tighter_bounds_covered(self):
+        assert gs.covers(self.UB, self.UB)
+        assert gs.covers(self.UB, gs.UncertaintyBounds(0.5, 0.0, 2.0))
+
+    @pytest.mark.parametrize(
+        "plant",
+        [
+            gs.UncertaintyBounds(1.5, 1.0, 1.0),
+            gs.UncertaintyBounds(1.0, 1.5, 1.0),
+            gs.UncertaintyBounds(1.0, 1.0, 0.5),
+            gs.UncertaintyBounds(5.0, 5.0, 1.0),
+        ],
+    )
+    def test_looser_bound_not_covered(self, plant):
+        assert not gs.covers(self.UB, plant)
+
+    def test_order_must_match(self):
+        first = gs.UncertaintyBounds.first_order(L=0.5, b_lower=2.0)
+        assert not gs.covers(self.UB, first)
+        assert not gs.covers(first, gs.UncertaintyBounds(0.5, 0.0, 2.0))
+        assert gs.covers(gs.UncertaintyBounds.first_order(L=1.0, b_lower=1.0), first)

@@ -59,6 +59,33 @@ class TestBuildFamily:
             assert p.declared_bounds.order == FIRST_ORDER
 
 
+    def test_unknown_param_rejected(self):
+        """A misspelt key used to fall back to its default (c2 = 1)."""
+        with pytest.raises(UsageError, match="'C2'"):
+            pm.build_family("sinusoidal_scalar", {"c1": 1.0, "C2": 5.0})
+
+    @pytest.mark.parametrize(
+        "params,missing",
+        [
+            ({"order": FIRST_ORDER, "Theta": [[1.0]]}, "'A'"),
+            ({"A1": [[0.0]], "Theta": [[1.0]]}, "'A2'"),
+            ({"A1": [[0.0]], "A2": [[0.0]]}, "'Theta'"),
+        ],
+    )
+    def test_missing_matrix_rejected(self, params, missing):
+        with pytest.raises(UsageError, match=missing):
+            pm.build_family("linear_matrix", params)
+
+    def test_keys_follow_the_order(self):
+        with pytest.raises(UsageError, match="'c2'"):
+            pm.build_family("sinusoidal_scalar", {"order": FIRST_ORDER, "c2": 1.0})
+        with pytest.raises(UsageError, match="'A1'"):
+            pm.build_family("linear_matrix", {"order": FIRST_ORDER, "A": [[1.0]], "Theta": [[1.0]], "A1": [[1.0]]})
+        with pytest.raises(UsageError, match="no order"):
+            pm.build_family("tanh_coupled", {"order": FIRST_ORDER})
+        with pytest.raises(UsageError, match="no order"):
+            pm.build_family("sinusoidal_scalar", {"order": "third_order"})
+
 class TestValidateClassMembership:
     def test_linear_plant_exact_bounds(self):
         p = pm.build_family(
@@ -163,7 +190,23 @@ class TestCustomPlant:
             f=lambda x1, x2, u: np.sin(x1) - x2 + u,
             declared_bounds=UncertaintyBounds(1, 1, 1),
         )
-        rep = pm.validate_class_membership(p, samples=100, seed=4, fd_check=False)
+        rep = pm.validate_class_membership(p, samples=100, seed=4)
         assert rep.passes
         j = p.jac_x1(np.array([0.0]), np.zeros(1), np.zeros(1))
         assert abs(j[0, 0] - 1.0) < 1e-6
+
+    def test_wrong_analytic_jacobian_fails(self):
+        """The finite-difference comparison always runs: a Jacobian that
+        understates df/dx1 by half stays inside the declared bounds, so only
+        that comparison can catch it."""
+        p = pm.custom_plant(
+            n=1,
+            order="second_order",
+            f=lambda x1, x2, u: np.sin(x1) - x2 + u,
+            declared_bounds=UncertaintyBounds(1, 1, 1),
+            jac_x1=lambda x1, x2, u: np.array([[0.5 * np.cos(x1[0])]]),
+        )
+        rep = pm.validate_class_membership(p, samples=50, seed=4)
+        assert rep.max_norm_jac_x1 <= 0.5
+        assert rep.max_fd_rel_error > 0.1
+        assert not rep.passes

@@ -1,5 +1,6 @@
 """Tests for the closed-loop simulator and its trajectory audits."""
 
+import csv
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import expm
 
 import pidcert as pc
-from pidcert.errors import PlantError, UsageError
+from pidcert.errors import CertificateError, PlantError, UsageError
 from pidcert.simulator import RK4_FIXED, Trajectory
 
 UB111 = pc.UncertaintyBounds(1.0, 1.0, 1.0)
@@ -102,6 +103,16 @@ class TestSimulate:
         )
         with pytest.raises(UsageError):
             pc.simulate(cfg, cert=di_cert)
+
+    def test_out_of_class_plant_rejected(self):
+        """The certificate covers (0.01, 0.01, 1); the plant declares (5, 5, 1)."""
+        g = pc.GainVector("PID", 3.5, 1, 3.5)
+        cert = pc.certify_margin("PID", g, pc.UncertaintyBounds(0.01, 0.01, 1.0), 1)
+        plant = pc.build_family("sinusoidal_scalar", {"c1": 5.0, "c2": 5.0})
+        cfg = pc.SimConfig(plant=plant, gains=g, y_star=[1.0], x0=[0.0, 0.0], t_final=1.0)
+        with pytest.raises(CertificateError, match="out of class"):
+            pc.simulate(cfg, cert=cert)
+        assert pc.simulate(cfg).envelope is None  # without a certificate it runs
 
     def test_kind_order_mismatch_rejected(self):
         first = pc.build_family("sinusoidal_scalar", {"order": "first_order"})
@@ -354,3 +365,96 @@ class TestCsvExport:
         first = lines[1].split(",")
         assert float(first[0]) == 0.0
         assert float(first[4]) == traj.errors[0, 0]
+
+    @pytest.mark.parametrize(
+        "kind,params,gains,x0,header",
+        [
+            ("PD", {}, (6, 0, 6), [3.0, 2.0],
+             "t,x1_0,x2_0,e_0,edot_0,u_0,V,envelope_margin"),
+            ("PI", {"order": "first_order"}, (3, 1, 0), [-2.0],
+             "t,i_0,x_0,e_0,edot_0,u_0,V,envelope_margin"),
+        ],
+    )
+    def test_header_per_kind(self, tmp_path, kind, params, gains, x0, header):
+        plant = pc.build_family("sinusoidal_scalar", params)
+        cfg = pc.SimConfig(
+            plant=plant, gains=pc.GainVector(kind, *gains), y_star=[0.0], x0=x0, t_final=1.0,
+        )
+        path = tmp_path / "traj.csv"
+        pc.simulate(cfg).to_csv(path)
+        assert path.read_text().splitlines()[0] == header
+
+    def test_two_dimensional_header(self, tmp_path):
+        p = pc.build_family("tanh_coupled", {"n": 2})
+        cfg = pc.SimConfig(plant=p, gains=pc.GainVector("PID", 9, 1, 9), y_star=[0.5, -0.5],
+                           x0=np.zeros(4), t_final=1.0)
+        path = tmp_path / "traj.csv"
+        pc.simulate(cfg).to_csv(path)
+        assert path.read_text().splitlines()[0] == (
+            "t,i_0,i_1,x1_0,x1_1,x2_0,x2_1,e_0,e_1,edot_0,edot_1,u_0,u_1,V,envelope_margin"
+        )
+
+    @pytest.mark.parametrize("with_cert", [True, False])
+    def test_every_cell_parses_back_exactly(self, tmp_path, sin_cert, with_cert):
+        cfg = pc.SimConfig(
+            plant=sin_plant(), gains=G_PID, y_star=[1.0], x0=[0.3, -0.2], t_final=2.0,
+        )
+        traj = pc.simulate(cfg, cert=sin_cert if with_cert else None)
+        path = tmp_path / "traj.csv"
+        traj.to_csv(path)
+        rows = list(csv.reader(path.open()))[1:]
+        expect = np.column_stack(
+            [traj.times, traj.states, traj.errors, traj.edots, traj.controls]
+        )
+        assert len(rows) == expect.shape[0]
+        for row, want in zip(rows, expect):
+            assert [float(c) for c in row[:-2]] == want.tolist()
+        tail = [row[-2:] for row in rows]
+        if with_cert:
+            assert [float(v) for v, _ in tail] == traj.v_values.tolist()
+            assert [float(m) for _, m in tail] == traj.envelope_margin.tolist()
+        else:
+            assert all(cells == ["", ""] for cells in tail)
+
+
+class TestStateLayout:
+    """e, edot, u and z are rebuilt from the state blocks of each kind."""
+
+    def test_pid_controls_follow_the_control_law(self, sin_cert):
+        cfg = pc.SimConfig(
+            plant=sin_plant(), gains=G_PID, y_star=[1.0], x0=[0.3, -0.2], t_final=3.0,
+        )
+        traj = pc.simulate(cfg, cert=sin_cert)
+        i, x1, x2 = traj.states[:, :1], traj.states[:, 1:2], traj.states[:, 2:]
+        np.testing.assert_array_equal(traj.errors, 1.0 - x1)
+        np.testing.assert_array_equal(traj.edots, -x2)
+        np.testing.assert_array_equal(
+            traj.controls, 7 * traj.errors + 1 * i + 7 * traj.edots
+        )
+        np.testing.assert_array_equal(
+            traj.z, np.hstack([i - traj.u_star / G_PID.ki, traj.errors, traj.edots])
+        )
+
+    def test_pi_edot_is_minus_plant_rhs(self):
+        plant = pc.build_family("nonaffine_cubic_u", {"order": "first_order", "c1": 0.8})
+        g = pc.GainVector("PI", 3, 1)
+        cfg = pc.SimConfig(plant=plant, gains=g, y_star=[0.7], x0=[1.5], t_final=5.0)
+        traj = pc.simulate(cfg)
+        i, x = traj.states[:, :1], traj.states[:, 1:]
+        np.testing.assert_array_equal(traj.controls, 3 * traj.errors + 1 * i)
+        for k in range(traj.times.size):
+            np.testing.assert_array_equal(traj.edots[k], -plant.f(x[k], traj.controls[k]))
+        np.testing.assert_array_equal(
+            traj.z, np.hstack([i - traj.u_star / g.ki, traj.errors])
+        )
+
+    def test_pd_z_is_error_and_its_derivative(self):
+        g = pc.GainVector("PD", 6, kd=6)
+        cfg = pc.SimConfig(
+            plant=sin_plant(), gains=g, y_star=[0.0], x0=[3.0, 2.0], t_final=5.0,
+        )
+        traj = pc.simulate(cfg)
+        np.testing.assert_array_equal(traj.z, np.hstack([traj.errors, traj.edots]))
+        np.testing.assert_array_equal(traj.edots, -traj.states[:, 1:])
+        np.testing.assert_array_equal(traj.controls, 6 * traj.errors + 6 * traj.edots)
+        np.testing.assert_array_equal(traj.u_star, [0.0])
