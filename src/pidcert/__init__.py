@@ -76,7 +76,9 @@ from .simulator import (
     envelope_audit,
     fit_decay,
     lyapunov_monitor,
+    prepare_cell,
     simulate,
+    simulate_batch,
 )
 
 __version__ = "0.1.0"

@@ -52,6 +52,15 @@ _MODE_KEYS = {
 }
 
 
+def _number(value, where: str, cast=float):
+    """``cast(value)``; a value that is not a number is a usage error that
+    names ``where`` it was read."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise _fail(f"{where} must be a number, got {value!r}") from None
+
+
 def _check_keys(node, allowed, where: str) -> None:
     _expect(isinstance(node, dict), f"{where} must be an object")
     unknown = sorted(set(node) - set(allowed))
@@ -64,22 +73,17 @@ def _parse_bounds(node, where: str) -> gs.UncertaintyBounds:
     _check_keys(node, keys, f"{where}: bounds")
     for key in keys:
         _expect(key in node, f"{where}: missing bounds field {key!r}")
+    values = {k: _number(node[k], f"{where}: bounds field {k!r}") for k in keys}
     if "L" in node:
-        return gs.UncertaintyBounds.first_order(
-            L=float(node["L"]), b_lower=float(node["b_lower"])
-        )
-    return gs.UncertaintyBounds(
-        L1=float(node["L1"]), L2=float(node["L2"]), b_lower=float(node["b_lower"])
-    )
+        return gs.UncertaintyBounds.first_order(**values)
+    return gs.UncertaintyBounds(**values)
 
 
 def _parse_gains(node, kind: str, where: str) -> gs.GainVector:
-    _check_keys(node, ("kp", "ki", "kd"), f"{where}: gains")
+    keys = ("kp", "ki", "kd")
+    _check_keys(node, keys, f"{where}: gains")
     return gs.GainVector(
-        kind,
-        kp=float(node.get("kp", 0.0)),
-        ki=float(node.get("ki", 0.0)),
-        kd=float(node.get("kd", 0.0)),
+        kind, **{k: _number(node.get(k, 0.0), f"{where}: gains {k!r}") for k in keys}
     )
 
 
@@ -90,7 +94,10 @@ def _parse_plant(node, where: str) -> pm.PlantModel:
 
 
 def _vector(node, n: int, where: str) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(node, dtype=float))
+    try:
+        arr = np.atleast_1d(np.asarray(node, dtype=float))
+    except (TypeError, ValueError):
+        raise _fail(f"{where}: expected {n} numbers, got {node!r}") from None
     _expect(arr.size == n, f"{where}: expected {n} entries, got {arr.size}")
     return arr
 
@@ -105,8 +112,12 @@ def _dump_json(path: Path, obj) -> None:
 def mode_gains(config: dict, out: Path, seed: int) -> int:
     kind = config.get("kind", gs.PID)
     ub = _parse_bounds(config.get("bounds"), "gains mode")
+    ki = config.get("ki")
     g = gs.suggest_gains(
-        kind, ub, ki=config.get("ki"), margin=float(config.get("margin", 0.1))
+        kind,
+        ub,
+        ki=None if ki is None else _number(ki, "gains mode: 'ki'"),
+        margin=_number(config.get("margin", 0.1), "gains mode: 'margin'"),
     )
     report = gs.membership(g, ub)
     payload = {
@@ -124,7 +135,7 @@ def mode_certify(config: dict, out: Path, seed: int) -> int:
     kind = config.get("kind", gs.PID)
     ub = _parse_bounds(config.get("bounds"), "certify mode")
     g = _parse_gains(config.get("gains"), kind, "certify mode")
-    n = int(config.get("n", 1))
+    n = _number(config.get("n", 1), "certify mode: 'n'", int)
     cert = cert_mod.certify_margin(kind, g, ub, n)
     payload = cert.to_json_dict()
     print(json.dumps(payload, indent=2, sort_keys=True))
@@ -133,14 +144,23 @@ def mode_certify(config: dict, out: Path, seed: int) -> int:
     return EXIT_OK
 
 
-def _sim_config(node: dict, plant: pm.PlantModel, g: gs.GainVector, y_node, x_node,
+def _sim_options(node: dict, where: str) -> dict:
+    """SimConfig keywords from the ``_SIM_KEYS`` set in ``node``; the others
+    keep SimConfig's defaults, and t_final defaults to 30."""
+    opts = {
+        k: node[k] if k == "integrator" else _number(node[k], f"{where}: {k!r}")
+        for k in _SIM_KEYS
+        if k in node
+    }
+    opts.setdefault("t_final", 30.0)
+    return opts
+
+
+def _sim_config(opts: dict, plant: pm.PlantModel, g: gs.GainVector, y_node, x_node,
                 where: str) -> sim.SimConfig:
-    """SimConfig from the ``_SIM_KEYS`` set in ``node``; the others keep
-    SimConfig's defaults, t_final defaults to 30 and x0 to rest."""
+    """SimConfig with the ``_sim_options`` ``opts``; x0 defaults to rest."""
     n = plant.n
     want = 2 * n if plant.order == gs.SECOND_ORDER else n
-    opts = {k: node[k] if k == "integrator" else float(node[k]) for k in _SIM_KEYS if k in node}
-    opts.setdefault("t_final", 30.0)
     return sim.SimConfig(
         plant=plant,
         gains=g,
@@ -174,13 +194,18 @@ def mode_simulate(config: dict, out: Path, seed: int) -> int:
     else:
         suggest = config.get("suggest", {})
         _check_keys(suggest, ("ki", "margin"), "simulate mode: suggest")
+        ki = suggest.get("ki")
         g = gs.suggest_gains(
-            kind, ub, ki=suggest.get("ki"), margin=float(suggest.get("margin", 0.1))
+            kind,
+            ub,
+            ki=None if ki is None else _number(ki, "simulate mode: suggest 'ki'"),
+            margin=_number(suggest.get("margin", 0.1), "simulate mode: suggest 'margin'"),
         )
     cert = None
     if config.get("certify", True):
         cert = cert_mod.certify_margin(kind, g, ub, plant.n)
-    cfg = _sim_config(config, plant, g, config.get("y_star", 0.0), config.get("x0"), "simulate mode")
+    opts = _sim_options(config, "simulate mode")
+    cfg = _sim_config(opts, plant, g, config.get("y_star", 0.0), config.get("x0"), "simulate mode")
     traj = sim.simulate(cfg, cert=cert)
     out.mkdir(parents=True, exist_ok=True)
     traj.to_csv(out / "trajectory.csv")
@@ -189,6 +214,7 @@ def mode_simulate(config: dict, out: Path, seed: int) -> int:
         "gains": {"kp": g.kp, "ki": g.ki, "kd": g.kd},
         "final_error_norm": float(np.linalg.norm(traj.errors[-1])),
         "samples": int(traj.times.size),
+        "integrator": {"nfev": traj.nfev, "status": traj.status, "cells": traj.cells},
     }
     code = EXIT_OK
     if cert is not None:
@@ -239,10 +265,41 @@ def _sweep_cells(config: dict):
     return cells
 
 
+def _judge_cells(batch: list) -> None:
+    """Fill each (row, cell) of ``batch`` from one stacked integration.
+
+    When the batch raises, the cells not yet judged run again one at a time,
+    so the error lands on its own cell.
+    """
+    done = 0
+    try:
+        for traj in sim.simulate_batch([cell for _, cell in batch]):
+            row, cell = batch[done]
+            audit = sim.envelope_audit(traj)
+            lam_emp, _ = _fit_decay(traj, cell.cfg.t_final)
+            row.update(
+                {
+                    "alpha": repr(cell.cert.alpha),
+                    "lambda": repr(cell.cert.lambda_decay),
+                    "envelope_pass": audit.passes,
+                    "min_margin": repr(audit.min_margin),
+                    "lambda_emp": "" if lam_emp is None else repr(lam_emp),
+                }
+            )
+            done += 1
+    except PidcertError as exc:
+        if len(batch) == 1:
+            batch[0][0]["error"] = f"{type(exc).__name__}: {exc}"
+        else:
+            for item in batch[done:]:
+                _judge_cells([item])
+
+
 def mode_sweep(config: dict, out: Path, seed: int) -> int:
     kind = config.get("kind", gs.PID)
     sim_node = config.get("sim", {})
     _check_keys(sim_node, _SIM_KEYS, "sweep mode: sim")
+    opts = _sim_options(sim_node, "sweep mode: sim")
     cells = _sweep_cells(config)
     plants = [
         _parse_plant(node, f"sweep mode: plants[{i}]")
@@ -261,24 +318,22 @@ def mode_sweep(config: dict, out: Path, seed: int) -> int:
     for p in plants:
         _expect(p.n == n, "sweep mode: all plants must share the block dimension")
 
-    # one certificate per member gain set
-    certs = [
-        cert_mod.certify_margin(kind, g, ub, n) if gs.membership(g, ub).member else None
-        for g in gains
-    ]
+    # membership and one certificate per gain set
+    member = [gs.membership(g, ub).member for g in gains]
+    certs = [cert_mod.certify_margin(kind, g, ub, n) if m else None for g, m in zip(gains, member)]
 
-    def run_cell(cell):
-        idx, ip, _, ig, _, ynode, xnode = cell
-        plant = plants[ip]
-        g = gains[ig]
+    # every member cell that passes its pre-checks joins one stacked integration
+    rows, batch = [], []
+    for idx, ip, _, ig, _, ynode, xnode in cells:
+        plant, g = plants[ip], gains[ig]
         row = {
             "cell": idx,
             "plant": plant.family or "custom",
             "kp": g.kp,
             "ki": g.ki,
             "kd": g.kd,
-            "y_star": float(np.atleast_1d(ynode)[0]),
-            "member": gs.membership(g, ub).member,
+            "y_star": _number(np.atleast_1d(ynode)[0], "sweep mode: setpoint"),
+            "member": member[ig],
             "alpha": "",
             "lambda": "",
             "envelope_pass": "",
@@ -286,28 +341,16 @@ def mode_sweep(config: dict, out: Path, seed: int) -> int:
             "lambda_emp": "",
             "error": "",
         }
+        rows.append(row)
         if not row["member"]:
-            return row
-        cert = certs[ig]
+            continue
         try:
-            cfg = _sim_config(sim_node, plant, g, ynode, xnode, "sweep cell")
-            traj = sim.simulate(cfg, cert=cert)
-            audit = sim.envelope_audit(traj)
-            lam_emp, _ = _fit_decay(traj, cfg.t_final)
-            row.update(
-                {
-                    "alpha": repr(cert.alpha),
-                    "lambda": repr(cert.lambda_decay),
-                    "envelope_pass": audit.passes,
-                    "min_margin": repr(audit.min_margin),
-                    "lambda_emp": "" if lam_emp is None else repr(lam_emp),
-                }
-            )
+            cfg = _sim_config(opts, plant, g, ynode, xnode, "sweep cell")
+            batch.append((row, sim.prepare_cell(cfg, certs[ig])))
         except PidcertError as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
-        return row
-
-    rows = [run_cell(c) for c in cells]
+    if batch:
+        _judge_cells(batch)
 
     out.mkdir(parents=True, exist_ok=True)
     fieldnames = [
@@ -348,9 +391,8 @@ def mode_planar(config: dict, out: Path, seed: int) -> int:
         _check_keys(node, ("case",), "planar mode: necessity")
         ub = _parse_bounds(config.get("bounds"), "planar mode")
         g = _parse_gains(config.get("gains"), gs.PI, "planar mode")
-        report = planar_pi.necessity_counterexample(
-            node.get("case", "ki_zero"), ub, g, float(config.get("y_star", 1.0))
-        )
+        y_star = _number(config.get("y_star", 1.0), "planar mode: 'y_star'")
+        report = planar_pi.necessity_counterexample(node.get("case", "ki_zero"), ub, g, y_star)
         payload["necessity"] = {
             "case": report.case,
             "e_inf_analytic": report.e_inf_analytic,
@@ -363,13 +405,15 @@ def mode_planar(config: dict, out: Path, seed: int) -> int:
     else:
         plant = _parse_plant(config.get("plant"), "planar mode")
         g = _parse_gains(config.get("gains"), gs.PI, "planar mode")
-        field = planar_pi.PlanarField.build(plant, g, float(config.get("y_star", 0.0)))
+        field = planar_pi.PlanarField.build(
+            plant, g, _number(config.get("y_star", 0.0), "planar mode: 'y_star'")
+        )
         grid = config.get("grid", {})
         _check_keys(grid, ("radius", "points"), "planar mode: grid")
         report = planar_pi.jacobian_conditions(
             field,
-            radius=float(grid.get("radius", 20.0)),
-            points=int(grid.get("points", 41)),
+            radius=_number(grid.get("radius", 20.0), "planar mode: grid 'radius'"),
+            points=_number(grid.get("points", 41), "planar mode: grid 'points'", int),
         )
         payload["jacobian_conditions"] = {
             "max_trace": report.max_trace,
@@ -389,8 +433,8 @@ def mode_verify_class(config: dict, out: Path, seed: int) -> int:
     plant = _parse_plant(config.get("plant"), "verify-class mode")
     report = pm.validate_class_membership(
         plant,
-        samples=int(config.get("samples", 1000)),
-        box_radius=float(config.get("box_radius", 10.0)),
+        samples=_number(config.get("samples", 1000), "verify-class mode: 'samples'", int),
+        box_radius=_number(config.get("box_radius", 10.0), "verify-class mode: 'box_radius'"),
         seed=seed,
     )
     payload = {

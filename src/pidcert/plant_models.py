@@ -8,10 +8,17 @@ a first-order plant is f(x, u) in dx/dt = f(x, u).  Each PlantModel carries
 declared derivative bounds; ``validate_class_membership`` audits them by
 sampling.  The built-in families are constructed so their declared bounds are
 analytically exact.
+
+``f`` takes a leading batch axis: called with (cells, n) arrays it returns
+the (cells, n) array of row-by-row values, so the simulator evaluates a whole
+batch of closed loops, or a whole recorded trajectory, in one call.  The
+built-in families broadcast (a matrix acts as ``x @ A.T``); ``custom_plant``
+loops over the rows of a per-point ``f``.  The Jacobians take one point.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -35,10 +42,11 @@ class PlantModel:
     """Evaluable plant with analytic (or finite-difference) Jacobians.
 
     ``f`` takes (x1, x2, u) for second-order plants and (x, u) for
-    first-order ones; each argument is an n-vector.  ``jac_x1``/``jac_x2``/
-    ``jac_u`` return n x n Jacobians at the same argument convention (for
-    first-order plants ``jac_x1`` is d f/d x and ``jac_x2`` is None).
-    Evaluation must be pure: no mutable internal state.
+    first-order ones; each argument is an n-vector, or a (cells, n) array
+    whose rows are evaluated independently into a (cells, n) result.
+    ``jac_x1``/``jac_x2``/``jac_u`` take one point (n-vectors) and return
+    n x n Jacobians (for first-order plants ``jac_x1`` is d f/d x and
+    ``jac_x2`` is None).  Evaluation must be pure: no mutable internal state.
     """
 
     n: int
@@ -65,8 +73,18 @@ class PlantModel:
         return 3 if self.order == SECOND_ORDER else 2
 
     def eval_checked(self, *args) -> np.ndarray:
-        out = np.asarray(self.f(*args), dtype=float).reshape(self.n)
-        if not np.all(np.isfinite(out)):
+        """f at one point or at each row of a batch; the result has shape
+        (..., n) like the first argument and must be finite."""
+        shape = np.shape(args[0])[:-1] + (self.n,)
+        out = np.asarray(self.f(*args), dtype=float)
+        if out.shape != shape:
+            if out.size != math.prod(shape):
+                raise PlantError(f"plant returned shape {out.shape}, expected {shape}")
+            out = out.reshape(shape)
+        if not np.isfinite(out).all():
+            if out.ndim > 1:  # name the first failing point of a batch
+                k = tuple(np.argwhere(~np.isfinite(out))[0][:-1])
+                args = tuple(np.asarray(a)[k] for a in args)
             raise PlantError(f"plant returned non-finite value at {args}")
         return out
 
@@ -207,7 +225,7 @@ def _family_linear_matrix(params: dict) -> PlantModel:
         return PlantModel(
             n=n,
             order=FIRST_ORDER,
-            f=lambda x, u: A @ x + theta @ u,
+            f=lambda x, u: x @ A.T + u @ theta.T,
             jac_x1=lambda x, u: A.copy(),
             jac_x2=None,
             jac_u=lambda x, u: theta.copy(),
@@ -231,7 +249,7 @@ def _family_linear_matrix(params: dict) -> PlantModel:
     return PlantModel(
         n=n,
         order=SECOND_ORDER,
-        f=lambda x1, x2, u: A1 @ x1 + A2 @ x2 + theta @ u,
+        f=lambda x1, x2, u: x1 @ A1.T + x2 @ A2.T + u @ theta.T,
         jac_x1=lambda x1, x2, u: A1.copy(),
         jac_x2=lambda x1, x2, u: A2.copy(),
         jac_u=lambda x1, x2, u: theta.copy(),
@@ -300,7 +318,7 @@ def _family_tanh_coupled(params: dict) -> PlantModel:
     return PlantModel(
         n=n,
         order=SECOND_ORDER,
-        f=lambda x1, x2, u: s1 * np.tanh(x1) + s2 * np.tanh(x2) + theta @ u,
+        f=lambda x1, x2, u: s1 * np.tanh(x1) + s2 * np.tanh(x2) + u @ theta.T,
         jac_x1=lambda x1, x2, u: jac_tanh(x1, s1),
         jac_x2=lambda x1, x2, u: jac_tanh(x2, s2),
         jac_u=lambda x1, x2, u: theta.copy(),
@@ -363,7 +381,7 @@ def _family_rotation_gain(params: dict) -> PlantModel:
     return PlantModel(
         n=2,
         order=SECOND_ORDER,
-        f=lambda x1, x2, u: A1 @ x1 + A2 @ x2 + theta @ u,
+        f=lambda x1, x2, u: x1 @ A1.T + x2 @ A2.T + u @ theta.T,
         jac_x1=lambda x1, x2, u: A1.copy(),
         jac_x2=lambda x1, x2, u: A2.copy(),
         jac_u=lambda x1, x2, u: theta.copy(),
@@ -401,7 +419,8 @@ def build_family(family_id: str, params: dict | None = None) -> PlantModel:
     """Instantiate a built-in plant family with exact declared bounds.
 
     A params key the family does not read for its order, or a missing
-    matrix, is a UsageError naming the keys.
+    matrix, is a UsageError naming the keys; so is a value the builder cannot
+    convert (a string where a number belongs), naming the family.
     """
     if family_id not in _BUILDERS:
         raise UsageError(
@@ -419,7 +438,10 @@ def build_family(family_id: str, params: dict | None = None) -> PlantModel:
             f"plant family {family_id!r} ({order}): unknown params {unknown}, "
             f"missing params {missing}; accepted {sorted(accepted | {'order'})}"
         )
-    return _BUILDERS[family_id](params)
+    try:
+        return _BUILDERS[family_id](params)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"plant family {family_id!r} ({order}): bad params: {exc}") from None
 
 
 def custom_plant(
@@ -432,9 +454,18 @@ def custom_plant(
     jac_u: Callable[..., np.ndarray] | None = None,
 ) -> PlantModel:
     """Wrap a user-supplied f; missing Jacobians fall back to central
-    differences (accuracy then limited to the finite-difference step)."""
+    differences (accuracy then limited to the finite-difference step).
+
+    ``f`` need only take one point: called with (cells, n) arrays, the
+    wrapped plant evaluates it row by row.
+    """
 
     nargs = 3 if order == SECOND_ORDER else 2
+
+    def f_rows(*args):
+        if np.ndim(args[0]) < 2:
+            return f(*args)
+        return np.array([np.asarray(f(*row), dtype=float).reshape(n) for row in zip(*args)])
 
     def fd_slot(idx):
         def jac(*args):
@@ -455,7 +486,7 @@ def custom_plant(
     return PlantModel(
         n=n,
         order=order,
-        f=f,
+        f=f_rows,
         jac_x1=jx1,
         jac_x2=jx2,
         jac_u=ju,

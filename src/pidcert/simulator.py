@@ -10,18 +10,31 @@ The controller is computed from measured state only: the derivative channel
 uses edot = -v directly (the setpoint is constant), never a numerical
 difference of e.  The integral channel is an extra state block adjoined to
 the ODE.  After integration e, edot and u are rebuilt with array operations
-on the whole trajectory; only PI's edot = -f(x, u) calls the plant once per
-sample.  Trajectories are recorded both in physical coordinates and in the
+on the whole trajectory; PI's edot = -f(x, u) is one plant call on all
+samples.  Trajectories are recorded both in physical coordinates and in the
 shifted coordinates z used by the certificates, so the exponential envelope
 and the Lyapunov decrease can be checked pointwise.
+
+``simulate_batch`` integrates N closed loops that share the kind, n, the
+horizon, the integrator and its tolerances as one stacked system: the states
+form an (N, dim) array, one right-hand side evaluates every cell's control
+law with (N, 1) gains and (N, n) setpoints and calls the plant once for each
+run of adjacent cells that share it, and the integrator runs once.  Fixed-step RK4 advances each cell
+exactly as a one-cell run does.  RK45 shares one step size across the cells,
+so it is given rtol/sqrt(N) and atol/sqrt(N): solve_ivp's RMS error norm over
+the stacked state is then sqrt(sum_c norm_c^2) >= max_c norm_c, where norm_c
+is the norm a one-cell run at the configured tolerances tests, and every
+accepted step passes each cell's own test.  ``simulate`` is the one-cell
+batch.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -48,17 +61,19 @@ def _split(kind: str, n: int, s: np.ndarray) -> dict:
     return {name: s[..., k * n : (k + 1) * n] for k, name in enumerate(_LAYOUT[kind])}
 
 
-def _control(g: GainVector, blocks: dict, e: np.ndarray) -> np.ndarray:
+def _control(gains: tuple, blocks: dict, e: np.ndarray) -> np.ndarray:
     """u = kp e + ki i + kd edot with edot = -v, for the blocks the kind has.
 
-    Missing terms are left out rather than added as zeros, which would turn
-    a -0.0 into 0.0.
+    ``gains`` is (kp, ki, kd), as scalars or as (cells, 1) columns.  Missing
+    terms are left out rather than added as zeros, which would turn a -0.0
+    into 0.0.
     """
-    u = g.kp * e
+    kp, ki, kd = gains
+    u = kp * e
     if "i" in blocks:
-        u = u + g.ki * blocks["i"]
+        u = u + ki * blocks["i"]
     if "v" in blocks:
-        u = u + g.kd * -blocks["v"]
+        u = u + kd * -blocks["v"]
     return u
 
 
@@ -98,6 +113,9 @@ class SimConfig:
 
 @dataclass
 class Trajectory:
+    """One recorded closed loop.  ``nfev`` and ``status`` are the
+    integrator's, shared by the ``cells`` closed loops integrated with it."""
+
     kind: str
     n: int
     times: np.ndarray
@@ -112,6 +130,9 @@ class Trajectory:
     envelope: Optional[np.ndarray] = None
     envelope_margin: Optional[np.ndarray] = None
     cert: Optional[LyapunovCertificate] = None
+    nfev: Optional[int] = None
+    status: Optional[int] = None
+    cells: int = 1
 
     def error_signal(self) -> np.ndarray:
         """|e(t)|, plus |edot(t)| for the kinds with a velocity block (PID, PD)."""
@@ -165,19 +186,100 @@ class MonitorReport:
     worst_decrease_excess: float
 
 
-def _rhs_factory(cfg: SimConfig):
-    plant, g, y = cfg.plant, cfg.gains, cfg.y_star
-    kind, n = g.kind, plant.n
+@dataclass
+class Cell:
+    """One closed loop that passed its pre-checks, with its equilibrium
+    input u* (None for PID/PI with ki = 0, where there is none to solve)."""
+
+    cfg: SimConfig
+    cert: Optional[LyapunovCertificate]
+    u_star: Optional[np.ndarray]
+
+
+def prepare_cell(cfg: SimConfig, cert: Optional[LyapunovCertificate] = None) -> Cell:
+    """Check a run against its certificate and solve for u*.
+
+    The certificate must match the run's kind, dimension and gains and cover
+    the plant's declared bounds; a PD certificate needs y* to be an
+    uncontrolled equilibrium, f(y*, 0, 0) = 0.
+    """
+    plant, g = cfg.plant, cfg.gains
+    n = plant.n
+    layout = _LAYOUT[g.kind]
+    if cert is not None:
+        if cert.kind != g.kind or cert.n != n:
+            raise UsageError("certificate kind/dimension does not match the run")
+        cg = cert.gains
+        if (cg.kp, cg.ki, cg.kd) != (g.kp, g.ki, g.kd):
+            raise UsageError("certificate gains do not match the configured gains")
+        if not covers(cert.bounds, plant.declared_bounds):
+            raise CertificateError(
+                f"out of class: the plant's declared {plant.declared_bounds} "
+                f"are not inside the certificate's {cert.bounds}"
+            )
+
+    # u* for the shifted coordinates; PD regulation assumes f(y*,0,0)=0
+    ustar = None
+    if "i" in layout and g.ki > 0:
+        ustar = solve_equilibrium(plant, cfg.y_star).u_star
+    elif "i" not in layout:
+        # PD regulation is only guaranteed at uncontrolled equilibria
+        if cert is not None and not equilibrium_shift_check(plant, cfg.y_star):
+            raise UsageError(
+                "PD envelope certification needs f(y*, 0, 0) = 0; "
+                "the configured setpoint is not an uncontrolled equilibrium"
+            )
+        ustar = np.zeros(n)
+    return Cell(cfg=cfg, cert=cert, u_star=ustar)
+
+
+def _plant_runs(cells: Sequence[Cell]) -> list:
+    """(plant, rows) for each run of adjacent cells that share one plant."""
+    runs, start = [], 0
+    for _, group in itertools.groupby(cells, key=lambda c: id(c.cfg.plant)):
+        stop = start + len(list(group))
+        runs.append((cells[start].cfg.plant, slice(start, stop)))
+        start = stop
+    return runs
+
+
+def _rhs_factory(cells: Sequence[Cell]):
+    """Right-hand side of the stacked system, on the flattened (cells, dim) state."""
+    kind, n = cells[0].cfg.gains.kind, cells[0].cfg.plant.n
+    layout = _LAYOUT[kind]
+    shape = (len(cells), len(layout) * n)
+    gains = tuple(
+        np.array([[getattr(c.cfg.gains, k)] for c in cells]) for k in ("kp", "ki", "kd")
+    )
+    y = np.array([c.cfg.y_star for c in cells])
+    runs = _plant_runs(cells)
+    plant_state = [k for k in layout if k != "i"]  # (x, v) or (x,)
 
     def rhs(t, s):
-        b = _split(kind, n, s)
+        b = _split(kind, n, s.reshape(shape))
         e = y - b["x"]
-        plant_state = [b[k] for k in b if k != "i"]  # (x, v) or (x,)
-        f = plant.eval_checked(*plant_state, _control(g, b, e))
+        u = _control(gains, b, e)
+        if len(runs) == 1:
+            f = runs[0][0].eval_checked(*(b[k] for k in plant_state), u)
+        else:  # the runs are adjacent slices that cover the cells in order
+            f = np.concatenate(
+                [
+                    plant.eval_checked(*(b[k][rows] for k in plant_state), u[rows])
+                    for plant, rows in runs
+                ]
+            )
         # d/dt of (i, x, v) is (e, v, f); a kind without i or v drops its entry
-        return np.concatenate(([e] if "i" in b else []) + plant_state[1:] + [f])
+        rate = {"i": e, "x": b.get("v", f), "v": f}
+        return np.concatenate([rate[k] for k in layout], axis=1).reshape(-1)
 
     return rhs
+
+
+def _initial_state(cfg: SimConfig) -> np.ndarray:
+    if "i" not in _LAYOUT[cfg.gains.kind]:
+        return cfg.x0
+    i0 = cfg.integral_state0 if cfg.integral_state0 is not None else np.zeros(cfg.plant.n)
+    return np.concatenate([i0, cfg.x0])
 
 
 def _integrate_rk4(rhs, s0: np.ndarray, t_final: float, dt: float):
@@ -197,93 +299,44 @@ def _integrate_rk4(rhs, s0: np.ndarray, t_final: float, dt: float):
             raise IntegrationError(f"state became non-finite at t = {t:.6g}")
         times.append(t)
         states.append(s.copy())
-    return np.array(times), np.array(states)
+    return np.array(times), np.array(states), 4 * n_steps, 0
 
 
-def _integrate_rk45(rhs, s0: np.ndarray, cfg: SimConfig):
+def _integrate_rk45(rhs, s0: np.ndarray, cfg: SimConfig, cells: int):
     # deferred: scipy is needed only for adaptive integration
     from scipy.integrate import solve_ivp
 
     n_rec = max(2, int(round(cfg.t_final / cfg.dt_max)) + 1)
     t_eval = np.linspace(0.0, cfg.t_final, n_rec)
+    # each cell's own error test holds when the stacked RMS norm passes
+    scale = math.sqrt(cells)
     sol = solve_ivp(
         rhs,
         (0.0, cfg.t_final),
         s0,
         method="RK45",
         t_eval=t_eval,
-        rtol=cfg.rtol,
-        atol=cfg.atol,
+        rtol=cfg.rtol / scale,
+        atol=cfg.atol / scale,
     )
     if not sol.success:
         t_last = sol.t[-1] if sol.t.size else 0.0
         raise IntegrationError(
             f"adaptive integration failed at t = {t_last:.6g}: {sol.message}"
         )
-    # row-major, so e, edot, u and z rebuilt from it are row-major too
-    return sol.t, np.ascontiguousarray(sol.y.T)
+    return sol.t, sol.y.T, sol.nfev, sol.status
 
 
-def simulate(
-    cfg: SimConfig,
-    cert: Optional[LyapunovCertificate] = None,
-    u_star: Optional[np.ndarray] = None,
-) -> Trajectory:
-    """Integrate the closed loop and record the full trajectory.
-
-    When a certificate is supplied its (M, lambda) envelope is evaluated at
-    every sample time; the equilibrium input u* is solved for on demand.
-    """
+def _trajectory(cell: Cell, times: np.ndarray, states: np.ndarray, stats: dict) -> Trajectory:
+    """e, edot, u, z and the envelope of one cell, from its recorded states."""
+    cfg, cert, ustar = cell.cfg, cell.cert, cell.u_star
     plant, g = cfg.plant, cfg.gains
-    n = plant.n
-    kind = g.kind
+    kind, n = g.kind, plant.n
     layout = _LAYOUT[kind]
-    if cert is not None:
-        if cert.kind != kind or cert.n != n:
-            raise UsageError("certificate kind/dimension does not match the run")
-        cg = cert.gains
-        if (cg.kp, cg.ki, cg.kd) != (g.kp, g.ki, g.kd):
-            raise UsageError("certificate gains do not match the configured gains")
-        if not covers(cert.bounds, plant.declared_bounds):
-            raise CertificateError(
-                f"out of class: the plant's declared {plant.declared_bounds} "
-                f"are not inside the certificate's {cert.bounds}"
-            )
-
-    # u* for the shifted coordinates; PD regulation assumes f(y*,0,0)=0
-    ustar = None
-    if u_star is not None:
-        ustar = np.atleast_1d(np.asarray(u_star, dtype=float)).reshape(n)
-    elif "i" in layout and g.ki > 0:
-        ustar = solve_equilibrium(plant, cfg.y_star).u_star
-    elif "i" not in layout:
-        # PD regulation is only guaranteed at uncontrolled equilibria
-        if cert is not None and not equilibrium_shift_check(plant, cfg.y_star):
-            raise UsageError(
-                "PD envelope certification needs f(y*, 0, 0) = 0; "
-                "the configured setpoint is not an uncontrolled equilibrium"
-            )
-        ustar = np.zeros(n)
-
-    rhs = _rhs_factory(cfg)
-    i0 = cfg.integral_state0 if cfg.integral_state0 is not None else np.zeros(n)
-    s0 = np.concatenate(([i0] if "i" in layout else []) + [cfg.x0])
-
-    if cfg.integrator == RK4_FIXED:
-        times, states = _integrate_rk4(rhs, s0, cfg.t_final, cfg.dt_max)
-    else:
-        times, states = _integrate_rk45(rhs, s0, cfg)
-
     b = _split(kind, n, states)
     errors = cfg.y_star - b["x"]
-    controls = _control(g, b, errors)
-    if "v" in layout:
-        edots = -b["v"]
-    else:
-        # edot = -f(x, u); a plant takes one n-vector, so one call per sample
-        edots = np.empty_like(errors)
-        for k in range(times.size):
-            edots[k] = -plant.eval_checked(b["x"][k], controls[k])
+    controls = _control((g.kp, g.ki, g.kd), b, errors)
+    edots = -b["v"] if "v" in layout else -plant.eval_checked(b["x"], controls)
 
     # z = (i - u*/ki, e, edot) over the blocks the kind has; i needs u* and ki > 0
     z = None
@@ -305,6 +358,7 @@ def simulate(
         z=z,
         u_star=ustar,
         cert=cert,
+        **stats,
     )
     if cert is not None:
         if z is None:
@@ -319,6 +373,52 @@ def simulate(
         traj.envelope = cert.M * np.exp(-cert.lambda_decay * times) * s0_env
         traj.envelope_margin = traj.envelope - traj.error_signal()
     return traj
+
+
+def simulate_batch(cells: Sequence[Cell]) -> Iterator[Trajectory]:
+    """Integrate prepared closed loops as one stacked system.
+
+    The cells must share the kind, n, t_final, dt_max, integrator and
+    tolerances.  The integration runs when the first trajectory is asked
+    for; the trajectories then follow in cell order, each built only when it
+    is asked for, so a caller that consumes them one at a time never holds
+    them all.
+    """
+    cells = list(cells)
+    if not cells:
+        raise UsageError("a batch needs at least one cell")
+
+    def shared(c: SimConfig):
+        return (c.gains.kind, c.plant.n, c.t_final, c.dt_max, c.integrator, c.rtol, c.atol)
+
+    cfg = cells[0].cfg
+    if any(shared(c.cfg) != shared(cfg) for c in cells):
+        raise UsageError(
+            "cells of one batch must share the kind, n, t_final, dt_max, "
+            "integrator and tolerances"
+        )
+    s0 = np.concatenate([_initial_state(c.cfg) for c in cells])
+    rhs = _rhs_factory(cells)
+    if cfg.integrator == RK4_FIXED:
+        times, states, nfev, status = _integrate_rk4(rhs, s0, cfg.t_final, cfg.dt_max)
+    else:
+        times, states, nfev, status = _integrate_rk45(rhs, s0, cfg, len(cells))
+    stats = {"nfev": int(nfev), "status": int(status), "cells": len(cells)}
+    dim = s0.size // len(cells)
+    for k, cell in enumerate(cells):
+        # row-major, so e, edot, u and z rebuilt from it are row-major too
+        own = np.ascontiguousarray(states[:, k * dim : (k + 1) * dim])
+        yield _trajectory(cell, times, own, stats)
+
+
+def simulate(cfg: SimConfig, cert: Optional[LyapunovCertificate] = None) -> Trajectory:
+    """Integrate one closed loop and record the full trajectory: the
+    one-cell batch.
+
+    When a certificate is supplied its (M, lambda) envelope is evaluated at
+    every sample time.
+    """
+    return next(simulate_batch([prepare_cell(cfg, cert)]))
 
 
 def fit_decay(traj: Trajectory, window: tuple[float, float]) -> tuple[float, float]:

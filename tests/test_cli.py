@@ -4,6 +4,7 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pidcert import cli
@@ -89,6 +90,8 @@ class TestSimulateMode:
         assert summary["envelope_pass"] is True
         assert summary["v_nonincreasing"] is True
         assert summary["lambda_emp"] > 0
+        stats = summary["integrator"]
+        assert stats["nfev"] > 0 and stats["status"] == 0 and stats["cells"] == 1
 
 
     def test_out_of_class_plant_exits_two(self, tmp_path, capsys):
@@ -202,6 +205,72 @@ class TestSweepMode:
         assert row["min_margin"] == "0.0"
         assert row["lambda_emp"] == ""
         assert row["error"] == ""
+
+
+    def test_failing_cell_is_rerun_alone(self, tmp_path, monkeypatch):
+        """The plant returns NaN once the velocity passes 1.5, which only the
+        y* = 3 cell reaches (its peak is 2.3, the others' 0.8 or less): the
+        stacked run raises, the cells run again one at a time, and only that
+        row carries the PlantError."""
+        build = cli.pm.build_family
+
+        def nan_when_fast(family, params=None):
+            plant = build(family, params)
+            f = plant.f
+            plant.f = lambda x1, x2, u: np.where(x2 > 1.5, np.nan, f(x1, x2, u))
+            return plant
+
+        sizes = []
+        real = cli.sim.simulate_batch
+        monkeypatch.setattr(cli.pm, "build_family", nan_when_fast)
+        monkeypatch.setattr(
+            cli.sim, "simulate_batch", lambda cells: sizes.append(len(cells)) or real(cells)
+        )
+        cfg = write_config(
+            tmp_path, "nan.json",
+            {
+                "kind": "PID",
+                "bounds": {"L1": 1, "L2": 1, "b_lower": 1},
+                "plants": [{"family": "sinusoidal_scalar", "params": {"c1": 1.0, "c2": 1.0}}],
+                "gain_sets": [{"kp": 7, "ki": 1, "kd": 7}],
+                "setpoints": [0.5, 3.0, -1.0],
+                "sim": {"t_final": 10.0},
+            },
+        )
+        out = tmp_path / "out"
+        assert cli.run("sweep", cfg, out_dir=str(out)) == 2
+        rows = list(csv.DictReader((out / "sweep.csv").open()))[:-1]
+        assert sizes == [3, 1, 1, 1]
+        assert [r["envelope_pass"] for r in rows] == ["True", "", "True"]
+        assert rows[1]["error"].startswith("PlantError: plant returned non-finite value")
+        assert rows[0]["error"] == rows[2]["error"] == ""
+
+    def test_precheck_failure_stays_out_of_the_batch(self, tmp_path, monkeypatch):
+        """PD at y* = 1 on sin(x1) is not an uncontrolled equilibrium: that
+        cell records the usage error, and the other two share one run."""
+        sizes = []
+        real = cli.sim.simulate_batch
+        monkeypatch.setattr(
+            cli.sim, "simulate_batch", lambda cells: sizes.append(len(cells)) or real(cells)
+        )
+        cfg = write_config(
+            tmp_path, "pd.json",
+            {
+                "kind": "PD",
+                "bounds": {"L1": 1, "L2": 1, "b_lower": 1},
+                "plants": [{"family": "sinusoidal_scalar", "params": {"c1": 1.0, "c2": 1.0}}],
+                "gain_sets": [{"kp": 8, "kd": 8}],
+                "setpoints": [0.0, 1.0],
+                "x0s": [[0.5, 0.0], [-0.5, 0.2]],
+                "sim": {"t_final": 10.0},
+            },
+        )
+        out = tmp_path / "out"
+        assert cli.run("sweep", cfg, out_dir=str(out)) == 2
+        rows = list(csv.DictReader((out / "sweep.csv").open()))[:-1]
+        assert sizes == [2]
+        assert [r["envelope_pass"] for r in rows] == ["True", "True", "", ""]
+        assert all(r["error"].startswith("UsageError: PD envelope") for r in rows[2:])
 
 
 class TestPlanarMode:
@@ -357,6 +426,52 @@ class TestUnknownKeys:
         cfg = write_config(tmp_path, "n.json", config)
         assert cli.run(mode, cfg, out_dir=str(tmp_path / "out")) == 1
         assert key in capsys.readouterr().err
+
+
+class TestNonNumericValues:
+    """A value that is not a number is a usage error naming its key; nothing
+    is written."""
+
+    @pytest.mark.parametrize(
+        "mode,config,named,output",
+        [
+            (
+                "simulate",
+                {
+                    "plant": {"family": "sinusoidal_scalar", "params": {"c1": 1.0, "c2": 1.0}},
+                    "gains": {"kp": 7, "ki": 1, "kd": 7},
+                    "t_final": "long",
+                },
+                "'t_final'",
+                "summary.json",
+            ),
+            (
+                "verify-class",
+                {"plant": {"family": "sinusoidal_scalar", "params": {"c1": "one"}}},
+                "'sinusoidal_scalar'",
+                "validation.json",
+            ),
+            (
+                "sweep",
+                {
+                    "bounds": {"L1": 1, "L2": 1, "b_lower": 1},
+                    "plants": [{"family": "sinusoidal_scalar", "params": {}}],
+                    "gain_sets": [{"kp": 7, "ki": "1", "kd": "seven"}],
+                    "setpoints": [0.0],
+                },
+                "'kd'",
+                "sweep.csv",
+            ),
+            ("certify", {"bounds": {"L1": 1, "L2": [1], "b_lower": 1}}, "'L2'", "certificate.json"),
+        ],
+    )
+    def test_usage_error(self, tmp_path, capsys, mode, config, named, output):
+        cfg = write_config(tmp_path, "v.json", config)
+        out = tmp_path / "out"
+        assert cli.run(mode, cfg, out_dir=str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert not (out / output).exists()
 
 
 @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)

@@ -210,3 +210,72 @@ class TestCustomPlant:
         assert rep.max_norm_jac_x1 <= 0.5
         assert rep.max_fd_rel_error > 0.1
         assert not rep.passes
+
+
+BATCH_FAMILIES = [
+    ("linear_matrix", {"A1": [[0.4, 0.1], [0.0, 0.3]], "A2": [[0.2, 0.0], [0.1, 0.5]], "Theta": [[2.0, 0.3], [0.1, 1.5]]}),
+    ("linear_matrix", {"order": FIRST_ORDER, "A": [[-0.5, 0.2], [0.1, -0.3]], "Theta": [[1.5, 0.4], [-0.4, 1.0]]}),
+    ("sinusoidal_scalar", {"c1": 0.8, "c2": 1.2}),
+    ("sinusoidal_scalar", {"order": FIRST_ORDER, "c1": -0.7}),
+    ("tanh_coupled", {"n": 3, "l1": 1.0, "l2": 0.5, "b_lower": 1.0}),
+    ("nonaffine_cubic_u", {"c1": 1.0, "c2": 0.5, "b_lower": 0.7}),
+    ("nonaffine_cubic_u", {"order": FIRST_ORDER, "c1": 0.6, "b_lower": 0.9}),
+    ("rotation_gain", {"b_lower": 1.0, "s": 10.0, "a1": 0.5, "a2": 0.2}),
+]
+
+
+class TestBatchAxis:
+    @pytest.mark.parametrize("fam,params", BATCH_FAMILIES)
+    def test_builtin_f_equals_row_by_row(self, fam, params):
+        """f on (cells, n) arrays is the stack of its one-point values."""
+        p = pm.build_family(fam, params)
+        rng = np.random.default_rng(7)
+        args = [rng.uniform(-3.0, 3.0, size=(5, p.n)) for _ in range(p.nargs)]
+        batch = p.eval_checked(*args)
+        rows = np.array([p.eval_checked(*(a[k] for a in args)) for k in range(5)])
+        assert batch.shape == (5, p.n)
+        if p.n == 1:
+            np.testing.assert_array_equal(batch, rows)
+        else:
+            np.testing.assert_allclose(batch, rows, rtol=1e-12, atol=1e-12)
+
+    def test_custom_per_point_f_takes_a_batch(self):
+        """A per-point f that indexes its arguments is looped over the rows."""
+        p = pm.custom_plant(
+            n=1,
+            order="second_order",
+            f=lambda x1, x2, u: np.array([np.sin(x1[0]) - x2[0] + u[0]]),
+            declared_bounds=UncertaintyBounds(1, 1, 1),
+        )
+        args = [np.array([[0.5], [-1.0], [2.0]]) for _ in range(3)]
+        np.testing.assert_array_equal(
+            p.eval_checked(*args), sin_plant().eval_checked(*args)
+        )
+
+    def test_wrong_shape_is_a_plant_error(self):
+        p = pm.custom_plant(
+            n=2,
+            order="second_order",
+            f=lambda x1, x2, u: np.zeros(3),
+            declared_bounds=UncertaintyBounds(1, 1, 1),
+        )
+        with pytest.raises(PlantError, match="expected"):
+            p.eval_checked(np.zeros(2), np.zeros(2), np.zeros(2))
+
+    def test_nan_in_a_batch_names_its_point(self):
+        p = pm.custom_plant(
+            n=1,
+            order="second_order",
+            f=lambda x1, x2, u: np.array([np.nan if x1[0] > 1.0 else 0.0]),
+            declared_bounds=UncertaintyBounds(1, 1, 1),
+        )
+        x = np.array([[0.0], [2.0], [3.0]])
+        with pytest.raises(PlantError, match=r"at \(array\(\[2\.\]\)"):
+            p.eval_checked(x, np.zeros((3, 1)), np.zeros((3, 1)))
+
+
+def test_non_numeric_param_is_a_usage_error():
+    with pytest.raises(UsageError, match="'sinusoidal_scalar'"):
+        pm.build_family("sinusoidal_scalar", {"c1": "one"})
+    with pytest.raises(UsageError, match="'tanh_coupled'"):
+        pm.build_family("tanh_coupled", {"n": [2]})

@@ -458,3 +458,133 @@ class TestStateLayout:
         np.testing.assert_array_equal(traj.edots, -traj.states[:, 1:])
         np.testing.assert_array_equal(traj.controls, 6 * traj.errors + 6 * traj.edots)
         np.testing.assert_array_equal(traj.u_star, [0.0])
+
+
+def _batch_and_singles(cfgs, certs):
+    batch = list(pc.simulate_batch([pc.prepare_cell(c, k) for c, k in zip(cfgs, certs)]))
+    singles = [pc.simulate(c, cert=k) for c, k in zip(cfgs, certs)]
+    return batch, singles
+
+
+class TestBatch:
+    """simulate_batch stacks cells into one integration; each cell must
+    match its own one-cell run."""
+
+    @staticmethod
+    def pid_cells(integrator, plants):
+        cfgs, certs = [], []
+        cert = pc.certify_margin("PID", G_PID, UB111, 1)
+        for plant in plants:
+            for y, x0 in ((1.0, [0.0, 0.0]), (-0.5, [0.3, -0.2]), (2.0, [1.0, 1.0])):
+                cfgs.append(pc.SimConfig(plant=plant, gains=G_PID, y_star=[y], x0=x0,
+                                         t_final=8.0, integrator=integrator))
+                certs.append(cert)
+        return cfgs, certs
+
+    @staticmethod
+    def pd_cells(integrator):
+        g = pc.GainVector("PD", 8.0, kd=8.0)
+        ub = pc.UncertaintyBounds(1.0, 1.0, 1.0)
+        cert = pc.certify_margin("PD", g, ub, 2)
+        plants = [
+            pc.build_family("tanh_coupled", {"n": 2, "l1": 0.8, "l2": 0.6, "b_lower": 1.2, "w_scale": 0.3}),
+            pc.build_family("rotation_gain", {"b_lower": 1.1, "s": 2.5, "a1": -0.7, "a2": -0.9}),
+        ]
+        cfgs = [
+            pc.SimConfig(plant=p, gains=g, y_star=[0.0, 0.0], x0=x0, t_final=8.0,
+                         integrator=integrator)
+            for p in plants
+            for x0 in ([1.0, -0.5, 0.2, 0.0], [-0.3, 0.8, 0.0, 0.4])
+        ]
+        return cfgs, [cert] * len(cfgs)
+
+    @staticmethod
+    def pi_cells(integrator):
+        g = pc.GainVector("PI", 3.0, ki=1.0)
+        ub = pc.UncertaintyBounds.first_order(L=1.0, b_lower=1.0)
+        cert = pc.certify_margin("PI", g, ub, 1)
+        plants = [
+            pc.build_family("sinusoidal_scalar", {"order": "first_order", "c1": 0.9}),
+            pc.build_family("linear_matrix", {"order": "first_order", "A": [[-0.6]], "Theta": [[1.3]]}),
+        ]
+        cfgs = [
+            pc.SimConfig(plant=p, gains=g, y_star=[y], x0=[0.2], t_final=8.0, integrator=integrator)
+            for p in plants
+            for y in (1.0, -1.5)
+        ]
+        return cfgs, [cert] * len(cfgs)
+
+    def test_rk4_cells_match_one_cell_runs_bitwise(self):
+        plants = [sin_plant(), double_integrator(),
+                  pc.build_family("nonaffine_cubic_u", {"c1": 1.0, "c2": 1.0, "b_lower": 1.0})]
+        for cfgs, certs in (self.pid_cells(RK4_FIXED, plants), self.pi_cells(RK4_FIXED)):
+            batch, singles = _batch_and_singles(cfgs, certs)
+            for b, s in zip(batch, singles):
+                for name in ("times", "states", "errors", "edots", "controls", "z", "envelope_margin"):
+                    np.testing.assert_array_equal(getattr(b, name), getattr(s, name))
+
+    def test_rk4_matrix_plants_match_to_roundoff(self):
+        batch, singles = _batch_and_singles(*self.pd_cells(RK4_FIXED))
+        for b, s in zip(batch, singles):
+            np.testing.assert_allclose(b.states, s.states, rtol=1e-12, atol=1e-12 * np.max(np.abs(s.states)))
+
+    @pytest.mark.parametrize("kind", ["PID", "PD", "PI"])
+    def test_rk45_cells_stay_close_with_the_same_verdicts(self, kind):
+        if kind == "PID":
+            cfgs, certs = self.pid_cells(pc.RK45_ADAPTIVE, [sin_plant(), double_integrator()])
+        else:
+            cfgs, certs = getattr(self, f"{kind.lower()}_cells")(pc.RK45_ADAPTIVE)
+        batch, singles = _batch_and_singles(cfgs, certs)
+        assert len(batch) == len(cfgs)
+        for b, s, cert in zip(batch, singles, certs):
+            scale = np.max(np.abs(s.states))
+            np.testing.assert_allclose(b.states, s.states, rtol=1e-6, atol=1e-6 * scale)
+            ab, as_ = pc.envelope_audit(b), pc.envelope_audit(s)
+            assert ab.passes == as_.passes
+            assert ab.min_margin == pytest.approx(as_.min_margin, rel=1e-6)
+            mb, ms = pc.lyapunov_monitor(b, cert), pc.lyapunov_monitor(s, cert)
+            assert mb.nonincreasing_pass == ms.nonincreasing_pass
+            assert (b.cells, s.cells) == (len(cfgs), 1)
+
+    def test_integrator_statistics_are_shared(self):
+        cfgs, certs = self.pi_cells(pc.RK45_ADAPTIVE)
+        batch, singles = _batch_and_singles(cfgs, certs)
+        assert {(t.nfev, t.status, t.cells) for t in batch} == {(batch[0].nfev, 0, 4)}
+        assert all(s.nfev > 0 and s.status == 0 and s.cells == 1 for s in singles)
+        rk4 = pc.simulate(pc.SimConfig(plant=sin_plant(), gains=G_PID, y_star=[1.0],
+                                       x0=[0.0, 0.0], t_final=1.0, integrator=RK4_FIXED))
+        assert (rk4.nfev, rk4.status, rk4.cells) == (400, 0, 1)
+
+    def test_custom_per_point_plant_in_a_batch(self):
+        """A custom f that only takes one point runs through the row loop and
+        gives the built-in plant's trajectories."""
+        custom = pc.custom_plant(
+            n=1, order="second_order",
+            f=lambda x1, x2, u: np.array([np.sin(x1[0]) - x2[0] + u[0]]),
+            declared_bounds=UB111,
+        )
+        cfgs_c, certs = self.pid_cells(RK4_FIXED, [custom])
+        cfgs_b, _ = self.pid_cells(RK4_FIXED, [sin_plant()])
+        cells = lambda cfgs: [pc.prepare_cell(c, k) for c, k in zip(cfgs, certs)]
+        for tc, tb in zip(pc.simulate_batch(cells(cfgs_c)), pc.simulate_batch(cells(cfgs_b))):
+            np.testing.assert_array_equal(tc.states, tb.states)
+
+    def test_cells_must_share_the_integration(self):
+        a = pc.SimConfig(plant=sin_plant(), gains=G_PID, y_star=[1.0], x0=[0.0, 0.0], t_final=2.0)
+        b = pc.SimConfig(plant=sin_plant(), gains=G_PID, y_star=[1.0], x0=[0.0, 0.0], t_final=3.0)
+        with pytest.raises(UsageError, match="share"):
+            next(pc.simulate_batch([pc.prepare_cell(a), pc.prepare_cell(b)]))
+        with pytest.raises(UsageError, match="at least one"):
+            next(pc.simulate_batch([]))
+
+    def test_trajectories_are_built_on_demand(self, monkeypatch):
+        from pidcert import simulator
+
+        built = []
+        real = simulator._trajectory
+        monkeypatch.setattr(simulator, "_trajectory", lambda *a: built.append(1) or real(*a))
+        cfgs, certs = self.pi_cells(pc.RK45_ADAPTIVE)
+        it = pc.simulate_batch([pc.prepare_cell(c, k) for c, k in zip(cfgs, certs)])
+        assert not built
+        next(it)
+        assert len(built) == 1
