@@ -421,6 +421,8 @@ def mode_planar(config: dict, out: Path, seed: int) -> int:
             "sufficiency": report.sufficiency,
             "analytic_trace_bound": report.analytic_trace_bound,
             "grid_points": report.grid_points,
+            "max_trace_point": list(report.max_trace_point),
+            "min_det_point": list(report.min_det_point),
         }
         if not report.sufficiency:
             code = EXIT_CHECK_FAILED
@@ -444,6 +446,10 @@ def mode_verify_class(config: dict, out: Path, seed: int) -> int:
         "max_norm_jac_x2": report.max_norm_jac_x2,
         "min_sym_jac_u": report.min_sym_jac_u,
         "max_fd_rel_error": report.max_fd_rel_error,
+        "max_norm_jac_x1_point": report.max_norm_jac_x1_point,
+        "max_norm_jac_x2_point": report.max_norm_jac_x2_point,
+        "min_sym_jac_u_point": report.min_sym_jac_u_point,
+        "max_fd_rel_error_point": report.max_fd_rel_error_point,
         "declared": {
             "L1": report.declared.L1,
             "L2": report.declared.L2,

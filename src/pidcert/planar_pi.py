@@ -51,32 +51,40 @@ class PlanarField:
         xa, ua = self._plant_args(x, u)
         return -float(self.plant.eval_checked(xa, ua)[0])
 
-    def g_derivatives(self, x: float, u: float) -> tuple[float, float]:
-        """(dg/dx, dg/du) at the shifted point."""
-        xa, ua = self._plant_args(x, u)
-        fx = float(np.asarray(self.plant.jac_x1(xa, ua))[0, 0])
-        fu = float(np.asarray(self.plant.jac_u(xa, ua))[0, 0])
-        return fx, -fu
-
     def value(self, z0: float, z1: float) -> tuple[float, float]:
         u = self.gains.ki * z0 + self.gains.kp * z1
         return z1, self.g_value(z1, u)
 
-    def jacobian(self, z0: float, z1: float) -> np.ndarray:
+    def jacobian(self, z0: np.ndarray, z1: np.ndarray) -> np.ndarray:
+        """Field Jacobians [[0, 1], [ki*g_u, g_x + kp*g_u]] at the points
+        (z0[k], z1[k]) of two equal-shape arrays: shape z0.shape + (2, 2),
+        from one call of ``jac_x1`` and one of ``jac_u``."""
+        z0, z1 = np.asarray(z0, dtype=float), np.asarray(z1, dtype=float)
         u = self.gains.ki * z0 + self.gains.kp * z1
-        gx, gu = self.g_derivatives(z1, u)
-        return np.array(
-            [[0.0, 1.0], [self.gains.ki * gu, gx + self.gains.kp * gu]]
-        )
+        xa = (self.y_star - z1)[..., None]
+        ua = (u + self.u_star)[..., None]
+        gx = np.asarray(self.plant.jac_x1(xa, ua), dtype=float)[..., 0, 0]
+        gu = -np.asarray(self.plant.jac_u(xa, ua), dtype=float)[..., 0, 0]
+        jac = np.empty(z0.shape + (2, 2))
+        jac[..., 0, 0] = 0.0
+        jac[..., 0, 1] = 1.0
+        jac[..., 1, 0] = self.gains.ki * gu
+        jac[..., 1, 1] = gx + self.gains.kp * gu
+        return jac
 
 
 @dataclass
 class ConditionReport:
+    """Grid extremes of the field Jacobian's trace and determinant; each
+    ``*_point`` is the first grid point (z0, z1) that attains its extreme."""
+
     max_trace: float
     min_det: float
     sufficiency: bool
     analytic_trace_bound: float
     grid_points: int
+    max_trace_point: tuple[float, float]
+    min_det_point: tuple[float, float]
 
 
 @dataclass
@@ -97,7 +105,9 @@ def jacobian_conditions(
 
     The grid is an audit; the globally valid statement is the analytic trace
     bound L - kp*b, which the sampled maximum must respect (a violation means
-    the plant breaks its declared derivative bounds).
+    the plant breaks its declared derivative bounds).  All grid points are
+    evaluated in one vectorised pass; a non-finite Jacobian is a PlantError
+    naming its first grid point.
     """
     if points < 2:
         raise UsageError("grid needs at least 2 points per axis")
@@ -105,24 +115,33 @@ def jacobian_conditions(
     ub = field.plant.declared_bounds
     bound = ub.L - g.kp * ub.b_lower
     axis = np.linspace(-radius, radius, points)
-    max_trace = -np.inf
-    min_det = np.inf
-    for z0 in axis:
-        for z1 in axis:
-            jac = field.jacobian(float(z0), float(z1))
-            max_trace = max(max_trace, jac[0, 0] + jac[1, 1])
-            min_det = min(min_det, jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0])
+    z0, z1 = np.repeat(axis, points), np.tile(axis, points)  # z0-major order
+    jac = field.jacobian(z0, z1)
+
+    def at(k) -> tuple[float, float]:
+        return float(z0[k]), float(z1[k])
+
+    bad = ~np.isfinite(jac).all(axis=(1, 2))
+    if bad.any():
+        raise PlantError(f"field Jacobian is not finite at (z0, z1) = {at(np.argmax(bad))}")
+    trace = jac[:, 0, 0] + jac[:, 1, 1]
+    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+    kt, kd = int(np.argmax(trace)), int(np.argmin(det))
+    max_trace, min_det = float(trace[kt]), float(det[kd])
     if max_trace > bound + 1e-8:
         raise PlantError(
-            f"sampled trace {max_trace:.6g} exceeds the analytic bound {bound:.6g}; "
+            f"sampled trace {max_trace:.6g} exceeds the analytic bound {bound:.6g} "
+            f"at (z0, z1) = {at(kt)}; "
             "plant violates its declared derivative bounds"
         )
     return ConditionReport(
-        max_trace=float(max_trace),
-        min_det=float(min_det),
+        max_trace=max_trace,
+        min_det=min_det,
         sufficiency=bool(max_trace < 0.0 and min_det > 0.0),
         analytic_trace_bound=float(bound),
         grid_points=points * points,
+        max_trace_point=at(kt),
+        min_det_point=at(kd),
     )
 
 

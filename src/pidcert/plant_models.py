@@ -9,11 +9,14 @@ declared derivative bounds; ``validate_class_membership`` audits them by
 sampling.  The built-in families are constructed so their declared bounds are
 analytically exact.
 
-``f`` takes a leading batch axis: called with (cells, n) arrays it returns
-the (cells, n) array of row-by-row values, so the simulator evaluates a whole
-batch of closed loops, or a whole recorded trajectory, in one call.  The
-built-in families broadcast (a matrix acts as ``x @ A.T``); ``custom_plant``
-loops over the rows of a per-point ``f``.  The Jacobians take one point.
+``f`` and the Jacobians take a leading batch axis: called with (..., n)
+arrays, ``f`` returns the (..., n) array of row-by-row values and each
+Jacobian the (..., n, n) stack of row-by-row matrices.  So the simulator
+evaluates a whole batch of closed loops, or a whole recorded trajectory, in
+one call, and the class audit and the planar grid evaluate all their points
+in one call.  The built-in families broadcast (a matrix acts as
+``x @ A.T``); ``custom_plant`` loops a per-point ``f`` or Jacobian over the
+rows.
 """
 
 from __future__ import annotations
@@ -42,11 +45,12 @@ class PlantModel:
     """Evaluable plant with analytic (or finite-difference) Jacobians.
 
     ``f`` takes (x1, x2, u) for second-order plants and (x, u) for
-    first-order ones; each argument is an n-vector, or a (cells, n) array
-    whose rows are evaluated independently into a (cells, n) result.
-    ``jac_x1``/``jac_x2``/``jac_u`` take one point (n-vectors) and return
-    n x n Jacobians (for first-order plants ``jac_x1`` is d f/d x and
-    ``jac_x2`` is None).  Evaluation must be pure: no mutable internal state.
+    first-order ones; each argument is an n-vector, or a (..., n) array
+    whose rows are evaluated independently into a (..., n) result.
+    ``jac_x1``/``jac_x2``/``jac_u`` take the same arguments and return an
+    n x n Jacobian, or the (..., n, n) stack of one per row (for first-order
+    plants ``jac_x1`` is d f/d x and ``jac_x2`` is None).  Evaluation must be
+    pure: no mutable internal state.
     """
 
     n: int
@@ -89,9 +93,19 @@ class PlantModel:
         return out
 
 
+# samples the class audit draws and evaluates per vectorised pass, so its
+# memory does not grow with the sample count
+_AUDIT_BLOCK = 1024
+
+
 @dataclass
 class ValidationReport:
-    """Sampled audit of the declared derivative bounds."""
+    """Sampled audit of the declared derivative bounds.
+
+    Each ``*_point`` is the first sample that attains the extreme beside it,
+    as {argument name: n floats}; ``max_norm_jac_x2_point`` is None for a
+    first-order plant, which has no x2.
+    """
 
     samples: int
     box_radius: float
@@ -101,6 +115,10 @@ class ValidationReport:
     max_fd_rel_error: float
     declared: UncertaintyBounds
     passes: bool
+    max_norm_jac_x1_point: dict
+    max_norm_jac_x2_point: Optional[dict]
+    min_sym_jac_u_point: dict
+    max_fd_rel_error_point: dict
 
 
 def _as_vec(x, n: int) -> np.ndarray:
@@ -110,18 +128,61 @@ def _as_vec(x, n: int) -> np.ndarray:
     return v
 
 
+def _row_loop(fn: Callable[..., np.ndarray], shape: tuple) -> Callable[..., np.ndarray]:
+    """``fn``, which takes one point, applied to each row of (..., n)
+    arguments; each row's value is reshaped to ``shape``."""
+
+    def rows(*args):
+        lead = np.shape(args[0])[:-1]
+        if not lead:
+            return fn(*args)
+        flat = [np.reshape(a, (-1, np.shape(a)[-1])) for a in args]
+        out = np.array([np.asarray(fn(*row), dtype=float).reshape(shape) for row in zip(*flat)])
+        return out.reshape(lead + shape)
+
+    return rows
+
+
 def fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian with step 1e-6*(1+|x|)."""
+    """Central-difference Jacobian with step 1e-6*(1+|x|), in 2n calls of fn.
+
+    ``x`` is one point or a (..., n) batch of them; for a batch ``fn`` must
+    take the batch too, and each row gets its own step and Jacobian.
+    """
     x = np.asarray(x, dtype=float)
-    h = 1e-6 * (1.0 + float(np.linalg.norm(x)))
-    n = x.size
-    f0 = np.asarray(fn(x), dtype=float)
-    jac = np.empty((f0.size, n))
-    for j in range(n):
-        step = np.zeros(n)
-        step[j] = h
-        jac[:, j] = (np.asarray(fn(x + step)) - np.asarray(fn(x - step))) / (2.0 * h)
-    return jac
+    h = 1e-6 * (1.0 + np.linalg.norm(x, axis=-1, keepdims=True))
+    cols = []
+    for j in range(x.shape[-1]):
+        up, down = x.copy(), x.copy()
+        up[..., j] += h[..., 0]
+        down[..., j] -= h[..., 0]
+        diff = np.asarray(fn(up), dtype=float) - np.asarray(fn(down), dtype=float)
+        cols.append(diff.reshape(x.shape[:-1] + (-1,)) / (2.0 * h))
+    return np.stack(cols, axis=-1)
+
+
+def _fd_partial(fn: Callable[..., np.ndarray], args, idx: int) -> np.ndarray:
+    """Central-difference Jacobian of fn(*args) in its argument ``idx``."""
+
+    def slice_fn(v):
+        call = list(args)
+        call[idx] = v
+        return fn(*call)
+
+    return fd_jacobian(slice_fn, args[idx])
+
+
+def _jacobian_stack(p: PlantModel, jac: Callable[..., np.ndarray], name: str, args) -> np.ndarray:
+    """``jac`` at every row of ``args``: a finite (S, n, n) stack."""
+    shape = (args[0].shape[0], p.n, p.n)
+    out = np.asarray(jac(*args), dtype=float)
+    if out.shape != shape:
+        raise PlantError(f"{name} returned shape {out.shape}, expected {shape}")
+    bad = ~np.isfinite(out).all(axis=(1, 2))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise PlantError(f"{name} returned non-finite value at {tuple(a[k] for a in args)}")
+    return out
 
 
 def validate_class_membership(
@@ -133,7 +194,10 @@ def validate_class_membership(
     """Sample the declared bounds over a uniform box and report the extremes.
 
     Also compares finite-difference Jacobians against the analytic ones at
-    each sampled point.
+    each sampled point.  The samples are drawn, in the order of a per-sample
+    loop, and evaluated in blocks of ``_AUDIT_BLOCK``: one call of ``f``,
+    one of each Jacobian, 2n of ``f`` per finite-difference Jacobian, and
+    one stacked LAPACK call per norm or eigenvalue array.
     """
     if samples < 1:
         raise UsageError("samples must be >= 1")
@@ -141,53 +205,62 @@ def validate_class_membership(
         raise UsageError("box_radius must be > 0")
     rng = np.random.default_rng(seed)
     slack = 1e-8
-    max_j1 = 0.0
-    max_j2 = 0.0
-    min_sym_ju = np.inf
-    max_fd = 0.0
-    nargs = p.nargs
-    for _ in range(samples):
-        args = [rng.uniform(-box_radius, box_radius, size=p.n) for _ in range(nargs)]
-        val = p.eval_checked(*args)
-        if not np.all(np.isfinite(val)):
-            raise PlantError(f"NaN in plant evaluation at {args}")
-        j1 = np.asarray(p.jac_x1(*args), dtype=float)
-        ju = np.asarray(p.jac_u(*args), dtype=float)
-        max_j1 = max(max_j1, mk.operator_norm(j1))
-        lam_min, _ = mk.eig_extrema(mk.symmetrize(ju))
-        min_sym_ju = min(min_sym_ju, lam_min)
-        jacs = [j1]
+    if p.order == SECOND_ORDER:
+        names, jacs = ("x1", "x2", "u"), (p.jac_x1, p.jac_x2, p.jac_u)
+    else:
+        names, jacs = ("x", "u"), (p.jac_x1, p.jac_u)
+    extremes: dict = {}  # report field -> (value, sample point)
+
+    def record(field, values, args, lowest=False):
+        k = int(np.argmin(values) if lowest else np.argmax(values))
+        v = float(values[k])
+        if field not in extremes or (v < extremes[field][0] if lowest else v > extremes[field][0]):
+            extremes[field] = (v, {a: args[i][k].tolist() for i, a in enumerate(names)})
+
+    for start in range(0, samples, _AUDIT_BLOCK):
+        draw = rng.uniform(
+            -box_radius, box_radius, size=(min(_AUDIT_BLOCK, samples - start), p.nargs, p.n)
+        )
+        args = tuple(draw[:, i].copy() for i in range(p.nargs))  # contiguous (S, n) arrays
+        p.eval_checked(*args)
+        stacks = [
+            _jacobian_stack(p, jac, f"jac_{a}", args) for jac, a in zip(jacs, names)
+        ]
+        record("max_norm_jac_x1", mk.operator_norm(stacks[0]), args)
         if p.order == SECOND_ORDER:
-            j2 = np.asarray(p.jac_x2(*args), dtype=float)
-            max_j2 = max(max_j2, mk.operator_norm(j2))
-            jacs.append(j2)
-        jacs.append(ju)
-        for idx, analytic in enumerate(jacs):
-            def slice_fn(v, idx=idx):
-                call = list(args)
-                call[idx] = v
-                return p.eval_checked(*call)
+            record("max_norm_jac_x2", mk.operator_norm(stacks[1]), args)
+        record("min_sym_jac_u", mk.eig_extrema(mk.symmetrize(stacks[-1]))[0], args, lowest=True)
+        fd_err = np.zeros(draw.shape[0])
+        for idx, analytic in enumerate(stacks):
+            fd = _fd_partial(p.eval_checked, args, idx)
+            denom = 1.0 + np.linalg.norm(analytic, axis=(1, 2))
+            fd_err = np.maximum(fd_err, np.max(np.abs(fd - analytic), axis=(1, 2)) / denom)
+        record("max_fd_rel_error", fd_err, args)
 
-            fd = fd_jacobian(slice_fn, args[idx])
-            denom = 1.0 + float(np.linalg.norm(analytic))
-            max_fd = max(max_fd, float(np.max(np.abs(fd - analytic))) / denom)
-
+    max_j1, max_j2, min_sym_ju, max_fd = (
+        extremes.get(field, (0.0, None))
+        for field in ("max_norm_jac_x1", "max_norm_jac_x2", "min_sym_jac_u", "max_fd_rel_error")
+    )
     ub = p.declared_bounds
     ok = (
-        max_j1 <= ub.L1 + slack
-        and (p.order == FIRST_ORDER or max_j2 <= ub.L2 + slack)
-        and min_sym_ju >= ub.b_lower - slack
-        and max_fd <= 1e-5
+        max_j1[0] <= ub.L1 + slack
+        and (p.order == FIRST_ORDER or max_j2[0] <= ub.L2 + slack)
+        and min_sym_ju[0] >= ub.b_lower - slack
+        and max_fd[0] <= 1e-5
     )
     return ValidationReport(
         samples=samples,
         box_radius=box_radius,
-        max_norm_jac_x1=max_j1,
-        max_norm_jac_x2=max_j2,
-        min_sym_jac_u=min_sym_ju,
-        max_fd_rel_error=max_fd,
+        max_norm_jac_x1=max_j1[0],
+        max_norm_jac_x2=max_j2[0],
+        min_sym_jac_u=min_sym_ju[0],
+        max_fd_rel_error=max_fd[0],
         declared=ub,
         passes=bool(ok),
+        max_norm_jac_x1_point=max_j1[1],
+        max_norm_jac_x2_point=max_j2[1],
+        min_sym_jac_u_point=min_sym_ju[1],
+        max_fd_rel_error_point=max_fd[1],
     )
 
 
@@ -210,6 +283,25 @@ def equilibrium_shift_check(p: PlantModel, y_star) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _constant(m: np.ndarray) -> Callable[..., np.ndarray]:
+    """The Jacobian that is ``m`` at every point (a fresh copy per call)."""
+
+    def jac(*args):
+        out = np.empty(np.shape(args[0])[:-1] + m.shape)
+        out[...] = m
+        return out
+
+    return jac
+
+
+def _diag(v: np.ndarray) -> np.ndarray:
+    """The (..., n, n) diagonal matrices whose diagonals are the rows of v."""
+    out = np.zeros(v.shape + v.shape[-1:])
+    i = np.arange(v.shape[-1])
+    out[..., i, i] = v
+    return out
+
+
 def _family_linear_matrix(params: dict) -> PlantModel:
     order = params.get("order", SECOND_ORDER)
     if order == FIRST_ORDER:
@@ -226,9 +318,9 @@ def _family_linear_matrix(params: dict) -> PlantModel:
             n=n,
             order=FIRST_ORDER,
             f=lambda x, u: x @ A.T + u @ theta.T,
-            jac_x1=lambda x, u: A.copy(),
+            jac_x1=_constant(A),
             jac_x2=None,
-            jac_u=lambda x, u: theta.copy(),
+            jac_u=_constant(theta),
             declared_bounds=ub,
             family="linear_matrix",
             params=dict(params),
@@ -250,9 +342,9 @@ def _family_linear_matrix(params: dict) -> PlantModel:
         n=n,
         order=SECOND_ORDER,
         f=lambda x1, x2, u: x1 @ A1.T + x2 @ A2.T + u @ theta.T,
-        jac_x1=lambda x1, x2, u: A1.copy(),
-        jac_x2=lambda x1, x2, u: A2.copy(),
-        jac_u=lambda x1, x2, u: theta.copy(),
+        jac_x1=_constant(A1),
+        jac_x2=_constant(A2),
+        jac_u=_constant(theta),
         declared_bounds=ub,
         family="linear_matrix",
         params=dict(params),
@@ -270,9 +362,9 @@ def _family_sinusoidal_scalar(params: dict) -> PlantModel:
             n=1,
             order=FIRST_ORDER,
             f=lambda x, u: c1 * np.sin(x) + u,
-            jac_x1=lambda x, u: np.array([[c1 * np.cos(x[0])]]),
+            jac_x1=lambda x, u: c1 * np.cos(x)[..., None],
             jac_x2=None,
-            jac_u=lambda x, u: np.eye(1),
+            jac_u=_constant(np.eye(1)),
             declared_bounds=ub,
             family="sinusoidal_scalar",
             params=dict(params),
@@ -286,9 +378,9 @@ def _family_sinusoidal_scalar(params: dict) -> PlantModel:
         n=1,
         order=SECOND_ORDER,
         f=lambda x1, x2, u: c1 * np.sin(x1) - c2 * x2 + u,
-        jac_x1=lambda x1, x2, u: np.array([[c1 * np.cos(x1[0])]]),
-        jac_x2=lambda x1, x2, u: np.array([[-c2]]),
-        jac_u=lambda x1, x2, u: np.eye(1),
+        jac_x1=lambda x1, x2, u: c1 * np.cos(x1)[..., None],
+        jac_x2=_constant(np.array([[-c2]])),
+        jac_u=_constant(np.eye(1)),
         declared_bounds=ub,
         family="sinusoidal_scalar",
         params=dict(params),
@@ -312,7 +404,7 @@ def _family_tanh_coupled(params: dict) -> PlantModel:
     theta = b * np.eye(n) + W
 
     def jac_tanh(x, scale):
-        return scale * np.diag(1.0 / np.cosh(x) ** 2)
+        return _diag(scale * (1.0 / np.cosh(x) ** 2))
 
     ub = UncertaintyBounds(L1=s1, L2=s2, b_lower=b)
     return PlantModel(
@@ -321,7 +413,7 @@ def _family_tanh_coupled(params: dict) -> PlantModel:
         f=lambda x1, x2, u: s1 * np.tanh(x1) + s2 * np.tanh(x2) + u @ theta.T,
         jac_x1=lambda x1, x2, u: jac_tanh(x1, s1),
         jac_x2=lambda x1, x2, u: jac_tanh(x2, s2),
-        jac_u=lambda x1, x2, u: theta.copy(),
+        jac_u=_constant(theta),
         declared_bounds=ub,
         family="tanh_coupled",
         params=dict(params),
@@ -341,9 +433,9 @@ def _family_nonaffine_cubic_u(params: dict) -> PlantModel:
             n=1,
             order=FIRST_ORDER,
             f=lambda x, u: c1 * np.sin(x) + b * u + u**3 / 3.0,
-            jac_x1=lambda x, u: np.array([[c1 * np.cos(x[0])]]),
+            jac_x1=lambda x, u: c1 * np.cos(x)[..., None],
             jac_x2=None,
-            jac_u=lambda x, u: np.array([[b + u[0] ** 2]]),
+            jac_u=lambda x, u: (b + u**2)[..., None],
             declared_bounds=ub,
             family="nonaffine_cubic_u",
             params=dict(params),
@@ -355,9 +447,9 @@ def _family_nonaffine_cubic_u(params: dict) -> PlantModel:
         n=1,
         order=SECOND_ORDER,
         f=lambda x1, x2, u: c1 * np.sin(x1) + c2 * np.sin(x2) + b * u + u**3 / 3.0,
-        jac_x1=lambda x1, x2, u: np.array([[c1 * np.cos(x1[0])]]),
-        jac_x2=lambda x1, x2, u: np.array([[c2 * np.cos(x2[0])]]),
-        jac_u=lambda x1, x2, u: np.array([[b + u[0] ** 2]]),
+        jac_x1=lambda x1, x2, u: c1 * np.cos(x1)[..., None],
+        jac_x2=lambda x1, x2, u: c2 * np.cos(x2)[..., None],
+        jac_u=lambda x1, x2, u: (b + u**2)[..., None],
         declared_bounds=ub,
         family="nonaffine_cubic_u",
         params=dict(params),
@@ -382,9 +474,9 @@ def _family_rotation_gain(params: dict) -> PlantModel:
         n=2,
         order=SECOND_ORDER,
         f=lambda x1, x2, u: x1 @ A1.T + x2 @ A2.T + u @ theta.T,
-        jac_x1=lambda x1, x2, u: A1.copy(),
-        jac_x2=lambda x1, x2, u: A2.copy(),
-        jac_u=lambda x1, x2, u: theta.copy(),
+        jac_x1=_constant(A1),
+        jac_x2=_constant(A2),
+        jac_u=_constant(theta),
         declared_bounds=ub,
         family="rotation_gain",
         params=dict(params),
@@ -456,39 +548,24 @@ def custom_plant(
     """Wrap a user-supplied f; missing Jacobians fall back to central
     differences (accuracy then limited to the finite-difference step).
 
-    ``f`` need only take one point: called with (cells, n) arrays, the
-    wrapped plant evaluates it row by row.
+    ``f`` and the given Jacobians need only take one point: called with
+    (..., n) arrays, the wrapped plant loops them over the rows.
     """
 
     nargs = 3 if order == SECOND_ORDER else 2
+    f_rows = _row_loop(f, (n,))
 
-    def f_rows(*args):
-        if np.ndim(args[0]) < 2:
-            return f(*args)
-        return np.array([np.asarray(f(*row), dtype=float).reshape(n) for row in zip(*args)])
+    def slot(jac, idx):
+        if jac is not None:
+            return _row_loop(jac, (n, n))
+        return lambda *args: _fd_partial(f_rows, args, idx)
 
-    def fd_slot(idx):
-        def jac(*args):
-            def slice_fn(v):
-                call = list(args)
-                call[idx] = v
-                return np.asarray(f(*call), dtype=float)
-
-            return fd_jacobian(slice_fn, np.asarray(args[idx], dtype=float))
-
-        return jac
-
-    jx1 = jac_x1 if jac_x1 is not None else fd_slot(0)
-    jx2 = jac_x2
-    if order == SECOND_ORDER and jx2 is None:
-        jx2 = fd_slot(1)
-    ju = jac_u if jac_u is not None else fd_slot(nargs - 1)
     return PlantModel(
         n=n,
         order=order,
         f=f_rows,
-        jac_x1=jx1,
-        jac_x2=jx2,
-        jac_u=ju,
+        jac_x1=slot(jac_x1, 0),
+        jac_x2=slot(jac_x2, 1) if order == SECOND_ORDER else None,
+        jac_u=slot(jac_u, nargs - 1),
         declared_bounds=declared_bounds,
     )

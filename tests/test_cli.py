@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pidcert import cli
+from pidcert import cli, gain_sets, planar_pi, plant_models
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 SHIPPED_CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
@@ -289,6 +289,23 @@ class TestPlanarMode:
         payload = json.loads((out / "planar.json").read_text())
         assert payload["jacobian_conditions"]["sufficiency"] is True
 
+    def test_records_the_points_of_the_extremes(self, tmp_path):
+        config = {
+            "plant": {"family": "sinusoidal_scalar", "params": {"order": "first_order", "c1": 1.0}},
+            "gains": {"kp": 2, "ki": 1},
+            "y_star": 0.5,
+            "grid": {"radius": 20, "points": 21},
+        }
+        out = tmp_path / "out"
+        assert cli.run("planar", write_config(tmp_path, "p.json", config), out_dir=str(out)) == 0
+        report = json.loads((out / "planar.json").read_text())["jacobian_conditions"]
+        plant = plant_models.build_family("sinusoidal_scalar", {"order": "first_order", "c1": 1.0})
+        field = planar_pi.PlanarField.build(plant, gain_sets.GainVector("PI", 2, 1), 0.5)
+        jac = field.jacobian(*np.array(report["max_trace_point"]))
+        assert jac[0, 0] + jac[1, 1] == report["max_trace"]
+        jac = field.jacobian(*np.array(report["min_det_point"]))
+        assert jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0] == report["min_det"]
+
     def test_necessity_case(self, tmp_path):
         cfg = write_config(
             tmp_path, "p.json",
@@ -326,6 +343,42 @@ class TestVerifyClassMode:
         )
         assert cli.run("verify-class", cfg, out_dir=str(tmp_path / "out")) == 1
 
+
+    def test_records_the_points_of_the_extremes(self, tmp_path):
+        cfg = write_config(
+            tmp_path, "v.json",
+            {"plant": {"family": "sinusoidal_scalar", "params": {"c1": 0.8, "c2": 0.5}}, "samples": 100},
+        )
+        out = tmp_path / "out"
+        assert cli.run("verify-class", cfg, out_dir=str(out)) == 0
+        payload = json.loads((out / "validation.json").read_text())
+        for key in ("max_norm_jac_x1", "max_norm_jac_x2", "min_sym_jac_u", "max_fd_rel_error"):
+            point = payload[key + "_point"]
+            assert sorted(point) == ["u", "x1", "x2"]
+            assert all(len(v) == 1 and abs(v[0]) <= 10.0 for v in point.values())
+        x1 = payload["max_norm_jac_x1_point"]["x1"][0]
+        assert abs(0.8 * np.cos(x1)) == payload["max_norm_jac_x1"]
+
+    def test_nonfinite_jacobian_exits_two_and_names_the_point(self, tmp_path, capsys, monkeypatch):
+        """A NaN Jacobian is a failed audit (exit 2), not a usage error."""
+        build = cli.pm.build_family
+
+        def nan_jacobian(family, params):
+            plant = build(family, params)
+            good = plant.jac_x1
+            plant.jac_x1 = lambda x1, x2, u: np.where(x1[..., None] > 5.0, np.nan, good(x1, x2, u))
+            return plant
+
+        monkeypatch.setattr(cli.pm, "build_family", nan_jacobian)
+        cfg = write_config(
+            tmp_path, "v.json",
+            {"plant": {"family": "sinusoidal_scalar", "params": {"c1": 1.0}}, "samples": 200},
+        )
+        out = tmp_path / "out"
+        assert cli.run("verify-class", cfg, out_dir=str(out)) == 2
+        err = capsys.readouterr().err
+        assert "PlantError: jac_x1 returned non-finite value at (array([" in err
+        assert not (out / "validation.json").exists()
 
     @pytest.mark.parametrize(
         "plant,keys",

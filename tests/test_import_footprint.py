@@ -1,4 +1,4 @@
-"""The certificate path runs on numpy alone.
+"""The certificate path and the class audit run on numpy alone.
 
 scipy is imported only inside the adaptive integrator and the scalar
 equilibrium solve; a stray top-level import would load it (and its memory)
@@ -11,17 +11,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import pidcert
 
 SRC = Path(pidcert.__file__).resolve().parents[1]
-CERTIFY_CONFIG = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "certify_pid.json"
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 PROBE = """
 import sys
 import pidcert
 from pidcert import cli
 
-assert cli.run("certify", sys.argv[1], out_dir=sys.argv[2]) == 0
+assert cli.run(sys.argv[1], sys.argv[2], out_dir=sys.argv[3]) == 0
 loaded = sorted(
     m for m in sys.modules
     if m.split(".")[:2] in (["scipy", "linalg"], ["scipy", "optimize"], ["scipy", "integrate"])
@@ -30,15 +32,23 @@ assert not loaded, loaded
 """
 
 
-def test_certify_loads_no_scipy_solvers(tmp_path):
+@pytest.mark.parametrize(
+    "mode,config,output",
+    [
+        ("certify", "certify_pid.json", "certificate.json"),
+        ("verify-class", "verify_class.json", "validation.json"),
+    ],
+    ids=["certify", "verify-class"],
+)
+def test_mode_loads_no_scipy_solvers(tmp_path, mode, config, output):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, str(CERTIFY_CONFIG), str(tmp_path / "out")],
+        [sys.executable, "-c", PROBE, mode, str(CONFIGS / config), str(tmp_path / "out")],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "out" / "certificate.json").exists()
+    assert (tmp_path / "out" / output).exists()

@@ -124,6 +124,51 @@ class TestOperatorNorm:
         assert abs(mk.operator_norm(m) - ref) < 1e-10 * (1 + np.linalg.norm(m))
 
 
+class TestStacks:
+    """A (S, n, n) stack goes through one LAPACK call and gives, matrix by
+    matrix, the single-matrix results."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_equal_to_matrix_by_matrix(self, n):
+        rng = np.random.default_rng(n)
+        stack = rng.uniform(-4, 4, size=(7, n, n))
+        sym = mk.symmetrize(stack)
+        assert all(np.array_equal(sym[k], mk.symmetrize(stack[k])) for k in range(7))
+        lo, hi = mk.eig_extrema(sym)
+        norms = mk.operator_norm(stack)
+        assert lo.shape == hi.shape == norms.shape == (7,)
+        for k in range(7):
+            assert (lo[k], hi[k]) == mk.eig_extrema(sym[k])
+            assert norms[k] == mk.operator_norm(stack[k])
+
+    def test_single_matrix_gives_floats(self):
+        assert type(mk.operator_norm(np.eye(2))) is float
+        assert all(type(v) is float for v in mk.eig_extrema(np.eye(2)))
+
+    def test_nan_names_its_matrix(self):
+        stack = np.zeros((4, 2, 2))
+        stack[2, 1, 0] = np.inf
+        with pytest.raises(UsageError, match=r"matrix \[2\]"):
+            mk.operator_norm(stack)
+
+    def test_rejects_an_asymmetric_member(self):
+        stack = np.stack([np.eye(2), [[1.0, 2.0], [0.0, 1.0]]])
+        with pytest.raises(UsageError, match="symmetric"):
+            mk.eig_extrema(stack)
+
+    def test_rejects_non_square_stack(self):
+        with pytest.raises(DimensionError):
+            mk.operator_norm(np.ones((3, 2, 3)))
+
+    def test_solver_failure_is_numerical_error(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(NumericalError, match="did not converge"):
+            mk.eig_extrema(np.stack([np.eye(2)] * 3))
+
+
 class TestEigenGapSufficient:
     def test_wide_gap(self):
         assert mk.eigen_gap_sufficient(4 * np.eye(2), np.eye(2), 4 * np.eye(2))

@@ -1,10 +1,13 @@
 """Tests for the scalar PI planar analysis and the necessity counterexamples."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
 import pidcert as pc
-from pidcert.errors import UsageError
+from pidcert.errors import PlantError, UsageError
 from pidcert.planar_pi import PlanarField, jacobian_conditions, necessity_counterexample
 
 UB_PI = pc.UncertaintyBounds.first_order(1.0, 1.0)
@@ -41,6 +44,49 @@ class TestJacobianConditions:
         rep = jacobian_conditions(field)
         assert rep.analytic_trace_bound == 0.0
         assert not rep.sufficiency
+
+    @pytest.mark.parametrize(
+        "plant,gains,y_star",
+        [
+            (sin_plant(), (2.0, 1.0), 0.3),
+            (pc.build_family("nonaffine_cubic_u", {"order": "first_order", "c1": -0.8, "b_lower": 0.6}), (3.0, 0.7), -1.2),
+            (linear_plant(1.0, 1.0), (1.0, 1.0), 0.0),
+        ],
+    )
+    def test_grid_equals_the_per_point_loop(self, plant, gains, y_star):
+        """The one-pass grid gives the extremes, and the first grid point of
+        each, of a loop over the points (z0 outer, z1 inner), bitwise."""
+        field = PlanarField.build(plant, pc.GainVector("PI", *gains), y_star)
+        rep = jacobian_conditions(field, radius=5.0, points=9)
+        kp, ki = gains
+        best = {"trace": (-np.inf, None), "det": (np.inf, None)}
+        for z0 in np.linspace(-5.0, 5.0, 9):
+            for z1 in np.linspace(-5.0, 5.0, 9):
+                x = np.array([field.y_star - z1])
+                u = np.array([ki * z0 + kp * z1 + field.u_star])
+                gx = float(plant.jac_x1(x, u)[0, 0])
+                gu = -float(plant.jac_u(x, u)[0, 0])
+                jac = np.array([[0.0, 1.0], [ki * gu, gx + kp * gu]])
+                trace = jac[0, 0] + jac[1, 1]
+                det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
+                if trace > best["trace"][0]:
+                    best["trace"] = (trace, (z0, z1))
+                if det < best["det"][0]:
+                    best["det"] = (det, (z0, z1))
+        assert (rep.max_trace, rep.max_trace_point) == best["trace"]
+        assert (rep.min_det, rep.min_det_point) == best["det"]
+        assert rep.grid_points == 81
+
+    def test_nonfinite_jacobian_names_its_grid_point(self):
+        plant = sin_plant()
+        good = plant.jac_x1
+        bad = dataclasses.replace(
+            plant, jac_x1=lambda x, u: np.where(x[..., None] < -3.0, np.nan, good(x, u))
+        )
+        field = PlanarField.build(bad, pc.GainVector("PI", 2, 1), 0.0)
+        # y* - z1 < -3 first at z0 = -4 (the outer axis), z1 = 4
+        with pytest.raises(PlantError, match=re.escape("(z0, z1) = (-4.0, 4.0)")):
+            jacobian_conditions(field, radius=4.0, points=3)
 
     def test_requires_scalar_first_order(self):
         second = pc.build_family("sinusoidal_scalar", {})

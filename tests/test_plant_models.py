@@ -1,5 +1,8 @@
 """Tests for the plant families and class-membership validation."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -117,6 +120,40 @@ class TestValidateClassMembership:
         rep = pm.validate_class_membership(tight, samples=500, seed=2)
         assert not rep.passes
         assert rep.max_norm_jac_x1 > 0.5
+        # the report names a sample point that breaks the claimed L1 = 0.5
+        x1 = rep.max_norm_jac_x1_point["x1"]
+        assert abs(1.0 * np.cos(x1[0])) > 0.5
+        assert abs(np.cos(x1[0])) == rep.max_norm_jac_x1
+        assert set(rep.max_norm_jac_x1_point) == {"x1", "x2", "u"}
+
+    @pytest.mark.parametrize("slot", ["jac_x1", "jac_x2", "jac_u"])
+    def test_nonfinite_jacobian_names_its_first_sample(self, slot):
+        """A NaN Jacobian is the plant's fault, not a usage error, and a NaN
+        must not slip past the bound comparison of a batched maximum."""
+        p = sin_plant()
+        idx = ("jac_x1", "jac_x2", "jac_u").index(slot)
+        good = getattr(p, slot)
+
+        def nan_above_five(*args):
+            return np.where(args[idx][..., None] > 5.0, np.nan, good(*args))
+
+        bad = dataclasses.replace(p, **{slot: nan_above_five})
+        draw = np.random.default_rng(3).uniform(-10.0, 10.0, size=(200, 3, 1))
+        k = int(np.argmax(draw[:, idx, 0] > 5.0))
+        expected = f"{slot} returned non-finite value at {tuple(draw[k])}"
+        with pytest.raises(PlantError, match=re.escape(expected)):
+            pm.validate_class_membership(bad, samples=200, box_radius=10.0, seed=3)
+
+    def test_wrong_jacobian_shape_is_a_plant_error(self):
+        p = dataclasses.replace(sin_plant(), jac_u=lambda x1, x2, u: np.eye(1))
+        with pytest.raises(PlantError, match="jac_u returned shape"):
+            pm.validate_class_membership(p, samples=10, seed=0)
+
+    def test_first_order_report_has_no_x2_point(self):
+        p = pm.build_family("sinusoidal_scalar", {"order": FIRST_ORDER, "c1": 0.5})
+        rep = pm.validate_class_membership(p, samples=50, seed=1)
+        assert rep.max_norm_jac_x2 == 0.0 and rep.max_norm_jac_x2_point is None
+        assert set(rep.min_sym_jac_u_point) == {"x", "u"}
 
     @pytest.mark.parametrize(
         "fam,params",
@@ -273,9 +310,172 @@ class TestBatchAxis:
         with pytest.raises(PlantError, match=r"at \(array\(\[2\.\]\)"):
             p.eval_checked(x, np.zeros((3, 1)), np.zeros((3, 1)))
 
+    @pytest.mark.parametrize("fam,params", BATCH_FAMILIES)
+    def test_builtin_jacobians_equal_row_by_row(self, fam, params):
+        """Each Jacobian on (5, n) arrays is the stack of its one-point values."""
+        p = pm.build_family(fam, params)
+        rng = np.random.default_rng(11)
+        args = [rng.uniform(-3.0, 3.0, size=(5, p.n)) for _ in range(p.nargs)]
+        jacs = [p.jac_x1, p.jac_u] + ([p.jac_x2] if p.jac_x2 is not None else [])
+        for jac in jacs:
+            batch = jac(*args)
+            rows = np.array([jac(*(a[k] for a in args)) for k in range(5)])
+            assert batch.shape == (5, p.n, p.n)
+            np.testing.assert_array_equal(batch, rows)
+
+    def test_custom_jacobians_take_a_batch(self):
+        """A per-point Jacobian is looped over the rows; the finite-difference
+        fallback takes the batch directly, one step per row."""
+        plants = custom_plants()
+        rng = np.random.default_rng(12)
+        for p in plants.values():
+            args = [rng.uniform(-3.0, 3.0, size=(5, p.n)) for _ in range(p.nargs)]
+            for jac in (p.jac_x1, p.jac_x2, p.jac_u):
+                if jac is None:
+                    continue
+                batch = jac(*args)
+                rows = np.array([jac(*(a[k] for a in args)) for k in range(5)])
+                assert batch.shape == (5, p.n, p.n)
+                if p.n == 1:
+                    np.testing.assert_array_equal(batch, rows)
+                else:
+                    # the row step uses a batched norm: roundoff of the step
+                    np.testing.assert_allclose(batch, rows, rtol=0, atol=1e-8)
+
 
 def test_non_numeric_param_is_a_usage_error():
     with pytest.raises(UsageError, match="'sinusoidal_scalar'"):
         pm.build_family("sinusoidal_scalar", {"c1": "one"})
     with pytest.raises(UsageError, match="'tanh_coupled'"):
         pm.build_family("tanh_coupled", {"n": [2]})
+
+
+# ---------------------------------------------------------------------------
+# The per-sample audit loop, kept as an independent reference for the
+# batched ``validate_class_membership``.
+# ---------------------------------------------------------------------------
+
+
+def _central_difference(fn, x):
+    h = 1e-6 * (1.0 + float(np.linalg.norm(x)))
+    f0 = np.asarray(fn(x), dtype=float)
+    jac = np.empty((f0.size, x.size))
+    for j in range(x.size):
+        step = np.zeros(x.size)
+        step[j] = h
+        jac[:, j] = (np.asarray(fn(x + step)) - np.asarray(fn(x - step))) / (2.0 * h)
+    return jac
+
+
+def reference_audit(p, samples, box_radius, seed):
+    """Extremes and the first sample attaining each, one sample at a time."""
+    rng = np.random.default_rng(seed)
+    fields = ("max_norm_jac_x1", "max_norm_jac_x2", "min_sym_jac_u", "max_fd_rel_error")
+    best, points = dict.fromkeys(fields), dict.fromkeys(fields)
+
+    def keep(field, value, args, lowest=False):
+        if best[field] is None or ((value < best[field]) if lowest else (value > best[field])):
+            best[field] = value
+            points[field] = [a.tolist() for a in args]
+
+    for _ in range(samples):
+        args = [rng.uniform(-box_radius, box_radius, size=p.n) for _ in range(p.nargs)]
+        p.eval_checked(*args)
+        jacs = [np.asarray(p.jac_x1(*args), dtype=float)]
+        keep("max_norm_jac_x1", float(np.linalg.norm(jacs[0], 2)), args)
+        if p.nargs == 3:
+            jacs.append(np.asarray(p.jac_x2(*args), dtype=float))
+            keep("max_norm_jac_x2", float(np.linalg.norm(jacs[1], 2)), args)
+        ju = np.asarray(p.jac_u(*args), dtype=float)
+        jacs.append(ju)
+        keep("min_sym_jac_u", float(np.linalg.eigvalsh((ju + ju.T) / 2.0)[0]), args, lowest=True)
+        fd_err = 0.0
+        for idx, analytic in enumerate(jacs):
+            def slice_fn(v, idx=idx):
+                call = list(args)
+                call[idx] = v
+                return p.eval_checked(*call)
+
+            fd = _central_difference(slice_fn, args[idx])
+            denom = 1.0 + float(np.linalg.norm(analytic))
+            fd_err = max(fd_err, float(np.max(np.abs(fd - analytic))) / denom)
+        keep("max_fd_rel_error", fd_err, args)
+    if best["max_norm_jac_x2"] is None:  # a first-order plant has no x2
+        best["max_norm_jac_x2"] = 0.0
+    return best, points
+
+
+def custom_plants():
+    theta = np.array([[1.5, 0.3], [-0.2, 1.0]])
+    b = float(np.linalg.eigvalsh((theta + theta.T) / 2.0)[0])
+    return {
+        "per_point_n2": pm.custom_plant(
+            n=2,
+            order="second_order",
+            f=lambda x1, x2, u: 0.8 * np.tanh(x1) + 0.5 * np.sin(x2) + theta @ u,
+            declared_bounds=UncertaintyBounds(0.8, 0.5, b),
+            jac_x1=lambda x1, x2, u: np.diag(0.8 / np.cosh(x1) ** 2),
+            jac_x2=lambda x1, x2, u: np.diag(0.5 * np.cos(x2)),
+            jac_u=lambda x1, x2, u: theta,
+        ),
+        "fd_n1": pm.custom_plant(
+            n=1,
+            order="second_order",
+            f=lambda x1, x2, u: np.sin(x1) - x2 + u + 0.1 * u**3,
+            declared_bounds=UncertaintyBounds(1, 1, 1),
+        ),
+        "fd_first_order_n1": pm.custom_plant(
+            n=1,
+            order=FIRST_ORDER,
+            f=lambda x, u: np.array([0.5 * np.cos(x[0]) + 2.0 * u[0]]),
+            declared_bounds=UncertaintyBounds.first_order(0.5, 2.0),
+        ),
+        "fd_n2": pm.custom_plant(
+            n=2,
+            order="second_order",
+            f=lambda x1, x2, u: 0.8 * np.tanh(x1) + 0.5 * np.sin(x2) + theta @ u,
+            declared_bounds=UncertaintyBounds(0.8, 0.5, b),
+        ),
+    }
+
+
+def audited_plants():
+    builtin = {f"{fam}-{i}": pm.build_family(fam, params) for i, (fam, params) in enumerate(BATCH_FAMILIES)}
+    return builtin | custom_plants()
+
+
+class TestBatchedAuditMatchesReference:
+    NORM_EIGEN = ("max_norm_jac_x1", "max_norm_jac_x2", "min_sym_jac_u")
+
+    def check(self, p, rep, best, points):
+        exact = self.NORM_EIGEN
+        if p.n == 1:
+            exact += ("max_fd_rel_error",)
+        else:
+            # ``x @ A.T`` on a batch sums in another order than on one point
+            assert abs(rep.max_fd_rel_error - best["max_fd_rel_error"]) <= 1e-9
+        for field in exact:
+            assert getattr(rep, field) == best[field], field
+            got = getattr(rep, field + "_point")
+            want = points[field]
+            assert (got is None) == (want is None), field
+            if want is not None:
+                assert list(got.values()) == want, field
+
+    @pytest.mark.parametrize("name", list(audited_plants()))
+    def test_equals_the_per_sample_loop(self, name):
+        p = audited_plants()[name]
+        rep = pm.validate_class_membership(p, samples=150, box_radius=6.0, seed=21)
+        best, points = reference_audit(p, 150, 6.0, 21)
+        self.check(p, rep, best, points)
+        assert rep.passes
+
+    @pytest.mark.parametrize("fam,params", [BATCH_FAMILIES[2], BATCH_FAMILIES[4]])
+    def test_blocks_keep_the_sample_order(self, fam, params, monkeypatch):
+        """Samples split over several blocks are drawn, and their extremes
+        taken, as in one pass."""
+        p = pm.build_family(fam, params)
+        monkeypatch.setattr(pm, "_AUDIT_BLOCK", 16)
+        rep = pm.validate_class_membership(p, samples=75, box_radius=4.0, seed=8)
+        best, points = reference_audit(p, 75, 4.0, 8)
+        self.check(p, rep, best, points)
