@@ -12,9 +12,6 @@ from .certificates import (
     QReport,
     assemble_A,
     build_P,
-    build_P_pd,
-    build_P_pi,
-    build_P_pid,
     certify_margin,
     pd_closed_form_margin,
     pi_closed_form_margin,
@@ -33,6 +30,7 @@ from .errors import (
 )
 from .gain_sets import (
     FIRST_ORDER,
+    LAYOUT,
     PD,
     PI,
     PID,

@@ -7,14 +7,17 @@ uniform lower bound alpha on lambda_min(Q) over the whole uncertainty ball
 
     |a| <= L1,  |b| <= L2,  Sym[theta] >= b_lower * I.
 
-All three kinds share one margin path, a sandwich on a 2x2 or 3x3 core that
-does not depend on n.  The upper bound is the smallest eigenvalue over the
-corners a = +-L1 I, b = +-L2 I, which lie in the ball.  The lower bound is an
-S-procedure bound that holds for every n.  alpha is the lower of the two;
-the certificate records both and their gap, and its method reads ``exact``
-when they agree to 1e-9 relative and ``lower_bound`` otherwise.  The paper's
-closed-form PI and PD margins are kept as named functions.  From (P, alpha)
-we get the trajectory envelope constants: decay rate
+The paper's closed-form core of P (``_core_P``) is the one per-kind formula.
+P is its lift core x I_n, A the block companion matrix over the state blocks
+of ``gain_sets.LAYOUT``, and the decrease core C = -(core A0 + A0^T core)
+comes from A at a = b = 0, theta = b_lower, n = 1.  All three kinds share one
+margin path, a sandwich on C.  The upper bound is the smallest eigenvalue
+over the corners a = +-L1 I, b = +-L2 I, which lie in the ball; the lower
+bound is an S-procedure bound that holds for every n.  alpha is the lower of
+the two; the certificate records both and their gap, and its method reads
+``exact`` when they agree to 1e-9 relative and ``lower_bound`` otherwise.
+The paper's closed-form PI and PD margins are kept as named functions.  From
+(P, alpha) we get the trajectory envelope constants: decay rate
 lambda = alpha/(2 lambda_max(P)) and overshoot gain M.
 """
 
@@ -23,7 +26,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -32,6 +35,7 @@ from . import matrix_kernel as mk
 from .errors import CertificateError, UsageError
 from .gain_sets import (
     FIRST_ORDER,
+    LAYOUT,
     PD,
     PI,
     PID,
@@ -112,17 +116,11 @@ class LyapunovCertificate:
 
     def to_json_dict(self) -> dict:
         g = self.gains
-        ub = self.bounds
         return {
             "kind": self.kind,
             "n": self.n,
             "gains": {"kp": g.kp, "ki": g.ki, "kd": g.kd},
-            "bounds": {
-                "L1": ub.L1,
-                "L2": ub.L2,
-                "b_lower": ub.b_lower,
-                "order": ub.order,
-            },
+            "bounds": asdict(self.bounds),
             "alpha": self.alpha,
             "alpha_lower": self.alpha_lower,
             "alpha_upper": self.alpha_upper,
@@ -147,14 +145,8 @@ class LyapunovCertificate:
         RELOAD_RTOL relative, so a file written by another margin method
         fails here instead of being applied.
         """
-        ub = UncertaintyBounds(
-            L1=d["bounds"]["L1"],
-            L2=d["bounds"]["L2"],
-            b_lower=d["bounds"]["b_lower"],
-            order=d["bounds"]["order"],
-        )
-        g = GainVector(d["kind"], d["gains"]["kp"], d["gains"]["ki"], d["gains"]["kd"])
-        cert = certify_margin(d["kind"], g, ub, d["n"])
+        g = GainVector(d["kind"], **d["gains"])
+        cert = certify_margin(d["kind"], g, UncertaintyBounds(**d["bounds"]), d["n"])
         for key, fresh in (("alpha", cert.alpha), ("M", cert.M), ("lambda", cert.lambda_decay)):
             stored = float(d[key])
             if not abs(stored - fresh) <= RELOAD_RTOL * abs(fresh):
@@ -170,17 +162,16 @@ class LyapunovCertificate:
             return LyapunovCertificate.from_json_dict(json.load(fh))
 
 
-def _require_member(g: GainVector, ub: UncertaintyBounds, what: str) -> None:
-    report = membership(g, ub)
-    if not report.member:
-        raise UsageError(
-            f"{what} requires gains inside the {g.kind} region; "
-            f"failing slacks: {[(k, v) for k, v in report.margins if v <= 0]}"
-        )
+def _dimension(n) -> int:
+    """n as an int; anything but an integer >= 1 is a usage error."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise UsageError(f"n must be an integer >= 1, got {n!r}")
+    return int(n)
 
 
 def _core_P(kind: str, g: GainVector, b: float) -> np.ndarray:
-    """Core block of P; the Lyapunov matrix is its Kronecker lift core x I_n."""
+    """Core block of P for a known kind; the Lyapunov matrix is its
+    Kronecker lift core x I_n."""
     kp, ki, kd, b = float(g.kp), float(g.ki), float(g.kd), float(b)
     if kind == PID:
         return np.array(
@@ -192,65 +183,60 @@ def _core_P(kind: str, g: GainVector, b: float) -> np.ndarray:
         )
     if kind == PD:
         return np.array([[2 * kp * kd * b, kp], [kp, kd]])
-    if kind == PI:
-        return np.array([[2 * kp * ki * b, ki], [ki, kp]])
-    raise UsageError(f"unknown certificate kind {kind!r}")
+    return np.array([[2 * kp * ki * b, ki], [ki, kp]])  # PI
 
 
-def pid_det_formula(g: GainVector, b: float) -> float:
-    """Closed-form determinant of the 3x3 PID core block."""
-    kp, ki, kd = g.kp, g.ki, g.kd
-    return ki * (4 * kp**2 * kd**2 * b**2 + ki**2 - 2 * kp**3 * b - 4 * ki * kd**3 * b**2)
-
-
-def build_P_pid(g: GainVector, ub: UncertaintyBounds, n: int) -> np.ndarray:
-    """3n x 3n Lyapunov matrix for PID gains; verifies the leading-minor chain.
-
-    The block matrix is the Kronecker lift core x I_n, so its spectrum is n
-    copies of the 3x3 core spectrum.
-    """
-    _require_member(g, ub, "build_P_pid")
-    core = _core_P(PID, g, ub.b_lower)
-    m1 = core[0, 0]
-    m2 = core[0, 0] * core[1, 1] - core[0, 1] ** 2
-    m3 = pid_det_formula(g, ub.b_lower)
-    lam_min, _ = mk.eig_extrema(core)
-    if not (m1 > 0 and m2 > 0 and m3 > 0 and lam_min > 0):
-        raise CertificateError(
-            "leading-minor chain failed for a region member "
-            f"(minors {m1:.6g}, {m2:.6g}, {m3:.6g}, lambda_min {lam_min:.6g})"
+def _checked_core(kind: str, g: GainVector, ub: UncertaintyBounds, what: str):
+    """(core, its ascending eigenvalues) for region members; the one
+    membership check and the one positivity check of every public call."""
+    if g.kind != kind:
+        raise UsageError(f"{what}: a {kind!r} certificate needs {kind!r} gains, got {g.kind}")
+    report = membership(g, ub)
+    if not report.member:
+        raise UsageError(
+            f"{what} requires gains inside the {g.kind} region; "
+            f"failing slacks: {[(k, v) for k, v in report.margins if v <= 0]}"
         )
-    return np.kron(core, np.eye(n))
+    core = _core_P(kind, g, ub.b_lower)
+    lam = np.linalg.eigvalsh(core)
+    if not lam[0] > 0:
+        raise CertificateError(
+            f"{kind} Lyapunov core is not positive definite for a region member "
+            f"(lambda_min {lam[0]:.6g})"
+        )
+    return core, lam
 
 
-def build_P_pd(g: GainVector, ub: UncertaintyBounds, n: int) -> np.ndarray:
-    """2n x 2n Lyapunov matrix for PD gains."""
-    _require_member(g, ub, "build_P_pd")
-    kp, kd, b = g.kp, g.kd, ub.b_lower
-    # positivity reduces to kp * (2 kd^2 b - kp) > 0
-    if not (2 * kp * kd * b > 0 and kp * (2 * kd**2 * b - kp) > 0):
-        raise CertificateError("PD Lyapunov block failed its positivity check")
-    return np.kron(_core_P(PD, g, b), np.eye(n))
-
-
-def build_P_pi(g: GainVector, ub: UncertaintyBounds, n: int) -> np.ndarray:
-    """2n x 2n Lyapunov matrix for PI gains."""
-    _require_member(g, ub, "build_P_pi")
-    kp, ki, b = g.kp, g.ki, ub.b_lower
-    # positivity reduces to ki * (2 kp^2 b - ki) > 0
-    if not (2 * kp * ki * b > 0 and ki * (2 * kp**2 * b - ki) > 0):
-        raise CertificateError("PI Lyapunov block failed its positivity check")
-    return np.kron(_core_P(PI, g, b), np.eye(n))
+def _lift(core: np.ndarray, n: int) -> np.ndarray:
+    """kron(core, I_n), the same products without np.kron's overhead."""
+    m = core.shape[0]
+    return (core[:, None, :, None] * np.eye(n)[None, :, None, :]).reshape(m * n, m * n)
 
 
 def build_P(kind: str, g: GainVector, ub: UncertaintyBounds, n: int) -> np.ndarray:
-    if kind == PID:
-        return build_P_pid(g, ub, n)
-    if kind == PD:
-        return build_P_pd(g, ub, n)
-    if kind == PI:
-        return build_P_pi(g, ub, n)
-    raise UsageError(f"unknown certificate kind {kind!r}")
+    """Lyapunov matrix core x I_n; its spectrum is n copies of the core's."""
+    n = _dimension(n)
+    core, _ = _checked_core(kind, g, ub, "build_P")
+    return _lift(core, n)
+
+
+def _companion(kind: str, g: GainVector, theta: np.ndarray, a=None, b=None) -> np.ndarray:
+    """Block companion matrix over the state blocks of LAYOUT[kind]: each
+    block but the last is the derivative of the next, and the last block row
+    is -k_s theta for the gain k_s of each block s, plus a at x and b at v
+    (a matrix given as None is 0)."""
+    blocks = LAYOUT[kind]
+    gain = {"i": g.ki, "x": g.kp, "v": g.kd}
+    extra = {"x": a, "v": b}
+    n, m = theta.shape[0], len(blocks)
+    A = np.zeros((m * n, m * n))
+    A[:-n, n:] = np.eye((m - 1) * n)
+    for j, name in enumerate(blocks):
+        cols = slice(j * n, (j + 1) * n)
+        A[-n:, cols] = -gain[name] * theta
+        if extra.get(name) is not None:
+            A[-n:, cols] += extra[name]
+    return A
 
 
 def assemble_A(kind: str, g: GainVector, fu: FrozenUncertainty, n: int) -> np.ndarray:
@@ -259,49 +245,17 @@ def assemble_A(kind: str, g: GainVector, fu: FrozenUncertainty, n: int) -> np.nd
     theta enters as given (possibly non-symmetric); only the certified bound
     substitution replaces it by b_lower * I.
     """
-    I = np.eye(n)
-    Z = np.zeros((n, n))
-    a, theta = fu.a, fu.theta
-    if a.shape != (n, n) or theta.shape != (n, n):
-        raise UsageError("frozen uncertainty dimension does not match n")
-    if kind == PID:
-        if fu.b is None:
-            raise UsageError("PID assembly needs the b matrix")
-        return np.block(
-            [
-                [Z, I, Z],
-                [Z, Z, I],
-                [-g.ki * theta, a - g.kp * theta, fu.b - g.kd * theta],
-            ]
-        )
-    if kind == PD:
-        if fu.b is None:
-            raise UsageError("PD assembly needs the b matrix")
-        return np.block([[Z, I], [a - g.kp * theta, fu.b - g.kd * theta]])
-    if kind == PI:
-        return np.block([[Z, I], [-g.ki * theta, a - g.kp * theta]])
-    raise UsageError(f"unknown certificate kind {kind!r}")
-
-
-def _theta_floor(ub: UncertaintyBounds, n: int) -> np.ndarray:
-    return ub.b_lower * np.eye(n)
-
-
-def _schur_chain_matrices(g: GainVector, ub: UncertaintyBounds, fu: FrozenUncertainty):
-    """Blocks of the complement chain E - B^T D^{-1} B for the PID kind."""
-    kp, ki, kd = g.kp, g.ki, g.kd
-    b_ = ub.b_lower
-    a, bmat = fu.a, fu.b
-    n = a.shape[0]
-    I = np.eye(n)
-    k1 = (kp**2 - 2 * ki * kd) * b_
-    k2 = kd**2 * b_ - kp
-    a_hat = mk.symmetrize(a)
-    b_hat = mk.symmetrize(bmat)
-    D1 = 2 * k1 * I - 2 * kp * a_hat - (a.T @ a) / (2 * b_)
-    B1 = -(kp * bmat + kd * a.T + (a.T @ bmat) / (2 * b_))
-    E1 = 2 * k2 * I - 2 * kd * b_hat - (bmat.T @ bmat) / (2 * b_)
-    return mk.symmetrize(D1), B1, mk.symmetrize(E1)
+    n = _dimension(n)
+    if kind not in LAYOUT:
+        raise UsageError(f"unknown certificate kind {kind!r}")
+    if "v" in LAYOUT[kind] and fu.b is None:
+        raise UsageError(f"{kind} assembly needs the b matrix")
+    for name, mat in (("a", fu.a), ("theta", fu.theta), ("b", fu.b)):
+        if mat is not None and np.shape(mat) != (n, n):
+            raise UsageError(
+                f"frozen uncertainty {name} has shape {np.shape(mat)}, not ({n}, {n})"
+            )
+    return _companion(kind, g, fu.theta, fu.a, fu.b)
 
 
 def q_report(
@@ -315,37 +269,27 @@ def q_report(
 
     Q0 replaces theta by its symmetric floor b_lower * I; the gap Q - Q0 is a
     rank-one-gain Kronecker product with Sym[theta] - b_lower*I, hence PSD.
-    For the PID kind the report also runs the Schur complement chain that
-    proves Q0 > 0.
+    Raises CertificateError when that gap is not PSD or Q0 is not positive
+    definite, as happens at points outside the ball.
     """
-    _require_member(g, ub, "q_report")
-    P = build_P(kind, g, ub, n)
+    n = _dimension(n)
+    core, _ = _checked_core(kind, g, ub, "q_report")
+    P = _lift(core, n)
     A = assemble_A(kind, g, fu, n)
     Q = mk.symmetrize(-(P @ A + A.T @ P))
-    fu0 = FrozenUncertainty(a=fu.a, theta=_theta_floor(ub, n), b=fu.b)
-    A0 = assemble_A(kind, g, fu0, n)
+    A0 = _companion(kind, g, ub.b_lower * np.eye(n), fu.a, fu.b)
     Q0 = mk.symmetrize(-(P @ A0 + A0.T @ P))
-    gap_min, _ = mk.eig_extrema(mk.symmetrize(Q - Q0))
+    gap_min, _ = mk.eig_extrema(Q - Q0)
     if gap_min < -1e-9:
         raise CertificateError(
             f"theta-floor substitution step failed: lambda_min(Q - Q0) = {gap_min:.3e}"
         )
     lam_q, _ = mk.eig_extrema(Q)
     lam_q0, _ = mk.eig_extrema(Q0)
-    if kind == PID:
-        D1, B1, E1 = _schur_chain_matrices(g, ub, fu)
-        if not (
-            mk.is_positive_definite(D1)
-            and mk.is_positive_definite(E1)
-            and mk.eigen_gap_sufficient(D1, B1, E1)
-        ):
-            raise CertificateError(
-                "Schur complement chain failed for a region member"
-            )
-        if lam_q0 <= 0:
-            raise CertificateError(
-                f"worst-case decrease block check failed: lambda_min(Q0) = {lam_q0:.3e}"
-            )
+    if lam_q0 <= 0:
+        raise CertificateError(
+            f"worst-case decrease block check failed: lambda_min(Q0) = {lam_q0:.3e}"
+        )
     return QReport(Q=Q, Q0=Q0, lambda_min_Q=lam_q, lambda_min_Q0=lam_q0)
 
 
@@ -402,32 +346,26 @@ def pd_closed_form_margin(g: GainVector, ub: UncertaintyBounds) -> float:
     return 2.0 * min((kp**2 - kbar) * b_, kd**2 * b_ - kp - kbar * b_)
 
 
-def _margin_core(kind: str, g: GainVector, ub: UncertaintyBounds):
+def _margin_core(kind: str, core: np.ndarray, g: GainVector, ub: UncertaintyBounds):
     """(C, u, channels) with Q0(A, B) = kron(C, I) - 2 Sym[kron(u, I) sum_j A_j E_j].
 
-    C is diagonal, u holds the gains and the n x mn selector E_j picks the
-    state block that the uncertainty matrix A_j (A = df/dx1, B = df/dx2)
-    multiplies.  ``channels`` lists (block index j, bound L_j) for every
-    matrix whose bound is positive; a zero bound pins its matrix to 0, so
-    its term drops out.
+    C = -(core A0 + A0^T core) for the companion core A0 at a = b = 0 and
+    theta = b_lower, and u = core[:, -1], the column that multiplies the last
+    block row of A.  The n x mn selector E_j picks the state block that the
+    uncertainty matrix A_j multiplies: A = df/dx1 the block x and
+    B = df/dx2 the block v.  ``channels`` lists (block index j, bound L_j)
+    for every matrix whose bound is positive; a zero bound pins its matrix to
+    0, so its term drops out.
     """
-    kp, ki, kd, b_ = float(g.kp), float(g.ki), float(g.kd), float(ub.b_lower)
-    if kind == PID:
-        core = [2 * ki**2 * b_, 2 * (kp**2 - 2 * ki * kd) * b_, 2 * (kd**2 * b_ - kp)]
-        u, blocks = [ki, kp, kd], [(1, ub.L1), (2, ub.L2)]
-    elif kind == PD:
-        core = [2 * kp**2 * b_, 2 * (kd**2 * b_ - kp)]
-        u, blocks = [kp, kd], [(0, ub.L1), (1, ub.L2)]
-    elif kind == PI:
-        core = [2 * ki**2 * b_, 2 * kp**2 * b_ - 2 * ki]
-        u, blocks = [ki, kp], [(1, ub.L)]
-    else:
-        raise UsageError(f"unknown certificate kind {kind!r}")
-    channels = [(j, float(L)) for j, L in blocks if L > 0]
-    return np.diag(core), np.array(u), channels
+    core_A0 = core @ _companion(kind, g, np.array([[float(ub.b_lower)]]))
+    bound = {"x": float(ub.L1), "v": float(ub.L2)}
+    channels = [(j, bound[s]) for j, s in enumerate(LAYOUT[kind]) if bound.get(s, 0.0) > 0]
+    return -(core_A0 + core_A0.T), core[:, -1], channels
 
 
-def sandwich_margin(kind: str, g: GainVector, ub: UncertaintyBounds) -> tuple[float, float]:
+def sandwich_margin(
+    kind: str, core: np.ndarray, g: GainVector, ub: UncertaintyBounds
+) -> tuple[float, float]:
     """(lower, upper) bounds on the ball minimum of lambda_min(Q0(A, B)).
 
     Upper: the smallest eigenvalue over the corners A_j = +-L_j I.  They lie
@@ -437,10 +375,11 @@ def sandwich_margin(kind: str, g: GainVector, ub: UncertaintyBounds) -> tuple[fl
     2 |w^T A_j z_j| <= tau_j |w|^2 + (L_j^2 / tau_j) |z_j|^2, hence
     Q0 >= kron(C - sum_j tau_j u u^T - sum_j (L_j^2 / tau_j) e_j e_j^T, I)
     for every n, every A_j in the ball and every tau_j > 0 (S-procedure).
-    tau_j is chosen where the inequality is tight at the worst corner's
-    eigenvector x; a poor choice costs tightness, never soundness.
+    This holds for any symmetric C.  tau_j is chosen where the inequality is
+    tight at the worst corner's eigenvector x; a poor choice costs
+    tightness, never soundness.
     """
-    C, u, channels = _margin_core(kind, g, ub)
+    C, u, channels = _margin_core(kind, core, g, ub)
     js = [j for j, _ in channels]
     # corner A_j = s_j L_j I gives the core C - (u v^T + v u^T), v = sum_j s_j L_j e_j
     signs = np.array(list(itertools.product((1.0, -1.0), repeat=len(js))))
@@ -475,12 +414,11 @@ def certify_margin(
     and their relative gap; it is labelled ``exact`` when the gap is at most
     EXACT_GAP and ``lower_bound`` otherwise.
     """
-    _require_member(g, ub, "certify_margin")
-    P = build_P(kind, g, ub, n)
+    n = _dimension(n)
+    core, lam_p = _checked_core(kind, g, ub, "certify_margin")
     # P = core x I_n has the extreme eigenvalues of its core
-    lam_p = np.linalg.eigvalsh(_core_P(kind, g, ub.b_lower))
     lam_min_p, lam_max_p = float(lam_p[0]), float(lam_p[-1])
-    lower, upper = sandwich_margin(kind, g, ub)
+    lower, upper = sandwich_margin(kind, core, g, ub)
     alpha = min(lower, upper)
     if not alpha > 0:
         raise CertificateError(
@@ -499,7 +437,7 @@ def certify_margin(
         n=n,
         gains=g,
         bounds=ub,
-        P=P,
+        P=_lift(core, n),
         alpha=alpha,
         alpha_lower=lower,
         alpha_upper=upper,

@@ -30,13 +30,9 @@ EXIT_USAGE = 1
 EXIT_CHECK_FAILED = 2
 
 
-def _fail(msg: str) -> "UsageError":
-    return UsageError(msg)
-
-
 def _expect(cond: bool, msg: str) -> None:
     if not cond:
-        raise _fail(msg)
+        raise UsageError(msg)
 
 
 # keys each mode reads from the config root; any other key is a usage error
@@ -53,12 +49,15 @@ _MODE_KEYS = {
 
 
 def _number(value, where: str, cast=float):
-    """``cast(value)``; a value that is not a number is a usage error that
-    names ``where`` it was read."""
+    """``cast(value)``; a bool, a value that is not a number, or for ``int``
+    one that is not whole, is a usage error that names ``where`` it was read."""
     try:
-        return cast(value)
-    except (TypeError, ValueError):
-        raise _fail(f"{where} must be a number, got {value!r}") from None
+        number = cast(value)
+        ok = not isinstance(value, bool) and (cast is not int or number == float(value))
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    _expect(ok, f"{where} must be {'an integer' if cast is int else 'a number'}, got {value!r}")
+    return number
 
 
 def _check_keys(node, allowed, where: str) -> None:
@@ -97,7 +96,7 @@ def _vector(node, n: int, where: str) -> np.ndarray:
     try:
         arr = np.atleast_1d(np.asarray(node, dtype=float))
     except (TypeError, ValueError):
-        raise _fail(f"{where}: expected {n} numbers, got {node!r}") from None
+        raise UsageError(f"{where}: expected {n} numbers, got {node!r}") from None
     _expect(arr.size == n, f"{where}: expected {n} entries, got {arr.size}")
     return arr
 

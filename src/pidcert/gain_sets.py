@@ -20,6 +20,14 @@ PID = "PID"
 PD = "PD"
 PI = "PI"
 
+# state blocks of each kind in state-vector order, each with its CSV column
+# prefix: i is the integral of the error, x the position, v the velocity
+LAYOUT = {
+    PID: {"i": "i", "x": "x1", "v": "x2"},
+    PD: {"x": "x1", "v": "x2"},
+    PI: {"i": "i", "x": "x"},
+}
+
 
 @dataclass(frozen=True)
 class UncertaintyBounds:

@@ -3,14 +3,13 @@
 Everything here operates on plain ``numpy`` float arrays.  Eigenvalues of
 symmetric matrices come from LAPACK (``numpy.linalg.eigvalsh``) and spectral
 norms from ``numpy.linalg.norm(., 2)``; the wrappers add input validation, an
-exact-symmetry check and the package's own error types.  The Schur-chain
-tests ``is_positive_definite`` and ``eigen_gap_sufficient`` are built on them.
+exact-symmetry check and the package's own error types.
 
 ``as_square``, ``symmetrize``, ``eig_extrema`` and ``operator_norm`` also
 take a stack of matrices, shape (..., n, n), and then act on each matrix in
 one stacked LAPACK call: ``eig_extrema`` returns two arrays and
 ``operator_norm`` one, with the leading shape of the stack.  A single matrix
-gives plain floats.  The two Schur-chain tests take one matrix each.
+gives plain floats.
 """
 
 from __future__ import annotations
@@ -18,8 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, NumericalError, UsageError
-
-PD_TOL_REL = 1e-9
 
 
 def as_square(m, name: str = "matrix") -> np.ndarray:
@@ -68,28 +65,3 @@ def operator_norm(m):
     if a.ndim == 2:
         return float(np.linalg.norm(a, 2))
     return np.linalg.norm(a, 2, axis=(-2, -1))
-
-
-def is_positive_definite(s, rel: float = PD_TOL_REL) -> bool:
-    """True iff lambda_min(s) exceeds rel * (1 + |s|_F), a slack for strictness."""
-    lam_min, _ = eig_extrema(s)
-    return lam_min > rel * (1.0 + float(np.linalg.norm(s)))
-
-
-def eigen_gap_sufficient(d, b, e) -> bool:
-    """Sufficient block-positivity test: lambda_min(d)*lambda_min(e) > |b|^2.
-
-    One-directional: True here implies [[d, b], [b^T, e]] > 0, never the
-    converse.
-    """
-    dm, em = as_square(d, "d"), as_square(e, "e")
-    bm = np.atleast_2d(np.array(b, dtype=float))
-    if bm.shape != (dm.shape[0], em.shape[0]):
-        raise DimensionError(f"b must be {dm.shape[0]}x{em.shape[0]}, got {bm.shape}")
-    if not np.all(np.isfinite(bm)):
-        raise UsageError("b contains NaN or Inf entries")
-    lam_d, _ = eig_extrema(dm)
-    lam_e, _ = eig_extrema(em)
-    if lam_d <= 0.0 or lam_e <= 0.0:
-        return False
-    return lam_d * lam_e > float(np.linalg.norm(bm, 2)) ** 2

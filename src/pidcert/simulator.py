@@ -2,9 +2,10 @@
 
 PID, PD and PI close the same loop and differ only in which state blocks
 exist: the integral of the error ``i``, the position ``x`` and the velocity
-``v``.  ``_LAYOUT`` lists the blocks of each kind in state-vector order; the
-right-hand side, the control law, the initial state, the shifted coordinates
-z, the envelope and the CSV header are all built from it.
+``v``.  ``gain_sets.LAYOUT`` lists the blocks of each kind in state-vector
+order; the right-hand side, the control law, the initial state, the shifted
+coordinates z, the envelope and the CSV header are all built from it, as is
+the closed-loop matrix of ``certificates``.
 
 The controller is computed from measured state only: the derivative channel
 uses edot = -v directly (the setpoint is constant), never a numerical
@@ -41,24 +42,16 @@ import numpy as np
 from .certificates import LyapunovCertificate
 from .equilibrium import solve_equilibrium
 from .errors import CertificateError, IntegrationError, UsageError
-from .gain_sets import FIRST_ORDER, PD, PI, PID, SECOND_ORDER, GainVector, covers
+from .gain_sets import FIRST_ORDER, LAYOUT, SECOND_ORDER, GainVector, covers
 from .plant_models import PlantModel, equilibrium_shift_check
 
 RK4_FIXED = "rk4_fixed"
 RK45_ADAPTIVE = "rk45_adaptive"
 
-# state blocks of each kind in state-vector order, each with its CSV column
-# prefix: i is the integral of the error, x the position, v the velocity
-_LAYOUT = {
-    PID: {"i": "i", "x": "x1", "v": "x2"},
-    PD: {"x": "x1", "v": "x2"},
-    PI: {"i": "i", "x": "x"},
-}
-
 
 def _split(kind: str, n: int, s: np.ndarray) -> dict:
     """Named blocks of a state vector, or of a (samples, dim) state array."""
-    return {name: s[..., k * n : (k + 1) * n] for k, name in enumerate(_LAYOUT[kind])}
+    return {name: s[..., k * n : (k + 1) * n] for k, name in enumerate(LAYOUT[kind])}
 
 
 def _control(gains: tuple, blocks: dict, e: np.ndarray) -> np.ndarray:
@@ -106,7 +99,7 @@ class SimConfig:
                 np.asarray(self.integral_state0, dtype=float)
             ).reshape(n)
         kind = self.gains.kind
-        order = SECOND_ORDER if "v" in _LAYOUT[kind] else FIRST_ORDER
+        order = SECOND_ORDER if "v" in LAYOUT[kind] else FIRST_ORDER
         if self.plant.order != order:
             raise UsageError(f"{kind} control needs a {order.replace('_', '-')} plant")
 
@@ -137,7 +130,7 @@ class Trajectory:
     def error_signal(self) -> np.ndarray:
         """|e(t)|, plus |edot(t)| for the kinds with a velocity block (PID, PD)."""
         e = np.linalg.norm(self.errors, axis=1)
-        if "v" not in _LAYOUT[self.kind]:
+        if "v" not in LAYOUT[self.kind]:
             return e
         return e + np.linalg.norm(self.edots, axis=1)
 
@@ -151,7 +144,7 @@ class Trajectory:
             return [f"{prefix}_{j}" for j in range(self.n)]
 
         header = ["t"]
-        for prefix in [*_LAYOUT[self.kind].values(), "e", "edot", "u"]:
+        for prefix in [*LAYOUT[self.kind].values(), "e", "edot", "u"]:
             header += cols(prefix)
         header += ["V", "envelope_margin"]
         body = np.column_stack(
@@ -205,7 +198,7 @@ def prepare_cell(cfg: SimConfig, cert: Optional[LyapunovCertificate] = None) -> 
     """
     plant, g = cfg.plant, cfg.gains
     n = plant.n
-    layout = _LAYOUT[g.kind]
+    layout = LAYOUT[g.kind]
     if cert is not None:
         if cert.kind != g.kind or cert.n != n:
             raise UsageError("certificate kind/dimension does not match the run")
@@ -246,7 +239,7 @@ def _plant_runs(cells: Sequence[Cell]) -> list:
 def _rhs_factory(cells: Sequence[Cell]):
     """Right-hand side of the stacked system, on the flattened (cells, dim) state."""
     kind, n = cells[0].cfg.gains.kind, cells[0].cfg.plant.n
-    layout = _LAYOUT[kind]
+    layout = LAYOUT[kind]
     shape = (len(cells), len(layout) * n)
     gains = tuple(
         np.array([[getattr(c.cfg.gains, k)] for c in cells]) for k in ("kp", "ki", "kd")
@@ -276,7 +269,7 @@ def _rhs_factory(cells: Sequence[Cell]):
 
 
 def _initial_state(cfg: SimConfig) -> np.ndarray:
-    if "i" not in _LAYOUT[cfg.gains.kind]:
+    if "i" not in LAYOUT[cfg.gains.kind]:
         return cfg.x0
     i0 = cfg.integral_state0 if cfg.integral_state0 is not None else np.zeros(cfg.plant.n)
     return np.concatenate([i0, cfg.x0])
@@ -332,7 +325,7 @@ def _trajectory(cell: Cell, times: np.ndarray, states: np.ndarray, stats: dict) 
     cfg, cert, ustar = cell.cfg, cell.cert, cell.u_star
     plant, g = cfg.plant, cfg.gains
     kind, n = g.kind, plant.n
-    layout = _LAYOUT[kind]
+    layout = LAYOUT[kind]
     b = _split(kind, n, states)
     errors = cfg.y_star - b["x"]
     controls = _control((g.kp, g.ki, g.kd), b, errors)

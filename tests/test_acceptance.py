@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 import pidcert as pc
-from pidcert import certificates as ct
 from pidcert import cli
 from pidcert import matrix_kernel as mk
 from pidcert.planar_pi import necessity_counterexample
+from schur_chain import pid_det_formula
 
 UB111 = pc.UncertaintyBounds(1.0, 1.0, 1.0)
 
@@ -84,11 +84,11 @@ class TestAcceptance:
 
     def test_criterion_02_p_matrix_reproduction(self):
         g = pc.GainVector("PID", 7, 1, 7)
-        P = pc.build_P_pid(g, UB111, 1)
+        P = pc.build_P("PID", g, UB111, 1)
         np.testing.assert_array_equal(
             P, [[14.0, 14.0, 1.0], [14.0, 97.0, 7.0], [1.0, 7.0, 7.0]]
         )
-        det_closed = ct.pid_det_formula(g, 1.0)
+        det_closed = pid_det_formula(g, 1.0)
         det_cofactor = (
             P[0, 0] * (P[1, 1] * P[2, 2] - P[1, 2] * P[2, 1])
             - P[0, 1] * (P[1, 0] * P[2, 2] - P[1, 2] * P[2, 0])

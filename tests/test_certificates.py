@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,71 +17,91 @@ UB_PI = UncertaintyBounds.first_order(1.0, 1.0)
 G_PID = GainVector("PID", 7, 1, 7)
 G_PD = GainVector("PD", 6, kd=6)
 G_PI = GainVector("PI", 3, 1)
-
-
-def det3_cofactor(m):
-    """Independent 3x3 determinant via cofactor expansion."""
-    return (
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-    )
+DATA = Path(__file__).parent / "data"
 
 
 class TestBuildP:
     def test_pid_reference_matrix(self):
-        P = ct.build_P_pid(G_PID, UB111, 1)
+        P = ct.build_P("PID", G_PID, UB111, 1)
         np.testing.assert_array_equal(
             P, [[14.0, 14.0, 1.0], [14.0, 97.0, 7.0], [1.0, 7.0, 7.0]]
         )
 
-    def test_pid_minor_chain_values(self):
-        P = ct.build_P_pid(G_PID, UB111, 1)
-        assert P[0, 0] == 14.0
-        assert P[0, 0] * P[1, 1] - P[0, 1] ** 2 == 1162.0
-        assert det3_cofactor(P) == 7547.0
-        assert ct.pid_det_formula(G_PID, 1.0) == 7547.0
-
     def test_pid_block_spectrum_is_repeated_core(self):
-        P1 = ct.build_P_pid(G_PID, UB111, 1)
-        P3 = ct.build_P_pid(G_PID, UB111, 3)
+        P1 = ct.build_P("PID", G_PID, UB111, 1)
+        P3 = ct.build_P("PID", G_PID, UB111, 3)
         core = np.linalg.eigvalsh(P1)
         block = np.linalg.eigvalsh(P3)
         np.testing.assert_allclose(np.sort(np.repeat(core, 3)), np.sort(block), rtol=1e-12)
 
     def test_pid_rejects_nonpositive_ki(self):
         with pytest.raises(UsageError):
-            ct.build_P_pid(GainVector("PID", 7, 0.0, 7), UB111, 1)
+            ct.build_P("PID", GainVector("PID", 7, 0.0, 7), UB111, 1)
         with pytest.raises(UsageError):
-            ct.build_P_pid(GainVector("PID", 7, -1.0, 7), UB111, 1)
+            ct.build_P("PID", GainVector("PID", 7, -1.0, 7), UB111, 1)
 
     def test_pd_reference_matrix(self):
-        P = ct.build_P_pd(G_PD, UB111, 1)
+        P = ct.build_P("PD", G_PD, UB111, 1)
         np.testing.assert_array_equal(P, [[72.0, 6.0], [6.0, 6.0]])
         assert P[0, 0] * P[1, 1] - P[0, 1] ** 2 == 396.0
 
     def test_pd_block_extrema_match_core(self):
-        lo1, hi1 = mk.eig_extrema(ct.build_P_pd(G_PD, UB111, 1))
-        lo2, hi2 = mk.eig_extrema(ct.build_P_pd(G_PD, UB111, 2))
+        lo1, hi1 = mk.eig_extrema(ct.build_P("PD", G_PD, UB111, 1))
+        lo2, hi2 = mk.eig_extrema(ct.build_P("PD", G_PD, UB111, 2))
         assert abs(lo1 - lo2) < 1e-12 and abs(hi1 - hi2) < 1e-12
 
     def test_pd_rejects_non_member(self):
         with pytest.raises(UsageError):
-            ct.build_P_pd(GainVector("PD", 2, kd=2), UB111, 1)
+            ct.build_P("PD", GainVector("PD", 2, kd=2), UB111, 1)
 
     def test_pi_reference_matrix(self):
-        P = ct.build_P_pi(G_PI, UB_PI, 1)
+        P = ct.build_P("PI", G_PI, UB_PI, 1)
         np.testing.assert_array_equal(P, [[6.0, 1.0], [1.0, 3.0]])
         assert P[0, 0] * P[1, 1] - P[0, 1] ** 2 == 17.0
 
     def test_pi_block_extrema_match_core(self):
-        lo1, hi1 = mk.eig_extrema(ct.build_P_pi(G_PI, UB_PI, 1))
-        lo4, hi4 = mk.eig_extrema(ct.build_P_pi(G_PI, UB_PI, 4))
+        lo1, hi1 = mk.eig_extrema(ct.build_P("PI", G_PI, UB_PI, 1))
+        lo4, hi4 = mk.eig_extrema(ct.build_P("PI", G_PI, UB_PI, 4))
         assert abs(lo1 - lo4) < 1e-12 and abs(hi1 - hi4) < 1e-12
 
     def test_pi_rejects_non_member(self):
         with pytest.raises(UsageError):
-            ct.build_P_pi(GainVector("PI", 1, 1), UB_PI, 1)
+            ct.build_P("PI", GainVector("PI", 1, 1), UB_PI, 1)
+
+    @pytest.mark.parametrize("n", [0, -2, 2.5, True, "3", None])
+    def test_dimension_must_be_a_positive_integer(self, n):
+        fu = ct.FrozenUncertainty.checked(UB111, a=[[0.0]], theta=[[1.0]], b=[[0.0]])
+        with pytest.raises(UsageError, match="n must be an integer"):
+            ct.build_P("PID", G_PID, UB111, n)
+        with pytest.raises(UsageError, match="n must be an integer"):
+            ct.certify_margin("PID", G_PID, UB111, n)
+        with pytest.raises(UsageError, match="n must be an integer"):
+            ct.q_report("PID", G_PID, UB111, fu, n)
+        with pytest.raises(UsageError, match="n must be an integer"):
+            ct.assemble_A("PID", G_PID, fu, n)
+
+    def test_numpy_integer_dimension_accepted(self):
+        assert ct.certify_margin("PD", G_PD, UB111, np.int64(2)).n == 2
+
+    def test_kind_must_match_the_gains(self):
+        with pytest.raises(UsageError, match="needs 'PID' gains"):
+            ct.build_P("PID", G_PD, UB111, 1)
+        with pytest.raises(UsageError, match="needs 'PD' gains"):
+            ct.certify_margin("PD", G_PID, UB111, 1)
+
+    def test_one_membership_check_per_call(self, monkeypatch):
+        calls = []
+        real = ct.membership
+        monkeypatch.setattr(ct, "membership", lambda g, ub: calls.append(g) or real(g, ub))
+        fu = ct.FrozenUncertainty.checked(UB111, a=[[0.0]], theta=[[1.0]], b=[[0.0]])
+        for call in (
+            lambda: ct.build_P("PID", G_PID, UB111, 2),
+            lambda: ct.certify_margin("PID", G_PID, UB111, 2),
+            lambda: ct.q_report("PID", G_PID, UB111, fu, 1),
+        ):
+            calls.clear()
+            call()
+            assert len(calls) == 1
 
 
 class TestAssembleA:
@@ -107,6 +128,36 @@ class TestAssembleA:
         )
         A = ct.assemble_A("PD", GainVector("PD", 6, kd=6), fu, 2)
         np.testing.assert_array_equal(A[2:, :2], 0.5 * np.eye(2) - 6 * theta)
+
+    @pytest.mark.parametrize("kind", ["PID", "PD", "PI"])
+    def test_matches_hand_written_companion_forms(self, kind):
+        """The table-built A equals the companion form written out per kind,
+        bit for bit."""
+        rng = np.random.default_rng(17)
+        n = 3
+        a, b, theta = (rng.standard_normal((n, n)) for _ in range(3))
+        g = GainVector(kind, *rng.uniform(0.5, 5.0, size=3))
+        I, Z = np.eye(n), np.zeros((n, n))
+        ref = {
+            "PID": [[Z, I, Z], [Z, Z, I], [-g.ki * theta, a - g.kp * theta, b - g.kd * theta]],
+            "PD": [[Z, I], [a - g.kp * theta, b - g.kd * theta]],
+            "PI": [[Z, I], [-g.ki * theta, a - g.kp * theta]],
+        }[kind]
+        A = ct.assemble_A(kind, g, ct.FrozenUncertainty(a=a, theta=theta, b=b), n)
+        np.testing.assert_array_equal(A, np.block(ref))
+
+    @pytest.mark.parametrize("kind", ["PID", "PD"])
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 3)])
+    def test_b_of_the_wrong_shape_rejected(self, kind, shape):
+        fu = ct.FrozenUncertainty(a=np.zeros((2, 2)), theta=np.eye(2), b=np.ones(shape))
+        g = G_PID if kind == "PID" else G_PD
+        with pytest.raises(UsageError, match="b has shape"):
+            ct.assemble_A(kind, g, fu, 2)
+
+    def test_missing_b_rejected(self):
+        fu = ct.FrozenUncertainty(a=np.zeros((1, 1)), theta=np.eye(1))
+        with pytest.raises(UsageError, match="needs the b matrix"):
+            ct.assemble_A("PD", G_PD, fu, 1)
 
     def test_bound_violations_rejected(self):
         with pytest.raises(UsageError):
@@ -161,21 +212,61 @@ class TestQReport:
         scale = 1.0 + np.max(np.abs(gap))
         assert np.max(np.abs((rep.Q - rep.Q0) - gap)) / scale < 1e-12
 
-    def test_schur_chain_blocks_reassemble_q0_complement(self):
-        """[[D1,B1],[B1^T,E1]] must be the Schur complement of the leading
-        block of Q0 (independent reconstruction)."""
-        rng = np.random.default_rng(8)
-        g = suggest_gains("PID", UB111, ki=0.5)
-        fu = ct.sample_frozen_uncertainty(UB111, 2, rng)
-        rep = ct.q_report("PID", g, UB111, fu, 2)
-        n = 2
-        D = rep.Q0[:n, :n]
-        B = rep.Q0[:n, n:]
-        E = rep.Q0[n:, n:]
-        complement = E - B.T @ np.linalg.solve(D, B)
-        D1, B1, E1 = ct._schur_chain_matrices(g, UB111, fu)
-        chain = np.block([[D1, B1], [B1.T, E1]])
-        np.testing.assert_allclose(chain, complement, atol=1e-10)
+
+    @pytest.mark.parametrize("kind", ["PD", "PI"])
+    def test_frozen_point_outside_the_ball_rejected(self, kind):
+        ub, g, b = (UB111, G_PD, np.zeros((1, 1))) if kind == "PD" else (UB_PI, G_PI, None)
+        # |a| far beyond L1: Q0 is no longer positive definite
+        far = ct.FrozenUncertainty(a=np.array([[50.0]]), theta=np.eye(1), b=b)
+        with pytest.raises(CertificateError, match="lambda_min\\(Q0\\)"):
+            ct.q_report(kind, g, ub, far, 1)
+        # Sym[theta] below b_lower: the theta-floor step fails
+        low = ct.FrozenUncertainty(a=np.zeros((1, 1)), theta=np.array([[0.5]]), b=b)
+        with pytest.raises(CertificateError, match="theta-floor"):
+            ct.q_report(kind, g, ub, low, 1)
+
+
+class TestDerivedCore:
+    """The decrease core C = -(core A0 + A0^T core), derived from the
+    closed-form P, against the paper's hand-written diagonal cores."""
+
+    @staticmethod
+    def paper_core(kind, g, b):
+        kp, ki, kd = g.kp, g.ki, g.kd
+        if kind == "PID":
+            return np.diag([2 * ki**2 * b, 2 * (kp**2 - 2 * ki * kd) * b, 2 * (kd**2 * b - kp)]), [ki, kp, kd]
+        if kind == "PD":
+            return np.diag([2 * kp**2 * b, 2 * (kd**2 * b - kp)]), [kp, kd]
+        return np.diag([2 * ki**2 * b, 2 * kp**2 * b - 2 * ki]), [ki, kp]
+
+    @pytest.mark.parametrize("kind", ["PID", "PD", "PI"])
+    def test_matches_the_paper_on_random_members(self, kind):
+        rng = np.random.default_rng({"PID": 51, "PD": 52, "PI": 53}[kind])
+        for _ in range(200):
+            g, ub = _random_member(kind, rng)
+            core = ct._core_P(kind, g, ub.b_lower)
+            C, u, channels = ct._margin_core(kind, core, g, ub)
+            ref, u_ref = self.paper_core(kind, g, ub.b_lower)
+            assert np.max(np.abs(C - ref)) <= 1e-14 * np.max(np.abs(ref))
+            assert np.array_equal(C, C.T)
+            assert u.tolist() == [float(k) for k in u_ref]
+            bounds = [(1, ub.L1), (2, ub.L2)] if kind == "PID" else [(0, ub.L1), (1, ub.L2)]
+            if kind == "PI":
+                bounds = [(1, ub.L)]
+            assert channels == [(j, L) for j, L in bounds if L > 0]
+
+
+class TestReloadCompatibility:
+    @pytest.mark.parametrize("kind", ["PID", "PD", "PI"])
+    def test_stored_certificate_loads(self, kind):
+        path = DATA / f"certificate_{kind.lower()}_n3.json"
+        stored = json.loads(path.read_text())
+        cert = ct.LyapunovCertificate.load(path)
+        assert (cert.kind, cert.n, cert.method) == (kind, 3, stored["method"])
+        assert cert.P.shape == (3 * (3 if kind == "PID" else 2),) * 2
+        for key in ("alpha_lower", "alpha_upper", "lambda_min_P", "lambda_max_P"):
+            fresh = getattr(cert, key)
+            assert abs(fresh - stored[key]) <= ct.RELOAD_RTOL * abs(stored[key])
 
 
 class TestCertifyMargin:
@@ -411,15 +502,3 @@ class TestCertificateOrdering:
             rep = ct.q_report(kind, g, ub, fu, n)
             assert rep.lambda_min_Q >= rep.lambda_min_Q0 - 1e-9
             assert rep.lambda_min_Q0 >= cert.alpha - 1e-9
-
-    def test_schur_chain_consistency(self):
-        """q_report returns only when the block gap test accepts, and then the
-        assembled Q0 is positive definite (the sufficient direction)."""
-        rng = np.random.default_rng(31)
-        for trial in range(100):
-            n = int(rng.integers(1, 4))
-            ub = UncertaintyBounds(rng.uniform(0, 2), rng.uniform(0, 2), rng.uniform(0.5, 2))
-            g = suggest_gains("PID", ub, ki=rng.uniform(0.2, 1.5))
-            fu = ct.sample_frozen_uncertainty(ub, n, rng)
-            rep = ct.q_report("PID", g, ub, fu, n)
-            assert rep.lambda_min_Q0 > 0

@@ -56,6 +56,22 @@ class TestCertifyMode:
         assert saved["alpha"] == min(saved["alpha_lower"], saved["alpha_upper"])
         assert 0.0 <= saved["gap"] <= 1e-9
 
+    @pytest.mark.parametrize("n", [0, -2, 2.5, True, "x"])
+    def test_bad_dimension_is_usage_error(self, tmp_path, capsys, n):
+        cfg = write_config(
+            tmp_path, "c.json",
+            {
+                "kind": "PID",
+                "gains": {"kp": 7, "ki": 1, "kd": 7},
+                "bounds": {"L1": 1, "L2": 1, "b_lower": 1},
+                "n": n,
+            },
+        )
+        out = tmp_path / "out"
+        assert cli.run("certify", cfg, out_dir=str(out)) == 1
+        assert "must be an integer" in capsys.readouterr().err
+        assert not (out / "certificate.json").exists()
+
     def test_non_member_is_usage_error(self, tmp_path):
         cfg = write_config(
             tmp_path, "c.json",

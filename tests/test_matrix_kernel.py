@@ -167,39 +167,3 @@ class TestStacks:
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         with pytest.raises(NumericalError, match="did not converge"):
             mk.eig_extrema(np.stack([np.eye(2)] * 3))
-
-
-class TestEigenGapSufficient:
-    def test_wide_gap(self):
-        assert mk.eigen_gap_sufficient(4 * np.eye(2), np.eye(2), 4 * np.eye(2))
-
-    def test_boundary_fails_strictly(self):
-        assert not mk.eigen_gap_sufficient(np.eye(1), [[1.0]], np.eye(1))
-
-    def test_zero_coupling(self):
-        assert mk.eigen_gap_sufficient(np.eye(2), np.zeros((2, 2)), np.eye(2))
-
-    def test_rectangular_coupling(self):
-        # lambda_min(d) * lambda_min(e) = 4 against |b|^2 = 2, then = 4
-        d, e = np.diag([2.0, 3.0]), [[2.0]]
-        assert mk.eigen_gap_sufficient(d, [[1.0], [1.0]], e)
-        assert not mk.eigen_gap_sufficient(d, [[2.0], [0.0]], e)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            mk.eigen_gap_sufficient(np.eye(2), np.ones((3, 2)), np.eye(2))
-
-    def test_implies_schur_positive(self):
-        rng = np.random.default_rng(11)
-        hits = 0
-        for _ in range(500):
-            m = int(rng.integers(1, 5))
-            n = int(rng.integers(1, 5))
-            d = random_symmetric(rng, m, 1.0) + 2.0 * np.eye(m)
-            e = random_symmetric(rng, n, 1.0) + 2.0 * np.eye(n)
-            b = rng.uniform(-2, 2, size=(m, n))
-            if mk.eigen_gap_sufficient(d, b, e):
-                hits += 1
-                lam_min = np.linalg.eigvalsh(np.block([[d, b], [b.T, e]]))[0]
-                assert lam_min > 0
-        assert hits > 50  # the property must actually get exercised
