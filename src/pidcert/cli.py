@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -23,7 +25,7 @@ from . import gain_sets as gs
 from . import planar_pi
 from . import plant_models as pm
 from . import simulator as sim
-from .errors import PidcertError, UsageError
+from .errors import PidcertError, UsageError, as_number
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -48,18 +50,6 @@ _MODE_KEYS = {
 }
 
 
-def _number(value, where: str, cast=float):
-    """``cast(value)``; a bool, a value that is not a number, or for ``int``
-    one that is not whole, is a usage error that names ``where`` it was read."""
-    try:
-        number = cast(value)
-        ok = not isinstance(value, bool) and (cast is not int or number == float(value))
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    _expect(ok, f"{where} must be {'an integer' if cast is int else 'a number'}, got {value!r}")
-    return number
-
-
 def _check_keys(node, allowed, where: str) -> None:
     _expect(isinstance(node, dict), f"{where} must be an object")
     unknown = sorted(set(node) - set(allowed))
@@ -72,7 +62,7 @@ def _parse_bounds(node, where: str) -> gs.UncertaintyBounds:
     _check_keys(node, keys, f"{where}: bounds")
     for key in keys:
         _expect(key in node, f"{where}: missing bounds field {key!r}")
-    values = {k: _number(node[k], f"{where}: bounds field {k!r}") for k in keys}
+    values = {k: as_number(node[k], f"{where}: bounds field {k!r}") for k in keys}
     if "L" in node:
         return gs.UncertaintyBounds.first_order(**values)
     return gs.UncertaintyBounds(**values)
@@ -82,7 +72,7 @@ def _parse_gains(node, kind: str, where: str) -> gs.GainVector:
     keys = ("kp", "ki", "kd")
     _check_keys(node, keys, f"{where}: gains")
     return gs.GainVector(
-        kind, **{k: _number(node.get(k, 0.0), f"{where}: gains {k!r}") for k in keys}
+        kind, **{k: as_number(node.get(k, 0.0), f"{where}: gains {k!r}") for k in keys}
     )
 
 
@@ -115,8 +105,8 @@ def mode_gains(config: dict, out: Path, seed: int) -> int:
     g = gs.suggest_gains(
         kind,
         ub,
-        ki=None if ki is None else _number(ki, "gains mode: 'ki'"),
-        margin=_number(config.get("margin", 0.1), "gains mode: 'margin'"),
+        ki=None if ki is None else as_number(ki, "gains mode: 'ki'"),
+        margin=as_number(config.get("margin", 0.1), "gains mode: 'margin'"),
     )
     report = gs.membership(g, ub)
     payload = {
@@ -134,7 +124,7 @@ def mode_certify(config: dict, out: Path, seed: int) -> int:
     kind = config.get("kind", gs.PID)
     ub = _parse_bounds(config.get("bounds"), "certify mode")
     g = _parse_gains(config.get("gains"), kind, "certify mode")
-    n = _number(config.get("n", 1), "certify mode: 'n'", int)
+    n = as_number(config.get("n", 1), "certify mode: 'n'", int)
     cert = cert_mod.certify_margin(kind, g, ub, n)
     payload = cert.to_json_dict()
     print(json.dumps(payload, indent=2, sort_keys=True))
@@ -147,7 +137,7 @@ def _sim_options(node: dict, where: str) -> dict:
     """SimConfig keywords from the ``_SIM_KEYS`` set in ``node``; the others
     keep SimConfig's defaults, and t_final defaults to 30."""
     opts = {
-        k: node[k] if k == "integrator" else _number(node[k], f"{where}: {k!r}")
+        k: node[k] if k == "integrator" else as_number(node[k], f"{where}: {k!r}")
         for k in _SIM_KEYS
         if k in node
     }
@@ -197,8 +187,8 @@ def mode_simulate(config: dict, out: Path, seed: int) -> int:
         g = gs.suggest_gains(
             kind,
             ub,
-            ki=None if ki is None else _number(ki, "simulate mode: suggest 'ki'"),
-            margin=_number(suggest.get("margin", 0.1), "simulate mode: suggest 'margin'"),
+            ki=None if ki is None else as_number(ki, "simulate mode: suggest 'ki'"),
+            margin=as_number(suggest.get("margin", 0.1), "simulate mode: suggest 'margin'"),
         )
     cert = None
     if config.get("certify", True):
@@ -238,7 +228,15 @@ def mode_simulate(config: dict, out: Path, seed: int) -> int:
     return code
 
 
-def _sweep_cells(config: dict):
+# sweep.csv columns; a cell's row starts with every column empty
+_SWEEP_COLUMNS = (
+    "cell", "plant", "kp", "ki", "kd", "y_star", "member",
+    "alpha", "lambda", "envelope_pass", "min_margin", "lambda_emp", "error",
+)
+
+
+def _sweep_cells(config: dict) -> list:
+    """(plant index, gain set index, setpoint, x0) of each cell, in cell order."""
     plants = config.get("plants")
     _expect(isinstance(plants, list) and plants, "sweep mode: 'plants' must be a list")
     gains_list = config.get("gain_sets")
@@ -253,15 +251,7 @@ def _sweep_cells(config: dict):
     )
     x0s = config.get("x0s", [None])
     _expect(isinstance(x0s, list) and x0s, "sweep mode: 'x0s' must be a list")
-    cells = []
-    idx = 0
-    for ip, pnode in enumerate(plants):
-        for ig, gnode in enumerate(gains_list):
-            for iy, ynode in enumerate(setpoints):
-                for ix, xnode in enumerate(x0s):
-                    cells.append((idx, ip, pnode, ig, gnode, ynode, xnode))
-                    idx += 1
-    return cells
+    return list(itertools.product(range(len(plants)), range(len(gains_list)), setpoints, x0s))
 
 
 def _judge_cells(batch: list) -> None:
@@ -323,22 +313,16 @@ def mode_sweep(config: dict, out: Path, seed: int) -> int:
 
     # every member cell that passes its pre-checks joins one stacked integration
     rows, batch = [], []
-    for idx, ip, _, ig, _, ynode, xnode in cells:
+    for idx, (ip, ig, ynode, xnode) in enumerate(cells):
         plant, g = plants[ip], gains[ig]
-        row = {
+        row = dict.fromkeys(_SWEEP_COLUMNS, "") | {
             "cell": idx,
             "plant": plant.family or "custom",
             "kp": g.kp,
             "ki": g.ki,
             "kd": g.kd,
-            "y_star": _number(np.atleast_1d(ynode)[0], "sweep mode: setpoint"),
+            "y_star": as_number(np.atleast_1d(ynode)[0], "sweep mode: setpoint"),
             "member": member[ig],
-            "alpha": "",
-            "lambda": "",
-            "envelope_pass": "",
-            "min_margin": "",
-            "lambda_emp": "",
-            "error": "",
         }
         rows.append(row)
         if not row["member"]:
@@ -352,31 +336,16 @@ def mode_sweep(config: dict, out: Path, seed: int) -> int:
         _judge_cells(batch)
 
     out.mkdir(parents=True, exist_ok=True)
-    fieldnames = [
-        "cell",
-        "plant",
-        "kp",
-        "ki",
-        "kd",
-        "y_star",
-        "member",
-        "alpha",
-        "lambda",
-        "envelope_pass",
-        "min_margin",
-        "lambda_emp",
-        "error",
-    ]
     judged = [r for r in rows if r["member"]]
     passed = [r for r in judged if r["envelope_pass"] is True and not r["error"]]
     pass_fraction = (len(passed) / len(judged)) if judged else 1.0
     with open(out / "sweep.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer = csv.DictWriter(fh, fieldnames=_SWEEP_COLUMNS)
         writer.writeheader()
         for r in rows:
             writer.writerow(r)
         writer.writerow(
-            {k: "" for k in fieldnames} | {"cell": "pass_fraction", "plant": repr(pass_fraction)}
+            dict.fromkeys(_SWEEP_COLUMNS, "") | {"cell": "pass_fraction", "plant": repr(pass_fraction)}
         )
     print(f"sweep: {len(passed)}/{len(judged)} certified cells passed")
     return EXIT_OK if len(passed) == len(judged) else EXIT_CHECK_FAILED
@@ -390,39 +359,25 @@ def mode_planar(config: dict, out: Path, seed: int) -> int:
         _check_keys(node, ("case",), "planar mode: necessity")
         ub = _parse_bounds(config.get("bounds"), "planar mode")
         g = _parse_gains(config.get("gains"), gs.PI, "planar mode")
-        y_star = _number(config.get("y_star", 1.0), "planar mode: 'y_star'")
+        y_star = as_number(config.get("y_star", 1.0), "planar mode: 'y_star'")
         report = planar_pi.necessity_counterexample(node.get("case", "ki_zero"), ub, g, y_star)
-        payload["necessity"] = {
-            "case": report.case,
-            "e_inf_analytic": report.e_inf_analytic,
-            "e_inf_observed": report.e_inf_observed,
-            "max_re_eigenvalue": report.max_re_eigenvalue,
-            "nonconvergent": report.nonconvergent,
-        }
+        payload["necessity"] = dataclasses.asdict(report)
         if not report.nonconvergent:
             code = EXIT_CHECK_FAILED
     else:
         plant = _parse_plant(config.get("plant"), "planar mode")
         g = _parse_gains(config.get("gains"), gs.PI, "planar mode")
         field = planar_pi.PlanarField.build(
-            plant, g, _number(config.get("y_star", 0.0), "planar mode: 'y_star'")
+            plant, g, as_number(config.get("y_star", 0.0), "planar mode: 'y_star'")
         )
         grid = config.get("grid", {})
         _check_keys(grid, ("radius", "points"), "planar mode: grid")
         report = planar_pi.jacobian_conditions(
             field,
-            radius=_number(grid.get("radius", 20.0), "planar mode: grid 'radius'"),
-            points=_number(grid.get("points", 41), "planar mode: grid 'points'", int),
+            radius=as_number(grid.get("radius", 20.0), "planar mode: grid 'radius'"),
+            points=as_number(grid.get("points", 41), "planar mode: grid 'points'", int),
         )
-        payload["jacobian_conditions"] = {
-            "max_trace": report.max_trace,
-            "min_det": report.min_det,
-            "sufficiency": report.sufficiency,
-            "analytic_trace_bound": report.analytic_trace_bound,
-            "grid_points": report.grid_points,
-            "max_trace_point": list(report.max_trace_point),
-            "min_det_point": list(report.min_det_point),
-        }
+        payload["jacobian_conditions"] = dataclasses.asdict(report)
         if not report.sufficiency:
             code = EXIT_CHECK_FAILED
     _dump_json(out / "planar.json", payload)
@@ -434,29 +389,11 @@ def mode_verify_class(config: dict, out: Path, seed: int) -> int:
     plant = _parse_plant(config.get("plant"), "verify-class mode")
     report = pm.validate_class_membership(
         plant,
-        samples=_number(config.get("samples", 1000), "verify-class mode: 'samples'", int),
-        box_radius=_number(config.get("box_radius", 10.0), "verify-class mode: 'box_radius'"),
+        samples=as_number(config.get("samples", 1000), "verify-class mode: 'samples'", int),
+        box_radius=as_number(config.get("box_radius", 10.0), "verify-class mode: 'box_radius'"),
         seed=seed,
     )
-    payload = {
-        "samples": report.samples,
-        "box_radius": report.box_radius,
-        "max_norm_jac_x1": report.max_norm_jac_x1,
-        "max_norm_jac_x2": report.max_norm_jac_x2,
-        "min_sym_jac_u": report.min_sym_jac_u,
-        "max_fd_rel_error": report.max_fd_rel_error,
-        "max_norm_jac_x1_point": report.max_norm_jac_x1_point,
-        "max_norm_jac_x2_point": report.max_norm_jac_x2_point,
-        "min_sym_jac_u_point": report.min_sym_jac_u_point,
-        "max_fd_rel_error_point": report.max_fd_rel_error_point,
-        "declared": {
-            "L1": report.declared.L1,
-            "L2": report.declared.L2,
-            "b_lower": report.declared.b_lower,
-            "order": report.declared.order,
-        },
-        "passes": report.passes,
-    }
+    payload = dataclasses.asdict(report)
     _dump_json(out / "validation.json", payload)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK if report.passes else EXIT_CHECK_FAILED

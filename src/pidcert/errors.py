@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one rule by which
+a number is read from a config or a params dict (``as_number``)."""
+
+import math
 
 
 class PidcertError(Exception):
@@ -27,3 +30,22 @@ class CertificateError(PidcertError):
 
 class IntegrationError(PidcertError):
     """ODE integration failed (step underflow, solver breakdown)."""
+
+
+def as_number(value, where: str, cast=float):
+    """``cast(value)``; a bool, a value that is not a number, a non-finite
+    value, or for ``int`` one that is not whole, is a UsageError that names
+    ``where`` it was read."""
+    try:
+        number = cast(value)
+        ok = (
+            not isinstance(value, bool)
+            and math.isfinite(number)
+            and (cast is not int or number == float(value))
+        )
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        kind = "an integer" if cast is int else "a finite number"
+        raise UsageError(f"{where} must be {kind}, got {value!r}")
+    return number

@@ -46,6 +46,8 @@ class UncertaintyBounds:
     def __post_init__(self):
         if self.order not in (SECOND_ORDER, FIRST_ORDER):
             raise UsageError(f"unknown order {self.order!r}")
+        if not all(math.isfinite(v) for v in (self.L1, self.L2, self.b_lower)):
+            raise UsageError("L1, L2 and b_lower must be finite")
         if not (self.b_lower > 0):
             raise UsageError("b_lower must be > 0")
         if self.L1 < 0 or self.L2 < 0:

@@ -22,7 +22,10 @@ from .errors import DimensionError, NumericalError, UsageError
 def as_square(m, name: str = "matrix") -> np.ndarray:
     """Validate and return a finite square float matrix, or a (..., n, n)
     stack of them (copies input)."""
-    a = np.array(m, dtype=float)
+    try:
+        a = np.array(m, dtype=float)
+    except (TypeError, ValueError):
+        raise UsageError(f"{name} must be a matrix of numbers, got {m!r}") from None
     if a.ndim == 0:
         a = a.reshape(1, 1)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:

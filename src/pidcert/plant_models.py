@@ -6,8 +6,9 @@ A second-order plant is the right-hand side f(x1, x2, u) of
 
 a first-order plant is f(x, u) in dx/dt = f(x, u).  Each PlantModel carries
 declared derivative bounds; ``validate_class_membership`` audits them by
-sampling.  The built-in families are constructed so their declared bounds are
-analytically exact.
+sampling.  The built-in families are declared once, in ``_FAMILIES``: each
+family's builder and, for each order it has, its params keys and defaults.
+Their declared bounds are analytically exact.
 
 ``f`` and the Jacobians take a leading batch axis: called with (..., n)
 arrays, ``f`` returns the (..., n) array of row-by-row values and each
@@ -21,23 +22,17 @@ rows.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import matrix_kernel as mk
-from .errors import PlantError, UsageError
+from .errors import PlantError, UsageError, as_number
 from .gain_sets import FIRST_ORDER, SECOND_ORDER, UncertaintyBounds
-
-FAMILY_IDS = (
-    "linear_matrix",
-    "sinusoidal_scalar",
-    "tanh_coupled",
-    "nonaffine_cubic_u",
-    "rotation_gain",
-)
 
 
 @dataclass
@@ -61,8 +56,6 @@ class PlantModel:
     jac_u: Callable[..., np.ndarray]
     declared_bounds: UncertaintyBounds
     family: Optional[str] = None
-    params: Optional[dict] = None
-    equilibrium_setpoint: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.order not in (SECOND_ORDER, FIRST_ORDER):
@@ -280,6 +273,8 @@ def equilibrium_shift_check(p: PlantModel, y_star) -> bool:
 
 # ---------------------------------------------------------------------------
 # Built-in families.  Bounds are exact by construction; see the builders.
+# Each builder takes its family's params (``_FAMILIES``) as keywords; a family
+# with both orders is first-order when its second-order keys are absent.
 # ---------------------------------------------------------------------------
 
 
@@ -302,62 +297,41 @@ def _diag(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _family_linear_matrix(params: dict) -> PlantModel:
-    order = params.get("order", SECOND_ORDER)
-    if order == FIRST_ORDER:
-        A = mk.as_square(params["A"], "A")
-        theta = mk.as_square(params["Theta"], "Theta")
-        n = A.shape[0]
-        if theta.shape[0] != n:
-            raise UsageError("A and Theta must share their dimension")
+def _linear(mats: list, theta: np.ndarray, ub: UncertaintyBounds | None = None) -> PlantModel:
+    """The plant f = sum_k x_k A_k^T + u Theta^T, with one A_k per state
+    argument (A1, A2 for second order, A for first order) and constant
+    Jacobians.  ``ub`` defaults to the exact bounds: the operator norm of each
+    A_k and lambda_min(Sym[Theta]).
+    """
+    n = theta.shape[0]
+    if any(m.shape[0] != n for m in mats):
+        raise UsageError("the state matrices and Theta must share their dimension")
+    if ub is None:
         b_exact = mk.eig_extrema(mk.symmetrize(theta))[0]
         if b_exact <= 0:
             raise UsageError("Sym[Theta] must be positive definite")
-        ub = UncertaintyBounds.first_order(L=mk.operator_norm(A), b_lower=b_exact)
-        return PlantModel(
-            n=n,
-            order=FIRST_ORDER,
-            f=lambda x, u: x @ A.T + u @ theta.T,
-            jac_x1=_constant(A),
-            jac_x2=None,
-            jac_u=_constant(theta),
-            declared_bounds=ub,
-            family="linear_matrix",
-            params=dict(params),
-        )
-    A1 = mk.as_square(params["A1"], "A1")
-    A2 = mk.as_square(params["A2"], "A2")
-    theta = mk.as_square(params["Theta"], "Theta")
-    n = A1.shape[0]
-    if A2.shape[0] != n or theta.shape[0] != n:
-        raise UsageError("A1, A2 and Theta must share their dimension")
-    b_exact = mk.eig_extrema(mk.symmetrize(theta))[0]
-    if b_exact <= 0:
-        raise UsageError("Sym[Theta] must be positive definite")
-    ub = UncertaintyBounds(
-        L1=mk.operator_norm(A1), L2=mk.operator_norm(A2), b_lower=b_exact
-    )
-    eq = np.zeros(n)
+        L1, L2 = [mk.operator_norm(m) for m in mats] + [0.0] * (2 - len(mats))
+        order = SECOND_ORDER if len(mats) == 2 else FIRST_ORDER
+        ub = UncertaintyBounds(L1=L1, L2=L2, b_lower=b_exact, order=order)
+    terms = (*mats, theta)
     return PlantModel(
         n=n,
-        order=SECOND_ORDER,
-        f=lambda x1, x2, u: x1 @ A1.T + x2 @ A2.T + u @ theta.T,
-        jac_x1=_constant(A1),
-        jac_x2=_constant(A2),
+        order=ub.order,
+        f=lambda *args: functools.reduce(operator.add, (x @ m.T for x, m in zip(args, terms))),
+        jac_x1=_constant(mats[0]),
+        jac_x2=_constant(mats[1]) if len(mats) == 2 else None,
         jac_u=_constant(theta),
         declared_bounds=ub,
-        family="linear_matrix",
-        params=dict(params),
-        equilibrium_setpoint=eq,
     )
 
 
-def _family_sinusoidal_scalar(params: dict) -> PlantModel:
-    order = params.get("order", SECOND_ORDER)
-    c1 = float(params.get("c1", 1.0))
-    if order == FIRST_ORDER:
+def _linear_matrix(Theta, A=None, A1=None, A2=None) -> PlantModel:
+    return _linear([A] if A is not None else [A1, A2], Theta)
+
+
+def _sinusoidal_scalar(c1, c2=None) -> PlantModel:
+    if c2 is None:
         # f = c1*sin(x) + u, so |df/dx| <= |c1| with equality at x = 0
-        ub = UncertaintyBounds.first_order(L=abs(c1), b_lower=1.0)
         return PlantModel(
             n=1,
             order=FIRST_ORDER,
@@ -365,15 +339,11 @@ def _family_sinusoidal_scalar(params: dict) -> PlantModel:
             jac_x1=lambda x, u: c1 * np.cos(x)[..., None],
             jac_x2=None,
             jac_u=_constant(np.eye(1)),
-            declared_bounds=ub,
-            family="sinusoidal_scalar",
-            params=dict(params),
+            declared_bounds=UncertaintyBounds.first_order(L=abs(c1), b_lower=1.0),
         )
-    c2 = float(params.get("c2", 1.0))
     if c2 < 0:
         raise UsageError("c2 must be >= 0")
     # f = c1*sin(x1) - c2*x2 + u
-    ub = UncertaintyBounds(L1=abs(c1), L2=c2, b_lower=1.0)
     return PlantModel(
         n=1,
         order=SECOND_ORDER,
@@ -381,54 +351,33 @@ def _family_sinusoidal_scalar(params: dict) -> PlantModel:
         jac_x1=lambda x1, x2, u: c1 * np.cos(x1)[..., None],
         jac_x2=_constant(np.array([[-c2]])),
         jac_u=_constant(np.eye(1)),
-        declared_bounds=ub,
-        family="sinusoidal_scalar",
-        params=dict(params),
-        equilibrium_setpoint=np.zeros(1),
+        declared_bounds=UncertaintyBounds(L1=abs(c1), L2=c2, b_lower=1.0),
     )
 
 
-def _family_tanh_coupled(params: dict) -> PlantModel:
-    n = int(params.get("n", 2))
+def _tanh_coupled(n, l1, l2, b_lower, w_scale) -> PlantModel:
     if n < 2:
         raise UsageError("tanh_coupled needs n >= 2")
-    s1 = float(params.get("l1", 1.0))
-    s2 = float(params.get("l2", 1.0))
-    b = float(params.get("b_lower", 1.0))
-    w_scale = float(params.get("w_scale", 0.25))
-    if s1 < 0 or s2 < 0 or b <= 0 or w_scale < 0:
+    if l1 < 0 or l2 < 0 or b_lower <= 0 or w_scale < 0:
         raise UsageError("tanh_coupled needs l1,l2,w_scale >= 0 and b_lower > 0")
     # rank-one PSD perturbation keeps lambda_min(Sym[Theta]) = b_lower exactly
     v = np.ones(n) / np.sqrt(n)
-    W = w_scale * b * np.outer(v, v)
-    theta = b * np.eye(n) + W
-
-    def jac_tanh(x, scale):
-        return _diag(scale * (1.0 / np.cosh(x) ** 2))
-
-    ub = UncertaintyBounds(L1=s1, L2=s2, b_lower=b)
+    theta = b_lower * np.eye(n) + w_scale * b_lower * np.outer(v, v)
     return PlantModel(
         n=n,
         order=SECOND_ORDER,
-        f=lambda x1, x2, u: s1 * np.tanh(x1) + s2 * np.tanh(x2) + u @ theta.T,
-        jac_x1=lambda x1, x2, u: jac_tanh(x1, s1),
-        jac_x2=lambda x1, x2, u: jac_tanh(x2, s2),
+        f=lambda x1, x2, u: l1 * np.tanh(x1) + l2 * np.tanh(x2) + u @ theta.T,
+        jac_x1=lambda x1, x2, u: _diag(l1 * (1.0 / np.cosh(x1) ** 2)),
+        jac_x2=lambda x1, x2, u: _diag(l2 * (1.0 / np.cosh(x2) ** 2)),
         jac_u=_constant(theta),
-        declared_bounds=ub,
-        family="tanh_coupled",
-        params=dict(params),
-        equilibrium_setpoint=np.zeros(n),
+        declared_bounds=UncertaintyBounds(L1=l1, L2=l2, b_lower=b_lower),
     )
 
 
-def _family_nonaffine_cubic_u(params: dict) -> PlantModel:
-    order = params.get("order", SECOND_ORDER)
-    c1 = float(params.get("c1", 1.0))
-    b = float(params.get("b_lower", 1.0))
-    if b <= 0:
-        raise UsageError("b_lower must be > 0")
-    if order == FIRST_ORDER:
-        ub = UncertaintyBounds.first_order(L=abs(c1), b_lower=b)
+def _nonaffine_cubic_u(c1, b_lower, c2=None) -> PlantModel:
+    # f = c1*sin(x1) [+ c2*sin(x2)] + b*u + u^3/3, so df/du = b + u^2 >= b
+    b = b_lower
+    if c2 is None:
         return PlantModel(
             n=1,
             order=FIRST_ORDER,
@@ -436,13 +385,8 @@ def _family_nonaffine_cubic_u(params: dict) -> PlantModel:
             jac_x1=lambda x, u: c1 * np.cos(x)[..., None],
             jac_x2=None,
             jac_u=lambda x, u: (b + u**2)[..., None],
-            declared_bounds=ub,
-            family="nonaffine_cubic_u",
-            params=dict(params),
+            declared_bounds=UncertaintyBounds.first_order(L=abs(c1), b_lower=b),
         )
-    c2 = float(params.get("c2", 1.0))
-    # f = c1*sin(x1) + c2*sin(x2) + b*u + u^3/3; df/du = b + u^2 >= b
-    ub = UncertaintyBounds(L1=abs(c1), L2=abs(c2), b_lower=b)
     return PlantModel(
         n=1,
         order=SECOND_ORDER,
@@ -450,90 +394,85 @@ def _family_nonaffine_cubic_u(params: dict) -> PlantModel:
         jac_x1=lambda x1, x2, u: c1 * np.cos(x1)[..., None],
         jac_x2=lambda x1, x2, u: c2 * np.cos(x2)[..., None],
         jac_u=lambda x1, x2, u: (b + u**2)[..., None],
-        declared_bounds=ub,
-        family="nonaffine_cubic_u",
-        params=dict(params),
-        equilibrium_setpoint=np.zeros(1),
+        declared_bounds=UncertaintyBounds(L1=abs(c1), L2=abs(c2), b_lower=b),
     )
 
 
-def _family_rotation_gain(params: dict) -> PlantModel:
-    b = float(params.get("b_lower", 1.0))
-    s = float(params.get("s", 10.0))
-    a1 = float(params.get("a1", 0.0))
-    a2 = float(params.get("a2", 0.0))
-    if b <= 0:
-        raise UsageError("b_lower must be > 0")
+def _rotation_gain(b_lower, s, a1, a2) -> PlantModel:
     # skew part cancels in Sym[Theta], so the control gain can be large and
     # non-symmetric while Sym[Theta] = b_lower * I exactly
-    theta = b * np.eye(2) + s * np.array([[0.0, 1.0], [-1.0, 0.0]])
-    A1 = a1 * np.eye(2)
-    A2 = a2 * np.eye(2)
-    ub = UncertaintyBounds(L1=abs(a1), L2=abs(a2), b_lower=b)
-    return PlantModel(
-        n=2,
-        order=SECOND_ORDER,
-        f=lambda x1, x2, u: x1 @ A1.T + x2 @ A2.T + u @ theta.T,
-        jac_x1=_constant(A1),
-        jac_x2=_constant(A2),
-        jac_u=_constant(theta),
-        declared_bounds=ub,
-        family="rotation_gain",
-        params=dict(params),
-        equilibrium_setpoint=np.zeros(2),
-    )
+    theta = b_lower * np.eye(2) + s * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    ub = UncertaintyBounds(L1=abs(a1), L2=abs(a2), b_lower=b_lower)
+    return _linear([a1 * np.eye(2), a2 * np.eye(2)], theta, ub)
 
 
-_BUILDERS = {
-    "linear_matrix": _family_linear_matrix,
-    "sinusoidal_scalar": _family_sinusoidal_scalar,
-    "tanh_coupled": _family_tanh_coupled,
-    "nonaffine_cubic_u": _family_nonaffine_cubic_u,
-    "rotation_gain": _family_rotation_gain,
+# marks a params key with no default: a matrix that must be given
+_MATRIX = object()
+
+# family -> (builder, {order: {params key: default, or _MATRIX}}); the type of
+# a default is the type its value converts to (an int default: a whole number)
+_FAMILIES = {
+    "linear_matrix": (_linear_matrix, {
+        SECOND_ORDER: {"A1": _MATRIX, "A2": _MATRIX, "Theta": _MATRIX},
+        FIRST_ORDER: {"A": _MATRIX, "Theta": _MATRIX},
+    }),
+    "sinusoidal_scalar": (_sinusoidal_scalar, {
+        SECOND_ORDER: {"c1": 1.0, "c2": 1.0},
+        FIRST_ORDER: {"c1": 1.0},
+    }),
+    "tanh_coupled": (_tanh_coupled, {
+        SECOND_ORDER: {"n": 2, "l1": 1.0, "l2": 1.0, "b_lower": 1.0, "w_scale": 0.25},
+    }),
+    "nonaffine_cubic_u": (_nonaffine_cubic_u, {
+        SECOND_ORDER: {"c1": 1.0, "c2": 1.0, "b_lower": 1.0},
+        FIRST_ORDER: {"c1": 1.0, "b_lower": 1.0},
+    }),
+    "rotation_gain": (_rotation_gain, {
+        SECOND_ORDER: {"b_lower": 1.0, "s": 10.0, "a1": 0.0, "a2": 0.0},
+    }),
 }
+FAMILY_IDS = tuple(_FAMILIES)
 
-# params keys each family reads for each order it has (besides "order"); the
-# matrices have no default and must be given
-_ACCEPTED = {
-    ("linear_matrix", SECOND_ORDER): {"A1", "A2", "Theta"},
-    ("linear_matrix", FIRST_ORDER): {"A", "Theta"},
-    ("sinusoidal_scalar", SECOND_ORDER): {"c1", "c2"},
-    ("sinusoidal_scalar", FIRST_ORDER): {"c1"},
-    ("tanh_coupled", SECOND_ORDER): {"n", "l1", "l2", "b_lower", "w_scale"},
-    ("nonaffine_cubic_u", SECOND_ORDER): {"c1", "c2", "b_lower"},
-    ("nonaffine_cubic_u", FIRST_ORDER): {"c1", "b_lower"},
-    ("rotation_gain", SECOND_ORDER): {"b_lower", "s", "a1", "a2"},
-}
-_REQUIRED = {"A", "A1", "A2", "Theta"}
+
+def _convert(value, default, where: str):
+    """A params value by the rule of its default: a finite square matrix for
+    ``_MATRIX``, else a finite number of the default's type."""
+    if default is _MATRIX:
+        return mk.as_square(value, where)
+    return as_number(value, where, type(default))
 
 
 def build_family(family_id: str, params: dict | None = None) -> PlantModel:
     """Instantiate a built-in plant family with exact declared bounds.
 
     A params key the family does not read for its order, or a missing
-    matrix, is a UsageError naming the keys; so is a value the builder cannot
-    convert (a string where a number belongs), naming the family.
+    matrix, is a UsageError naming the keys; so is a value that does not
+    convert by its default's rule (``_convert``), naming the family and key.
     """
-    if family_id not in _BUILDERS:
-        raise UsageError(
-            f"unknown plant family {family_id!r}; choose one of {FAMILY_IDS}"
-        )
+    if not isinstance(family_id, str) or family_id not in _FAMILIES:
+        raise UsageError(f"unknown plant family {family_id!r}; choose one of {FAMILY_IDS}")
+    builder, orders = _FAMILIES[family_id]
+    if params is not None and not isinstance(params, dict):
+        raise UsageError(f"plant family {family_id!r}: params must be an object")
     params = dict(params or {})
-    order = params.get("order", SECOND_ORDER)
-    accepted = _ACCEPTED.get((family_id, order))
-    if accepted is None:
+    order = params.pop("order", SECOND_ORDER)
+    if not isinstance(order, str) or order not in orders:
         raise UsageError(f"plant family {family_id!r} has no order {order!r}")
-    unknown = sorted(set(params) - accepted - {"order"})
-    missing = sorted((accepted & _REQUIRED) - set(params))
+    keys = orders[order]
+    where = f"plant family {family_id!r} ({order})"
+    unknown = sorted(set(params) - set(keys))
+    missing = sorted(k for k, default in keys.items() if default is _MATRIX and k not in params)
     if unknown or missing:
         raise UsageError(
-            f"plant family {family_id!r} ({order}): unknown params {unknown}, "
-            f"missing params {missing}; accepted {sorted(accepted | {'order'})}"
+            f"{where}: unknown params {unknown}, missing params {missing}; "
+            f"accepted {sorted([*keys, 'order'])}"
         )
-    try:
-        return _BUILDERS[family_id](params)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"plant family {family_id!r} ({order}): bad params: {exc}") from None
+    plant = builder(**{
+        k: _convert(params.get(k, default), default, f"{where}: param {k!r}")
+        for k, default in keys.items()
+    })
+    plant.family = family_id
+    return plant
 
 
 def custom_plant(

@@ -532,6 +532,20 @@ class TestNonNumericValues:
                 "sweep.csv",
             ),
             ("certify", {"bounds": {"L1": 1, "L2": [1], "b_lower": 1}}, "'L2'", "certificate.json"),
+            # JSON's Infinity and NaN parse as floats, but they are not numbers
+            # a bound can take
+            (
+                "certify",
+                {"bounds": {"L1": 1, "L2": 1, "b_lower": float("inf")}, "gains": {"kp": 7, "ki": 1, "kd": 7}},
+                "'b_lower'",
+                "certificate.json",
+            ),
+            (
+                "certify",
+                {"bounds": {"L1": float("nan"), "L2": 1, "b_lower": 1}, "gains": {"kp": 7, "ki": 1, "kd": 7}},
+                "'L1'",
+                "certificate.json",
+            ),
         ],
     )
     def test_usage_error(self, tmp_path, capsys, mode, config, named, output):

@@ -233,3 +233,14 @@ class TestCovers:
         assert not gs.covers(self.UB, first)
         assert not gs.covers(first, gs.UncertaintyBounds(0.5, 0.0, 2.0))
         assert gs.covers(gs.UncertaintyBounds.first_order(L=1.0, b_lower=1.0), first)
+
+
+@pytest.mark.parametrize(
+    "L1,L2,b_lower",
+    [(float("nan"), 1.0, 1.0), (1.0, float("inf"), 1.0), (1.0, 1.0, float("inf"))],
+)
+def test_nonfinite_bounds_rejected(L1, L2, b_lower):
+    """NaN passes every `< 0` test and an infinite b_lower every `> 0` test;
+    either would reach the certificate as a bound."""
+    with pytest.raises(UsageError, match="must be finite"):
+        gs.UncertaintyBounds(L1, L2, b_lower)

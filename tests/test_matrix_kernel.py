@@ -41,6 +41,10 @@ class TestSymmetrize:
         with pytest.raises(UsageError):
             mk.symmetrize([[np.nan, 0.0], [0.0, 0.0]])
 
+    def test_rejects_non_numbers(self):
+        with pytest.raises(UsageError, match="theta must be a matrix of numbers"):
+            mk.as_square([["x", 1.0], [0.0, 1.0]], "theta")
+
     @given(st.integers(0, 10**6), st.integers(1, 6))
     @settings(max_examples=50, deadline=None)
     def test_idempotent_bitwise(self, seed, n):

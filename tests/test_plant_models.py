@@ -20,6 +20,8 @@ class TestBuildFamily:
     def test_unknown_id(self):
         with pytest.raises(UsageError):
             pm.build_family("does_not_exist")
+        with pytest.raises(UsageError, match="unknown plant family"):
+            pm.build_family(["sinusoidal_scalar"])
 
     def test_pure_integrator_chain(self):
         p = pm.build_family(
@@ -88,6 +90,8 @@ class TestBuildFamily:
             pm.build_family("tanh_coupled", {"order": FIRST_ORDER})
         with pytest.raises(UsageError, match="no order"):
             pm.build_family("sinusoidal_scalar", {"order": "third_order"})
+        with pytest.raises(UsageError, match="no order"):
+            pm.build_family("sinusoidal_scalar", {"order": [FIRST_ORDER]})
 
 class TestValidateClassMembership:
     def test_linear_plant_exact_bounds(self):
@@ -163,6 +167,9 @@ class TestValidateClassMembership:
             ("tanh_coupled", {"n": 2, "l1": 1.0, "l2": 0.5, "b_lower": 1.0}),
             ("nonaffine_cubic_u", {"c1": 1.0, "c2": 0.5, "b_lower": 0.7}),
             ("rotation_gain", {"b_lower": 1.0, "s": 10.0, "a1": 0.5, "a2": 0.2}),
+            ("linear_matrix", {"order": FIRST_ORDER, "A": [[-0.5, 0.2], [0.1, -0.3]], "Theta": [[1.5, 0.4], [-0.4, 1.0]]}),
+            ("sinusoidal_scalar", {"order": FIRST_ORDER, "c1": -0.7}),
+            ("nonaffine_cubic_u", {"order": FIRST_ORDER, "c1": 0.6, "b_lower": 0.9}),
         ],
     )
     def test_every_family_passes_own_bounds(self, fam, params):
@@ -348,6 +355,29 @@ def test_non_numeric_param_is_a_usage_error():
         pm.build_family("sinusoidal_scalar", {"c1": "one"})
     with pytest.raises(UsageError, match="'tanh_coupled'"):
         pm.build_family("tanh_coupled", {"n": [2]})
+
+
+@pytest.mark.parametrize(
+    "fam,params,key",
+    [
+        ("tanh_coupled", {"n": 2.5}, "n"),  # int(2.5) would build n = 2
+        ("sinusoidal_scalar", {"c1": True}, "c1"),  # float(True) would build c1 = 1.0
+        ("sinusoidal_scalar", {"c2": float("nan")}, "c2"),  # would declare L2 = nan
+        ("rotation_gain", {"s": float("inf")}, "s"),
+        ("sinusoidal_scalar", {"c1": "one"}, "c1"),
+        ("linear_matrix", {"A1": [["a"]], "A2": [[0.0]], "Theta": [[1.0]]}, "A1"),
+    ],
+)
+def test_params_convert_by_one_rule(fam, params, key):
+    """A bool, a value that is not a finite number, or a non-whole value for
+    an integer key is a usage error naming the family and the key."""
+    with pytest.raises(UsageError, match=f"'{fam}'.*'{key}'"):
+        pm.build_family(fam, params)
+
+
+def test_params_must_be_an_object():
+    with pytest.raises(UsageError, match="params must be an object"):
+        pm.build_family("sinusoidal_scalar", [("c1", 1.0)])
 
 
 # ---------------------------------------------------------------------------
