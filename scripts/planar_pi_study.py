@@ -37,7 +37,7 @@ def main():
         marks = []
         for ki in np.arange(0.5, 3.1, 0.5):
             g = pc.GainVector("PI", float(kp), float(ki))
-            in_rate = pc.pi_membership(g, ub).member
+            in_rate = pc.membership(g, ub).member
             in_relaxed = pc.pi_relaxed_membership(g, ub).member
             marks.append("RATE" if in_rate else ("ASYM" if in_relaxed else "  - "))
             region_rows.append(

@@ -59,7 +59,7 @@ def main():
     print("\nscaling the same triple (region is closed under alpha >= 1):")
     for alpha in (1.0, 2.0, 5.0, 20.0):
         scaled = gains.scaled(alpha)
-        member = pc.pid_membership(scaled, ub).member
+        member = pc.membership(scaled, ub).member
         print(f"  alpha={alpha:5.1f}: gains ({scaled.kp:6.1f}, {scaled.ki:5.1f}, "
               f"{scaled.kd:6.1f}) member={member}")
         all_pass &= member

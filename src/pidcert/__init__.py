@@ -41,10 +41,7 @@ from .gain_sets import (
     coupling_term,
     covers,
     membership,
-    pd_membership,
-    pi_membership,
     pi_relaxed_membership,
-    pid_membership,
     semi_cone_check,
     suggest_gains,
 )

@@ -83,12 +83,17 @@ def _parse_plant(node, where: str) -> pm.PlantModel:
 
 
 def _vector(node, n: int, where: str) -> np.ndarray:
-    try:
-        arr = np.atleast_1d(np.asarray(node, dtype=float))
-    except (TypeError, ValueError):
-        raise UsageError(f"{where}: expected {n} numbers, got {node!r}") from None
-    _expect(arr.size == n, f"{where}: expected {n} entries, got {arr.size}")
-    return arr
+    """``node``, a number or a list of them, as n floats; each entry is read
+    by ``as_number``'s rule."""
+    entries = np.atleast_1d(np.asarray(node, dtype=object)).ravel()
+    _expect(entries.size == n, f"{where}: expected {n} entries, got {entries.size}")
+    return np.array([as_number(v, where) for v in entries], dtype=float)
+
+
+def _x0(node, n: int, order: str, where: str) -> np.ndarray:
+    """The initial state of an ``order`` plant from ``node``; None is rest."""
+    want = 2 * n if order == gs.SECOND_ORDER else n
+    return np.zeros(want) if node is None else _vector(node, want, where)
 
 
 def _dump_json(path: Path, obj) -> None:
@@ -145,20 +150,6 @@ def _sim_options(node: dict, where: str) -> dict:
     return opts
 
 
-def _sim_config(opts: dict, plant: pm.PlantModel, g: gs.GainVector, y_node, x_node,
-                where: str) -> sim.SimConfig:
-    """SimConfig with the ``_sim_options`` ``opts``; x0 defaults to rest."""
-    n = plant.n
-    want = 2 * n if plant.order == gs.SECOND_ORDER else n
-    return sim.SimConfig(
-        plant=plant,
-        gains=g,
-        y_star=_vector(y_node, n, f"{where}: y_star"),
-        x0=np.zeros(want) if x_node is None else _vector(x_node, want, f"{where}: x0"),
-        **opts,
-    )
-
-
 def _fit_decay(traj: sim.Trajectory, t_final: float):
     """(lambda_emp, M_emp) on [0.1, 0.9] t_final, or (None, None) when the
     error signal sits at the floor (a run that starts at rest has nothing to fit)."""
@@ -194,7 +185,13 @@ def mode_simulate(config: dict, out: Path, seed: int) -> int:
     if config.get("certify", True):
         cert = cert_mod.certify_margin(kind, g, ub, plant.n)
     opts = _sim_options(config, "simulate mode")
-    cfg = _sim_config(opts, plant, g, config.get("y_star", 0.0), config.get("x0"), "simulate mode")
+    cfg = sim.SimConfig(
+        plant=plant,
+        gains=g,
+        y_star=_vector(config.get("y_star", 0.0), plant.n, "simulate mode: y_star"),
+        x0=_x0(config.get("x0"), plant.n, plant.order, "simulate mode: x0"),
+        **opts,
+    )
     traj = sim.simulate(cfg, cert=cert)
     out.mkdir(parents=True, exist_ok=True)
     traj.to_csv(out / "trajectory.csv")
@@ -235,23 +232,10 @@ _SWEEP_COLUMNS = (
 )
 
 
-def _sweep_cells(config: dict) -> list:
-    """(plant index, gain set index, setpoint, x0) of each cell, in cell order."""
-    plants = config.get("plants")
-    _expect(isinstance(plants, list) and plants, "sweep mode: 'plants' must be a list")
-    gains_list = config.get("gain_sets")
-    _expect(
-        isinstance(gains_list, list) and gains_list,
-        "sweep mode: 'gain_sets' must be a list",
-    )
-    setpoints = config.get("setpoints")
-    _expect(
-        isinstance(setpoints, list) and setpoints,
-        "sweep mode: 'setpoints' must be a list",
-    )
-    x0s = config.get("x0s", [None])
-    _expect(isinstance(x0s, list) and x0s, "sweep mode: 'x0s' must be a list")
-    return list(itertools.product(range(len(plants)), range(len(gains_list)), setpoints, x0s))
+def _sweep_list(config: dict, key: str, default=None) -> list:
+    node = config.get(key, default)
+    _expect(isinstance(node, list) and node, f"sweep mode: {key!r} must be a list")
+    return node
 
 
 def _judge_cells(batch: list) -> None:
@@ -289,10 +273,12 @@ def mode_sweep(config: dict, out: Path, seed: int) -> int:
     sim_node = config.get("sim", {})
     _check_keys(sim_node, _SIM_KEYS, "sweep mode: sim")
     opts = _sim_options(sim_node, "sweep mode: sim")
-    cells = _sweep_cells(config)
+    plant_nodes, gain_nodes, y_nodes = (
+        _sweep_list(config, key) for key in ("plants", "gain_sets", "setpoints")
+    )
+    x_nodes = _sweep_list(config, "x0s", [None])
     plants = [
-        _parse_plant(node, f"sweep mode: plants[{i}]")
-        for i, node in enumerate(config["plants"])
+        _parse_plant(node, f"sweep mode: plants[{i}]") for i, node in enumerate(plant_nodes)
     ]
     ub = (
         _parse_bounds(config["bounds"], "sweep mode")
@@ -301,11 +287,13 @@ def mode_sweep(config: dict, out: Path, seed: int) -> int:
     )
     gains = [
         _parse_gains(node, kind, f"sweep mode: gain_sets[{i}]")
-        for i, node in enumerate(config["gain_sets"])
+        for i, node in enumerate(gain_nodes)
     ]
     n = plants[0].n
     for p in plants:
         _expect(p.n == n, "sweep mode: all plants must share the block dimension")
+    setpoints = [_vector(y, n, f"sweep mode: setpoints[{i}]") for i, y in enumerate(y_nodes)]
+    x0s = [_x0(x, n, gs.ORDER[kind], f"sweep mode: x0s[{i}]") for i, x in enumerate(x_nodes)]
 
     # membership and one certificate per gain set
     member = [gs.membership(g, ub).member for g in gains]
@@ -313,22 +301,22 @@ def mode_sweep(config: dict, out: Path, seed: int) -> int:
 
     # every member cell that passes its pre-checks joins one stacked integration
     rows, batch = [], []
-    for idx, (ip, ig, ynode, xnode) in enumerate(cells):
-        plant, g = plants[ip], gains[ig]
+    cells = itertools.product(plants, enumerate(gains), setpoints, x0s)
+    for idx, (plant, (ig, g), y_star, x0) in enumerate(cells):
         row = dict.fromkeys(_SWEEP_COLUMNS, "") | {
             "cell": idx,
             "plant": plant.family or "custom",
             "kp": g.kp,
             "ki": g.ki,
             "kd": g.kd,
-            "y_star": as_number(np.atleast_1d(ynode)[0], "sweep mode: setpoint"),
+            "y_star": float(y_star[0]),
             "member": member[ig],
         }
         rows.append(row)
         if not row["member"]:
             continue
         try:
-            cfg = _sim_config(opts, plant, g, ynode, xnode, "sweep cell")
+            cfg = sim.SimConfig(plant=plant, gains=g, y_star=y_star, x0=x0, **opts)
             batch.append((row, sim.prepare_cell(cfg, certs[ig])))
         except PidcertError as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"

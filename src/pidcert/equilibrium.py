@@ -1,11 +1,13 @@
 """Solve f(y*, 0, u) = 0 for the unique equilibrium input u*.
 
-For plants in the admissible class the map u -> f(y*, 0, u) is strongly
+For plants in the admissible class the map Phi(u) = f(y*, 0, u) is strongly
 monotone (inner product grows at least like b_lower * |u1 - u2|^2), so the
-root exists, is unique, and damped Newton converges from anywhere.  When a
-Newton step is rejected the solver falls back to the monotone fixed-point
-step u <- u - eta * Phi(u); scalar plants additionally get a bracketing
-bisection fallback.
+root exists and is unique.  The solver is damped Newton with
+residual-decrease acceptance.  For any nonsingular Jacobian J the step
+s = -J^-1 Phi(u) descends, d/dt |Phi(u + t s)|^2 = -2 |Phi(u)|^2 at t = 0,
+and in-class plants have Sym J >= b_lower > 0, so backtracking fails only at
+roundoff.  A rejected step, a singular J included, raises NumericalError: the
+plant may violate its declared class bounds.
 """
 
 from __future__ import annotations
@@ -14,10 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matrix_kernel as mk
 from .errors import NumericalError, UsageError
 from .gain_sets import SECOND_ORDER
 from .plant_models import PlantModel
+
+# Newton stops once |Phi(u)| <= TOL, and gives up after MAX_ITER steps
+TOL = 1e-10
+MAX_ITER = 10_000
 
 
 @dataclass
@@ -39,88 +44,41 @@ def _phi_and_jac(p: PlantModel, y_star: np.ndarray):
     return phi, jac
 
 
-def solve_equilibrium(
-    p: PlantModel,
-    y_star,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
-    u0=None,
-) -> EquilibriumSolution:
+def _stalled(rn: float) -> NumericalError:
+    return NumericalError(
+        f"equilibrium solve stalled at residual {rn:.3e}; "
+        "plant may violate its declared class bounds"
+    )
+
+
+def solve_equilibrium(p: PlantModel, y_star, u0=None) -> EquilibriumSolution:
     """Damped Newton on Phi(u) = f(y*, 0, u) with residual-decrease acceptance."""
     y = np.atleast_1d(np.asarray(y_star, dtype=float)).reshape(p.n)
     phi, jac = _phi_and_jac(p, y)
     u = np.zeros(p.n) if u0 is None else np.atleast_1d(np.asarray(u0, dtype=float)).reshape(p.n)
-    b = p.declared_bounds.b_lower
     r = phi(u)
     rn = float(np.linalg.norm(r))
-    for it in range(max_iter):
-        if rn <= tol:
+    for it in range(MAX_ITER):
+        if rn <= TOL:
             return EquilibriumSolution(u_star=u, residual_norm=rn, iterations=it, y_star=y)
-        J = jac(u)
-        step = None
         try:
-            step = np.linalg.solve(J, -r)
+            step = np.linalg.solve(jac(u), -r)
         except np.linalg.LinAlgError:
-            step = None
-        accepted = False
-        if step is not None and np.all(np.isfinite(step)):
-            t = 1.0
-            while t >= 1e-12:
-                cand = u + t * step
-                rc = phi(cand)
-                rcn = float(np.linalg.norm(rc))
-                if rcn < rn:
-                    u, r, rn = cand, rc, rcn
-                    accepted = True
-                    break
-                t *= 0.5
-        if not accepted:
-            if p.n == 1:
-                return _bisect_scalar(phi, y, tol, start=u)
-            # monotone fixed-point step: contraction for strongly monotone Phi
-            jn = mk.operator_norm(jac(u))
-            eta = b / (jn * jn + b * b)
-            cand = u - eta * r
+            raise _stalled(rn) from None
+        t = 1.0 if np.all(np.isfinite(step)) else 0.0  # a non-finite step is rejected
+        while t >= 1e-12:
+            cand = u + t * step
             rc = phi(cand)
             rcn = float(np.linalg.norm(rc))
-            if not rcn < rn:
-                raise NumericalError(
-                    f"equilibrium solve stalled at residual {rn:.3e}; "
-                    "plant may violate its declared class bounds"
-                )
-            u, r, rn = cand, rc, rcn
+            if rcn < rn:
+                break
+            t *= 0.5
+        else:
+            raise _stalled(rn)
+        u, r, rn = cand, rc, rcn
     raise NumericalError(
-        f"equilibrium solve exceeded {max_iter} iterations (residual {rn:.3e})"
+        f"equilibrium solve exceeded {MAX_ITER} iterations (residual {rn:.3e})"
     )
-
-
-def _bisect_scalar(phi, y, tol, start) -> EquilibriumSolution:
-    """Expand a bracket around a sign change, then refine with brentq.
-
-    Phi is strictly increasing in u for scalar in-class plants, so a bracket
-    always exists.
-    """
-    # deferred: scipy is needed only for scalar plants
-    from scipy.optimize import brentq
-
-    scalar = lambda v: float(phi(np.array([v]))[0])
-    u0 = float(start[0])
-    span = 1.0
-    lo, hi = u0 - span, u0 + span
-    for _ in range(200):
-        if scalar(lo) <= 0.0 <= scalar(hi):
-            break
-        span *= 2.0
-        lo, hi = u0 - span, u0 + span
-    else:
-        raise NumericalError("could not bracket the scalar equilibrium input")
-    root = brentq(scalar, lo, hi, xtol=1e-15, rtol=8.881784197001252e-16, maxiter=300)
-    # polish with bisection until the residual itself is below tol
-    u = np.array([root])
-    rn = abs(scalar(root))
-    if rn > tol:
-        raise NumericalError(f"bisection reached residual {rn:.3e} > tol {tol:.3e}")
-    return EquilibriumSolution(u_star=u, residual_norm=rn, iterations=0, y_star=y)
 
 
 def monotonicity_probe(

@@ -28,6 +28,10 @@ LAYOUT = {
     PI: {"i": "i", "x": "x"},
 }
 
+# the plant order each kind controls: a kind with a velocity block v controls
+# second-order plants
+ORDER = {kind: SECOND_ORDER if "v" in blocks else FIRST_ORDER for kind, blocks in LAYOUT.items()}
+
 
 @dataclass(frozen=True)
 class UncertaintyBounds:
@@ -126,49 +130,43 @@ def _require_kind(g: GainVector, kind: str, op: str) -> None:
         raise UsageError(f"{op} requires {kind} gains, got {g.kind}")
 
 
-def pid_membership(g: GainVector, ub: UncertaintyBounds) -> MembershipReport:
-    """Test kp,ki,kd > 0, kp^2 > 2 ki kd + kbar and kd^2 > kp/b + kbar."""
-    _require_kind(g, PID, "pid_membership")
-    if ub.order != SECOND_ORDER:
-        raise UsageError("PID region is defined for second-order bounds")
+def _require_order(kind: str, ub: UncertaintyBounds) -> None:
+    if ub.order != ORDER[kind]:
+        raise UsageError(f"{kind} gains need {ORDER[kind].replace('_', '-')} bounds")
+
+
+def membership(g: GainVector, ub: UncertaintyBounds) -> MembershipReport:
+    """Slack of every strict inequality of the region of ``g.kind``.
+
+    PID: kp,ki,kd > 0, kp^2 > 2 ki kd + kbar and kd^2 > kp/b + kbar.
+    PD:  kp,kd > 0, kp^2 > kbar and kd^2 > kp/b + kbar.
+    PI:  kp,ki > 0 and kp^2 b > kp L + ki + L^2/(4b) (first-order class).
+    """
+    _require_order(g.kind, ub)
+    if g.kind == PI:
+        L, b = ub.L, ub.b_lower
+        margins = [
+            ("kp_positive", g.kp),
+            ("ki_positive", g.ki),
+            ("quadratic", g.kp**2 * b - g.kp * L - g.ki - L**2 / (4.0 * b)),
+        ]
+        return _report(margins, kbar=0.0)
     kbar = coupling_term(g.kp, g.kd, ub)
-    margins = [
-        ("kp_positive", g.kp),
-        ("ki_positive", g.ki),
-        ("kd_positive", g.kd),
-        ("kp_sq_vs_cross", g.kp**2 - 2.0 * g.ki * g.kd - kbar),
-        ("kd_sq_vs_kp", g.kd**2 - g.kp / ub.b_lower - kbar),
-    ]
+    if g.kind == PID:
+        margins = [
+            ("kp_positive", g.kp),
+            ("ki_positive", g.ki),
+            ("kd_positive", g.kd),
+            ("kp_sq_vs_cross", g.kp**2 - 2.0 * g.ki * g.kd - kbar),
+        ]
+    else:
+        margins = [
+            ("kp_positive", g.kp),
+            ("kd_positive", g.kd),
+            ("kp_sq_vs_coupling", g.kp**2 - kbar),
+        ]
+    margins.append(("kd_sq_vs_kp", g.kd**2 - g.kp / ub.b_lower - kbar))
     return _report(margins, kbar)
-
-
-def pd_membership(g: GainVector, ub: UncertaintyBounds) -> MembershipReport:
-    """Test kp,kd > 0, kp^2 > kbar and kd^2 > kp/b + kbar."""
-    _require_kind(g, PD, "pd_membership")
-    if ub.order != SECOND_ORDER:
-        raise UsageError("PD region is defined for second-order bounds")
-    kbar = coupling_term(g.kp, g.kd, ub)
-    margins = [
-        ("kp_positive", g.kp),
-        ("kd_positive", g.kd),
-        ("kp_sq_vs_coupling", g.kp**2 - kbar),
-        ("kd_sq_vs_kp", g.kd**2 - g.kp / ub.b_lower - kbar),
-    ]
-    return _report(margins, kbar)
-
-
-def pi_membership(g: GainVector, ub: UncertaintyBounds) -> MembershipReport:
-    """Test kp,ki > 0 and kp^2 b > kp L + ki + L^2/(4b) (first-order class)."""
-    _require_kind(g, PI, "pi_membership")
-    if ub.order != FIRST_ORDER:
-        raise UsageError("PI region is defined for first-order bounds")
-    L, b = ub.L, ub.b_lower
-    margins = [
-        ("kp_positive", g.kp),
-        ("ki_positive", g.ki),
-        ("quadratic", g.kp**2 * b - g.kp * L - g.ki - L**2 / (4.0 * b)),
-    ]
-    return _report(margins, kbar=0.0)
 
 
 def pi_relaxed_membership(g: GainVector, ub: UncertaintyBounds) -> MembershipReport:
@@ -176,25 +174,15 @@ def pi_relaxed_membership(g: GainVector, ub: UncertaintyBounds) -> MembershipRep
 
     For one-dimensional plants this region is both sufficient and necessary
     for asymptotic regulation; it strictly contains the exponential-rate PI
-    region above.
+    region of ``membership``.
     """
     _require_kind(g, PI, "pi_relaxed_membership")
-    if ub.order != FIRST_ORDER:
-        raise UsageError("relaxed PI region is defined for first-order bounds")
+    _require_order(PI, ub)
     margins = [
         ("kp_b_vs_L", g.kp * ub.b_lower - ub.L),
         ("ki_positive", g.ki),
     ]
     return _report(margins, kbar=0.0)
-
-
-def membership(g: GainVector, ub: UncertaintyBounds) -> MembershipReport:
-    """Dispatch on the gain kind."""
-    if g.kind == PID:
-        return pid_membership(g, ub)
-    if g.kind == PD:
-        return pd_membership(g, ub)
-    return pi_membership(g, ub)
 
 
 def suggest_gains(
@@ -206,7 +194,7 @@ def suggest_gains(
     """Construct an interior point of the requested gain region.
 
     PID: kp = kd = (2 ki + (2(L1+L2)+1)/b) * (1+margin), any ki > 0.
-    PD:  kp = kd = ((2(L1+L2)+1)/b) * (1+margin).
+    PD:  the PID formula at ki = 0.
     PI:  kp = 2L/b + ki/L  (L = 0 degenerates to kp = sqrt(ki/b)*(1+margin)+margin).
 
     The returned gains are re-checked against the membership predicate; a
@@ -214,27 +202,13 @@ def suggest_gains(
     """
     if margin < 0:
         raise UsageError("margin must be >= 0")
-    if kind == PID:
-        if ub.order != SECOND_ORDER:
-            raise UsageError("PID suggestion needs second-order bounds")
-        ki_val = 1.0 if ki is None else float(ki)
-        if not ki_val > 0:
-            raise UsageError("ki must be > 0 for PID")
-        base = 2.0 * ki_val + (2.0 * (ub.L1 + ub.L2) + 1.0) / ub.b_lower
-        k = base * (1.0 + margin)
-        g = GainVector(PID, kp=k, ki=ki_val, kd=k)
-    elif kind == PD:
-        if ub.order != SECOND_ORDER:
-            raise UsageError("PD suggestion needs second-order bounds")
-        base = (2.0 * (ub.L1 + ub.L2) + 1.0) / ub.b_lower
-        k = base * (1.0 + margin)
-        g = GainVector(PD, kp=k, kd=k)
-    elif kind == PI:
-        if ub.order != FIRST_ORDER:
-            raise UsageError("PI suggestion needs first-order bounds")
-        ki_val = 1.0 if ki is None else float(ki)
-        if not ki_val > 0:
-            raise UsageError("ki must be > 0 for PI")
+    if kind not in ORDER:
+        raise UsageError(f"unknown controller kind {kind!r}")
+    _require_order(kind, ub)
+    ki_val = 0.0 if kind == PD else 1.0 if ki is None else float(ki)
+    if kind != PD and not ki_val > 0:
+        raise UsageError(f"ki must be > 0 for {kind}")
+    if kind == PI:
         if ub.L > 0:
             kp = 2.0 * ub.L / ub.b_lower + ki_val / ub.L
         else:
@@ -242,7 +216,8 @@ def suggest_gains(
             kp = math.sqrt(ki_val / ub.b_lower) * (1.0 + margin) + margin
         g = GainVector(PI, kp=kp, ki=ki_val)
     else:
-        raise UsageError(f"unknown controller kind {kind!r}")
+        k = (2.0 * ki_val + (2.0 * (ub.L1 + ub.L2) + 1.0) / ub.b_lower) * (1.0 + margin)
+        g = GainVector(kind, kp=k, ki=ki_val, kd=k)
 
     report = membership(g, ub)
     if not report.member:
@@ -260,11 +235,11 @@ def semi_cone_check(g: GainVector, ub: UncertaintyBounds, alphas) -> bool:
     members outward).
     """
     _require_kind(g, PID, "semi_cone_check")
-    if not pid_membership(g, ub).member:
+    if not membership(g, ub).member:
         raise UsageError("semi_cone_check requires a PID region member")
     for alpha in alphas:
         if alpha < 1.0:
             raise UsageError("scaling factors must be >= 1")
-        if not pid_membership(g.scaled(float(alpha)), ub).member:
+        if not membership(g.scaled(float(alpha)), ub).member:
             return False
     return True

@@ -157,15 +157,15 @@ def necessity_counterexample(
     ub: UncertaintyBounds,
     gains: GainVector,
     y_star: float,
-    t_final: Optional[float] = None,
 ) -> CounterexampleReport:
     """Exhibit failure of regulation for gains outside the relaxed PI region.
 
     ``ki_zero``: pure proportional control on the linear extreme plant leaves
-    the steady-state offset e_inf = L*y*/(L - b*kp) (nonzero when y* != 0).
+    the steady-state offset e_inf = L*y*/(L - b*kp) (nonzero when y* != 0);
+    the run lasts 40 time constants 1/(b*kp - L).
     ``unstable_linear``: with ki != 0 but gains outside the region, the linear
     closed-loop matrix has an eigenvalue with nonnegative real part and the
-    simulated error does not decay.
+    simulated error does not decay over a run of 20 time units.
     """
     if ub.order != FIRST_ORDER:
         raise UsageError("necessity cases use first-order bounds")
@@ -182,13 +182,12 @@ def necessity_counterexample(
         if L - b * gains.kp >= 0:
             raise UsageError("ki_zero case expects a stable proportional loop (kp*b > L)")
         e_inf = L * y_star / (L - b * gains.kp)
-        horizon = t_final if t_final is not None else 40.0 / (b * gains.kp - L)
         cfg = SimConfig(
             plant=plant,
             gains=gains,
             y_star=np.array([y_star]),
             x0=np.zeros(1),
-            t_final=horizon,
+            t_final=40.0 / (b * gains.kp - L),
         )
         traj = simulate(cfg)
         e_obs = float(traj.errors[-1, 0])
@@ -207,13 +206,12 @@ def necessity_counterexample(
             raise UsageError("unstable_linear case requires gains outside the region")
         closed = np.array([[0.0, 1.0], [-gains.ki * b, L - gains.kp * b]])
         max_re = float(np.max(np.real(np.linalg.eigvals(closed))))
-        horizon = t_final if t_final is not None else 20.0
         cfg = SimConfig(
             plant=plant,
             gains=gains,
             y_star=np.zeros(1),
             x0=np.ones(1),
-            t_final=horizon,
+            t_final=20.0,
         )
         traj = simulate(cfg)
         e_abs = np.abs(traj.errors[:, 0])

@@ -49,7 +49,6 @@ class PlantModel:
     """
 
     n: int
-    order: str
     f: Callable[..., np.ndarray]
     jac_x1: Callable[..., np.ndarray]
     jac_x2: Optional[Callable[..., np.ndarray]]
@@ -58,12 +57,13 @@ class PlantModel:
     family: Optional[str] = None
 
     def __post_init__(self):
-        if self.order not in (SECOND_ORDER, FIRST_ORDER):
-            raise UsageError(f"unknown plant order {self.order!r}")
-        if self.declared_bounds.order != self.order:
-            raise UsageError("declared bounds order must match plant order")
         if self.order == SECOND_ORDER and self.jac_x2 is None:
             raise UsageError("second-order plant needs jac_x2")
+
+    @property
+    def order(self) -> str:
+        """The order of the declared class."""
+        return self.declared_bounds.order
 
     @property
     def nargs(self) -> int:
@@ -316,7 +316,6 @@ def _linear(mats: list, theta: np.ndarray, ub: UncertaintyBounds | None = None) 
     terms = (*mats, theta)
     return PlantModel(
         n=n,
-        order=ub.order,
         f=lambda *args: functools.reduce(operator.add, (x @ m.T for x, m in zip(args, terms))),
         jac_x1=_constant(mats[0]),
         jac_x2=_constant(mats[1]) if len(mats) == 2 else None,
@@ -334,7 +333,6 @@ def _sinusoidal_scalar(c1, c2=None) -> PlantModel:
         # f = c1*sin(x) + u, so |df/dx| <= |c1| with equality at x = 0
         return PlantModel(
             n=1,
-            order=FIRST_ORDER,
             f=lambda x, u: c1 * np.sin(x) + u,
             jac_x1=lambda x, u: c1 * np.cos(x)[..., None],
             jac_x2=None,
@@ -346,7 +344,6 @@ def _sinusoidal_scalar(c1, c2=None) -> PlantModel:
     # f = c1*sin(x1) - c2*x2 + u
     return PlantModel(
         n=1,
-        order=SECOND_ORDER,
         f=lambda x1, x2, u: c1 * np.sin(x1) - c2 * x2 + u,
         jac_x1=lambda x1, x2, u: c1 * np.cos(x1)[..., None],
         jac_x2=_constant(np.array([[-c2]])),
@@ -365,7 +362,6 @@ def _tanh_coupled(n, l1, l2, b_lower, w_scale) -> PlantModel:
     theta = b_lower * np.eye(n) + w_scale * b_lower * np.outer(v, v)
     return PlantModel(
         n=n,
-        order=SECOND_ORDER,
         f=lambda x1, x2, u: l1 * np.tanh(x1) + l2 * np.tanh(x2) + u @ theta.T,
         jac_x1=lambda x1, x2, u: _diag(l1 * (1.0 / np.cosh(x1) ** 2)),
         jac_x2=lambda x1, x2, u: _diag(l2 * (1.0 / np.cosh(x2) ** 2)),
@@ -380,7 +376,6 @@ def _nonaffine_cubic_u(c1, b_lower, c2=None) -> PlantModel:
     if c2 is None:
         return PlantModel(
             n=1,
-            order=FIRST_ORDER,
             f=lambda x, u: c1 * np.sin(x) + b * u + u**3 / 3.0,
             jac_x1=lambda x, u: c1 * np.cos(x)[..., None],
             jac_x2=None,
@@ -389,7 +384,6 @@ def _nonaffine_cubic_u(c1, b_lower, c2=None) -> PlantModel:
         )
     return PlantModel(
         n=1,
-        order=SECOND_ORDER,
         f=lambda x1, x2, u: c1 * np.sin(x1) + c2 * np.sin(x2) + b * u + u**3 / 3.0,
         jac_x1=lambda x1, x2, u: c1 * np.cos(x1)[..., None],
         jac_x2=lambda x1, x2, u: c2 * np.cos(x2)[..., None],
@@ -477,21 +471,21 @@ def build_family(family_id: str, params: dict | None = None) -> PlantModel:
 
 def custom_plant(
     n: int,
-    order: str,
     f: Callable[..., np.ndarray],
     declared_bounds: UncertaintyBounds,
     jac_x1: Callable[..., np.ndarray] | None = None,
     jac_x2: Callable[..., np.ndarray] | None = None,
     jac_u: Callable[..., np.ndarray] | None = None,
 ) -> PlantModel:
-    """Wrap a user-supplied f; missing Jacobians fall back to central
-    differences (accuracy then limited to the finite-difference step).
+    """Wrap a user-supplied f of the order of ``declared_bounds``; missing
+    Jacobians fall back to central differences (accuracy then limited to the
+    finite-difference step).  A first-order plant ignores ``jac_x2``.
 
     ``f`` and the given Jacobians need only take one point: called with
     (..., n) arrays, the wrapped plant loops them over the rows.
     """
 
-    nargs = 3 if order == SECOND_ORDER else 2
+    second = declared_bounds.order == SECOND_ORDER
     f_rows = _row_loop(f, (n,))
 
     def slot(jac, idx):
@@ -501,10 +495,9 @@ def custom_plant(
 
     return PlantModel(
         n=n,
-        order=order,
         f=f_rows,
         jac_x1=slot(jac_x1, 0),
-        jac_x2=slot(jac_x2, 1) if order == SECOND_ORDER else None,
-        jac_u=slot(jac_u, nargs - 1),
+        jac_x2=slot(jac_x2, 1) if second else None,
+        jac_u=slot(jac_u, 2 if second else 1),
         declared_bounds=declared_bounds,
     )

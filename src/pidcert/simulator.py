@@ -42,11 +42,13 @@ import numpy as np
 from .certificates import LyapunovCertificate
 from .equilibrium import solve_equilibrium
 from .errors import CertificateError, IntegrationError, UsageError
-from .gain_sets import FIRST_ORDER, LAYOUT, SECOND_ORDER, GainVector, covers
+from .gain_sets import LAYOUT, ORDER, SECOND_ORDER, GainVector, covers
 from .plant_models import PlantModel, equilibrium_shift_check
 
 RK4_FIXED = "rk4_fixed"
 RK45_ADAPTIVE = "rk45_adaptive"
+# envelope_audit's tolerance, relative to the initial envelope value
+ENVELOPE_RTOL = 1e-7
 
 
 def _split(kind: str, n: int, s: np.ndarray) -> dict:
@@ -90,6 +92,9 @@ class SimConfig:
             raise UsageError("dt_max must be > 0")
         if self.integrator not in (RK4_FIXED, RK45_ADAPTIVE):
             raise UsageError(f"unknown integrator {self.integrator!r}")
+        kind = self.gains.kind
+        if self.plant.order != ORDER[kind]:
+            raise UsageError(f"{kind} control needs a {ORDER[kind].replace('_', '-')} plant")
         n = self.plant.n
         self.y_star = np.atleast_1d(np.asarray(self.y_star, dtype=float)).reshape(n)
         want = 2 * n if self.plant.order == SECOND_ORDER else n
@@ -98,10 +103,6 @@ class SimConfig:
             self.integral_state0 = np.atleast_1d(
                 np.asarray(self.integral_state0, dtype=float)
             ).reshape(n)
-        kind = self.gains.kind
-        order = SECOND_ORDER if "v" in LAYOUT[kind] else FIRST_ORDER
-        if self.plant.order != order:
-            raise UsageError(f"{kind} control needs a {order.replace('_', '-')} plant")
 
 
 @dataclass
@@ -133,11 +134,6 @@ class Trajectory:
         if "v" not in LAYOUT[self.kind]:
             return e
         return e + np.linalg.norm(self.edots, axis=1)
-
-    def initial_envelope_value(self) -> float:
-        if self.envelope is None:
-            raise UsageError("trajectory has no envelope (simulate with a certificate)")
-        return float(self.envelope[0])
 
     def to_csv(self, path) -> None:
         def cols(prefix):
@@ -439,19 +435,15 @@ def fit_decay(traj: Trajectory, window: tuple[float, float]) -> tuple[float, flo
     return float(-slope), float(math.exp(intercept))
 
 
-def envelope_audit(
-    traj: Trajectory,
-    atol_envelope: Optional[float] = None,
-) -> AuditReport:
+def envelope_audit(traj: Trajectory) -> AuditReport:
     """Check the recorded envelope margin at every sample time.
 
-    Any sample more than ``atol_envelope`` below the envelope fails the
-    audit; the default tolerance is 1e-7 of the initial envelope value.
+    Any sample more than ``ENVELOPE_RTOL`` times the initial envelope value
+    below the envelope fails the audit.
     """
     if traj.envelope_margin is None:
         raise UsageError("trajectory has no envelope margins to audit")
-    if atol_envelope is None:
-        atol_envelope = 1e-7 * traj.initial_envelope_value()
+    atol_envelope = ENVELOPE_RTOL * float(traj.envelope[0])
     margin = traj.envelope_margin
     violations = np.nonzero(margin < -atol_envelope)[0]
     first_violation = float(traj.times[violations[0]]) if violations.size else None
@@ -459,7 +451,7 @@ def envelope_audit(
         passes=violations.size == 0,
         min_margin=float(np.min(margin)),
         first_violation_time=first_violation,
-        atol_envelope=float(atol_envelope),
+        atol_envelope=atol_envelope,
         samples=int(margin.size),
     )
 

@@ -72,12 +72,12 @@ class TestAcceptance:
             ki = rng.uniform(1e-3, 5.0)
             ub = pc.UncertaintyBounds(L1, L2, b)
             k = 2 * ki + (2 * (L1 + L2) + 1) / b
-            assert pc.pid_membership(pc.GainVector("PID", k, ki, k), ub).member
+            assert pc.membership(pc.GainVector("PID", k, ki, k), ub).member
             kpd = ((2 * (L1 + L2) + 1) / b) * (1 + rng.uniform(1e-6, 1.0))
-            assert pc.pd_membership(pc.GainVector("PD", kpd, kd=kpd), ub).member
+            assert pc.membership(pc.GainVector("PD", kpd, kd=kpd), ub).member
             ub1 = pc.UncertaintyBounds.first_order(L1, b)
             kp = 2 * L1 / b + ki / L1
-            assert pc.pi_membership(pc.GainVector("PI", kp, ki), ub1).member
+            assert pc.membership(pc.GainVector("PI", kp, ki), ub1).member
         elapsed = time.perf_counter() - t0
         assert elapsed < 1.0, f"took {elapsed:.3f}s"
         report(1, f"3000 closed-form constructions all members in {elapsed:.3f}s")
@@ -145,9 +145,8 @@ class TestAcceptance:
         cells, elapsed = grid_trajectories
         assert len(cells) == 27
         for fam, ki, y, cert, traj in cells:
-            audit = pc.envelope_audit(
-                traj, atol_envelope=1e-7 * traj.initial_envelope_value()
-            )
+            audit = pc.envelope_audit(traj)
+            assert audit.atol_envelope == 1e-7 * traj.envelope[0]
             # the raw margin itself must clear the tolerance
             assert audit.min_margin >= -audit.atol_envelope, (fam, ki, y, audit)
             assert audit.passes
@@ -188,7 +187,7 @@ class TestAcceptance:
                 "PID", ub, ki=rng.uniform(0.01, 3.0), margin=rng.uniform(0.0, 1.0)
             )
             alpha = rng.uniform(1.0, 1e3)
-            assert pc.pid_membership(g.scaled(alpha), ub).member
+            assert pc.membership(g.scaled(alpha), ub).member
         report(8, "10000 member scalings stayed inside the region, zero failures")
 
     def test_criterion_09_equilibrium_solver(self):

@@ -532,6 +532,59 @@ class TestNonNumericValues:
                 "sweep.csv",
             ),
             ("certify", {"bounds": {"L1": 1, "L2": [1], "b_lower": 1}}, "'L2'", "certificate.json"),
+            # every entry of a setpoint or initial state is read by the rule of
+            # a number, and a sweep checks all of them before any cell runs
+            (
+                "simulate",
+                {
+                    "plant": {"family": "sinusoidal_scalar", "params": {"c1": 1.0, "c2": 1.0}},
+                    "gains": {"kp": 7, "ki": 1, "kd": 7},
+                    "x0": [float("nan"), 0.0],
+                },
+                "x0",
+                "summary.json",
+            ),
+            (
+                "simulate",
+                {
+                    "plant": {"family": "sinusoidal_scalar", "params": {"c1": 1.0, "c2": 1.0}},
+                    "gains": {"kp": 7, "ki": 1, "kd": 7},
+                    "y_star": float("nan"),
+                },
+                "y_star",
+                "summary.json",
+            ),
+            (
+                "sweep",
+                {
+                    "plants": [{"family": "sinusoidal_scalar", "params": {}}],
+                    "gain_sets": [{"kp": 7, "ki": 1, "kd": 7}],
+                    "setpoints": [0.0],
+                    "x0s": [[float("nan"), 0.0]],
+                },
+                "x0s",
+                "sweep.csv",
+            ),
+            (
+                "sweep",
+                {
+                    "plants": [{"family": "sinusoidal_scalar", "params": {}}],
+                    "gain_sets": [{"kp": 7, "ki": 1, "kd": 7}],
+                    "setpoints": [float("nan"), 0.5],
+                },
+                "setpoints",
+                "sweep.csv",
+            ),
+            (
+                "sweep",
+                {
+                    "plants": [{"family": "sinusoidal_scalar", "params": {}}],
+                    "gain_sets": [{"kp": 7, "ki": 1, "kd": 7}],
+                    "setpoints": [[0.5, 1.0], 0.5],
+                },
+                "setpoints",
+                "sweep.csv",
+            ),
             # JSON's Infinity and NaN parse as floats, but they are not numbers
             # a bound can take
             (

@@ -1,10 +1,12 @@
 """Tests for the monotone equilibrium-input solver."""
 
 import numpy as np
+import pytest
 
 from pidcert import equilibrium as eq
 from pidcert import plant_models as pm
-from pidcert.gain_sets import FIRST_ORDER
+from pidcert.errors import NumericalError
+from pidcert.gain_sets import FIRST_ORDER, UncertaintyBounds
 
 
 def family_zoo():
@@ -46,6 +48,19 @@ class TestSolveEquilibrium:
         # solves 1 + u + u^3/3 = 0
         resid = 1.0 + sol.u_star[0] + sol.u_star[0] ** 3 / 3.0
         assert abs(resid) <= 1e-10
+
+    def test_out_of_class_plant_stalls(self):
+        """f = u^3 - 1 declares b_lower = 1, but df/du = 3u^2 vanishes at the
+        start u = 0: the Newton step is singular and the solve reports the
+        plant instead of searching further."""
+        p = pm.custom_plant(
+            n=1,
+            f=lambda x, u: u**3 - 1.0,
+            declared_bounds=UncertaintyBounds.first_order(0.0, 1.0),
+            jac_u=lambda x, u: np.array([[3.0 * u[0] ** 2]]),
+        )
+        with pytest.raises(NumericalError, match="stalled .* declared class bounds"):
+            eq.solve_equilibrium(p, [0.0])
 
     def test_residual_at_random_setpoints(self):
         rng = np.random.default_rng(17)

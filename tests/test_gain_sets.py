@@ -16,67 +16,77 @@ positive = st.floats(min_value=0.05, max_value=10.0, allow_nan=False)
 
 class TestPidMembership:
     def test_reference_member(self):
-        rep = gs.pid_membership(gs.GainVector("PID", 7, 1, 7), UB111)
+        rep = gs.membership(gs.GainVector("PID", 7, 1, 7), UB111)
         assert rep.member
         assert rep.kbar == 28.0
         assert rep.slack("kp_sq_vs_cross") == 49.0 - 42.0
         assert rep.slack("kd_sq_vs_kp") == 49.0 - 35.0
 
     def test_unit_gains_fail(self):
-        rep = gs.pid_membership(gs.GainVector("PID", 1, 1, 1), UB111)
+        rep = gs.membership(gs.GainVector("PID", 1, 1, 1), UB111)
         assert not rep.member
         assert rep.kbar == 4.0
         assert rep.slack("kp_sq_vs_cross") < 0  # 1 > 6 fails
 
     def test_scaled_member_stays_member(self):
-        rep = gs.pid_membership(gs.GainVector("PID", 14, 2, 14), UB111)
+        rep = gs.membership(gs.GainVector("PID", 14, 2, 14), UB111)
         assert rep.member
         assert rep.kbar == 56.0
         assert rep.slack("kp_sq_vs_cross") == 196.0 - 112.0
         assert rep.slack("kd_sq_vs_kp") == 196.0 - 70.0
 
-    def test_wrong_kind_rejected(self):
-        with pytest.raises(UsageError):
-            gs.pid_membership(gs.GainVector("PD", 7, kd=7), UB111)
 
-    def test_first_order_bounds_rejected(self):
-        with pytest.raises(UsageError):
-            gs.pid_membership(gs.GainVector("PID", 7, 1, 7), UB_PI)
+@pytest.mark.parametrize(
+    "g,ub",
+    [
+        (gs.GainVector("PID", 7, 1, 7), UB_PI),
+        (gs.GainVector("PD", 6, kd=6), UB_PI),
+        (gs.GainVector("PI", 3, 1), UB111),
+    ],
+    ids=["PID", "PD", "PI"],
+)
+@pytest.mark.parametrize("call", ["membership", "suggest_gains"])
+def test_bounds_of_the_wrong_order_rejected(g, ub, call):
+    with pytest.raises(UsageError, match=f"{g.kind} gains need"):
+        if call == "membership":
+            gs.membership(g, ub)
+        else:
+            gs.suggest_gains(g.kind, ub)
 
 
 class TestPdMembership:
     def test_reference_member(self):
-        rep = gs.pd_membership(gs.GainVector("PD", 6, kd=6), UB111)
+        rep = gs.membership(gs.GainVector("PD", 6, kd=6), UB111)
         assert rep.member
         assert rep.kbar == 24.0
         assert rep.slack("kp_sq_vs_coupling") == 12.0
         assert rep.slack("kd_sq_vs_kp") == 6.0
 
     def test_small_gains_fail(self):
-        rep = gs.pd_membership(gs.GainVector("PD", 2, kd=2), UB111)
+        rep = gs.membership(gs.GainVector("PD", 2, kd=2), UB111)
         assert not rep.member  # 4 > 8 fails
 
     def test_construction_boundary_excluded(self):
         # k equal to (2(L1+L2)+1)/b sits exactly on the second inequality
         k = (2 * (1.0 + 1.0) + 1.0) / 1.0
-        rep = gs.pd_membership(gs.GainVector("PD", k, kd=k), UB111)
+        rep = gs.membership(gs.GainVector("PD", k, kd=k), UB111)
         assert not rep.member
         assert rep.slack("kd_sq_vs_kp") == 0.0
 
 
 class TestPiMembership:
     def test_reference_member(self):
-        rep = gs.pi_membership(gs.GainVector("PI", 3, 1), UB_PI)
+        rep = gs.membership(gs.GainVector("PI", 3, 1), UB_PI)
         assert rep.member
         assert rep.slack("quadratic") == 9.0 - 4.25
 
     def test_unit_gains_fail(self):
-        assert not gs.pi_membership(gs.GainVector("PI", 1, 1), UB_PI).member
+        assert not gs.membership(gs.GainVector("PI", 1, 1), UB_PI).member
 
     def test_degenerate_L_zero(self):
         ub = gs.UncertaintyBounds.first_order(0.0, 1.0)
-        assert gs.pi_membership(gs.GainVector("PI", 2, 1), ub).member  # 4 > 1
-        assert not gs.pi_membership(gs.GainVector("PI", 1, 1), ub).member  # 1 > 1 fails
+        assert gs.membership(gs.GainVector("PI", 2, 1), ub).member  # 4 > 1
+        assert not gs.membership(gs.GainVector("PI", 1, 1), ub).member  # 1 > 1 fails
 
 
 class TestPiRelaxedMembership:
@@ -94,7 +104,7 @@ class TestPiRelaxedMembership:
     def test_contains_pi_region(self, kp, ki, L, b):
         ub = gs.UncertaintyBounds.first_order(L, b)
         g = gs.GainVector("PI", kp, ki)
-        if gs.pi_membership(g, ub).member:
+        if gs.membership(g, ub).member:
             assert gs.pi_relaxed_membership(g, ub).member
 
     def test_contains_pi_region_bulk(self):
@@ -103,7 +113,7 @@ class TestPiRelaxedMembership:
         for _ in range(10_000):
             ub = gs.UncertaintyBounds.first_order(rng.uniform(0, 5), rng.uniform(0.05, 5))
             g = gs.GainVector("PI", rng.uniform(0, 20), rng.uniform(0, 10))
-            if gs.pi_membership(g, ub).member:
+            if gs.membership(g, ub).member:
                 members += 1
                 assert gs.pi_relaxed_membership(g, ub).member
         assert members > 500  # the inclusion must actually get exercised
@@ -113,22 +123,22 @@ class TestSuggestGains:
     def test_pid_formula_zero_margin(self):
         g = gs.suggest_gains("PID", UB111, ki=1.0, margin=0.0)
         assert (g.kp, g.ki, g.kd) == (7.0, 1.0, 7.0)
-        assert gs.pid_membership(g, UB111).member
+        assert gs.membership(g, UB111).member
 
     def test_pd_formula(self):
         g = gs.suggest_gains("PD", UB111, margin=0.2)
         assert (g.kp, g.kd) == (6.0, 6.0)
-        assert gs.pd_membership(g, UB111).member
+        assert gs.membership(g, UB111).member
 
     def test_pi_formula(self):
         g = gs.suggest_gains("PI", UB_PI, ki=1.0)
         assert (g.kp, g.ki) == (3.0, 1.0)
-        assert gs.pi_membership(g, UB_PI).member
+        assert gs.membership(g, UB_PI).member
 
     def test_pi_zero_L_branch(self):
         ub = gs.UncertaintyBounds.first_order(0.0, 2.0)
         g = gs.suggest_gains("PI", ub, ki=1.0)
-        assert gs.pi_membership(g, ub).member
+        assert gs.membership(g, ub).member
 
     def test_always_member_random_bounds(self):
         rng = np.random.default_rng(7)
@@ -138,9 +148,9 @@ class TestSuggestGains:
             )
             ub1 = gs.UncertaintyBounds.first_order(rng.uniform(0, 10), rng.uniform(1e-3, 10))
             ki = rng.uniform(0.01, 5)
-            assert gs.pid_membership(gs.suggest_gains("PID", ub, ki=ki), ub).member
-            assert gs.pd_membership(gs.suggest_gains("PD", ub), ub).member
-            assert gs.pi_membership(gs.suggest_gains("PI", ub1, ki=ki), ub1).member
+            assert gs.membership(gs.suggest_gains("PID", ub, ki=ki), ub).member
+            assert gs.membership(gs.suggest_gains("PD", ub), ub).member
+            assert gs.membership(gs.suggest_gains("PI", ub1, ki=ki), ub1).member
 
 
 class TestSemiCone:
@@ -182,12 +192,12 @@ class TestStructuralProperties:
         for _ in range(200):
             mid = (lo + hi) / 2
             cand = gs.GainVector("PID", mid, g.ki, g.kd)
-            if gs.pid_membership(cand, ub).member:
+            if gs.membership(cand, ub).member:
                 hi = mid
             else:
                 lo = mid
-        at_hi = gs.pid_membership(gs.GainVector("PID", hi, g.ki, g.kd), ub)
-        at_lo = gs.pid_membership(gs.GainVector("PID", lo, g.ki, g.kd), ub)
+        at_hi = gs.membership(gs.GainVector("PID", hi, g.ki, g.kd), ub)
+        at_lo = gs.membership(gs.GainVector("PID", lo, g.ki, g.kd), ub)
         assert at_hi.member and not at_lo.member
         assert min(s for _, s in at_hi.margins) >= 0.0
         assert min(s for _, s in at_lo.margins) <= 0.0
@@ -202,8 +212,8 @@ class TestStructuralProperties:
         harder = gs.UncertaintyBounds(
             ub.L1 + dL2, ub.L2 + dL1, b / (1.0 + extra_b)
         )
-        if not gs.pid_membership(g, ub).member:
-            assert not gs.pid_membership(g, harder).member
+        if not gs.membership(g, ub).member:
+            assert not gs.membership(g, harder).member
 
 
 class TestCovers:

@@ -1,9 +1,9 @@
-"""The certificate path and the class audit run on numpy alone.
+"""The certificate path, the class audit and the planar Jacobian grid run on
+numpy alone.
 
-scipy is imported only inside the adaptive integrator and the scalar
-equilibrium solve; a stray top-level import would load it (and its memory)
-for every run.  Checked in a fresh interpreter so other tests' imports do not
-leak in.
+scipy is imported only inside the adaptive integrator; a stray top-level
+import would load it (and its memory) for every run.  Checked in a fresh
+interpreter so other tests' imports do not leak in.
 """
 
 import os
@@ -37,8 +37,10 @@ assert not loaded, loaded
     [
         ("certify", "certify_pid.json", "certificate.json"),
         ("verify-class", "verify_class.json", "validation.json"),
+        # solves the scalar equilibrium, then evaluates the Jacobian grid
+        ("planar", "planar_sufficiency.json", "planar.json"),
     ],
-    ids=["certify", "verify-class"],
+    ids=["certify", "verify-class", "planar"],
 )
 def test_mode_loads_no_scipy_solvers(tmp_path, mode, config, output):
     env = dict(os.environ)

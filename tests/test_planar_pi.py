@@ -141,7 +141,7 @@ class TestRelaxedRegionIsStrictlyLarger:
         region, yet still regulates the linear extreme plant."""
         g = pc.GainVector("PI", 1.5, 2.0)
         assert pc.pi_relaxed_membership(g, UB_PI).member
-        assert not pc.pi_membership(g, UB_PI).member
+        assert not pc.membership(g, UB_PI).member
         closed = np.array([[0.0, 1.0], [-g.ki * 1.0, 1.0 - g.kp * 1.0]])
         assert np.max(np.real(np.linalg.eigvals(closed))) < 0
         cfg = pc.SimConfig(

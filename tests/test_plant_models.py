@@ -114,7 +114,6 @@ class TestValidateClassMembership:
         p = sin_plant()
         tight = pm.PlantModel(
             n=1,
-            order=p.order,
             f=p.f,
             jac_x1=p.jac_x1,
             jac_x2=p.jac_x2,
@@ -202,7 +201,6 @@ class TestValidateClassMembership:
     def test_nan_plant_raises(self):
         bad = pm.custom_plant(
             n=1,
-            order="second_order",
             f=lambda x1, x2, u: np.array([np.nan if x1[0] < 0 else x1[0]]),
             declared_bounds=UncertaintyBounds(1, 1, 1),
         )
@@ -230,7 +228,6 @@ class TestCustomPlant:
     def test_fd_fallback_jacobians(self):
         p = pm.custom_plant(
             n=1,
-            order="second_order",
             f=lambda x1, x2, u: np.sin(x1) - x2 + u,
             declared_bounds=UncertaintyBounds(1, 1, 1),
         )
@@ -245,7 +242,6 @@ class TestCustomPlant:
         that comparison can catch it."""
         p = pm.custom_plant(
             n=1,
-            order="second_order",
             f=lambda x1, x2, u: np.sin(x1) - x2 + u,
             declared_bounds=UncertaintyBounds(1, 1, 1),
             jac_x1=lambda x1, x2, u: np.array([[0.5 * np.cos(x1[0])]]),
@@ -254,6 +250,17 @@ class TestCustomPlant:
         assert rep.max_norm_jac_x1 <= 0.5
         assert rep.max_fd_rel_error > 0.1
         assert not rep.passes
+
+    def test_order_read_from_the_declared_bounds(self):
+        p = pm.custom_plant(
+            n=1,
+            f=lambda x, u: np.sin(x) + u,
+            declared_bounds=UncertaintyBounds.first_order(1.0, 1.0),
+            jac_x2=lambda x, u: np.eye(1),
+        )
+        assert p.order == FIRST_ORDER
+        assert p.nargs == 2
+        assert p.jac_x2 is None
 
 
 BATCH_FAMILIES = [
@@ -287,7 +294,6 @@ class TestBatchAxis:
         """A per-point f that indexes its arguments is looped over the rows."""
         p = pm.custom_plant(
             n=1,
-            order="second_order",
             f=lambda x1, x2, u: np.array([np.sin(x1[0]) - x2[0] + u[0]]),
             declared_bounds=UncertaintyBounds(1, 1, 1),
         )
@@ -299,7 +305,6 @@ class TestBatchAxis:
     def test_wrong_shape_is_a_plant_error(self):
         p = pm.custom_plant(
             n=2,
-            order="second_order",
             f=lambda x1, x2, u: np.zeros(3),
             declared_bounds=UncertaintyBounds(1, 1, 1),
         )
@@ -309,7 +314,6 @@ class TestBatchAxis:
     def test_nan_in_a_batch_names_its_point(self):
         p = pm.custom_plant(
             n=1,
-            order="second_order",
             f=lambda x1, x2, u: np.array([np.nan if x1[0] > 1.0 else 0.0]),
             declared_bounds=UncertaintyBounds(1, 1, 1),
         )
@@ -441,7 +445,6 @@ def custom_plants():
     return {
         "per_point_n2": pm.custom_plant(
             n=2,
-            order="second_order",
             f=lambda x1, x2, u: 0.8 * np.tanh(x1) + 0.5 * np.sin(x2) + theta @ u,
             declared_bounds=UncertaintyBounds(0.8, 0.5, b),
             jac_x1=lambda x1, x2, u: np.diag(0.8 / np.cosh(x1) ** 2),
@@ -450,19 +453,16 @@ def custom_plants():
         ),
         "fd_n1": pm.custom_plant(
             n=1,
-            order="second_order",
             f=lambda x1, x2, u: np.sin(x1) - x2 + u + 0.1 * u**3,
             declared_bounds=UncertaintyBounds(1, 1, 1),
         ),
         "fd_first_order_n1": pm.custom_plant(
             n=1,
-            order=FIRST_ORDER,
             f=lambda x, u: np.array([0.5 * np.cos(x[0]) + 2.0 * u[0]]),
             declared_bounds=UncertaintyBounds.first_order(0.5, 2.0),
         ),
         "fd_n2": pm.custom_plant(
             n=2,
-            order="second_order",
             f=lambda x1, x2, u: 0.8 * np.tanh(x1) + 0.5 * np.sin(x2) + theta @ u,
             declared_bounds=UncertaintyBounds(0.8, 0.5, b),
         ),

@@ -121,7 +121,7 @@ class TestSimulate:
 
     def test_nan_plant_raises(self):
         bad = pc.custom_plant(
-            n=1, order="second_order",
+            n=1,
             f=lambda x1, x2, u: np.array([np.nan]),
             declared_bounds=UB111,
         )
@@ -559,7 +559,7 @@ class TestBatch:
         """A custom f that only takes one point runs through the row loop and
         gives the built-in plant's trajectories."""
         custom = pc.custom_plant(
-            n=1, order="second_order",
+            n=1,
             f=lambda x1, x2, u: np.array([np.sin(x1[0]) - x2[0] + u[0]]),
             declared_bounds=UB111,
         )
