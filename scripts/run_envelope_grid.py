@@ -70,7 +70,7 @@ def main():
     rows = []
     for (fam, _, ki, cert, y), traj in zip(grid, pc.simulate_batch(cells)):
         audit = pc.envelope_audit(traj)
-        monitor = pc.lyapunov_monitor(traj, cert)
+        monitor = pc.lyapunov_monitor(traj)
         lam_emp, _ = pc.fit_decay(traj, (1.0, 0.9 * args.t_final))
         rows.append(
             {

@@ -42,7 +42,6 @@ from .gain_sets import (
     covers,
     membership,
     pi_relaxed_membership,
-    semi_cone_check,
     suggest_gains,
 )
 from .planar_pi import (

@@ -3,7 +3,12 @@
 Usage:
     pidcert <mode> --config <path> [--seed N] [--out DIR]
 
-Modes: gains, certify, simulate, sweep, planar, verify-class.
+Modes: gains, certify, simulate, sweep, planar, verify-class.  Each mode
+returns its exit code, the name of its JSON report (None for ``sweep``, which
+writes ``sweep.csv`` and prints one summary line itself) and the report;
+``run`` writes the report and echoes it.  Every certified run, alone or in a
+sweep, is judged by ``_verdict``.  A number a config leaves out is not passed
+on, so the library function's own default applies.
 Exit codes: 0 all checks pass, 1 usage/config error, 2 a certification or
 audit check failed (the failing report is still written).
 """
@@ -38,7 +43,8 @@ def _expect(cond: bool, msg: str) -> None:
 
 
 # keys each mode reads from the config root; any other key is a usage error
-_SIM_KEYS = {"t_final", "dt_max", "integrator", "rtol", "atol"}
+_SIM_NUMBERS = ("t_final", "dt_max", "rtol", "atol")
+_SIM_KEYS = {"integrator", *_SIM_NUMBERS}
 _MODE_KEYS = {
     "gains": {"kind", "bounds", "ki", "margin"},
     "certify": {"kind", "bounds", "gains", "n"},
@@ -54,6 +60,17 @@ def _check_keys(node, allowed, where: str) -> None:
     _expect(isinstance(node, dict), f"{where} must be an object")
     unknown = sorted(set(node) - set(allowed))
     _expect(not unknown, f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
+
+
+def _given(node: dict, keys, where: str, ints=()) -> dict:
+    """The ``keys`` that ``node`` sets, each read by ``as_number``'s rule (as
+    an integer for those in ``ints``); a key it leaves out keeps the
+    library's default."""
+    return {
+        k: as_number(node[k], f"{where}: {k!r}", int if k in ints else float)
+        for k in keys
+        if k in node
+    }
 
 
 def _parse_bounds(node, where: str) -> gs.UncertaintyBounds:
@@ -103,94 +120,91 @@ def _dump_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def mode_gains(config: dict, out: Path, seed: int) -> int:
-    kind = config.get("kind", gs.PID)
+def mode_gains(config: dict, out: Path, seed: int) -> tuple:
     ub = _parse_bounds(config.get("bounds"), "gains mode")
-    ki = config.get("ki")
     g = gs.suggest_gains(
-        kind,
-        ub,
-        ki=None if ki is None else as_number(ki, "gains mode: 'ki'"),
-        margin=as_number(config.get("margin", 0.1), "gains mode: 'margin'"),
+        config.get("kind", gs.PID), ub, **_given(config, ("ki", "margin"), "gains mode")
     )
     report = gs.membership(g, ub)
-    payload = {
+    return EXIT_OK, "gains.json", {
         "gains": {"kp": g.kp, "ki": g.ki, "kd": g.kd, "kind": g.kind},
         "member": report.member,
-        "margins": {k: v for k, v in report.margins},
+        "margins": dict(report.margins),
         "kbar": report.kbar,
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    _dump_json(out / "gains.json", payload)
-    return EXIT_OK
 
 
-def mode_certify(config: dict, out: Path, seed: int) -> int:
+def mode_certify(config: dict, out: Path, seed: int) -> tuple:
     kind = config.get("kind", gs.PID)
     ub = _parse_bounds(config.get("bounds"), "certify mode")
     g = _parse_gains(config.get("gains"), kind, "certify mode")
     n = as_number(config.get("n", 1), "certify mode: 'n'", int)
     cert = cert_mod.certify_margin(kind, g, ub, n)
-    payload = cert.to_json_dict()
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    out.mkdir(parents=True, exist_ok=True)
-    cert.save(out / "certificate.json")
-    return EXIT_OK
+    return EXIT_OK, "certificate.json", cert.to_json_dict()
 
 
 def _sim_options(node: dict, where: str) -> dict:
     """SimConfig keywords from the ``_SIM_KEYS`` set in ``node``; the others
     keep SimConfig's defaults, and t_final defaults to 30."""
-    opts = {
-        k: node[k] if k == "integrator" else as_number(node[k], f"{where}: {k!r}")
-        for k in _SIM_KEYS
-        if k in node
-    }
-    opts.setdefault("t_final", 30.0)
+    opts = {"t_final": 30.0} | _given(node, _SIM_NUMBERS, where)
+    if "integrator" in node:
+        opts["integrator"] = node["integrator"]
     return opts
 
 
-def _fit_decay(traj: sim.Trajectory, t_final: float):
-    """(lambda_emp, M_emp) on [0.1, 0.9] t_final, or (None, None) when the
-    error signal sits at the floor (a run that starts at rest has nothing to fit)."""
+def _verdict(traj: sim.Trajectory, t_final: float) -> dict:
+    """The verdict fields of a certified run: the envelope audit, the V
+    monitor and the decay fit on [0.1, 0.9] t_final.
+
+    ``t_final`` is the configured horizon rather than the last sample time,
+    which a fixed-step run can miss by an ulp.  The fit is None when the
+    error signal sits at the floor (a run that starts at rest has nothing to
+    fit).
+    """
+    audit = sim.envelope_audit(traj)
+    monitor = sim.lyapunov_monitor(traj)
     try:
-        return sim.fit_decay(traj, (0.1 * t_final, 0.9 * t_final))
+        lam_emp, m_emp = sim.fit_decay(traj, (0.1 * t_final, 0.9 * t_final))
     except UsageError:
-        return None, None
+        lam_emp = m_emp = None
+    return {
+        "envelope_pass": audit.passes,
+        "min_margin": audit.min_margin,
+        "first_violation_time": audit.first_violation_time,
+        "v_nonincreasing": monitor.nonincreasing_pass,
+        "lambda_emp": lam_emp,
+        "M_emp": m_emp,
+    }
 
 
-def mode_simulate(config: dict, out: Path, seed: int) -> int:
+def _passed(verdict: dict) -> bool:
+    """A certified run passes when its envelope holds and V does not increase."""
+    return verdict["envelope_pass"] is True and verdict["v_nonincreasing"] is True
+
+
+def mode_simulate(config: dict, out: Path, seed: int) -> tuple:
     plant = _parse_plant(config.get("plant"), "simulate mode")
     ub = (
         _parse_bounds(config["bounds"], "simulate mode")
         if "bounds" in config
         else plant.declared_bounds
     )
-    kind = config.get(
-        "kind", gs.PI if plant.order == gs.FIRST_ORDER else gs.PID
-    )
+    kind = config.get("kind", gs.PI if plant.order == gs.FIRST_ORDER else gs.PID)
     if "gains" in config:
         g = _parse_gains(config["gains"], kind, "simulate mode")
     else:
         suggest = config.get("suggest", {})
         _check_keys(suggest, ("ki", "margin"), "simulate mode: suggest")
-        ki = suggest.get("ki")
         g = gs.suggest_gains(
-            kind,
-            ub,
-            ki=None if ki is None else as_number(ki, "simulate mode: suggest 'ki'"),
-            margin=as_number(suggest.get("margin", 0.1), "simulate mode: suggest 'margin'"),
+            kind, ub, **_given(suggest, ("ki", "margin"), "simulate mode: suggest")
         )
-    cert = None
-    if config.get("certify", True):
-        cert = cert_mod.certify_margin(kind, g, ub, plant.n)
-    opts = _sim_options(config, "simulate mode")
+    cert = cert_mod.certify_margin(kind, g, ub, plant.n) if config.get("certify", True) else None
     cfg = sim.SimConfig(
         plant=plant,
         gains=g,
         y_star=_vector(config.get("y_star", 0.0), plant.n, "simulate mode: y_star"),
         x0=_x0(config.get("x0"), plant.n, plant.order, "simulate mode: x0"),
-        **opts,
+        **_sim_options(config, "simulate mode"),
     )
     traj = sim.simulate(cfg, cert=cert)
     out.mkdir(parents=True, exist_ok=True)
@@ -204,31 +218,18 @@ def mode_simulate(config: dict, out: Path, seed: int) -> int:
     }
     code = EXIT_OK
     if cert is not None:
-        audit = sim.envelope_audit(traj)
-        monitor = sim.lyapunov_monitor(traj, cert)
-        lam_emp, m_emp = _fit_decay(traj, cfg.t_final)
-        summary.update(
-            {
-                "certificate": cert.to_json_dict(),
-                "envelope_pass": audit.passes,
-                "min_margin": audit.min_margin,
-                "first_violation_time": audit.first_violation_time,
-                "v_nonincreasing": monitor.nonincreasing_pass,
-                "lambda_emp": lam_emp,
-                "M_emp": m_emp,
-            }
-        )
-        if not (audit.passes and monitor.nonincreasing_pass):
+        verdict = _verdict(traj, cfg.t_final)
+        summary.update({"certificate": cert.to_json_dict(), **verdict})
+        if not _passed(verdict):
             code = EXIT_CHECK_FAILED
-    _dump_json(out / "summary.json", summary)
-    print(json.dumps(summary, indent=2, sort_keys=True))
-    return code
+    return code, "summary.json", summary
 
 
 # sweep.csv columns; a cell's row starts with every column empty
 _SWEEP_COLUMNS = (
-    "cell", "plant", "kp", "ki", "kd", "y_star", "member",
-    "alpha", "lambda", "envelope_pass", "min_margin", "lambda_emp", "error",
+    "cell", "plant", "kp", "ki", "kd", "y_star", "member", "alpha", "lambda",
+    "envelope_pass", "min_margin", "first_violation_time", "v_nonincreasing",
+    "lambda_emp", "M_emp", "error",
 )
 
 
@@ -248,16 +249,9 @@ def _judge_cells(batch: list) -> None:
     try:
         for traj in sim.simulate_batch([cell for _, cell in batch]):
             row, cell = batch[done]
-            audit = sim.envelope_audit(traj)
-            lam_emp, _ = _fit_decay(traj, cell.cfg.t_final)
             row.update(
-                {
-                    "alpha": repr(cell.cert.alpha),
-                    "lambda": repr(cell.cert.lambda_decay),
-                    "envelope_pass": audit.passes,
-                    "min_margin": repr(audit.min_margin),
-                    "lambda_emp": "" if lam_emp is None else repr(lam_emp),
-                }
+                {"alpha": cell.cert.alpha, "lambda": cell.cert.lambda_decay}
+                | _verdict(traj, cell.cfg.t_final)
             )
             done += 1
     except PidcertError as exc:
@@ -268,7 +262,7 @@ def _judge_cells(batch: list) -> None:
                 _judge_cells([item])
 
 
-def mode_sweep(config: dict, out: Path, seed: int) -> int:
+def mode_sweep(config: dict, out: Path, seed: int) -> tuple:
     kind = config.get("kind", gs.PID)
     sim_node = config.get("sim", {})
     _check_keys(sim_node, _SIM_KEYS, "sweep mode: sim")
@@ -325,7 +319,7 @@ def mode_sweep(config: dict, out: Path, seed: int) -> int:
 
     out.mkdir(parents=True, exist_ok=True)
     judged = [r for r in rows if r["member"]]
-    passed = [r for r in judged if r["envelope_pass"] is True and not r["error"]]
+    passed = [r for r in judged if _passed(r)]
     pass_fraction = (len(passed) / len(judged)) if judged else 1.0
     with open(out / "sweep.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=_SWEEP_COLUMNS)
@@ -333,15 +327,13 @@ def mode_sweep(config: dict, out: Path, seed: int) -> int:
         for r in rows:
             writer.writerow(r)
         writer.writerow(
-            dict.fromkeys(_SWEEP_COLUMNS, "") | {"cell": "pass_fraction", "plant": repr(pass_fraction)}
+            dict.fromkeys(_SWEEP_COLUMNS, "") | {"cell": "pass_fraction", "plant": pass_fraction}
         )
     print(f"sweep: {len(passed)}/{len(judged)} certified cells passed")
-    return EXIT_OK if len(passed) == len(judged) else EXIT_CHECK_FAILED
+    return (EXIT_OK if len(passed) == len(judged) else EXIT_CHECK_FAILED), None, None
 
 
-def mode_planar(config: dict, out: Path, seed: int) -> int:
-    payload: dict = {}
-    code = EXIT_OK
+def mode_planar(config: dict, out: Path, seed: int) -> tuple:
     if "necessity" in config:
         node = config["necessity"]
         _check_keys(node, ("case",), "planar mode: necessity")
@@ -349,9 +341,7 @@ def mode_planar(config: dict, out: Path, seed: int) -> int:
         g = _parse_gains(config.get("gains"), gs.PI, "planar mode")
         y_star = as_number(config.get("y_star", 1.0), "planar mode: 'y_star'")
         report = planar_pi.necessity_counterexample(node.get("case", "ki_zero"), ub, g, y_star)
-        payload["necessity"] = dataclasses.asdict(report)
-        if not report.nonconvergent:
-            code = EXIT_CHECK_FAILED
+        key, passed = "necessity", report.nonconvergent
     else:
         plant = _parse_plant(config.get("plant"), "planar mode")
         g = _parse_gains(config.get("gains"), gs.PI, "planar mode")
@@ -361,30 +351,22 @@ def mode_planar(config: dict, out: Path, seed: int) -> int:
         grid = config.get("grid", {})
         _check_keys(grid, ("radius", "points"), "planar mode: grid")
         report = planar_pi.jacobian_conditions(
-            field,
-            radius=as_number(grid.get("radius", 20.0), "planar mode: grid 'radius'"),
-            points=as_number(grid.get("points", 41), "planar mode: grid 'points'", int),
+            field, **_given(grid, ("radius", "points"), "planar mode: grid", ints=("points",))
         )
-        payload["jacobian_conditions"] = dataclasses.asdict(report)
-        if not report.sufficiency:
-            code = EXIT_CHECK_FAILED
-    _dump_json(out / "planar.json", payload)
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return code
+        key, passed = "jacobian_conditions", report.sufficiency
+    code = EXIT_OK if passed else EXIT_CHECK_FAILED
+    return code, "planar.json", {key: dataclasses.asdict(report)}
 
 
-def mode_verify_class(config: dict, out: Path, seed: int) -> int:
+def mode_verify_class(config: dict, out: Path, seed: int) -> tuple:
     plant = _parse_plant(config.get("plant"), "verify-class mode")
     report = pm.validate_class_membership(
         plant,
-        samples=as_number(config.get("samples", 1000), "verify-class mode: 'samples'", int),
-        box_radius=as_number(config.get("box_radius", 10.0), "verify-class mode: 'box_radius'"),
         seed=seed,
+        **_given(config, ("samples", "box_radius"), "verify-class mode", ints=("samples",)),
     )
-    payload = dataclasses.asdict(report)
-    _dump_json(out / "validation.json", payload)
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return EXIT_OK if report.passes else EXIT_CHECK_FAILED
+    code = EXIT_OK if report.passes else EXIT_CHECK_FAILED
+    return code, "validation.json", dataclasses.asdict(report)
 
 
 _MODES = {
@@ -423,13 +405,17 @@ def run(mode: str, config_path: str, seed: int = 0, out_dir: str = "pidcert_out"
         return EXIT_USAGE
     try:
         _check_keys(config, _MODE_KEYS[mode] | {"mode"}, f"{mode} mode")
-        return _MODES[mode](config, Path(out_dir), seed)
+        code, name, report = _MODES[mode](config, Path(out_dir), seed)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except PidcertError as exc:
         print(f"check failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    if name is not None:
+        _dump_json(Path(out_dir) / name, report)
+        print(json.dumps(report, indent=2, sort_keys=True))
+    return code
 
 
 def main(argv=None) -> int:

@@ -108,12 +108,6 @@ class MembershipReport:
     margins: tuple[tuple[str, float], ...]
     kbar: float
 
-    def slack(self, name: str) -> float:
-        for key, value in self.margins:
-            if key == name:
-                return value
-        raise KeyError(name)
-
 
 def coupling_term(kp: float, kd: float, ub: UncertaintyBounds) -> float:
     """The quantity (L1 + L2)(kp + kd) / b_lower entering the inequalities."""
@@ -227,19 +221,3 @@ def suggest_gains(
         )
     return g
 
-
-def semi_cone_check(g: GainVector, ub: UncertaintyBounds, alphas) -> bool:
-    """True iff alpha*g stays in the PID region for every alpha in the list.
-
-    Requires g itself to be a member (the semi-cone property only scales
-    members outward).
-    """
-    _require_kind(g, PID, "semi_cone_check")
-    if not membership(g, ub).member:
-        raise UsageError("semi_cone_check requires a PID region member")
-    for alpha in alphas:
-        if alpha < 1.0:
-            raise UsageError("scaling factors must be >= 1")
-        if not membership(g.scaled(float(alpha)), ub).member:
-            return False
-    return True

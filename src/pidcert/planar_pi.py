@@ -41,20 +41,6 @@ class PlanarField:
         ustar = solve_equilibrium(plant, [y_star]).u_star[0]
         return PlanarField(plant=plant, gains=gains, y_star=float(y_star), u_star=float(ustar))
 
-    def _plant_args(self, x: float, u: float):
-        return (
-            np.array([self.y_star - x]),
-            np.array([u + self.u_star]),
-        )
-
-    def g_value(self, x: float, u: float) -> float:
-        xa, ua = self._plant_args(x, u)
-        return -float(self.plant.eval_checked(xa, ua)[0])
-
-    def value(self, z0: float, z1: float) -> tuple[float, float]:
-        u = self.gains.ki * z0 + self.gains.kp * z1
-        return z1, self.g_value(z1, u)
-
     def jacobian(self, z0: np.ndarray, z1: np.ndarray) -> np.ndarray:
         """Field Jacobians [[0, 1], [ki*g_u, g_x + kp*g_u]] at the points
         (z0[k], z1[k]) of two equal-shape arrays: shape z0.shape + (2, 2),

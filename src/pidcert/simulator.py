@@ -49,6 +49,10 @@ RK4_FIXED = "rk4_fixed"
 RK45_ADAPTIVE = "rk45_adaptive"
 # envelope_audit's tolerance, relative to the initial envelope value
 ENVELOPE_RTOL = 1e-7
+# lyapunov_monitor's tolerances: the rise V may take in one step, relative to
+# V(0), and the slack of each step's decrease inequality, relative to V(t_k)
+NONINCREASE_RTOL = 1e-6
+DECREASE_RTOL = 1e-5
 
 
 def _split(kind: str, n: int, s: np.ndarray) -> dict:
@@ -456,38 +460,27 @@ def envelope_audit(traj: Trajectory) -> AuditReport:
     )
 
 
-def lyapunov_monitor(
-    traj: Trajectory,
-    cert: LyapunovCertificate,
-    nonincrease_rel: float = 1e-6,
-    decrease_rel: float = 1e-5,
-) -> MonitorReport:
-    """Audit V(z) = z^T P z along the trajectory.
+def lyapunov_monitor(traj: Trajectory) -> MonitorReport:
+    """Audit V(z) = z^T P z along a trajectory against the certificate it was
+    simulated with: V and alpha both come from ``traj.cert``.
 
-    (i) V must be non-increasing up to nonincrease_rel * V(0);
+    (i) V must be non-increasing up to NONINCREASE_RTOL * V(0);
     (ii) each discrete step must satisfy the decrease inequality
-         dV <= -alpha * min(|z_k|, |z_{k+1}|)^2 * dt + decrease_rel * V(t_k),
+         dV <= -alpha * min(|z_k|, |z_{k+1}|)^2 * dt + DECREASE_RTOL * V(t_k),
     the additive slack absorbing sampling and integration error.
     """
-    if traj.kind != cert.kind:
-        raise UsageError("certificate kind does not match the trajectory")
-    if traj.z is None:
-        raise UsageError("trajectory has no z coordinates")
+    if traj.cert is None or traj.v_values is None:
+        raise UsageError("trajectory has no certificate to monitor")
     z = traj.z
-    t = traj.times
-    v = (
-        traj.v_values
-        if traj.v_values is not None
-        else np.einsum("ki,ij,kj->k", z, cert.P, z)
-    )
+    v = traj.v_values
     v0 = float(v[0])
     dv = np.diff(v)
     max_increase = float(np.max(dv)) if dv.size else 0.0
-    noninc = max_increase <= nonincrease_rel * max(v0, 1e-300)
+    noninc = max_increase <= NONINCREASE_RTOL * max(v0, 1e-300)
     zn2 = np.sum(z * z, axis=1)
     min_zn2 = np.minimum(zn2[:-1], zn2[1:])
-    dt = np.diff(t)
-    excess = dv + cert.alpha * min_zn2 * dt - decrease_rel * v[:-1]
+    dt = np.diff(traj.times)
+    excess = dv + traj.cert.alpha * min_zn2 * dt - DECREASE_RTOL * v[:-1]
     worst = float(np.max(excess)) if excess.size else 0.0
     return MonitorReport(
         v_initial=v0,

@@ -158,7 +158,7 @@ class TestAcceptance:
     def test_criterion_06_lyapunov_monotonicity(self, grid_trajectories):
         cells, _ = grid_trajectories
         for fam, ki, y, cert, traj in cells:
-            rep = pc.lyapunov_monitor(traj, cert, nonincrease_rel=1e-6)
+            rep = pc.lyapunov_monitor(traj)
             assert rep.nonincreasing_pass, (fam, ki, y, rep)
         report(6, "V(z(t)) non-increasing on all 27 grid trajectories")
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the batch CLI: configs in, files and exit codes out."""
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -199,8 +200,8 @@ class TestSweepMode:
 
     def test_cell_at_rest_passes_without_a_fit(self, tmp_path, capsys):
         """y* = 0 and x0 = 0 on a plant with f(0, 0, 0) = 0: the error signal
-        is 0 throughout, so there is no decay to fit; the envelope audit
-        alone judges the cell, as in simulate mode."""
+        is 0 throughout, so there is no decay to fit; the envelope audit and
+        the V monitor judge the cell, as in simulate mode."""
         cfg = write_config(
             tmp_path, "rest.json",
             {
@@ -217,9 +218,67 @@ class TestSweepMode:
         assert cli.run("sweep", cfg, out_dir=str(out)) == 0
         assert "1/1 certified cells passed" in capsys.readouterr().out
         row = next(csv.DictReader((out / "sweep.csv").open()))
-        assert row["envelope_pass"] == "True"
+        assert row["envelope_pass"] == row["v_nonincreasing"] == "True"
         assert row["min_margin"] == "0.0"
-        assert row["lambda_emp"] == ""
+        assert row["lambda_emp"] == row["M_emp"] == ""
+        assert row["error"] == ""
+
+    CELL = {
+        "kind": "PID",
+        "bounds": {"L1": 1, "L2": 1, "b_lower": 1},
+        "plant": {"family": "sinusoidal_scalar", "params": {"c1": 1.0, "c2": 1.0}},
+        "gains": {"kp": 7, "ki": 1, "kd": 7},
+        "y_star": 0.5,
+        "x0": [1.0, -0.5],
+        "sim": {"t_final": 15.0},
+    }
+
+    def one_cell_sweep(self, tmp_path):
+        c = self.CELL
+        return write_config(
+            tmp_path, "one.json",
+            {
+                "kind": c["kind"], "bounds": c["bounds"], "plants": [c["plant"]],
+                "gain_sets": [c["gains"]], "setpoints": [c["y_star"]], "x0s": [c["x0"]],
+                "sim": c["sim"],
+            },
+        )
+
+    def test_a_cell_gets_the_verdict_of_simulate(self, tmp_path, capsys):
+        """A one-cell sweep and the simulate run of the same cell report the
+        same six verdict fields, and sweep.csv writes them as csv writes the
+        numbers of summary.json."""
+        c = self.CELL
+        sim_cfg = write_config(
+            tmp_path, "s.json",
+            {k: v for k, v in c.items() if k != "sim"} | c["sim"],
+        )
+        assert cli.run("simulate", sim_cfg, out_dir=str(tmp_path / "s")) == 0
+        assert cli.run("sweep", self.one_cell_sweep(tmp_path), out_dir=str(tmp_path / "w")) == 0
+        summary = json.loads((tmp_path / "s" / "summary.json").read_text())
+        row = next(csv.DictReader((tmp_path / "w" / "sweep.csv").open()))
+        assert summary["lambda_emp"] is not None
+        fields = ("envelope_pass", "min_margin", "first_violation_time",
+                  "v_nonincreasing", "lambda_emp", "M_emp")
+        for k in fields:
+            assert row[k] == ("" if summary[k] is None else str(summary[k])), k
+        assert row["alpha"] == str(summary["certificate"]["alpha"])
+        assert row["lambda"] == str(summary["certificate"]["lambda"])
+
+    def test_rising_v_fails_the_cell(self, tmp_path, capsys, monkeypatch):
+        """A cell whose V monitor reports an increase fails although its
+        envelope holds."""
+        real = cli.sim.lyapunov_monitor
+        monkeypatch.setattr(
+            cli.sim, "lyapunov_monitor",
+            lambda traj: dataclasses.replace(real(traj), nonincreasing_pass=False),
+        )
+        out = tmp_path / "out"
+        assert cli.run("sweep", self.one_cell_sweep(tmp_path), out_dir=str(out)) == 2
+        assert "0/1 certified cells passed" in capsys.readouterr().out
+        row = next(csv.DictReader((out / "sweep.csv").open()))
+        assert row["envelope_pass"] == "True"
+        assert row["v_nonincreasing"] == "False"
         assert row["error"] == ""
 
 
@@ -532,6 +591,19 @@ class TestNonNumericValues:
                 "sweep.csv",
             ),
             ("certify", {"bounds": {"L1": 1, "L2": [1], "b_lower": 1}}, "'L2'", "certificate.json"),
+            # a value the library would default, when set, is read by the same rule
+            (
+                "verify-class",
+                {"plant": {"family": "sinusoidal_scalar", "params": {}}, "samples": 2.5},
+                "verify-class mode: 'samples'",
+                "validation.json",
+            ),
+            (
+                "gains",
+                {"bounds": {"L1": 1, "L2": 1, "b_lower": 1}, "margin": "wide"},
+                "gains mode: 'margin'",
+                "gains.json",
+            ),
             # every entry of a setpoint or initial state is read by the rule of
             # a number, and a sweep checks all of them before any cell runs
             (
@@ -610,8 +682,21 @@ class TestNonNumericValues:
         assert not (out / output).exists()
 
 
+REPORTS = {
+    "gains": "gains.json",
+    "certify": "certificate.json",
+    "simulate": "summary.json",
+    "planar": "planar.json",
+    "verify-class": "validation.json",
+}
+
+
 @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
 def test_shipped_config_runs(path, tmp_path, capsys):
-    """Every config under scripts/configs runs in its declared mode and passes."""
+    """Every config under scripts/configs runs in its declared mode and
+    passes; a mode with a JSON report echoes exactly what it writes."""
     mode = json.loads(path.read_text())["mode"]
-    assert cli.run(mode, str(path), out_dir=str(tmp_path / "out")) == 0
+    out = tmp_path / "out"
+    assert cli.run(mode, str(path), out_dir=str(out)) == 0
+    if mode in REPORTS:
+        assert capsys.readouterr().out == (out / REPORTS[mode]).read_text()

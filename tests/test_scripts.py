@@ -1,0 +1,33 @@
+"""The experiment scripts under scripts/ run to completion and pass their
+own checks, on a short horizon and with their outputs in a temp directory."""
+
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.mark.parametrize(
+    "script,args,done,written",
+    [
+        ("run_envelope_grid.py", ["--t-final", "5", "--out", "grid"], "27/27 cells passed", "grid/grid.csv"),
+        ("robustness_sweep.py", ["--t-final", "5"], "all checks passed", None),
+        ("planar_pi_study.py", ["--out", "planar"], "report written to", "planar/planar_study.json"),
+    ],
+    ids=["run_envelope_grid", "robustness_sweep", "planar_pi_study"],
+)
+def test_script_succeeds(script, args, done, written, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", [script, *args])
+    try:
+        runpy.run_path(str(SCRIPTS / script), run_name="__main__")
+        code = 0
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 0
+    assert done in capsys.readouterr().out
+    if written:
+        assert (tmp_path / written).is_file()

@@ -281,6 +281,8 @@ class TestEnvelopeAudit:
         traj = pc.simulate(cfg)
         with pytest.raises(UsageError):
             pc.envelope_audit(traj)
+        with pytest.raises(UsageError):
+            pc.lyapunov_monitor(traj)
 
     def test_pd_envelope_without_equilibrium_input(self):
         """PD at an uncontrolled equilibrium setpoint: the envelope has no u*
@@ -323,7 +325,7 @@ class TestLyapunovMonitor:
             t_final=30.0,
         )
         traj = pc.simulate(cfg, cert=di_cert)
-        rep = pc.lyapunov_monitor(traj, di_cert)
+        rep = pc.lyapunov_monitor(traj)
         assert rep.nonincreasing_pass
         assert rep.decrease_pass
         assert rep.v_final < rep.v_initial
@@ -336,7 +338,7 @@ class TestLyapunovMonitor:
             t_final=5.0, integral_state0=sol.u_star / G_PID.ki,
         )
         traj = pc.simulate(cfg, cert=sin_cert)
-        rep = pc.lyapunov_monitor(traj, sin_cert)
+        rep = pc.lyapunov_monitor(traj)
         assert rep.v_initial < 1e-20
         assert rep.v_final < 1e-20
 
@@ -346,7 +348,7 @@ class TestLyapunovMonitor:
             t_final=40.0,
         )
         traj = pc.simulate(cfg, cert=sin_cert)
-        rep = pc.lyapunov_monitor(traj, sin_cert)
+        rep = pc.lyapunov_monitor(traj)
         assert rep.nonincreasing_pass
         assert rep.decrease_pass
 
@@ -542,7 +544,7 @@ class TestBatch:
             ab, as_ = pc.envelope_audit(b), pc.envelope_audit(s)
             assert ab.passes == as_.passes
             assert ab.min_margin == pytest.approx(as_.min_margin, rel=1e-6)
-            mb, ms = pc.lyapunov_monitor(b, cert), pc.lyapunov_monitor(s, cert)
+            mb, ms = pc.lyapunov_monitor(b), pc.lyapunov_monitor(s)
             assert mb.nonincreasing_pass == ms.nonincreasing_pass
             assert (b.cells, s.cells) == (len(cfgs), 1)
 
