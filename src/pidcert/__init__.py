@@ -13,12 +13,9 @@ from .certificates import (
     assemble_A,
     build_P,
     certify_margin,
-    pd_closed_form_margin,
-    pi_closed_form_margin,
     q_report,
-    sample_frozen_uncertainty,
 )
-from .equilibrium import EquilibriumSolution, monotonicity_probe, solve_equilibrium
+from .equilibrium import EquilibriumSolution, solve_equilibrium
 from .errors import (
     CertificateError,
     DimensionError,

@@ -16,8 +16,7 @@ over the corners a = +-L1 I, b = +-L2 I, which lie in the ball; the lower
 bound is an S-procedure bound that holds for every n.  alpha is the lower of
 the two; the certificate records both and their gap, and its method reads
 ``exact`` when they agree to 1e-9 relative and ``lower_bound`` otherwise.
-The paper's closed-form PI and PD margins are kept as named functions.  From
-(P, alpha) we get the trajectory envelope constants: decay rate
+From (P, alpha) we get the trajectory envelope constants: decay rate
 lambda = alpha/(2 lambda_max(P)) and overshoot gain M.
 """
 
@@ -37,11 +36,9 @@ from .gain_sets import (
     FIRST_ORDER,
     LAYOUT,
     PD,
-    PI,
     PID,
     GainVector,
     UncertaintyBounds,
-    coupling_term,
     membership,
 )
 
@@ -293,57 +290,9 @@ def q_report(
     return QReport(Q=Q, Q0=Q0, lambda_min_Q=lam_q, lambda_min_Q0=lam_q0)
 
 
-def sample_frozen_uncertainty(
-    ub: UncertaintyBounds, n: int, rng: np.random.Generator
-) -> FrozenUncertainty:
-    """Random interior point of the uncertainty ball (for tests and sweeps)."""
-
-    def ball(L):
-        direction = rng.standard_normal((n, n))
-        nrm = np.linalg.norm(direction, 2)
-        return direction * (L * rng.random() / nrm) if nrm > 0 else np.zeros((n, n))
-
-    a = ball(ub.L1)
-    b = None if ub.order == FIRST_ORDER else ball(ub.L2)
-    # Sym[theta] >= b_lower*I: PSD bump plus a skew part
-    w = rng.standard_normal((n, n))
-    psd = w @ w.T * (0.5 / n)
-    skew = rng.standard_normal((n, n))
-    skew = (skew - skew.T) / 2.0
-    theta = ub.b_lower * np.eye(n) + psd + skew
-    return FrozenUncertainty.checked(ub, a=a, theta=theta, b=b)
-
-
 # ---------------------------------------------------------------------------
 # Uniform decrease margin over the uncertainty ball: the sandwich certificate.
 # ---------------------------------------------------------------------------
-
-
-def pi_closed_form_margin(g: GainVector, ub: UncertaintyBounds) -> float:
-    """The paper's PI margin gamma: lambda_min of the worst-case 2x2 block at a = L."""
-    if g.kind != PI:
-        raise UsageError(f"the closed-form gamma margin is for PI gains, got {g.kind}")
-    kp, ki = float(g.kp), float(g.ki)
-    L, b_ = float(ub.L), float(ub.b_lower)
-    q1 = np.array(
-        [
-            [2 * ki**2 * b_, -ki * L],
-            [-ki * L, 2 * (kp**2 * b_ - kp * L - ki)],
-        ]
-    )
-    return float(np.linalg.eigvalsh(q1)[0])
-
-
-def pd_closed_form_margin(g: GainVector, ub: UncertaintyBounds) -> float:
-    """The paper's PD margin beta = 2 min((kp^2 - kbar) b, kd^2 b - kp - kbar b).
-
-    Sound but loose: it bounds each cross term by its norm separately.
-    """
-    if g.kind != PD:
-        raise UsageError(f"the closed-form beta margin is for PD gains, got {g.kind}")
-    kp, kd, b_ = float(g.kp), float(g.kd), float(ub.b_lower)
-    kbar = coupling_term(kp, kd, ub)
-    return 2.0 * min((kp**2 - kbar) * b_, kd**2 * b_ - kp - kbar * b_)
 
 
 def _margin_core(kind: str, core: np.ndarray, g: GainVector, ub: UncertaintyBounds):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, UsageError
+from .errors import NumericalError
 from .gain_sets import SECOND_ORDER
 from .plant_models import PlantModel
 
@@ -79,33 +79,3 @@ def solve_equilibrium(p: PlantModel, y_star, u0=None) -> EquilibriumSolution:
     raise NumericalError(
         f"equilibrium solve exceeded {MAX_ITER} iterations (residual {rn:.3e})"
     )
-
-
-def monotonicity_probe(
-    p: PlantModel,
-    y_star,
-    pairs: int = 100,
-    box_radius: float = 10.0,
-    seed: int = 0,
-) -> float:
-    """Smallest sampled ratio <u1-u2, Phi(u1)-Phi(u2)> / |u1-u2|^2.
-
-    For in-class plants the ratio is bounded below by b_lower: the skew part
-    of the control Jacobian contributes nothing to the inner product.
-    """
-    if pairs < 1:
-        raise UsageError("pairs must be >= 1")
-    y = np.atleast_1d(np.asarray(y_star, dtype=float)).reshape(p.n)
-    phi, _ = _phi_and_jac(p, y)
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    for _ in range(pairs):
-        u1 = rng.uniform(-box_radius, box_radius, size=p.n)
-        u2 = rng.uniform(-box_radius, box_radius, size=p.n)
-        d = u1 - u2
-        dn2 = float(d @ d)
-        if dn2 < 1e-20:
-            continue
-        ratio = float(d @ (phi(u1) - phi(u2))) / dn2
-        worst = min(worst, ratio)
-    return worst

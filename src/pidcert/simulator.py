@@ -20,18 +20,24 @@ and the Lyapunov decrease can be checked pointwise.
 horizon, the integrator and its tolerances as one stacked system: the states
 form an (N, dim) array, one right-hand side evaluates every cell's control
 law with (N, 1) gains and (N, n) setpoints and calls the plant once for each
-run of adjacent cells that share it, and the integrator runs once.  Fixed-step RK4 advances each cell
-exactly as a one-cell run does.  RK45 shares one step size across the cells,
-so it is given rtol/sqrt(N) and atol/sqrt(N): solve_ivp's RMS error norm over
-the stacked state is then sqrt(sum_c norm_c^2) >= max_c norm_c, where norm_c
-is the norm a one-cell run at the configured tolerances tests, and every
-accepted step passes each cell's own test.  ``simulate`` is the one-cell
-batch.
+run of adjacent cells that share it, and the integrator runs once.  Each
+right-hand-side call checks each run's plant values once, through
+``PlantModel.eval_checked``: shape (rows, n) and all finite, or a
+PlantError naming the first failing point.
+Fixed-step RK4 advances each cell exactly as a one-cell run does.  RK45
+shares one step size across the cells, so it is given rtol/sqrt(N) and
+atol/sqrt(N): solve_ivp's RMS error norm over the stacked state is then
+sqrt(sum_c norm_c^2) >= max_c norm_c, where norm_c is the norm a one-cell
+run at the configured tolerances tests, and every accepted step passes each
+cell's own test.  ``simulate`` is the one-cell batch.
+
+``Trajectory.to_csv`` writes one row per sample, each float as its ``repr``,
+with CRLF line ends (the bytes ``csv.writer`` writes for the same rows); V
+and envelope_margin are empty cells when there is no certificate.
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -53,6 +59,9 @@ ENVELOPE_RTOL = 1e-7
 # V(0), and the slack of each step's decrease inequality, relative to V(t_k)
 NONINCREASE_RTOL = 1e-6
 DECREASE_RTOL = 1e-5
+# rows Trajectory.to_csv formats and writes per pass, so its memory does not
+# grow with the file size
+_CSV_CHUNK = 1024
 
 
 def _split(kind: str, n: int, s: np.ndarray) -> dict:
@@ -60,7 +69,7 @@ def _split(kind: str, n: int, s: np.ndarray) -> dict:
     return {name: s[..., k * n : (k + 1) * n] for k, name in enumerate(LAYOUT[kind])}
 
 
-def _control(gains: tuple, blocks: dict, e: np.ndarray) -> np.ndarray:
+def _control(gains: tuple, e: np.ndarray, i=None, v=None) -> np.ndarray:
     """u = kp e + ki i + kd edot with edot = -v, for the blocks the kind has.
 
     ``gains`` is (kp, ki, kd), as scalars or as (cells, 1) columns.  Missing
@@ -69,10 +78,10 @@ def _control(gains: tuple, blocks: dict, e: np.ndarray) -> np.ndarray:
     """
     kp, ki, kd = gains
     u = kp * e
-    if "i" in blocks:
-        u = u + ki * blocks["i"]
-    if "v" in blocks:
-        u = u + kd * -blocks["v"]
+    if i is not None:
+        u = u + ki * i
+    if v is not None:
+        u = u + kd * -v
     return u
 
 
@@ -140,24 +149,25 @@ class Trajectory:
         return e + np.linalg.norm(self.edots, axis=1)
 
     def to_csv(self, path) -> None:
-        def cols(prefix):
-            return [f"{prefix}_{j}" for j in range(self.n)]
-
-        header = ["t"]
-        for prefix in [*LAYOUT[self.kind].values(), "e", "edot", "u"]:
-            header += cols(prefix)
+        """One row per sample: t, the state blocks, e, edot, u, V and the
+        envelope margin, each float as its ``repr``, with CRLF line ends; V and
+        envelope_margin are empty cells when there is no certificate."""
+        header = ["t"] + [
+            f"{prefix}_{j}"
+            for prefix in [*LAYOUT[self.kind].values(), "e", "edot", "u"]
+            for j in range(self.n)
+        ]
         header += ["V", "envelope_margin"]
-        body = np.column_stack(
-            [self.times, self.states, self.errors, self.edots, self.controls]
-        )
-        tail = (self.v_values, self.envelope_margin)
+        cols = [self.times, self.states, self.errors, self.edots, self.controls]
+        if self.v_values is None:
+            end = ",,\r\n"
+        else:
+            cols, end = cols + [self.v_values, self.envelope_margin], "\r\n"
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for k in range(body.shape[0]):
-                row = [repr(v) for v in body[k].tolist()]
-                row += ["" if a is None else repr(float(a[k])) for a in tail]
-                writer.writerow(row)
+            fh.write(",".join(header) + "\r\n")
+            for lo in range(0, self.times.size, _CSV_CHUNK):
+                rows = np.column_stack([a[lo : lo + _CSV_CHUNK] for a in cols]).tolist()
+                fh.write("".join([",".join(map(repr, row)) + end for row in rows]))
 
 
 @dataclass
@@ -237,33 +247,47 @@ def _plant_runs(cells: Sequence[Cell]) -> list:
 
 
 def _rhs_factory(cells: Sequence[Cell]):
-    """Right-hand side of the stacked system, on the flattened (cells, dim) state."""
+    """Right-hand side of the stacked system, on the flattened (cells, dim) state.
+
+    The block slices, gain columns and setpoints are built once; each call
+    checks the plant's values once, through ``PlantModel.eval_checked``.
+    """
     kind, n = cells[0].cfg.gains.kind, cells[0].cfg.plant.n
     layout = LAYOUT[kind]
     shape = (len(cells), len(layout) * n)
+    block = {name: slice(k * n, (k + 1) * n) for k, name in enumerate(layout)}
+    xs, ib, vb = block["x"], block.get("i"), block.get("v")
     gains = tuple(
         np.array([[getattr(c.cfg.gains, k)] for c in cells]) for k in ("kp", "ki", "kd")
     )
     y = np.array([c.cfg.y_star for c in cells])
     runs = _plant_runs(cells)
-    plant_state = [k for k in layout if k != "i"]  # (x, v) or (x,)
+
+    def plant_values(*args):
+        if len(runs) == 1:
+            return runs[0][0].eval_checked(*args)
+        # the runs are adjacent slices that cover the cells in order
+        return np.concatenate(
+            [plant.eval_checked(*(a[rows] for a in args)) for plant, rows in runs]
+        )
 
     def rhs(t, s):
-        b = _split(kind, n, s.reshape(shape))
-        e = y - b["x"]
-        u = _control(gains, b, e)
-        if len(runs) == 1:
-            f = runs[0][0].eval_checked(*(b[k] for k in plant_state), u)
-        else:  # the runs are adjacent slices that cover the cells in order
-            f = np.concatenate(
-                [
-                    plant.eval_checked(*(b[k][rows] for k in plant_state), u[rows])
-                    for plant, rows in runs
-                ]
-            )
+        s = s.reshape(shape)
+        x = s[:, xs]
+        i = None if ib is None else s[:, ib]
+        v = None if vb is None else s[:, vb]
+        e = y - x
+        u = _control(gains, e, i, v)
         # d/dt of (i, x, v) is (e, v, f); a kind without i or v drops its entry
-        rate = {"i": e, "x": b.get("v", f), "v": f}
-        return np.concatenate([rate[k] for k in layout], axis=1).reshape(-1)
+        out = np.empty(shape)
+        if v is None:
+            out[:, xs] = plant_values(x, u)
+        else:
+            out[:, xs] = v
+            out[:, vb] = plant_values(x, v, u)
+        if i is not None:
+            out[:, ib] = e
+        return out.reshape(-1)
 
     return rhs
 
@@ -277,22 +301,23 @@ def _initial_state(cfg: SimConfig) -> np.ndarray:
 
 def _integrate_rk4(rhs, s0: np.ndarray, t_final: float, dt: float):
     n_steps = max(1, int(math.ceil(t_final / dt - 1e-12)))
-    times = [0.0]
-    states = [s0.copy()]
-    t, s = 0.0, s0.copy()
-    for k in range(n_steps):
+    times = np.empty(n_steps + 1)
+    states = np.empty((n_steps + 1, s0.size))
+    times[0], states[0] = 0.0, s0
+    t, s = 0.0, s0
+    for k in range(1, n_steps + 1):
         h = min(dt, t_final - t)
+        half = h / 2.0
         k1 = rhs(t, s)
-        k2 = rhs(t + h / 2.0, s + h / 2.0 * k1)
-        k3 = rhs(t + h / 2.0, s + h / 2.0 * k2)
+        k2 = rhs(t + half, s + half * k1)
+        k3 = rhs(t + half, s + half * k2)
         k4 = rhs(t + h, s + h * k3)
         s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = t + h
-        if not np.all(np.isfinite(s)):
+        if not np.isfinite(s).all():
             raise IntegrationError(f"state became non-finite at t = {t:.6g}")
-        times.append(t)
-        states.append(s.copy())
-    return np.array(times), np.array(states), 4 * n_steps, 0
+        times[k], states[k] = t, s
+    return times, states, 4 * n_steps, 0
 
 
 def _integrate_rk45(rhs, s0: np.ndarray, cfg: SimConfig, cells: int):
@@ -328,7 +353,7 @@ def _trajectory(cell: Cell, times: np.ndarray, states: np.ndarray, stats: dict) 
     layout = LAYOUT[kind]
     b = _split(kind, n, states)
     errors = cfg.y_star - b["x"]
-    controls = _control((g.kp, g.ki, g.kd), b, errors)
+    controls = _control((g.kp, g.ki, g.kd), errors, b.get("i"), b.get("v"))
     edots = -b["v"] if "v" in layout else -plant.eval_checked(b["x"], controls)
 
     # z = (i - u*/ki, e, edot) over the blocks the kind has; i needs u* and ki > 0

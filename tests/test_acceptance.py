@@ -16,6 +16,12 @@ import pidcert as pc
 from pidcert import cli
 from pidcert import matrix_kernel as mk
 from pidcert.planar_pi import necessity_counterexample
+from oracles import (
+    monotonicity_probe,
+    pd_closed_form_margin,
+    pi_closed_form_margin,
+    sample_frozen_uncertainty,
+)
 from schur_chain import pid_det_formula
 
 UB111 = pc.UncertaintyBounds(1.0, 1.0, 1.0)
@@ -112,7 +118,7 @@ class TestAcceptance:
             )
             g = pc.suggest_gains("PID", ub, ki=rng.uniform(0.1, 2.0))
             cert = pc.certify_margin("PID", g, ub, n)
-            fu = pc.sample_frozen_uncertainty(ub, n, rng)
+            fu = sample_frozen_uncertainty(ub, n, rng)
             rep = pc.q_report("PID", g, ub, fu, n)
             A = pc.assemble_A("PID", g, fu, n)
             resid = mk.symmetrize(cert.P @ A + A.T @ cert.P + cert.alpha * np.eye(3 * n))
@@ -128,9 +134,9 @@ class TestAcceptance:
         g_pi, ub_pi = pc.GainVector("PI", 3, 1), pc.UncertaintyBounds.first_order(1, 1)
         g_pd = pc.GainVector("PD", 6, kd=6)
         # the paper's closed forms
-        gamma = pc.pi_closed_form_margin(g_pi, ub_pi)
+        gamma = pi_closed_form_margin(g_pi, ub_pi)
         assert abs(gamma - (6 - math.sqrt(17))) < 1e-12
-        beta = pc.pd_closed_form_margin(g_pd, UB111)
+        beta = pd_closed_form_margin(g_pd, UB111)
         assert beta == 12.0
         # the certified (exact) ball minima: PI meets gamma, PD is the corner
         # a = b = +1 with block [[60, -12], [-12, 48]]
@@ -210,7 +216,7 @@ class TestAcceptance:
                     u0 = rng.uniform(-30, 30, size=plant.n)
                     again = pc.solve_equilibrium(plant, y, u0=u0)
                     assert np.linalg.norm(again.u_star - sol.u_star) <= 1e-8
-            probe = pc.monotonicity_probe(plant, np.zeros(plant.n), pairs=100, seed=5)
+            probe = monotonicity_probe(plant, np.zeros(plant.n), pairs=100, seed=5)
             assert probe >= plant.declared_bounds.b_lower - 1e-8
         report(9, "residuals <= 1e-10, 20-start agreement <= 1e-8, probes >= b_lower")
 

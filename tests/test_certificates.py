@@ -11,6 +11,7 @@ from pidcert import certificates as ct
 from pidcert import matrix_kernel as mk
 from pidcert.errors import CertificateError, UsageError
 from pidcert.gain_sets import GainVector, UncertaintyBounds, suggest_gains
+from oracles import pd_closed_form_margin, pi_closed_form_margin, sample_frozen_uncertainty
 
 UB111 = UncertaintyBounds(1.0, 1.0, 1.0)
 UB_PI = UncertaintyBounds.first_order(1.0, 1.0)
@@ -206,7 +207,7 @@ class TestQReport:
             ub = UB111
             g = suggest_gains("PID", ub, ki=0.6)
             kvec = np.array([g.ki, g.kp, g.kd])
-        fu = ct.sample_frozen_uncertainty(ub, n, rng)
+        fu = sample_frozen_uncertainty(ub, n, rng)
         rep = ct.q_report(kind, g, ub, fu, n)
         gap = np.kron(2 * np.outer(kvec, kvec), mk.symmetrize(fu.theta) - ub.b_lower * np.eye(n))
         scale = 1.0 + np.max(np.abs(gap))
@@ -273,7 +274,7 @@ class TestCertifyMargin:
     def test_pi_exact_gamma(self):
         cert = ct.certify_margin("PI", G_PI, UB_PI, 1)
         assert abs(cert.alpha - (6 - math.sqrt(17))) < 1e-12
-        assert abs(ct.pi_closed_form_margin(G_PI, UB_PI) - (6 - math.sqrt(17))) < 1e-12
+        assert abs(pi_closed_form_margin(G_PI, UB_PI) - (6 - math.sqrt(17))) < 1e-12
         assert abs(cert.lambda_max_P - (9 + math.sqrt(13)) / 2) < 1e-12
         assert abs(cert.lambda_decay - cert.alpha / (2 * cert.lambda_max_P)) < 1e-15
         assert cert.method == "exact"
@@ -283,7 +284,7 @@ class TestCertifyMargin:
         # the paper's closed form bounds each cross term alone and gives 12
         cert = ct.certify_margin("PD", G_PD, UB111, 1)
         assert abs(cert.alpha - (54 - 6 * math.sqrt(5))) < 1e-12
-        assert ct.pd_closed_form_margin(G_PD, UB111) == 12.0
+        assert pd_closed_form_margin(G_PD, UB111) == 12.0
         assert cert.method == "exact"
         assert cert.M == math.sqrt(2 * cert.lambda_max_P / cert.lambda_min_P)
 
@@ -328,9 +329,9 @@ class TestCertifyMargin:
     def test_pid_exact_gamma_rejected(self):
         # the paper's closed forms cover PI and PD only
         with pytest.raises(UsageError):
-            ct.pi_closed_form_margin(G_PID, UB111)
+            pi_closed_form_margin(G_PID, UB111)
         with pytest.raises(UsageError):
-            ct.pd_closed_form_margin(G_PID, UB111)
+            pd_closed_form_margin(G_PID, UB111)
 
     def test_non_member_rejected(self):
         with pytest.raises(UsageError):
@@ -458,10 +459,10 @@ class TestSandwichMargin:
         for _ in range(100):
             g, ub = _random_member("PD", rng)
             alpha = ct.certify_margin("PD", g, ub, 1).alpha
-            assert ct.pd_closed_form_margin(g, ub) <= alpha * (1 + 1e-12)
+            assert pd_closed_form_margin(g, ub) <= alpha * (1 + 1e-12)
             g, ub = _random_member("PI", rng)
             alpha = ct.certify_margin("PI", g, ub, 1).alpha
-            assert abs(ct.pi_closed_form_margin(g, ub) - alpha) <= 1e-9 * (1.0 + alpha)
+            assert abs(pi_closed_form_margin(g, ub) - alpha) <= 1e-9 * (1.0 + alpha)
 
 
 class TestCertificateOrdering:
@@ -476,7 +477,7 @@ class TestCertificateOrdering:
             )
             g = suggest_gains("PID", ub, ki=rng.uniform(0.1, 2.0))
             cert = ct.certify_margin("PID", g, ub, n)
-            fu = ct.sample_frozen_uncertainty(ub, n, rng)
+            fu = sample_frozen_uncertainty(ub, n, rng)
             rep = ct.q_report("PID", g, ub, fu, n)
             assert rep.lambda_min_Q >= rep.lambda_min_Q0 - 1e-9
             assert rep.lambda_min_Q0 >= cert.alpha - 1e-9
@@ -498,7 +499,7 @@ class TestCertificateOrdering:
                 g = suggest_gains("PI", ub, ki=rng.uniform(0.1, 2.0))
                 kind = "PI"
             cert = ct.certify_margin(kind, g, ub, n)
-            fu = ct.sample_frozen_uncertainty(ub, n, rng)
+            fu = sample_frozen_uncertainty(ub, n, rng)
             rep = ct.q_report(kind, g, ub, fu, n)
             assert rep.lambda_min_Q >= rep.lambda_min_Q0 - 1e-9
             assert rep.lambda_min_Q0 >= cert.alpha - 1e-9

@@ -1,11 +1,12 @@
-"""The certificate path, the class audit and the planar Jacobian grid run on
-numpy alone.
+"""The certificate path, the class audit, the planar Jacobian grid and a
+fixed-step simulation run on numpy alone.
 
 scipy is imported only inside the adaptive integrator; a stray top-level
 import would load it (and its memory) for every run.  Checked in a fresh
 interpreter so other tests' imports do not leak in.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -33,20 +34,26 @@ assert not loaded, loaded
 
 
 @pytest.mark.parametrize(
-    "mode,config,output",
+    "mode,config,output,edit",
     [
-        ("certify", "certify_pid.json", "certificate.json"),
-        ("verify-class", "verify_class.json", "validation.json"),
+        ("certify", "certify_pid.json", "certificate.json", {}),
+        ("verify-class", "verify_class.json", "validation.json", {}),
         # solves the scalar equilibrium, then evaluates the Jacobian grid
-        ("planar", "planar_sufficiency.json", "planar.json"),
+        ("planar", "planar_sufficiency.json", "planar.json", {}),
+        # certifies, integrates with fixed-step RK4, audits and writes the CSV
+        ("simulate", "simulate_sinusoidal.json", "trajectory.csv", {"integrator": "rk4_fixed"}),
     ],
-    ids=["certify", "verify-class", "planar"],
+    ids=["certify", "verify-class", "planar", "simulate-rk4"],
 )
-def test_mode_loads_no_scipy_solvers(tmp_path, mode, config, output):
+def test_mode_loads_no_scipy_solvers(tmp_path, mode, config, output, edit):
+    path = CONFIGS / config
+    if edit:
+        path = tmp_path / config
+        path.write_text(json.dumps(json.loads((CONFIGS / config).read_text()) | edit))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, mode, str(CONFIGS / config), str(tmp_path / "out")],
+        [sys.executable, "-c", PROBE, mode, str(path), str(tmp_path / "out")],
         env=env,
         capture_output=True,
         text=True,

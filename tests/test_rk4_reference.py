@@ -1,0 +1,191 @@
+"""The stacked right-hand side and the RK4 loop against the plain reference.
+
+The reference lives in ``rk4_reference.py`` next to this file.  The
+simulator's own rhs builds its slices and gain columns once rather than per
+call, so the failure paths are checked here too: they must raise the
+reference's error, word for word.
+"""
+
+import dataclasses
+import io
+import json
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import pidcert as pc
+from pidcert import cli, simulator
+from pidcert.errors import PlantError
+from pidcert.simulator import RK4_FIXED, RK45_ADAPTIVE
+from rk4_reference import reference_rhs, reference_rk4
+
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+G_PID = pc.GainVector("PID", 7, 1, 7)
+
+
+def sin_plant():
+    return pc.build_family("sinusoidal_scalar", {"c1": 1.0, "c2": 1.0})
+
+
+def cubic_plant():
+    return pc.build_family("nonaffine_cubic_u", {"c1": 1.0, "c2": 1.0, "b_lower": 1.0})
+
+
+def cells_of(plant_runs, gains, integrator, t_final=5.0):
+    """One prepared cell per (plant, y*, x0) of ``plant_runs``, in order."""
+    return [
+        pc.prepare_cell(
+            pc.SimConfig(plant=plant, gains=gains, y_star=y, x0=x0, t_final=t_final,
+                         integrator=integrator)
+        )
+        for plant, points in plant_runs
+        for y, x0 in points
+    ]
+
+
+def stacked_states(cells):
+    """(times, states) of simulate_batch, the cells' states side by side."""
+    trajs = list(pc.simulate_batch(cells))
+    return trajs[0].times, np.hstack([t.states for t in trajs])
+
+
+def initial_state(cells):
+    return np.concatenate([simulator._initial_state(c.cfg) for c in cells])
+
+
+ONE_CELL = {
+    "PID": (sin_plant, G_PID, [([1.0], [0.3, -0.2])]),
+    "PD": (
+        lambda: pc.build_family("tanh_coupled", {"n": 2}),
+        pc.GainVector("PD", 8.0, kd=8.0),
+        [([0.0, 0.0], [1.0, -0.5, 0.2, 0.0])],
+    ),
+    "PI": (
+        lambda: pc.build_family("sinusoidal_scalar", {"order": "first_order", "c1": 0.9}),
+        pc.GainVector("PI", 3.0, ki=1.0),
+        [([1.0], [0.2])],
+    ),
+}
+
+
+class TestBitwiseAgainstReference:
+    @pytest.mark.parametrize("kind", sorted(ONE_CELL))
+    def test_one_cell_rk4_run(self, kind):
+        make, gains, points = ONE_CELL[kind]
+        cells = cells_of([(make(), points)], gains, RK4_FIXED)
+        times, states = stacked_states(cells)
+        ref_times, ref_states = reference_rk4(reference_rhs(cells), initial_state(cells), 5.0, 0.01)
+        np.testing.assert_array_equal(times, ref_times)
+        np.testing.assert_array_equal(states, ref_states)
+
+    def test_two_plant_rk4_batch(self):
+        points = [([1.0], [0.0, 0.0]), ([-0.5], [0.3, -0.2])]
+        cells = cells_of([(sin_plant(), points), (cubic_plant(), points)], G_PID, RK4_FIXED)
+        times, states = stacked_states(cells)
+        ref_times, ref_states = reference_rk4(reference_rhs(cells), initial_state(cells), 5.0, 0.01)
+        np.testing.assert_array_equal(times, ref_times)
+        np.testing.assert_array_equal(states, ref_states)
+
+    def test_rhs_values_on_a_multi_plant_rk45_batch(self):
+        g = pc.GainVector("PD", 8.0, kd=8.0)
+        points = [([0.0, 0.0], [1.0, -0.5, 0.2, 0.0]), ([0.0, 0.0], [-0.3, 0.8, 0.0, 0.4])]
+        plants = [
+            pc.build_family("tanh_coupled", {"n": 2, "l1": 0.8, "l2": 0.6, "b_lower": 1.2}),
+            pc.build_family("rotation_gain", {"b_lower": 1.1, "s": 2.5, "a1": -0.7, "a2": -0.9}),
+        ]
+        cells = cells_of([(p, points) for p in plants], g, RK45_ADAPTIVE)
+        times, states = stacked_states(cells)
+        rhs, ref = simulator._rhs_factory(cells), reference_rhs(cells)
+        for t, s in zip(times, states):
+            np.testing.assert_array_equal(rhs(t, s), ref(t, s))
+        # the whole adaptive integration then takes the same steps
+        _, ref_states, _, _ = simulator._integrate_rk45(ref, initial_state(cells), cells[0].cfg, 4)
+        np.testing.assert_array_equal(states, ref_states)
+
+
+def with_plant(cells, plant):
+    """``cells`` run on ``plant``; their u* comes from the plant they were
+    prepared with, so a plant that fails at y* can still be integrated."""
+    return [dataclasses.replace(c, cfg=dataclasses.replace(c.cfg, plant=plant)) for c in cells]
+
+
+def nan_above(plant, limit):
+    """``plant`` with f NaN at every point whose first coordinate exceeds ``limit``."""
+    f = plant.f
+
+    def f_nan(x, *rest):
+        return np.where(x > limit, np.nan, f(x, *rest))
+
+    return dataclasses.replace(plant, f=f_nan)
+
+
+def raised(fn):
+    with pytest.raises(PlantError) as info:
+        fn()
+    return str(info.value)
+
+
+class TestSingleCheckFailurePaths:
+    def test_nan_inside_a_multi_run_rk4_batch(self):
+        """The second run's plant is NaN above x = 1.2, which its y* = 1.5
+        cell crosses; the error names that point as eval_checked names it."""
+        points = [([1.0], [0.0, 0.0]), ([1.5], [0.0, 0.0])]
+        good = cells_of([(sin_plant(), points)], G_PID, RK4_FIXED)
+        bad = with_plant(cells_of([(sin_plant(), points)], G_PID, RK4_FIXED),
+                         nan_above(sin_plant(), 1.2))
+        cells = good + bad
+        got = raised(lambda: stacked_states(cells))
+        want = raised(lambda: reference_rk4(reference_rhs(cells), initial_state(cells), 5.0, 0.01))
+        assert got == want
+        assert got.startswith("plant returned non-finite value at (array([1.2")
+
+    def test_nan_in_a_one_cell_rk45_run(self):
+        cells = with_plant(cells_of([(sin_plant(), [([1.5], [0.0, 0.0])])], G_PID, RK45_ADAPTIVE),
+                           nan_above(sin_plant(), 1.2))
+        got = raised(lambda: stacked_states(cells))
+        want = raised(lambda: simulator._integrate_rk45(
+            reference_rhs(cells), initial_state(cells), cells[0].cfg, 1))
+        assert got == want
+        assert got.startswith("plant returned non-finite value at (array([1.2")
+
+    def test_wrong_shape_raises(self):
+        plant = sin_plant()
+        wide = dataclasses.replace(plant, f=lambda x1, x2, u: np.hstack([x1, x2]))
+        cells = with_plant(cells_of([(plant, [([1.0], [0.0, 0.0])])], G_PID, RK4_FIXED), wide)
+        got = raised(lambda: stacked_states(cells))
+        assert got == raised(lambda: reference_rhs(cells)(0.0, initial_state(cells)))
+        assert got == "plant returned shape (1, 2), expected (1, 1)"
+
+    def test_same_size_shape_is_reshaped(self):
+        """A flat value of the right size is reshaped by eval_checked, as before."""
+        plant = sin_plant()
+        flat = dataclasses.replace(plant, f=lambda *args: np.ravel(plant.f(*args)))
+        points = [([1.0], [0.3, -0.2])]
+        got = stacked_states(cells_of([(flat, points)], G_PID, RK4_FIXED))
+        want = stacked_states(cells_of([(plant, points)], G_PID, RK4_FIXED))
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+    # the cubic input term overflows on the diverging cells
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_rk4_sweep_keeps_its_divergence_rows(self, tmp_path):
+        """Fixed-step RK4 diverges on three nonaffine_cubic_u cells of the
+        small sweep; each row keeps the PlantError it had."""
+        config = json.loads((CONFIGS / "sweep_small.json").read_text())
+        config["sim"]["integrator"] = RK4_FIXED
+        path = tmp_path / "sweep_rk4.json"
+        path.write_text(json.dumps(config))
+        with redirect_stdout(io.StringIO()):
+            assert cli.run("sweep", str(path), out_dir=str(tmp_path / "out")) == cli.EXIT_CHECK_FAILED
+        lines = (tmp_path / "out" / "sweep.csv").read_bytes().split(b"\r\n")
+        errors = {int(line.split(b",")[0]): line.split(b",", 15)[15] for line in lines[1:19]}
+        assert {k: v for k, v in errors.items() if v} == {
+            11: b'"PlantError: plant returned non-finite value at (array([-1.9524587e+81]), '
+                b'array([8.50978203e+249]), array([-5.95684742e+250]))"',
+            12: b'"PlantError: plant returned non-finite value at (array([1.06824909e+52]), '
+                b'array([-1.1849059e+163]), array([1.06641531e+164]))"',
+            14: b'"PlantError: plant returned non-finite value at (array([5.02716349e+74]), '
+                b'array([-1.23490996e+231]), array([1.11141896e+232]))"',
+        }

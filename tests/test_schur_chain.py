@@ -10,6 +10,7 @@ import pytest
 from pidcert import certificates as ct
 from pidcert.errors import DimensionError
 from pidcert.gain_sets import GainVector, UncertaintyBounds, suggest_gains
+from oracles import sample_frozen_uncertainty
 from schur_chain import (
     eigen_gap_sufficient,
     is_positive_definite,
@@ -106,7 +107,7 @@ class TestPidCore:
         block of Q0 (independent reconstruction)."""
         rng = np.random.default_rng(8)
         g = suggest_gains("PID", UB111, ki=0.5)
-        fu = ct.sample_frozen_uncertainty(UB111, 2, rng)
+        fu = sample_frozen_uncertainty(UB111, 2, rng)
         rep = ct.q_report("PID", g, UB111, fu, 2)
         n = 2
         D = rep.Q0[:n, :n]
@@ -126,7 +127,7 @@ class TestPidCore:
             n = int(rng.integers(1, 4))
             ub = UncertaintyBounds(rng.uniform(0, 2), rng.uniform(0, 2), rng.uniform(0.5, 2))
             g = suggest_gains("PID", ub, ki=rng.uniform(0.2, 1.5))
-            fu = ct.sample_frozen_uncertainty(ub, n, rng)
+            fu = sample_frozen_uncertainty(ub, n, rng)
             assert pid_schur_chain_holds(g, ub, fu)
             rep = ct.q_report("PID", g, ub, fu, n)
             assert rep.lambda_min_Q0 > 0

@@ -418,6 +418,48 @@ class TestCsvExport:
         else:
             assert all(cells == ["", ""] for cells in tail)
 
+    @staticmethod
+    def csv_writer_bytes(traj, path):
+        """The file as csv.writer writes it, one repr per value."""
+        header = ["t"] + [
+            f"{prefix}_{j}"
+            for prefix in [*pc.LAYOUT[traj.kind].values(), "e", "edot", "u"]
+            for j in range(traj.n)
+        ] + ["V", "envelope_margin"]
+        body = np.column_stack([traj.times, traj.states, traj.errors, traj.edots, traj.controls])
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for k in range(body.shape[0]):
+                row = [repr(v) for v in body[k].tolist()]
+                row += ["" if a is None else repr(float(a[k]))
+                        for a in (traj.v_values, traj.envelope_margin)]
+                writer.writerow(row)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("with_cert", [True, False], ids=["certified", "uncertified"])
+    @pytest.mark.parametrize(
+        "n,plant,gains,y,x0,t_final",
+        [
+            (1, {"family": "sinusoidal_scalar"}, (7, 1, 7), [1.0], [0.3, -0.2], 2.0),
+            (2, {"family": "tanh_coupled", "params": {"n": 2}}, (9, 1, 9), [0.5, -0.5],
+             np.zeros(4), 2.0),
+            # 2,501 rows: two full write chunks and a partial third
+            (1, {"family": "sinusoidal_scalar"}, (7, 1, 7), [1.0], [0.3, -0.2], 25.0),
+        ],
+        ids=["n1", "n2", "long"],
+    )
+    def test_bytes_equal_the_csv_writer(self, tmp_path, n, plant, gains, y, x0, t_final, with_cert):
+        g = pc.GainVector("PID", *gains)
+        cfg = pc.SimConfig(plant=pc.build_family(plant["family"], plant.get("params")), gains=g,
+                           y_star=y, x0=x0, t_final=t_final, integrator=RK4_FIXED)
+        traj = pc.simulate(cfg, cert=pc.certify_margin("PID", g, UB111, n) if with_cert else None)
+        traj.to_csv(tmp_path / "traj.csv")
+        got = (tmp_path / "traj.csv").read_bytes()
+        assert got == self.csv_writer_bytes(traj, tmp_path / "ref.csv")
+        assert got.count(b"\r\n") == traj.times.size + 1
+        assert got.endswith(b",,\r\n") != with_cert
+
 
 class TestStateLayout:
     """e, edot, u and z are rebuilt from the state blocks of each kind."""
