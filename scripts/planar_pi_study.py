@@ -3,10 +3,13 @@
 
 Part 1 sweeps (kp, ki) over a grid for the plant class L = b = 1 and marks
 each point as inside the exponential-rate region, inside the larger
-necessary-and-sufficient region, or outside.  Part 2 runs the two
-counterexamples showing gains outside the larger region cannot regulate:
-pure proportional control leaves a steady offset, and an unstable linear
-loop has an eigenvalue in the closed right half plane.
+necessary-and-sufficient region, or outside.  Part 2 proves global
+asymptotic stability for one relaxed-region gain pair from the declared
+bounds (two-dimensional Markus-Yamabe theorem), with the plant's class
+audited on a grid.  Part 3 runs the two counterexamples showing gains
+outside the larger region cannot regulate: pure proportional control leaves
+a steady offset, and an unstable linear loop has an eigenvalue in the closed
+right half plane.
 """
 
 import argparse
@@ -46,14 +49,15 @@ def main():
         print(f"{kp:5.1f} ", "  ".join(marks))
     print("RATE: exponential-rate region, ASYM: asymptotic-only region\n")
 
-    # global Jacobian conditions for one representative in-region choice
+    # the Markus-Yamabe verdict for one representative relaxed-region choice
     g = pc.GainVector("PI", 2.0, 1.0)
     field = PlanarField.build(plant, g, y_star=0.7)
     rep = jacobian_conditions(field)
     print(
-        f"Jacobian audit for (kp, ki) = (2, 1): max trace {rep.max_trace:.4f} "
-        f"(bound {rep.analytic_trace_bound}), min det {rep.min_det:.4f} -> "
-        f"{'globally stable' if rep.sufficiency else 'inconclusive'}"
+        f"Jacobian conditions for (kp, ki) = (2, 1): trace <= {rep.trace_bound:g} and "
+        f"det >= {rep.det_bound:g} on the whole plane, grid audit "
+        f"{'passed' if rep.audit.passes else 'failed'} -> "
+        f"{'proven globally asymptotically stable' if rep.sufficiency else 'not proven'}"
     )
 
     offset = necessity_counterexample("ki_zero", ub, pc.GainVector("PI", 2.0, 0.0), 1.0)
@@ -71,9 +75,10 @@ def main():
 
     payload = {
         "regions": region_rows,
-        "jacobian_audit": {
-            "max_trace": rep.max_trace,
-            "min_det": rep.min_det,
+        "jacobian_conditions": {
+            "trace_bound": rep.trace_bound,
+            "det_bound": rep.det_bound,
+            "audit_passes": rep.audit.passes,
             "sufficiency": rep.sufficiency,
         },
         "ki_zero": {

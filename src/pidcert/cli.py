@@ -51,9 +51,14 @@ _MODE_KEYS = {
     "simulate": {"plant", "bounds", "kind", "gains", "suggest", "certify", "y_star", "x0"}
     | _SIM_KEYS,
     "sweep": {"kind", "bounds", "plants", "gain_sets", "setpoints", "x0s", "sim"},
-    "planar": {"necessity", "bounds", "gains", "y_star", "plant", "grid"},
     "verify-class": {"plant", "samples", "box_radius"},
 }
+# the keys of each branch of planar: a necessity case or a plant on a grid
+_PLANAR_KEYS = {
+    "necessity": {"necessity", "bounds", "gains", "y_star"},
+    "grid": {"plant", "gains", "y_star", "grid"},
+}
+_MODE_KEYS["planar"] = set().union(*_PLANAR_KEYS.values())
 
 
 def _check_keys(node, allowed, where: str) -> None:
@@ -334,17 +339,18 @@ def mode_sweep(config: dict, out: Path, seed: int) -> tuple:
 
 
 def mode_planar(config: dict, out: Path, seed: int) -> tuple:
-    if "necessity" in config:
+    branch = "necessity" if "necessity" in config else "grid"
+    _check_keys(config, _PLANAR_KEYS[branch] | {"mode"}, f"planar mode ({branch})")
+    g = _parse_gains(config.get("gains"), gs.PI, "planar mode")
+    if branch == "necessity":
         node = config["necessity"]
         _check_keys(node, ("case",), "planar mode: necessity")
         ub = _parse_bounds(config.get("bounds"), "planar mode")
-        g = _parse_gains(config.get("gains"), gs.PI, "planar mode")
         y_star = as_number(config.get("y_star", 1.0), "planar mode: 'y_star'")
         report = planar_pi.necessity_counterexample(node.get("case", "ki_zero"), ub, g, y_star)
         key, passed = "necessity", report.nonconvergent
     else:
         plant = _parse_plant(config.get("plant"), "planar mode")
-        g = _parse_gains(config.get("gains"), gs.PI, "planar mode")
         field = planar_pi.PlanarField.build(
             plant, g, as_number(config.get("y_star", 0.0), "planar mode: 'y_star'")
         )

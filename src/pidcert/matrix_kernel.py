@@ -67,4 +67,6 @@ def operator_norm(m):
     a = as_square(m)
     if a.ndim == 2:
         return float(np.linalg.norm(a, 2))
+    if a.shape[-1] == 1:  # |a|, exact and without a stacked SVD's per-matrix cost
+        return np.abs(a[..., 0, 0])
     return np.linalg.norm(a, 2, axis=(-2, -1))

@@ -1,12 +1,17 @@
-"""Planar analysis of scalar PI loops: global-stability Jacobian conditions
+"""Planar analysis of scalar PI loops: a proven global-stability verdict,
 and the counterexamples showing the relaxed gain region is necessary.
 
 For a scalar first-order plant under PI control the shifted closed loop is a
-planar vector field G(z0, z1) = (z1, g(z1, ki*z0 + kp*z1)) with
-g(x, u) = -f(y* - x, u + u*).  If the Jacobian of G has everywhere-negative
-trace and everywhere-positive determinant, its eigenvalues stay in the open
-left half plane globally and the origin is globally asymptotically stable.
-Outside the relaxed region, explicit linear plants defeat regulation.
+planar field G(z0, z1) = (z1, g(z1, ki*z0 + kp*z1)), g(x, u) = -f(y* - x,
+u + u*).  For a plant inside its declared bounds (|f_x| <= L, f_u >= b), the
+Jacobian [[0, 1], [-ki f_u, f_x - kp f_u]] of G has on the whole plane
+
+    trace = f_x - kp f_u <= L - kp b,    det = ki f_u >= ki b,
+
+so for gains in the relaxed region (kp b > L, ki > 0) the origin is globally
+asymptotically stable by the two-dimensional Markus-Yamabe theorem (Fessler
+1995; Gutiérrez 1995).  Outside that region, the linear member f = L x + b u
+attains both bounds and has an eigenvalue with nonnegative real part.
 """
 
 from __future__ import annotations
@@ -16,10 +21,11 @@ from typing import Optional
 
 import numpy as np
 
+from .certificates import FrozenUncertainty, assemble_A
 from .equilibrium import solve_equilibrium
-from .errors import PlantError, UsageError
+from .errors import UsageError
 from .gain_sets import FIRST_ORDER, PI, GainVector, UncertaintyBounds, pi_relaxed_membership
-from .plant_models import PlantModel, build_family
+from .plant_models import PlantModel, ValidationReport, audit_class, build_family
 from .simulator import SimConfig, simulate
 
 
@@ -41,36 +47,23 @@ class PlanarField:
         ustar = solve_equilibrium(plant, [y_star]).u_star[0]
         return PlanarField(plant=plant, gains=gains, y_star=float(y_star), u_star=float(ustar))
 
-    def jacobian(self, z0: np.ndarray, z1: np.ndarray) -> np.ndarray:
-        """Field Jacobians [[0, 1], [ki*g_u, g_x + kp*g_u]] at the points
-        (z0[k], z1[k]) of two equal-shape arrays: shape z0.shape + (2, 2),
-        from one call of ``jac_x1`` and one of ``jac_u``."""
-        z0, z1 = np.asarray(z0, dtype=float), np.asarray(z1, dtype=float)
-        u = self.gains.ki * z0 + self.gains.kp * z1
-        xa = (self.y_star - z1)[..., None]
-        ua = (u + self.u_star)[..., None]
-        gx = np.asarray(self.plant.jac_x1(xa, ua), dtype=float)[..., 0, 0]
-        gu = -np.asarray(self.plant.jac_u(xa, ua), dtype=float)[..., 0, 0]
-        jac = np.empty(z0.shape + (2, 2))
-        jac[..., 0, 0] = 0.0
-        jac[..., 0, 1] = 1.0
-        jac[..., 1, 0] = self.gains.ki * gu
-        jac[..., 1, 1] = gx + self.gains.kp * gu
-        return jac
-
 
 @dataclass
 class ConditionReport:
-    """Grid extremes of the field Jacobian's trace and determinant; each
-    ``*_point`` is the first grid point (z0, z1) that attains its extreme."""
+    """The proven verdict on a planar PI loop and the grid audit behind it.
 
-    max_trace: float
-    min_det: float
+    ``sufficiency`` holds when every ``relaxed_margins`` entry is positive,
+    so ``trace_bound`` < 0 < ``det_bound``, and the plant keeps its declared
+    bounds at the grid points (``audit``, its extreme points as (x, u)).
+    ``linear_member`` refutes gains outside the relaxed region.
+    """
+
     sufficiency: bool
-    analytic_trace_bound: float
-    grid_points: int
-    max_trace_point: tuple[float, float]
-    min_det_point: tuple[float, float]
+    trace_bound: float
+    det_bound: float
+    relaxed_margins: dict
+    audit: ValidationReport
+    linear_member: Optional[dict]
 
 
 @dataclass
@@ -82,59 +75,44 @@ class CounterexampleReport:
     nonconvergent: bool
 
 
+def _linear_max_re(gains: GainVector, ub: UncertaintyBounds) -> float:
+    """Largest real part of the closed-loop eigenvalues of ``gains`` on the
+    linear member a = L, theta = b of the class ``ub``."""
+    member = FrozenUncertainty.checked(ub, a=[[ub.L]], theta=[[ub.b_lower]])
+    return float(np.max(np.real(np.linalg.eigvals(assemble_A(PI, gains, member, 1)))))
+
+
 def jacobian_conditions(
     field: PlanarField,
     radius: float = 20.0,
     points: int = 41,
 ) -> ConditionReport:
-    """Sample trace/determinant of the field Jacobian over a square grid.
-
-    The grid is an audit; the globally valid statement is the analytic trace
-    bound L - kp*b, which the sampled maximum must respect (a violation means
-    the plant breaks its declared derivative bounds).  All grid points are
-    evaluated in one vectorised pass; a non-finite Jacobian is a PlantError
-    naming its first grid point.
-    """
+    """The proven verdict on ``field``, with its plant's declared bounds
+    audited by ``audit_class`` at the plant arguments x = y* - z1,
+    u = ki*z0 + kp*z1 + u* of every point (z0, z1) of a ``points`` x
+    ``points`` grid on [-radius, radius]^2.  The grid only audits: the
+    verdict is the same on every grid the plant passes."""
     if points < 2:
         raise UsageError("grid needs at least 2 points per axis")
+    if not radius > 0:
+        raise UsageError("grid radius must be > 0")
     g = field.gains
     ub = field.plant.declared_bounds
-    bound = ub.L - g.kp * ub.b_lower
+    relaxed = pi_relaxed_membership(g, ub)
     axis = np.linspace(-radius, radius, points)
     z0, z1 = np.repeat(axis, points), np.tile(axis, points)  # z0-major order
-    jac = field.jacobian(z0, z1)
-
-    def at(k) -> tuple[float, float]:
-        return float(z0[k]), float(z1[k])
-
-    bad = ~np.isfinite(jac).all(axis=(1, 2))
-    if bad.any():
-        raise PlantError(f"field Jacobian is not finite at (z0, z1) = {at(np.argmax(bad))}")
-    trace = jac[:, 0, 0] + jac[:, 1, 1]
-    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-    kt, kd = int(np.argmax(trace)), int(np.argmin(det))
-    max_trace, min_det = float(trace[kt]), float(det[kd])
-    if max_trace > bound + 1e-8:
-        raise PlantError(
-            f"sampled trace {max_trace:.6g} exceeds the analytic bound {bound:.6g} "
-            f"at (z0, z1) = {at(kt)}; "
-            "plant violates its declared derivative bounds"
-        )
+    x = (field.y_star - z1)[:, None]
+    u = (g.ki * z0 + g.kp * z1 + field.u_star)[:, None]
+    audit = audit_class(field.plant, [(x, u)])
     return ConditionReport(
-        max_trace=max_trace,
-        min_det=min_det,
-        sufficiency=bool(max_trace < 0.0 and min_det > 0.0),
-        analytic_trace_bound=float(bound),
-        grid_points=points * points,
-        max_trace_point=at(kt),
-        min_det_point=at(kd),
-    )
-
-
-def _linear_first_order(ub: UncertaintyBounds) -> PlantModel:
-    return build_family(
-        "linear_matrix",
-        {"order": FIRST_ORDER, "A": [[ub.L]], "Theta": [[ub.b_lower]]},
+        sufficiency=bool(relaxed.member and audit.passes),
+        trace_bound=float(ub.L - g.kp * ub.b_lower),
+        det_bound=float(g.ki * ub.b_lower),
+        relaxed_margins=dict(relaxed.margins),
+        audit=audit,
+        linear_member=None if relaxed.member else {
+            "a": ub.L, "theta": ub.b_lower, "max_re_eigenvalue": _linear_max_re(g, ub)
+        },
     )
 
 
@@ -158,7 +136,7 @@ def necessity_counterexample(
     if gains.kind != PI:
         raise UsageError("necessity cases use PI gains")
     L, b = ub.L, ub.b_lower
-    plant = _linear_first_order(ub)
+    plant = build_family("linear_matrix", {"order": FIRST_ORDER, "A": [[L]], "Theta": [[b]]})
 
     if case == "ki_zero":
         if gains.ki != 0.0:
@@ -190,8 +168,7 @@ def necessity_counterexample(
             raise UsageError("unstable_linear case requires ki != 0")
         if pi_relaxed_membership(gains, ub).member:
             raise UsageError("unstable_linear case requires gains outside the region")
-        closed = np.array([[0.0, 1.0], [-gains.ki * b, L - gains.kp * b]])
-        max_re = float(np.max(np.real(np.linalg.eigvals(closed))))
+        max_re = _linear_max_re(gains, ub)
         cfg = SimConfig(
             plant=plant,
             gains=gains,

@@ -5,19 +5,19 @@ A second-order plant is the right-hand side f(x1, x2, u) of
     dx1/dt = x2,   dx2/dt = f(x1, x2, u),
 
 a first-order plant is f(x, u) in dx/dt = f(x, u).  Each PlantModel carries
-declared derivative bounds; ``validate_class_membership`` audits them by
-sampling.  The built-in families are declared once, in ``_FAMILIES``: each
-family's builder and, for each order it has, its params keys and defaults.
-Their declared bounds are analytically exact.
+declared derivative bounds; ``audit_class`` audits them at given points,
+``validate_class_membership`` at points sampled from a box.  The built-in
+families are declared once, in ``_FAMILIES``: each family's builder and,
+for each order it has, its params keys and defaults.  Their declared bounds
+are analytically exact.
 
 ``f`` and the Jacobians take a leading batch axis: called with (..., n)
 arrays, ``f`` returns the (..., n) array of row-by-row values and each
 Jacobian the (..., n, n) stack of row-by-row matrices.  So the simulator
 evaluates a whole batch of closed loops, or a whole recorded trajectory, in
-one call, and the class audit and the planar grid evaluate all their points
-in one call.  The built-in families broadcast (a matrix acts as
-``x @ A.T``); ``custom_plant`` loops a per-point ``f`` or Jacobian over the
-rows.
+one call, and the class audit evaluates a whole block of points in one
+call.  The built-in families broadcast (a matrix acts as ``x @ A.T``);
+``custom_plant`` loops a per-point ``f`` or Jacobian over the rows.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -71,11 +71,13 @@ class PlantModel:
 
     def eval_checked(self, *args) -> np.ndarray:
         """f at one point or at each row of a batch; the result has shape
-        (..., n) like the first argument and must be finite."""
+        (..., n) like the first argument and must be finite.  A result of
+        another shape is reshaped only at one point."""
         shape = np.shape(args[0])[:-1] + (self.n,)
         out = np.asarray(self.f(*args), dtype=float)
         if out.shape != shape:
-            if out.size != math.prod(shape):
+            # only one point's n values can be reshaped without mixing points
+            if math.prod(shape) != self.n or out.size != self.n:
                 raise PlantError(f"plant returned shape {out.shape}, expected {shape}")
             out = out.reshape(shape)
         if not np.isfinite(out).all():
@@ -93,15 +95,16 @@ _AUDIT_BLOCK = 1024
 
 @dataclass
 class ValidationReport:
-    """Sampled audit of the declared derivative bounds.
+    """Audit of the declared derivative bounds at ``samples`` points, drawn
+    from the box of ``box_radius`` (None: points given to ``audit_class``).
 
-    Each ``*_point`` is the first sample that attains the extreme beside it,
+    Each ``*_point`` is the first point that attains the extreme beside it,
     as {argument name: n floats}; ``max_norm_jac_x2_point`` is None for a
     first-order plant, which has no x2.
     """
 
     samples: int
-    box_radius: float
+    box_radius: Optional[float]
     max_norm_jac_x1: float
     max_norm_jac_x2: float
     min_sym_jac_u: float
@@ -178,31 +181,22 @@ def _jacobian_stack(p: PlantModel, jac: Callable[..., np.ndarray], name: str, ar
     return out
 
 
-def validate_class_membership(
-    p: PlantModel,
-    samples: int = 1000,
-    box_radius: float = 10.0,
-    seed: int = 0,
-) -> ValidationReport:
-    """Sample the declared bounds over a uniform box and report the extremes.
+def audit_class(p: PlantModel, blocks: Iterable[tuple]) -> ValidationReport:
+    """Audit the declared derivative bounds, and the analytic Jacobians
+    against finite differences, at every point of ``blocks``.
 
-    Also compares finite-difference Jacobians against the analytic ones at
-    each sampled point.  The samples are drawn, in the order of a per-sample
-    loop, and evaluated in blocks of ``_AUDIT_BLOCK``: one call of ``f``,
-    one of each Jacobian, 2n of ``f`` per finite-difference Jacobian, and
-    one stacked LAPACK call per norm or eigenvalue array.
-    """
-    if samples < 1:
-        raise UsageError("samples must be >= 1")
-    if not box_radius > 0:
-        raise UsageError("box_radius must be > 0")
-    rng = np.random.default_rng(seed)
+    Each block, a tuple of ``p.nargs`` (S, n) argument arrays, is evaluated
+    in one vectorised pass: one call of ``f``, one of each Jacobian, 2n of
+    ``f`` per finite-difference Jacobian, and one stacked LAPACK call per
+    norm or eigenvalue array.  A non-finite value is a PlantError naming its
+    point."""
     slack = 1e-8
+    samples = 0
     if p.order == SECOND_ORDER:
         names, jacs = ("x1", "x2", "u"), (p.jac_x1, p.jac_x2, p.jac_u)
     else:
         names, jacs = ("x", "u"), (p.jac_x1, p.jac_u)
-    extremes: dict = {}  # report field -> (value, sample point)
+    extremes: dict = {}  # report field -> (value, point)
 
     def record(field, values, args, lowest=False):
         k = int(np.argmin(values) if lowest else np.argmax(values))
@@ -210,11 +204,8 @@ def validate_class_membership(
         if field not in extremes or (v < extremes[field][0] if lowest else v > extremes[field][0]):
             extremes[field] = (v, {a: args[i][k].tolist() for i, a in enumerate(names)})
 
-    for start in range(0, samples, _AUDIT_BLOCK):
-        draw = rng.uniform(
-            -box_radius, box_radius, size=(min(_AUDIT_BLOCK, samples - start), p.nargs, p.n)
-        )
-        args = tuple(draw[:, i].copy() for i in range(p.nargs))  # contiguous (S, n) arrays
+    for args in blocks:
+        samples += args[0].shape[0]
         p.eval_checked(*args)
         stacks = [
             _jacobian_stack(p, jac, f"jac_{a}", args) for jac, a in zip(jacs, names)
@@ -223,38 +214,56 @@ def validate_class_membership(
         if p.order == SECOND_ORDER:
             record("max_norm_jac_x2", mk.operator_norm(stacks[1]), args)
         record("min_sym_jac_u", mk.eig_extrema(mk.symmetrize(stacks[-1]))[0], args, lowest=True)
-        fd_err = np.zeros(draw.shape[0])
+        fd_err = np.zeros(args[0].shape[0])
         for idx, analytic in enumerate(stacks):
             fd = _fd_partial(p.eval_checked, args, idx)
             denom = 1.0 + np.linalg.norm(analytic, axis=(1, 2))
             fd_err = np.maximum(fd_err, np.max(np.abs(fd - analytic), axis=(1, 2)) / denom)
         record("max_fd_rel_error", fd_err, args)
 
-    max_j1, max_j2, min_sym_ju, max_fd = (
-        extremes.get(field, (0.0, None))
+    found = {
+        field: extremes.get(field, (0.0, None))
         for field in ("max_norm_jac_x1", "max_norm_jac_x2", "min_sym_jac_u", "max_fd_rel_error")
-    )
+    }
     ub = p.declared_bounds
     ok = (
-        max_j1[0] <= ub.L1 + slack
-        and (p.order == FIRST_ORDER or max_j2[0] <= ub.L2 + slack)
-        and min_sym_ju[0] >= ub.b_lower - slack
-        and max_fd[0] <= 1e-5
+        found["max_norm_jac_x1"][0] <= ub.L1 + slack
+        and (p.order == FIRST_ORDER or found["max_norm_jac_x2"][0] <= ub.L2 + slack)
+        and found["min_sym_jac_u"][0] >= ub.b_lower - slack
+        and found["max_fd_rel_error"][0] <= 1e-5
     )
     return ValidationReport(
         samples=samples,
-        box_radius=box_radius,
-        max_norm_jac_x1=max_j1[0],
-        max_norm_jac_x2=max_j2[0],
-        min_sym_jac_u=min_sym_ju[0],
-        max_fd_rel_error=max_fd[0],
+        box_radius=None,
         declared=ub,
         passes=bool(ok),
-        max_norm_jac_x1_point=max_j1[1],
-        max_norm_jac_x2_point=max_j2[1],
-        min_sym_jac_u_point=min_sym_ju[1],
-        max_fd_rel_error_point=max_fd[1],
+        **{field: value for field, (value, _) in found.items()},
+        **{f"{field}_point": point for field, (_, point) in found.items()},
     )
+
+
+def validate_class_membership(
+    p: PlantModel,
+    samples: int = 1000,
+    box_radius: float = 10.0,
+    seed: int = 0,
+) -> ValidationReport:
+    """``audit_class`` on samples drawn from a uniform box, in the order of a
+    per-sample loop, and audited in blocks of ``_AUDIT_BLOCK``."""
+    if samples < 1:
+        raise UsageError("samples must be >= 1")
+    if not box_radius > 0:
+        raise UsageError("box_radius must be > 0")
+    rng = np.random.default_rng(seed)
+
+    def draws():
+        for start in range(0, samples, _AUDIT_BLOCK):
+            draw = rng.uniform(
+                -box_radius, box_radius, size=(min(_AUDIT_BLOCK, samples - start), p.nargs, p.n)
+            )
+            yield tuple(draw[:, i].copy() for i in range(p.nargs))  # contiguous (S, n) arrays
+
+    return replace(audit_class(p, draws()), box_radius=box_radius)
 
 
 def equilibrium_shift_check(p: PlantModel, y_star) -> bool:

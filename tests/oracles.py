@@ -1,9 +1,11 @@
 """Test oracles: the paper's closed-form margins, a random frozen point of the
-uncertainty ball, and a sampled monotonicity ratio.
+uncertainty ball, a sampled monotonicity ratio, and the planar PI field's
+Jacobian trace and determinant point by point.
 
-pidcert's certificates use the sandwich margin and its equilibrium solve uses
-Newton; these helpers state the paper's own formulas and the class property
-behind them, so tests can check the package against them.
+pidcert's certificates use the sandwich margin, its equilibrium solve uses
+Newton and its planar verdict uses two analytic bounds; these helpers state
+the paper's own formulas and the class property behind them, so tests can
+check the package against them.
 """
 
 import numpy as np
@@ -86,3 +88,26 @@ def monotonicity_probe(p, y_star, pairs=100, box_radius=10.0, seed=0):
         ratio = float(d @ (phi(u1) - phi(u2))) / dn2
         worst = min(worst, ratio)
     return worst
+
+
+def planar_trace_det(field, radius=20.0, points=41):
+    """Trace and determinant of the planar PI field's Jacobian
+    [[0, 1], [ki g_u, g_x + kp g_u]] at each point of the square grid, one
+    point at a time (z0 outer, z1 inner): a list of ((z0, z1), trace, det).
+
+    g(x, u) = -f(y* - x, u + u*), so g_x = f_x and g_u = -f_u at the plant
+    arguments x = y* - z1, u = ki z0 + kp z1 + u*.
+    """
+    kp, ki = field.gains.kp, field.gains.ki
+    out = []
+    for z0 in np.linspace(-radius, radius, points):
+        for z1 in np.linspace(-radius, radius, points):
+            x = np.array([field.y_star - z1])
+            u = np.array([ki * z0 + kp * z1 + field.u_star])
+            gx = float(field.plant.jac_x1(x, u)[0, 0])
+            gu = -float(field.plant.jac_u(x, u)[0, 0])
+            jac = np.array([[0.0, 1.0], [ki * gu, gx + kp * gu]])
+            trace = jac[0, 0] + jac[1, 1]
+            det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
+            out.append(((z0, z1), trace, det))
+    return out

@@ -364,22 +364,69 @@ class TestPlanarMode:
         payload = json.loads((out / "planar.json").read_text())
         assert payload["jacobian_conditions"]["sufficiency"] is True
 
-    def test_records_the_points_of_the_extremes(self, tmp_path):
+    def test_audit_extreme_points_map_back_to_grid_points(self, tmp_path):
+        """Each extreme point (x, u) of the audit is the plant argument of a
+        grid point (z0, z1), and the plant's Jacobians there are the
+        recorded extremes."""
+        params = {"order": "first_order", "c1": 1.0, "b_lower": 1.0}
         config = {
-            "plant": {"family": "sinusoidal_scalar", "params": {"order": "first_order", "c1": 1.0}},
+            "plant": {"family": "nonaffine_cubic_u", "params": params},
             "gains": {"kp": 2, "ki": 1},
             "y_star": 0.5,
             "grid": {"radius": 20, "points": 21},
         }
         out = tmp_path / "out"
         assert cli.run("planar", write_config(tmp_path, "p.json", config), out_dir=str(out)) == 0
-        report = json.loads((out / "planar.json").read_text())["jacobian_conditions"]
-        plant = plant_models.build_family("sinusoidal_scalar", {"order": "first_order", "c1": 1.0})
+        audit = json.loads((out / "planar.json").read_text())["jacobian_conditions"]["audit"]
+        plant = plant_models.build_family("nonaffine_cubic_u", params)
         field = planar_pi.PlanarField.build(plant, gain_sets.GainVector("PI", 2, 1), 0.5)
-        jac = field.jacobian(*np.array(report["max_trace_point"]))
-        assert jac[0, 0] + jac[1, 1] == report["max_trace"]
-        jac = field.jacobian(*np.array(report["min_det_point"]))
-        assert jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0] == report["min_det"]
+        axis = np.linspace(-20.0, 20.0, 21)
+        for key in ("max_norm_jac_x1", "min_sym_jac_u", "max_fd_rel_error"):
+            x, u = np.array(audit[f"{key}_point"]["x"]), np.array(audit[f"{key}_point"]["u"])
+            z1 = field.y_star - x[0]
+            z0 = u[0] - field.u_star - 2.0 * z1
+            assert np.min(np.abs(axis - z1)) < 1e-12 and np.min(np.abs(axis - z0)) < 1e-12
+        x, u = (np.array(audit["max_norm_jac_x1_point"][a]) for a in ("x", "u"))
+        assert abs(plant.jac_x1(x, u)[0, 0]) == audit["max_norm_jac_x1"]
+        x, u = (np.array(audit["min_sym_jac_u_point"][a]) for a in ("x", "u"))
+        assert plant.jac_u(x, u)[0, 0] == audit["min_sym_jac_u"]
+
+    def test_refuted_gains_exit_two_and_name_the_linear_member(self, tmp_path):
+        config = {
+            "plant": {"family": "sinusoidal_scalar", "params": {"order": "first_order", "c1": 1.0}},
+            "gains": {"kp": 1, "ki": 1},
+        }
+        out = tmp_path / "out"
+        assert cli.run("planar", write_config(tmp_path, "p.json", config), out_dir=str(out)) == 2
+        report = json.loads((out / "planar.json").read_text())["jacobian_conditions"]
+        assert report["sufficiency"] is False and report["audit"]["passes"] is True
+        member = report["linear_member"]
+        assert (member["a"], member["theta"]) == (1.0, 1.0)
+        assert abs(member["max_re_eigenvalue"]) < 1e-12
+
+    def test_failed_audit_exits_two_and_names_the_point(self, tmp_path, monkeypatch):
+        """A plant that declares b = 2 but has df/du = 1 fails the audit."""
+        build = plant_models.build_family
+
+        def overclaiming(family, params):
+            plant = build(family, params)
+            return dataclasses.replace(
+                plant, declared_bounds=gain_sets.UncertaintyBounds.first_order(1.0, 2.0)
+            )
+
+        monkeypatch.setattr(plant_models, "build_family", overclaiming)
+        config = {
+            "plant": {"family": "sinusoidal_scalar", "params": {"order": "first_order", "c1": 1.0}},
+            "gains": {"kp": 2, "ki": 1},
+            "grid": {"radius": 4, "points": 3},
+        }
+        out = tmp_path / "out"
+        assert cli.run("planar", write_config(tmp_path, "p.json", config), out_dir=str(out)) == 2
+        report = json.loads((out / "planar.json").read_text())["jacobian_conditions"]
+        assert report["sufficiency"] is False and report["linear_member"] is None
+        assert report["audit"]["passes"] is False
+        assert report["audit"]["min_sym_jac_u"] == 1.0
+        assert report["audit"]["min_sym_jac_u_point"] == {"x": [4.0], "u": [-12.0]}
 
     def test_necessity_case(self, tmp_path):
         cfg = write_config(
@@ -554,6 +601,39 @@ class TestUnknownKeys:
         cfg = write_config(tmp_path, "n.json", config)
         assert cli.run(mode, cfg, out_dir=str(tmp_path / "out")) == 1
         assert key in capsys.readouterr().err
+
+    PLANAR_GRID = {
+        "plant": {"family": "sinusoidal_scalar", "params": {"order": "first_order", "c1": 1.0}},
+        "gains": {"kp": 2, "ki": 1},
+        "grid": {"radius": 20, "points": 41},
+    }
+
+    @pytest.mark.parametrize(
+        "config,keys",
+        [
+            # a grid run audits the plant's own declared bounds
+            (PLANAR_GRID | {"bounds": {"L": 100, "b_lower": 1}}, ["'bounds'"]),
+            # a necessity case builds its own plant and has no grid
+            (
+                {
+                    "bounds": {"L": 1, "b_lower": 1},
+                    "gains": {"kp": 0.5, "ki": 1},
+                    "necessity": {"case": "unstable_linear"},
+                    "plant": {"family": "bogus"},
+                    "grid": {"radius": 20},
+                },
+                ["'grid'", "'plant'"],
+            ),
+            (PLANAR_GRID | {"grid": {"radius": 0}}, ["radius"]),
+        ],
+        ids=["grid-bounds", "necessity-plant-grid", "grid-radius-zero"],
+    )
+    def test_planar_branch_reads_every_key_it_accepts(self, tmp_path, capsys, config, keys):
+        out = tmp_path / "out"
+        assert cli.run("planar", write_config(tmp_path, "p.json", config), out_dir=str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and all(k in err for k in keys)
+        assert not (out / "planar.json").exists()
 
 
 class TestNonNumericValues:

@@ -1,5 +1,5 @@
-"""The certificate path, the class audit, the planar Jacobian grid and a
-fixed-step simulation run on numpy alone.
+"""The certificate path, the class audit, the planar verdict with its grid
+audit and a fixed-step simulation run on numpy alone.
 
 scipy is imported only inside the adaptive integrator; a stray top-level
 import would load it (and its memory) for every run.  Checked in a fresh
@@ -38,7 +38,7 @@ assert not loaded, loaded
     [
         ("certify", "certify_pid.json", "certificate.json", {}),
         ("verify-class", "verify_class.json", "validation.json", {}),
-        # solves the scalar equilibrium, then evaluates the Jacobian grid
+        # solves the scalar equilibrium, then audits the plant on the grid
         ("planar", "planar_sufficiency.json", "planar.json", {}),
         # certifies, integrates with fixed-step RK4, audits and writes the CSV
         ("simulate", "simulate_sinusoidal.json", "trajectory.csv", {"integrator": "rk4_fixed"}),

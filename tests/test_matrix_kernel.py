@@ -145,6 +145,11 @@ class TestStacks:
             assert (lo[k], hi[k]) == mk.eig_extrema(sym[k])
             assert norms[k] == mk.operator_norm(stack[k])
 
+    def test_one_by_one_stack_norm_is_the_absolute_value(self):
+        """Exact even where the SVD rescales (|a| near the ends of the range)."""
+        stack = np.array([[[-3e-300]], [[2e300]], [[-0.5]]])
+        np.testing.assert_array_equal(mk.operator_norm(stack), [3e-300, 2e300, 0.5])
+
     def test_single_matrix_gives_floats(self):
         assert type(mk.operator_norm(np.eye(2))) is float
         assert all(type(v) is float for v in mk.eig_extrema(np.eye(2)))

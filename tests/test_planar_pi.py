@@ -10,6 +10,8 @@ import pidcert as pc
 from pidcert.errors import PlantError, UsageError
 from pidcert.planar_pi import PlanarField, jacobian_conditions, necessity_counterexample
 
+from oracles import planar_trace_det
+
 UB_PI = pc.UncertaintyBounds.first_order(1.0, 1.0)
 
 
@@ -23,70 +25,115 @@ def sin_plant():
     return pc.build_family("sinusoidal_scalar", {"order": "first_order", "c1": 1.0})
 
 
+def cubic_plant():
+    return pc.build_family(
+        "nonaffine_cubic_u", {"order": "first_order", "c1": -0.8, "b_lower": 0.6}
+    )
+
+
+# one plant of each shipped first-order family, with relaxed-member gains
+SHIPPED_FIRST_ORDER = [
+    (linear_plant(), (2.0, 1.0), 0.5),
+    (sin_plant(), (2.0, 1.0), 0.3),
+    (cubic_plant(), (3.0, 0.7), -1.2),
+]
+
+
 class TestJacobianConditions:
     def test_linear_constant_jacobian(self):
         field = PlanarField.build(linear_plant(), pc.GainVector("PI", 2, 1), 0.5)
         rep = jacobian_conditions(field)
-        assert rep.max_trace == pytest.approx(-1.0)  # L - kp*b everywhere
-        assert rep.min_det == pytest.approx(1.0)  # ki*b everywhere
-        assert rep.sufficiency
-        assert rep.analytic_trace_bound == -1.0
+        assert rep.trace_bound == -1.0  # L - kp*b
+        assert rep.det_bound == 1.0  # ki*b
+        assert rep.relaxed_margins == {"kp_b_vs_L": 1.0, "ki_positive": 1.0}
+        assert rep.sufficiency and rep.audit.passes
+        assert rep.linear_member is None
 
     def test_sin_plant_trace_bounded(self):
         field = PlanarField.build(sin_plant(), pc.GainVector("PI", 2, 1), 0.3)
         rep = jacobian_conditions(field)
-        assert rep.max_trace <= -1.0 + 1e-8
-        assert rep.min_det > 0
+        assert (rep.trace_bound, rep.det_bound) == (-1.0, 1.0)
+        assert rep.audit.max_norm_jac_x1 <= 1.0 and rep.audit.min_sym_jac_u == 1.0
         assert rep.sufficiency
 
     def test_boundary_gains_fail(self):
+        """kp*b = L: the linear member's closed loop has eigenvalues +-i."""
         field = PlanarField.build(linear_plant(), pc.GainVector("PI", 1, 1), 0.0)
         rep = jacobian_conditions(field)
-        assert rep.analytic_trace_bound == 0.0
-        assert not rep.sufficiency
+        assert rep.trace_bound == 0.0
+        assert rep.audit.passes and not rep.sufficiency
+        assert rep.linear_member["a"] == 1.0 and rep.linear_member["theta"] == 1.0
+        assert rep.linear_member["max_re_eigenvalue"] == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize(
-        "plant,gains,y_star",
-        [
-            (sin_plant(), (2.0, 1.0), 0.3),
-            (pc.build_family("nonaffine_cubic_u", {"order": "first_order", "c1": -0.8, "b_lower": 0.6}), (3.0, 0.7), -1.2),
-            (linear_plant(1.0, 1.0), (1.0, 1.0), 0.0),
-        ],
-    )
-    def test_grid_equals_the_per_point_loop(self, plant, gains, y_star):
-        """The one-pass grid gives the extremes, and the first grid point of
-        each, of a loop over the points (z0 outer, z1 inner), bitwise."""
+    @pytest.mark.parametrize("plant,gains,y_star", SHIPPED_FIRST_ORDER)
+    def test_the_verdict_does_not_depend_on_the_grid(self, plant, gains, y_star):
         field = PlanarField.build(plant, pc.GainVector("PI", *gains), y_star)
-        rep = jacobian_conditions(field, radius=5.0, points=9)
-        kp, ki = gains
-        best = {"trace": (-np.inf, None), "det": (np.inf, None)}
-        for z0 in np.linspace(-5.0, 5.0, 9):
-            for z1 in np.linspace(-5.0, 5.0, 9):
-                x = np.array([field.y_star - z1])
-                u = np.array([ki * z0 + kp * z1 + field.u_star])
-                gx = float(plant.jac_x1(x, u)[0, 0])
-                gu = -float(plant.jac_u(x, u)[0, 0])
-                jac = np.array([[0.0, 1.0], [ki * gu, gx + kp * gu]])
-                trace = jac[0, 0] + jac[1, 1]
-                det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-                if trace > best["trace"][0]:
-                    best["trace"] = (trace, (z0, z1))
-                if det < best["det"][0]:
-                    best["det"] = (det, (z0, z1))
-        assert (rep.max_trace, rep.max_trace_point) == best["trace"]
-        assert (rep.min_det, rep.min_det_point) == best["det"]
-        assert rep.grid_points == 81
+        verdicts = {jacobian_conditions(field, points=k).sufficiency for k in (2, 41)}
+        assert verdicts == {True}
+        outside = PlanarField.build(plant, pc.GainVector("PI", 0.5 * plant.declared_bounds.L, 1.0), y_star)
+        assert {jacobian_conditions(outside, points=k).sufficiency for k in (2, 41)} == {False}
 
-    def test_nonfinite_jacobian_names_its_grid_point(self):
+    def test_every_non_member_is_refuted_by_the_linear_member(self):
+        """Outside the relaxed region the linear member's closed loop has
+        trace L - kp*b >= 0 or determinant ki*b <= 0, so an eigenvalue with
+        nonnegative real part."""
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            kp, ki = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 2.0)
+            g = pc.GainVector("PI", kp, ki)
+            assert not pc.pi_relaxed_membership(g, UB_PI).member
+            rep = jacobian_conditions(PlanarField.build(linear_plant(), g, 0.0), points=2)
+            assert not rep.sufficiency
+            assert rep.linear_member["max_re_eigenvalue"] >= 0.0
+
+    @pytest.mark.parametrize("plant,gains,y_star", SHIPPED_FIRST_ORDER)
+    def test_the_proof_bounds_hold_at_every_grid_point(self, plant, gains, y_star):
+        """The trace and determinant of the field Jacobian, computed point by
+        point, respect the two bounds the proof uses."""
+        field = PlanarField.build(plant, pc.GainVector("PI", *gains), y_star)
+        rep = jacobian_conditions(field)
+        tb, db = rep.trace_bound, rep.det_bound
+        assert rep.sufficiency and tb < 0 < db
+        grid = planar_trace_det(field, radius=20.0, points=41)
+        assert len(grid) == rep.audit.samples
+        for _, trace, det in grid:
+            assert trace <= tb + 1e-12 * (1 + abs(tb))
+            assert det >= db - 1e-12 * (1 + db)
+
+    def test_a_plant_that_breaks_its_declared_b_fails_the_audit(self):
+        """f_u = 1 everywhere, but the plant declares b = 2: the gains are
+        relaxed members of the declared class, and the audit refuses the
+        plant at the first grid point."""
+        plant = dataclasses.replace(
+            sin_plant(), declared_bounds=pc.UncertaintyBounds.first_order(1.0, 2.0)
+        )
+        field = PlanarField.build(plant, pc.GainVector("PI", 2, 1), 0.0)
+        rep = jacobian_conditions(field, radius=4.0, points=3)
+        assert all(v > 0 for v in rep.relaxed_margins.values())
+        assert not rep.audit.passes and not rep.sufficiency
+        assert rep.audit.min_sym_jac_u == 1.0
+        # z0 = z1 = -4: x = y* - z1 = 4, u = ki*z0 + kp*z1 + u* = -12
+        assert rep.audit.min_sym_jac_u_point == {"x": [4.0], "u": [-12.0]}
+
+    def test_nonfinite_jacobian_names_its_plant_point(self):
         plant = sin_plant()
         good = plant.jac_x1
         bad = dataclasses.replace(
             plant, jac_x1=lambda x, u: np.where(x[..., None] < -3.0, np.nan, good(x, u))
         )
         field = PlanarField.build(bad, pc.GainVector("PI", 2, 1), 0.0)
-        # y* - z1 < -3 first at z0 = -4 (the outer axis), z1 = 4
-        with pytest.raises(PlantError, match=re.escape("(z0, z1) = (-4.0, 4.0)")):
+        # x = y* - z1 < -3 first at z0 = -4 (the outer axis), z1 = 4, where
+        # u = ki*z0 + kp*z1 + u* = 4
+        with pytest.raises(
+            PlantError, match=re.escape("jac_x returned non-finite value at (array([-4.]), array([4.]))")
+        ):
             jacobian_conditions(field, radius=4.0, points=3)
+
+    @pytest.mark.parametrize("radius,points", [(0.0, 41), (-1.0, 41), (20.0, 1)])
+    def test_bad_grid_is_a_usage_error(self, radius, points):
+        field = PlanarField.build(sin_plant(), pc.GainVector("PI", 2, 1), 0.0)
+        with pytest.raises(UsageError, match="grid"):
+            jacobian_conditions(field, radius=radius, points=points)
 
     def test_requires_scalar_first_order(self):
         second = pc.build_family("sinusoidal_scalar", {})
@@ -154,8 +201,8 @@ class TestRelaxedRegionIsStrictlyLarger:
 
 class TestSufficiencyProperty:
     def test_random_plants_and_gains(self):
-        """Random in-class scalar plants with relaxed-region gains: the grid
-        conditions pass and the loop converges from random starts."""
+        """Random in-class scalar plants with relaxed-region gains: the verdict
+        is proven and the loop converges from random starts."""
         rng = np.random.default_rng(99)
         for trial in range(12):
             c1 = rng.uniform(0.2, 2.0)

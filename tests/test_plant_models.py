@@ -311,6 +311,15 @@ class TestBatchAxis:
         with pytest.raises(PlantError, match="expected"):
             p.eval_checked(np.zeros(2), np.zeros(2), np.zeros(2))
 
+    def test_transposed_batch_is_a_plant_error(self):
+        """A (n, cells) result has the size of a (cells, n) one, but is not
+        reshaped: that would mix the points of the batch."""
+        p = pm.build_family("tanh_coupled", {"n": 2})
+        flipped = dataclasses.replace(p, f=lambda *a: p.f(*a).T)
+        args = [np.arange(6.0).reshape(3, 2) + k for k in range(3)]
+        with pytest.raises(PlantError, match=re.escape("shape (2, 3), expected (3, 2)")):
+            flipped.eval_checked(*args)
+
     def test_nan_in_a_batch_names_its_point(self):
         p = pm.custom_plant(
             n=1,

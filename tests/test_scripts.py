@@ -15,7 +15,12 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
     [
         ("run_envelope_grid.py", ["--t-final", "5", "--out", "grid"], "27/27 cells passed", "grid/grid.csv"),
         ("robustness_sweep.py", ["--t-final", "5"], "all checks passed", None),
-        ("planar_pi_study.py", ["--out", "planar"], "report written to", "planar/planar_study.json"),
+        (
+            "planar_pi_study.py",
+            ["--out", "planar"],
+            "proven globally asymptotically stable",
+            "planar/planar_study.json",
+        ),
     ],
     ids=["run_envelope_grid", "robustness_sweep", "planar_pi_study"],
 )
