@@ -20,8 +20,12 @@ from .errors import NumericalError
 from .gain_sets import SECOND_ORDER
 from .plant_models import PlantModel
 
-# Newton stops once |Phi(u)| <= TOL, and gives up after MAX_ITER steps
+# Newton stops once |Phi(u)| <= max(TOL, ROUNDOFF * eps * |Phi(0)|), and
+# gives up after MAX_ITER steps.  f(y*, 0, u) is rounded to about eps times
+# its terms, which grow with |Phi(0)| = |f(y*, 0, 0)|: at large setpoints an
+# absolute TOL is below the roundoff and cannot be reached.
 TOL = 1e-10
+ROUNDOFF = 100
 MAX_ITER = 10_000
 
 
@@ -52,14 +56,19 @@ def _stalled(rn: float) -> NumericalError:
 
 
 def solve_equilibrium(p: PlantModel, y_star, u0=None) -> EquilibriumSolution:
-    """Damped Newton on Phi(u) = f(y*, 0, u) with residual-decrease acceptance."""
+    """Damped Newton on Phi(u) = f(y*, 0, u) with residual-decrease
+    acceptance, stopped at the tolerance relative to |Phi(0)| above."""
     y = np.atleast_1d(np.asarray(y_star, dtype=float)).reshape(p.n)
     phi, jac = _phi_and_jac(p, y)
-    u = np.zeros(p.n) if u0 is None else np.atleast_1d(np.asarray(u0, dtype=float)).reshape(p.n)
+    u = np.zeros(p.n)
     r = phi(u)
+    tol = max(TOL, ROUNDOFF * np.finfo(float).eps * float(np.linalg.norm(r)))
+    if u0 is not None:
+        u = np.atleast_1d(np.asarray(u0, dtype=float)).reshape(p.n)
+        r = phi(u)
     rn = float(np.linalg.norm(r))
     for it in range(MAX_ITER):
-        if rn <= TOL:
+        if rn <= tol:
             return EquilibriumSolution(u_star=u, residual_norm=rn, iterations=it, y_star=y)
         try:
             step = np.linalg.solve(jac(u), -r)

@@ -25,7 +25,7 @@ from .certificates import FrozenUncertainty, assemble_A
 from .equilibrium import solve_equilibrium
 from .errors import UsageError
 from .gain_sets import FIRST_ORDER, PI, GainVector, UncertaintyBounds, pi_relaxed_membership
-from .plant_models import PlantModel, ValidationReport, audit_class, build_family
+from .plant_models import _AUDIT_BLOCK, PlantModel, ValidationReport, audit_class, build_family
 from .simulator import SimConfig, simulate
 
 
@@ -69,6 +69,7 @@ class ConditionReport:
 @dataclass
 class CounterexampleReport:
     case: str
+    y_star: float
     e_inf_analytic: Optional[float]
     e_inf_observed: Optional[float]
     max_re_eigenvalue: Optional[float]
@@ -90,8 +91,9 @@ def jacobian_conditions(
     """The proven verdict on ``field``, with its plant's declared bounds
     audited by ``audit_class`` at the plant arguments x = y* - z1,
     u = ki*z0 + kp*z1 + u* of every point (z0, z1) of a ``points`` x
-    ``points`` grid on [-radius, radius]^2.  The grid only audits: the
-    verdict is the same on every grid the plant passes."""
+    ``points`` grid on [-radius, radius]^2, fed to the audit in blocks of
+    at most ``_AUDIT_BLOCK`` points.  The grid only audits: the verdict is
+    the same on every grid the plant passes."""
     if points < 2:
         raise UsageError("grid needs at least 2 points per axis")
     if not radius > 0:
@@ -100,10 +102,14 @@ def jacobian_conditions(
     ub = field.plant.declared_bounds
     relaxed = pi_relaxed_membership(g, ub)
     axis = np.linspace(-radius, radius, points)
-    z0, z1 = np.repeat(axis, points), np.tile(axis, points)  # z0-major order
-    x = (field.y_star - z1)[:, None]
-    u = (g.ki * z0 + g.kp * z1 + field.u_star)[:, None]
-    audit = audit_class(field.plant, [(x, u)])
+
+    def blocks():
+        for start in range(0, points * points, _AUDIT_BLOCK):
+            k = np.arange(start, min(start + _AUDIT_BLOCK, points * points))
+            z0, z1 = axis[k // points], axis[k % points]  # z0-major order
+            yield (field.y_star - z1)[:, None], (g.ki * z0 + g.kp * z1 + field.u_star)[:, None]
+
+    audit = audit_class(field.plant, blocks())
     return ConditionReport(
         sufficiency=bool(relaxed.member and audit.passes),
         trace_bound=float(ub.L - g.kp * ub.b_lower),
@@ -129,7 +135,9 @@ def necessity_counterexample(
     the run lasts 40 time constants 1/(b*kp - L).
     ``unstable_linear``: with ki != 0 but gains outside the region, the linear
     closed-loop matrix has an eigenvalue with nonnegative real part and the
-    simulated error does not decay over a run of 20 time units.
+    simulated error does not decay over a run of 20 time units, started at
+    x = y* + 1 with the integral at its equilibrium u*/ki; the error
+    dynamics of the linear member do not depend on y*.
     """
     if ub.order != FIRST_ORDER:
         raise UsageError("necessity cases use first-order bounds")
@@ -157,6 +165,7 @@ def necessity_counterexample(
         e_obs = float(traj.errors[-1, 0])
         return CounterexampleReport(
             case=case,
+            y_star=float(y_star),
             e_inf_analytic=float(e_inf),
             e_inf_observed=e_obs,
             max_re_eigenvalue=None,
@@ -169,12 +178,14 @@ def necessity_counterexample(
         if pi_relaxed_membership(gains, ub).member:
             raise UsageError("unstable_linear case requires gains outside the region")
         max_re = _linear_max_re(gains, ub)
+        ustar = solve_equilibrium(plant, [y_star]).u_star
         cfg = SimConfig(
             plant=plant,
             gains=gains,
-            y_star=np.zeros(1),
-            x0=np.ones(1),
+            y_star=np.array([y_star]),
+            x0=np.array([y_star + 1.0]),
             t_final=20.0,
+            integral_state0=ustar / gains.ki,
         )
         traj = simulate(cfg)
         e_abs = np.abs(traj.errors[:, 0])
@@ -183,6 +194,7 @@ def necessity_counterexample(
         tail = float(np.max(e_abs[traj.times >= 2.0 * third]))
         return CounterexampleReport(
             case=case,
+            y_star=float(y_star),
             e_inf_analytic=None,
             e_inf_observed=None,
             max_re_eigenvalue=max_re,

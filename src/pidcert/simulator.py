@@ -26,10 +26,16 @@ right-hand-side call checks each run's plant values once, through
 PlantError naming the first failing point.
 Fixed-step RK4 advances each cell exactly as a one-cell run does.  RK45
 shares one step size across the cells, so it is given rtol/sqrt(N) and
-atol/sqrt(N): solve_ivp's RMS error norm over the stacked state is then
+atol/sqrt(N): its RMS error norm over the stacked state is then
 sqrt(sum_c norm_c^2) >= max_c norm_c, where norm_c is the norm a one-cell
 run at the configured tolerances tests, and every accepted step passes each
 cell's own test.  ``simulate`` is the one-cell batch.
+
+Both integrators are numpy alone.  RK45 is the Dormand-Prince 5(4) pair with
+Shampine's quartic interpolant for the recorded samples, stepped and
+recorded with the arithmetic of scipy's ``solve_ivp(method="RK45",
+t_eval=...)``, so its trajectories and ``nfev`` are the ones that call
+returns, bit for bit.
 
 ``Trajectory.to_csv`` writes one row per sample, each float as its ``repr``,
 with CRLF line ends (the bytes ``csv.writer`` writes for the same rows); V
@@ -103,6 +109,10 @@ class SimConfig:
             raise UsageError("t_final must be > 0")
         if not self.dt_max > 0:
             raise UsageError("dt_max must be > 0")
+        # rtol = 0 is allowed: the stepper raises it to its floor of 100 eps
+        for name in ("rtol", "atol"):
+            if not getattr(self, name) >= 0:
+                raise UsageError(f"{name} must be >= 0")
         if self.integrator not in (RK4_FIXED, RK45_ADAPTIVE):
             raise UsageError(f"unknown integrator {self.integrator!r}")
         kind = self.gains.kind
@@ -320,29 +330,109 @@ def _integrate_rk4(rhs, s0: np.ndarray, t_final: float, dt: float):
     return times, states, 4 * n_steps, 0
 
 
-def _integrate_rk45(rhs, s0: np.ndarray, cfg: SimConfig, cells: int):
-    # deferred: scipy is needed only for adaptive integration
-    from scipy.integrate import solve_ivp
+# Dormand-Prince 5(4) (Dormand & Prince, J. Comput. Appl. Math. 6, 1980):
+# nodes C, stage matrix A, 5th-order weights B, error weights E (the
+# embedded 4th-order weights minus B; the 7th stage is f at the new point)
+# and Shampine's quartic interpolant P (Math. Comp. 46, 1986), whose row sums
+# are [B, 0].  The step control is Hairer, Norsett & Wanner's (Solving ODEs I,
+# II.4), as in scipy's RK45, whose arithmetic this stepper repeats step for
+# step.
+_DP_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_DP_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_DP_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+])
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_ERROR_EXPONENT = -1 / 5  # -1/(order of the error estimate + 1)
+_RTOL_FLOOR = 100 * np.finfo(float).eps
 
-    n_rec = max(2, int(round(cfg.t_final / cfg.dt_max)) + 1)
-    t_eval = np.linspace(0.0, cfg.t_final, n_rec)
+
+def _rms(x: np.ndarray):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _initial_step(rhs, s0, f0, t_final, rtol, atol):
+    """Hairer, Norsett & Wanner's first step: one trial Euler step sizes it."""
+    scale = atol + np.abs(s0) * rtol
+    d0, d1 = _rms(s0 / scale), _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_final)
+    d2 = _rms((rhs(h0, s0 + h0 * f0) - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** -_ERROR_EXPONENT
+    return min(100 * h0, h1, t_final)
+
+
+def _integrate_rk45(rhs, s0: np.ndarray, cfg: SimConfig, cells: int):
+    """Adaptive Dormand-Prince 5(4) from 0 to t_final, recorded by the
+    interpolant at max(2, round(t_final/dt_max) + 1) evenly spaced times."""
+    t_final = float(cfg.t_final)
+    n_rec = max(2, int(round(t_final / cfg.dt_max)) + 1)
+    t_eval = np.linspace(0.0, t_final, n_rec)
     # each cell's own error test holds when the stacked RMS norm passes
-    scale = math.sqrt(cells)
-    sol = solve_ivp(
-        rhs,
-        (0.0, cfg.t_final),
-        s0,
-        method="RK45",
-        t_eval=t_eval,
-        rtol=cfg.rtol / scale,
-        atol=cfg.atol / scale,
-    )
-    if not sol.success:
-        t_last = sol.t[-1] if sol.t.size else 0.0
-        raise IntegrationError(
-            f"adaptive integration failed at t = {t_last:.6g}: {sol.message}"
-        )
-    return sol.t, sol.y.T, sol.nfev, sol.status
+    root = math.sqrt(cells)
+    rtol, atol = max(cfg.rtol / root, _RTOL_FLOOR), cfg.atol / root
+    states = np.empty((n_rec, s0.size))
+    K = np.empty((7, s0.size))
+    t, s, f = 0.0, s0, rhs(0.0, s0)
+    h_abs = _initial_step(rhs, s, f, t_final, rtol, atol)
+    nfev, done = 2, 0  # rhs calls; samples recorded
+    while t < t_final:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise IntegrationError(
+                    f"adaptive integration failed at t = {t:.6g}: "
+                    "Required step size is less than spacing between numbers."
+                )
+            t_new = min(t + h_abs, t_final)
+            h = t_new - t
+            h_abs = abs(h)
+            K[0] = f
+            for k in range(1, 6):
+                K[k] = rhs(t + _DP_C[k] * h, s + np.dot(K[:k].T, _DP_A[k, :k]) * h)
+            s_new = s + h * np.dot(K[:-1].T, _DP_B)
+            K[-1] = f_new = rhs(t + h, s_new)
+            nfev += 6
+            scale = atol + np.maximum(np.abs(s), np.abs(s_new)) * rtol
+            error = _rms(np.dot(K.T, _DP_E) * h / scale)
+            if error < 1:
+                factor = _MAX_FACTOR if error == 0 else min(
+                    _MAX_FACTOR, _SAFETY * error ** _ERROR_EXPONENT
+                )
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error ** _ERROR_EXPONENT)
+            rejected = True
+        # the samples up to t_new not yet recorded, from the step's quartic interpolant
+        stop = int(np.searchsorted(t_eval, t_new, side="right"))
+        if stop > done:
+            x = (t_eval[done:stop] - t) / h
+            y = h * np.dot(K.T.dot(_DP_P), np.cumprod(np.tile(x, (4, 1)), axis=0))
+            y += s[:, None]
+            states[done:stop] = y.T
+            done = stop
+        t, s, f = t_new, s_new, f_new
+    return t_eval, states, nfev, 0
 
 
 def _trajectory(cell: Cell, times: np.ndarray, states: np.ndarray, stats: dict) -> Trajectory:

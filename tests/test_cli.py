@@ -127,6 +127,28 @@ class TestSimulateMode:
         assert "out of class" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("key", ["rtol", "atol"])
+    def test_negative_tolerance_is_usage_error(self, tmp_path, capsys, key):
+        config = json.loads((CONFIG_DIR / "simulate_sinusoidal.json").read_text())
+        cfg = write_config(tmp_path, "s.json", config | {key: -1e-10})
+        out = tmp_path / "out"
+        assert cli.run("simulate", cfg, out_dir=str(out)) == 1
+        assert capsys.readouterr().err == f"error: {key} must be >= 0\n"
+        assert not (out / "summary.json").exists()
+
+    def test_zero_rtol_runs_at_its_floor(self, tmp_path, capsys):
+        """rtol = 0 is raised to 100 eps, so it runs exactly as that value does."""
+        config = json.loads((CONFIG_DIR / "simulate_sinusoidal.json").read_text())
+        config["t_final"] = 2.0
+        files = []
+        for rtol in (0.0, 100 * np.finfo(float).eps):
+            out = tmp_path / f"out_{rtol}"
+            cfg = write_config(tmp_path, "s.json", config | {"rtol": rtol})
+            assert cli.run("simulate", cfg, out_dir=str(out)) == 0
+            files.append([(out / name).read_bytes() for name in ("trajectory.csv", "summary.json")])
+        assert files[0] == files[1]
+
+
 class TestSweepMode:
     def sweep_config(self, tmp_path):
         return write_config(
@@ -442,6 +464,19 @@ class TestPlanarMode:
         assert cli.run("planar", cfg, out_dir=str(out)) == 0
         payload = json.loads((out / "planar.json").read_text())
         assert abs(payload["necessity"]["max_re_eigenvalue"] - 0.25) < 1e-9
+
+    def test_necessity_case_records_its_setpoint(self, tmp_path):
+        config = json.loads((CONFIG_DIR / "planar_necessity.json").read_text())
+        reports = []
+        for y_star in (0.0, 7.0):
+            out = tmp_path / f"out_{y_star}"
+            cfg = write_config(tmp_path, "p.json", config | {"y_star": y_star})
+            assert cli.run("planar", cfg, out_dir=str(out)) == 0
+            reports.append((out / "planar.json").read_bytes())
+        assert reports[0] != reports[1]
+        necessity = [json.loads(r)["necessity"] for r in reports]
+        assert [n["y_star"] for n in necessity] == [0.0, 7.0]
+        assert necessity[0] | {"y_star": 7.0} == necessity[1]
 
 
 class TestVerifyClassMode:

@@ -71,6 +71,33 @@ class TestSolveEquilibrium:
                 sol = eq.solve_equilibrium(p, y)
                 assert sol.residual_norm <= 1e-10
 
+    def test_large_setpoint_converges(self):
+        """At |y*| ~ 1e8 the roundoff in f(y*, 0, u) is far above 1e-10, so
+        the stopping test is relative to |f(y*, 0, 0)|; u* matches the
+        closed form -Theta^-1 A1 y*."""
+        a1, theta = [[-0.18, 0.54], [1.94, -0.27]], [[2.76, 1.0], [-0.89, 2.71]]
+        p = pm.build_family("linear_matrix", {"A1": a1, "A2": np.zeros((2, 2)).tolist(), "Theta": theta})
+        y = np.array([1e8, -7e7])
+        sol = eq.solve_equilibrium(p, y)
+        phi0 = np.linalg.norm(p.f(y, np.zeros(2), np.zeros(2)))
+        assert sol.residual_norm <= eq.ROUNDOFF * np.finfo(float).eps * phi0
+        exact = -np.linalg.solve(np.array(theta), np.array(a1) @ y)
+        np.testing.assert_allclose(sol.u_star, exact, rtol=1e-13)
+
+    def test_random_linear_plants_at_large_setpoints(self):
+        rng = np.random.default_rng(29)
+        for _ in range(50):
+            theta = 2.0 * np.eye(2) + rng.uniform(-0.5, 0.5, (2, 2))
+            p = pm.build_family(
+                "linear_matrix",
+                {"A1": rng.uniform(-2, 2, (2, 2)).tolist(), "A2": np.zeros((2, 2)).tolist(),
+                 "Theta": theta.tolist()},
+            )
+            y = rng.uniform(-1, 1, 2) * 10.0 ** rng.uniform(6, 12)
+            sol = eq.solve_equilibrium(p, y)
+            exact = -np.linalg.solve(theta, p.f(y, np.zeros(2), np.zeros(2)))
+            np.testing.assert_allclose(sol.u_star, exact, rtol=1e-12)
+
     def test_multi_start_uniqueness(self):
         rng = np.random.default_rng(23)
         p = pm.build_family("nonaffine_cubic_u", {"c1": 1.0, "c2": 1.0, "b_lower": 1.0})

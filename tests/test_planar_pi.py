@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import pidcert as pc
+from pidcert import planar_pi
+from pidcert import plant_models as pm
 from pidcert.errors import PlantError, UsageError
 from pidcert.planar_pi import PlanarField, jacobian_conditions, necessity_counterexample
 
@@ -129,6 +131,35 @@ class TestJacobianConditions:
         ):
             jacobian_conditions(field, radius=4.0, points=3)
 
+    def test_a_500_point_grid_audits_in_blocks(self, monkeypatch):
+        """250,000 grid points reach the audit in blocks of at most
+        _AUDIT_BLOCK, and the sine plant passes on all of them."""
+        sizes = []
+
+        def audit(plant, blocks):
+            def counted():
+                for args in blocks:
+                    sizes.append(args[0].shape[0])
+                    yield args
+
+            return pm.audit_class(plant, counted())
+
+        monkeypatch.setattr(planar_pi, "audit_class", audit)
+        field = PlanarField.build(sin_plant(), pc.GainVector("PI", 2, 1), 0.5)
+        rep = jacobian_conditions(field, points=500)
+        assert max(sizes) == pm._AUDIT_BLOCK and sum(sizes) == 500 * 500
+        assert len(sizes) == -(-500 * 500 // pm._AUDIT_BLOCK)
+        assert rep.audit.samples == 500 * 500
+        assert rep.sufficiency and rep.audit.passes
+        assert rep.audit.min_sym_jac_u == 1.0 and rep.audit.max_norm_jac_x1 <= 1.0
+
+    @pytest.mark.parametrize("plant,gains,y_star", SHIPPED_FIRST_ORDER)
+    def test_blocks_give_the_one_block_report(self, monkeypatch, plant, gains, y_star):
+        field = PlanarField.build(plant, pc.GainVector("PI", *gains), y_star)
+        blocked = jacobian_conditions(field)
+        monkeypatch.setattr(planar_pi, "_AUDIT_BLOCK", 41 * 41)
+        assert jacobian_conditions(field) == blocked
+
     @pytest.mark.parametrize("radius,points", [(0.0, 41), (-1.0, 41), (20.0, 1)])
     def test_bad_grid_is_a_usage_error(self, radius, points):
         field = PlanarField.build(sin_plant(), pc.GainVector("PI", 2, 1), 0.0)
@@ -165,6 +196,15 @@ class TestNecessity:
         rep = necessity_counterexample("unstable_linear", UB_PI, g, 0.0)
         assert abs(rep.max_re_eigenvalue - 0.25) < 1e-9
         assert rep.nonconvergent
+
+    def test_unstable_linear_at_any_setpoint(self):
+        """The linear member's error dynamics do not depend on y*: started
+        one unit off it with the integral at u*/ki, the verdict is the same."""
+        g = pc.GainVector("PI", 0.5, 1.0)
+        reps = [necessity_counterexample("unstable_linear", UB_PI, g, y) for y in (0.0, 7.0)]
+        assert [r.y_star for r in reps] == [0.0, 7.0]
+        assert reps[0].nonconvergent and reps[1].nonconvergent
+        assert reps[0].max_re_eigenvalue == reps[1].max_re_eigenvalue
 
     def test_boundary_pure_oscillation(self):
         # kp*b = L exactly: trace 0, eigenvalues +-i*sqrt(ki*b)
