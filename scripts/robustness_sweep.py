@@ -3,7 +3,8 @@
 
 A single PID triple chosen from the region for (L1, L2, b) = (1, 1, 1) is
 certified once, then exercised against every built-in scalar plant in that
-class and against scalings of itself (the region is closed under scaling by
+class, each run judged by ``pidcert.judge`` as the CLI's ``simulate`` judges
+it, and against scalings of itself (the region is closed under scaling by
 any factor >= 1).  No retuning happens anywhere.
 """
 
@@ -48,12 +49,13 @@ def main():
             x0=rng.uniform(-5, 5, size=2), t_final=args.t_final,
         )
         traj = pc.simulate(cfg, cert=cert)
-        audit = pc.envelope_audit(traj)
-        all_pass &= audit.passes
+        verdict = pc.judge(traj)
+        all_pass &= verdict.passed
         print(
             f"{fam:20s} {str(params):58s} y*={y:+.2f}  "
             f"final|e|={abs(traj.errors[-1, 0]):.2e}  "
-            f"envelope={'PASS' if audit.passes else 'FAIL'}"
+            f"envelope={'PASS' if verdict.envelope_pass else 'FAIL'}"
+            + ("" if verdict.v_nonincreasing else "  V increases")
         )
 
     print("\nscaling the same triple (region is closed under alpha >= 1):")

@@ -3,11 +3,11 @@
 
 For three scalar plants sharing the bound triple (1, 1, 1), three suggested
 PID gain triples are certified once each, then every (plant, gains, setpoint)
-cell is simulated and audited against its exponential envelope; the 27 cells
-are integrated together as one stacked system.  The summary table shows the
-certified rate next to the empirically fitted one, which is typically an
-order of magnitude faster: the certificate is a worst-case statement over the
-whole uncertainty ball.
+cell is simulated and judged by ``pidcert.judge``, the verdict of the CLI's
+``simulate`` and ``sweep``; the 27 cells are integrated together as one
+stacked system.  The summary table shows the certified rate next to the
+empirically fitted one, which is typically an order of magnitude faster: the
+certificate is a worst-case statement over the whole uncertainty ball.
 """
 
 import argparse
@@ -67,11 +67,10 @@ def main():
         )
         for _, plant, _, cert, y in grid
     ]
-    rows = []
+    rows, n_pass = [], 0
     for (fam, _, ki, cert, y), traj in zip(grid, pc.simulate_batch(cells)):
-        audit = pc.envelope_audit(traj)
-        monitor = pc.lyapunov_monitor(traj)
-        lam_emp, _ = pc.fit_decay(traj, (1.0, 0.9 * args.t_final))
+        verdict = pc.judge(traj)
+        n_pass += verdict.passed
         rows.append(
             {
                 "plant": fam,
@@ -79,23 +78,22 @@ def main():
                 "y_star": y,
                 "alpha": cert.alpha,
                 "lambda_cert": cert.lambda_decay,
-                "lambda_emp": lam_emp,
-                "envelope_pass": audit.passes,
-                "min_margin": audit.min_margin,
-                "v_nonincreasing": monitor.nonincreasing_pass,
+                "lambda_emp": verdict.lambda_emp,
+                "envelope_pass": verdict.envelope_pass,
+                "min_margin": verdict.min_margin,
+                "v_nonincreasing": verdict.v_nonincreasing,
             }
         )
         print(
             f"{fam:20s} ki={ki:<4} y*={y:<5} "
-            f"envelope={'PASS' if audit.passes else 'FAIL'} "
-            f"lambda_emp={lam_emp:.4f} (cert {cert.lambda_decay:.5f})"
+            f"envelope={'PASS' if verdict.envelope_pass else 'FAIL'} "
+            f"lambda_emp={verdict.lambda_emp:.4f} (cert {cert.lambda_decay:.5f})"
         )
 
     with open(out / "grid.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
-    n_pass = sum(r["envelope_pass"] and r["v_nonincreasing"] for r in rows)
     print(f"\n{n_pass}/{len(rows)} cells passed in {time.perf_counter() - t0:.1f}s")
     print(f"table written to {out / 'grid.csv'}")
 

@@ -64,8 +64,10 @@ from .simulator import (
     MonitorReport,
     SimConfig,
     Trajectory,
+    Verdict,
     envelope_audit,
     fit_decay,
+    judge,
     lyapunov_monitor,
     prepare_cell,
     simulate,

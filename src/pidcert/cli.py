@@ -6,9 +6,12 @@ Usage:
 Modes: gains, certify, simulate, sweep, planar, verify-class.  Each mode
 returns its exit code, the name of its JSON report (None for ``sweep``, which
 writes ``sweep.csv`` and prints one summary line itself) and the report;
-``run`` writes the report and echoes it.  Every certified run, alone or in a
-sweep, is judged by ``_verdict``.  A number a config leaves out is not passed
-on, so the library function's own default applies.
+``run`` writes the report and echoes it.  The CLI judges nothing: each failed
+check comes from a library report (``ValidationReport.passes``,
+``ConditionReport.sufficiency``, ``CounterexampleReport.nonconvergent`` and,
+for every certified run alone or in a sweep, ``simulator.judge``'s
+``Verdict.passed``).  A number a config leaves out is not passed on, so the
+library function's own default applies.
 Exit codes: 0 all checks pass, 1 usage/config error, 2 a certification or
 audit check failed (the failing report is still written).
 """
@@ -157,36 +160,6 @@ def _sim_options(node: dict, where: str) -> dict:
     return opts
 
 
-def _verdict(traj: sim.Trajectory, t_final: float) -> dict:
-    """The verdict fields of a certified run: the envelope audit, the V
-    monitor and the decay fit on [0.1, 0.9] t_final.
-
-    ``t_final`` is the configured horizon rather than the last sample time,
-    which a fixed-step run can miss by an ulp.  The fit is None when the
-    error signal sits at the floor (a run that starts at rest has nothing to
-    fit).
-    """
-    audit = sim.envelope_audit(traj)
-    monitor = sim.lyapunov_monitor(traj)
-    try:
-        lam_emp, m_emp = sim.fit_decay(traj, (0.1 * t_final, 0.9 * t_final))
-    except UsageError:
-        lam_emp = m_emp = None
-    return {
-        "envelope_pass": audit.passes,
-        "min_margin": audit.min_margin,
-        "first_violation_time": audit.first_violation_time,
-        "v_nonincreasing": monitor.nonincreasing_pass,
-        "lambda_emp": lam_emp,
-        "M_emp": m_emp,
-    }
-
-
-def _passed(verdict: dict) -> bool:
-    """A certified run passes when its envelope holds and V does not increase."""
-    return verdict["envelope_pass"] is True and verdict["v_nonincreasing"] is True
-
-
 def mode_simulate(config: dict, out: Path, seed: int) -> tuple:
     plant = _parse_plant(config.get("plant"), "simulate mode")
     ub = (
@@ -203,7 +176,9 @@ def mode_simulate(config: dict, out: Path, seed: int) -> tuple:
         g = gs.suggest_gains(
             kind, ub, **_given(suggest, ("ki", "margin"), "simulate mode: suggest")
         )
-    cert = cert_mod.certify_margin(kind, g, ub, plant.n) if config.get("certify", True) else None
+    certify = config.get("certify", True)
+    _expect(isinstance(certify, bool), "simulate mode: 'certify' must be true or false")
+    cert = cert_mod.certify_margin(kind, g, ub, plant.n) if certify else None
     cfg = sim.SimConfig(
         plant=plant,
         gains=g,
@@ -223,18 +198,19 @@ def mode_simulate(config: dict, out: Path, seed: int) -> tuple:
     }
     code = EXIT_OK
     if cert is not None:
-        verdict = _verdict(traj, cfg.t_final)
-        summary.update({"certificate": cert.to_json_dict(), **verdict})
-        if not _passed(verdict):
+        verdict = sim.judge(traj)
+        summary.update({"certificate": cert.to_json_dict(), **dataclasses.asdict(verdict)})
+        if not verdict.passed:
             code = EXIT_CHECK_FAILED
     return code, "summary.json", summary
 
 
-# sweep.csv columns; a cell's row starts with every column empty
+# sweep.csv columns: the cell, its certificate, the fields of its verdict and
+# its error; a cell's row starts with every column empty
 _SWEEP_COLUMNS = (
     "cell", "plant", "kp", "ki", "kd", "y_star", "member", "alpha", "lambda",
-    "envelope_pass", "min_margin", "first_violation_time", "v_nonincreasing",
-    "lambda_emp", "M_emp", "error",
+    *(f.name for f in dataclasses.fields(sim.Verdict)),
+    "error",
 )
 
 
@@ -244,27 +220,30 @@ def _sweep_list(config: dict, key: str, default=None) -> list:
     return node
 
 
-def _judge_cells(batch: list) -> None:
-    """Fill each (row, cell) of ``batch`` from one stacked integration.
+def _judge_cells(batch: list) -> int:
+    """Fill each (row, cell) of ``batch`` from one stacked integration and
+    return the number of cells that passed.
 
     When the batch raises, the cells not yet judged run again one at a time,
     so the error lands on its own cell.
     """
-    done = 0
+    done = passed = 0
     try:
         for traj in sim.simulate_batch([cell for _, cell in batch]):
             row, cell = batch[done]
+            verdict = sim.judge(traj)
             row.update(
                 {"alpha": cell.cert.alpha, "lambda": cell.cert.lambda_decay}
-                | _verdict(traj, cell.cfg.t_final)
+                | dataclasses.asdict(verdict)
             )
+            passed += verdict.passed
             done += 1
     except PidcertError as exc:
         if len(batch) == 1:
             batch[0][0]["error"] = f"{type(exc).__name__}: {exc}"
         else:
-            for item in batch[done:]:
-                _judge_cells([item])
+            passed += sum(_judge_cells([item]) for item in batch[done:])
+    return passed
 
 
 def mode_sweep(config: dict, out: Path, seed: int) -> tuple:
@@ -293,6 +272,12 @@ def mode_sweep(config: dict, out: Path, seed: int) -> tuple:
         _expect(p.n == n, "sweep mode: all plants must share the block dimension")
     setpoints = [_vector(y, n, f"sweep mode: setpoints[{i}]") for i, y in enumerate(y_nodes)]
     x0s = [_x0(x, n, gs.ORDER[kind], f"sweep mode: x0s[{i}]") for i, x in enumerate(x_nodes)]
+    # one run per plant, built before any cell runs, checks the sim settings
+    # and the plant's order once; each cell's run is a copy of its plant's
+    plant_cfgs = [
+        sim.SimConfig(plant=p, gains=gains[0], y_star=setpoints[0], x0=x0s[0], **opts)
+        for p in plants
+    ]
 
     # membership and one certificate per gain set
     member = [gs.membership(g, ub).member for g in gains]
@@ -300,11 +285,11 @@ def mode_sweep(config: dict, out: Path, seed: int) -> tuple:
 
     # every member cell that passes its pre-checks joins one stacked integration
     rows, batch = [], []
-    cells = itertools.product(plants, enumerate(gains), setpoints, x0s)
-    for idx, (plant, (ig, g), y_star, x0) in enumerate(cells):
+    cells = itertools.product(plant_cfgs, enumerate(gains), setpoints, x0s)
+    for idx, (plant_cfg, (ig, g), y_star, x0) in enumerate(cells):
         row = dict.fromkeys(_SWEEP_COLUMNS, "") | {
             "cell": idx,
-            "plant": plant.family or "custom",
+            "plant": plant_cfg.plant.family or "custom",
             "kp": g.kp,
             "ki": g.ki,
             "kd": g.kd,
@@ -315,17 +300,15 @@ def mode_sweep(config: dict, out: Path, seed: int) -> tuple:
         if not row["member"]:
             continue
         try:
-            cfg = sim.SimConfig(plant=plant, gains=g, y_star=y_star, x0=x0, **opts)
+            cfg = dataclasses.replace(plant_cfg, gains=g, y_star=y_star, x0=x0)
             batch.append((row, sim.prepare_cell(cfg, certs[ig])))
         except PidcertError as exc:
             row["error"] = f"{type(exc).__name__}: {exc}"
-    if batch:
-        _judge_cells(batch)
+    passed = _judge_cells(batch) if batch else 0
 
     out.mkdir(parents=True, exist_ok=True)
-    judged = [r for r in rows if r["member"]]
-    passed = [r for r in judged if _passed(r)]
-    pass_fraction = (len(passed) / len(judged)) if judged else 1.0
+    judged = sum(r["member"] for r in rows)
+    pass_fraction = (passed / judged) if judged else 1.0
     with open(out / "sweep.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=_SWEEP_COLUMNS)
         writer.writeheader()
@@ -334,8 +317,8 @@ def mode_sweep(config: dict, out: Path, seed: int) -> tuple:
         writer.writerow(
             dict.fromkeys(_SWEEP_COLUMNS, "") | {"cell": "pass_fraction", "plant": pass_fraction}
         )
-    print(f"sweep: {len(passed)}/{len(judged)} certified cells passed")
-    return (EXIT_OK if len(passed) == len(judged) else EXIT_CHECK_FAILED), None, None
+    print(f"sweep: {passed}/{judged} certified cells passed")
+    return (EXIT_OK if passed == judged else EXIT_CHECK_FAILED), None, None
 
 
 def mode_planar(config: dict, out: Path, seed: int) -> tuple:

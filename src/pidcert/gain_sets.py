@@ -95,6 +95,13 @@ class GainVector:
         for v in (self.kp, self.ki, self.kd):
             if not math.isfinite(v):
                 raise UsageError("gains must be finite")
+        # ki acts through the integral block i, kd through the velocity block v
+        for name, block in (("ki", "i"), ("kd", "v")):
+            value = getattr(self, name)
+            if block not in LAYOUT[self.kind] and value != 0:
+                raise UsageError(
+                    f"{self.kind} gains have no {name!r}; it must be 0, got {value!r}"
+                )
 
     def scaled(self, alpha: float) -> "GainVector":
         return GainVector(self.kind, alpha * self.kp, alpha * self.ki, alpha * self.kd)

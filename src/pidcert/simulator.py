@@ -37,6 +37,10 @@ recorded with the arithmetic of scipy's ``solve_ivp(method="RK45",
 t_eval=...)``, so its trajectories and ``nfev`` are the ones that call
 returns, bit for bit.
 
+``judge`` is the one verdict on a certified trajectory: the envelope audit,
+the V monitor and the decay fit on ``[0.1, 0.9] t_final``; a run passes when
+its envelope holds and V does not increase.
+
 ``Trajectory.to_csv`` writes one row per sample, each float as its ``repr``,
 with CRLF line ends (the bytes ``csv.writer`` writes for the same rows); V
 and envelope_margin are empty cells when there is no certificate.
@@ -131,7 +135,11 @@ class SimConfig:
 @dataclass
 class Trajectory:
     """One recorded closed loop.  ``nfev`` and ``status`` are the
-    integrator's, shared by the ``cells`` closed loops integrated with it."""
+    integrator's, shared by the ``cells`` closed loops integrated with it.
+
+    ``t_final`` is the configured horizon rather than the last sample time,
+    which fixed-step RK4 misses by the roundoff its summed steps accumulate.
+    """
 
     kind: str
     n: int
@@ -141,6 +149,7 @@ class Trajectory:
     edots: np.ndarray
     controls: np.ndarray
     y_star: np.ndarray
+    t_final: float
     z: Optional[np.ndarray] = None
     u_star: Optional[np.ndarray] = None
     v_values: Optional[np.ndarray] = None
@@ -463,6 +472,7 @@ def _trajectory(cell: Cell, times: np.ndarray, states: np.ndarray, stats: dict) 
         edots=edots,
         controls=controls,
         y_star=cfg.y_star.copy(),
+        t_final=cfg.t_final,
         z=z,
         u_star=ustar,
         cert=cert,
@@ -604,4 +614,46 @@ def lyapunov_monitor(traj: Trajectory) -> MonitorReport:
         max_increase=max_increase,
         decrease_pass=bool(worst <= 0.0),
         worst_decrease_excess=worst,
+    )
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """The verdict of a certified run: its envelope audit, its V monitor and
+    its decay fit on [0.1, 0.9] t_final.  The fit is None when the error
+    signal sits at the floor (a run that starts at rest has nothing to fit)."""
+
+    envelope_pass: bool
+    min_margin: float
+    first_violation_time: Optional[float]
+    v_nonincreasing: bool
+    lambda_emp: Optional[float]
+    M_emp: Optional[float]
+
+    @property
+    def passed(self) -> bool:
+        """A certified run passes when its envelope holds and V does not increase."""
+        return self.envelope_pass and self.v_nonincreasing
+
+
+def judge(traj: Trajectory) -> Verdict:
+    """The verdict of a trajectory simulated with a certificate.
+
+    The three checks are looked up as module attributes at each call, so a
+    wrapped or patched ``simulator.envelope_audit``, ``lyapunov_monitor`` or
+    ``fit_decay`` is the one that judges.
+    """
+    audit = envelope_audit(traj)
+    monitor = lyapunov_monitor(traj)
+    try:
+        lam_emp, m_emp = fit_decay(traj, (0.1 * traj.t_final, 0.9 * traj.t_final))
+    except UsageError:
+        lam_emp = m_emp = None
+    return Verdict(
+        envelope_pass=audit.passes,
+        min_margin=audit.min_margin,
+        first_violation_time=audit.first_violation_time,
+        v_nonincreasing=monitor.nonincreasing_pass,
+        lambda_emp=lam_emp,
+        M_emp=m_emp,
     )

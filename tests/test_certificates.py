@@ -137,7 +137,9 @@ class TestAssembleA:
         rng = np.random.default_rng(17)
         n = 3
         a, b, theta = (rng.standard_normal((n, n)) for _ in range(3))
-        g = GainVector(kind, *rng.uniform(0.5, 5.0, size=3))
+        kp, ki, kd = rng.uniform(0.5, 5.0, size=3)
+        # a kind's unused gain stays at 0
+        g = GainVector(kind, kp, 0.0 if kind == "PD" else ki, 0.0 if kind == "PI" else kd)
         I, Z = np.eye(n), np.zeros((n, n))
         ref = {
             "PID": [[Z, I, Z], [Z, Z, I], [-g.ki * theta, a - g.kp * theta, b - g.kd * theta]],

@@ -84,6 +84,22 @@ class TestCertifyMode:
         )
         assert cli.run("certify", cfg, out_dir=str(tmp_path / "out")) == 1
 
+    def test_unused_gain_is_usage_error(self, tmp_path, capsys):
+        """A PD certificate has no integral term, so a config that sets ki
+        is refused rather than certified with a gain that has no effect."""
+        cfg = write_config(
+            tmp_path, "c.json",
+            {
+                "kind": "PD",
+                "gains": {"kp": 7, "ki": 5, "kd": 7},
+                "bounds": {"L1": 1, "L2": 1, "b_lower": 1},
+            },
+        )
+        out = tmp_path / "out"
+        assert cli.run("certify", cfg, out_dir=str(out)) == 1
+        assert "'ki'" in capsys.readouterr().err
+        assert not (out / "certificate.json").exists()
+
 
 class TestSimulateMode:
     def test_end_to_end(self, tmp_path, capsys):
@@ -135,6 +151,23 @@ class TestSimulateMode:
         assert cli.run("simulate", cfg, out_dir=str(out)) == 1
         assert capsys.readouterr().err == f"error: {key} must be >= 0\n"
         assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("certify", ["no", 0, 1, None])
+    def test_certify_must_be_a_boolean(self, tmp_path, capsys, certify):
+        config = json.loads((CONFIG_DIR / "simulate_sinusoidal.json").read_text())
+        cfg = write_config(tmp_path, "s.json", config | {"certify": certify})
+        out = tmp_path / "out"
+        assert cli.run("simulate", cfg, out_dir=str(out)) == 1
+        assert "'certify'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_certify_false_runs_uncertified(self, tmp_path, capsys):
+        config = json.loads((CONFIG_DIR / "simulate_sinusoidal.json").read_text())
+        cfg = write_config(tmp_path, "s.json", config | {"certify": False, "t_final": 2.0})
+        out = tmp_path / "out"
+        assert cli.run("simulate", cfg, out_dir=str(out)) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert "certificate" not in summary and "envelope_pass" not in summary
 
     def test_zero_rtol_runs_at_its_floor(self, tmp_path, capsys):
         """rtol = 0 is raised to 100 eps, so it runs exactly as that value does."""
@@ -303,6 +336,31 @@ class TestSweepMode:
         assert row["v_nonincreasing"] == "False"
         assert row["error"] == ""
 
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"sim": {"atol": -1e-10}}, "atol must be >= 0"),
+            ({"sim": {"t_final": -1}}, "t_final must be > 0"),
+            ({"sim": {"integrator": "euler"}}, "unknown integrator 'euler'"),
+            (
+                {"plants": [{"family": "sinusoidal_scalar", "params": {"order": "first_order"}}]},
+                "PID control needs a second-order plant",
+            ),
+        ],
+        ids=["atol", "t_final", "integrator", "plant-order"],
+    )
+    def test_bad_run_setting_is_one_config_error(self, tmp_path, capsys, change, message):
+        """A sweep-wide setting is checked once, before any cell: exit 1 and
+        nothing written, not one failed row per cell."""
+        config = json.loads((CONFIG_DIR / "sweep_small.json").read_text())
+        cfg = write_config(tmp_path, "bad.json", config | change)
+        out = tmp_path / "out"
+        assert cli.run("sweep", cfg, out_dir=str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_failing_cell_is_rerun_alone(self, tmp_path, monkeypatch):
         """The plant returns NaN once the velocity passes 1.5, which only the

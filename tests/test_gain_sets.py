@@ -246,3 +246,19 @@ def test_nonfinite_bounds_rejected(L1, L2, b_lower):
     either would reach the certificate as a bound."""
     with pytest.raises(UsageError, match="must be finite"):
         gs.UncertaintyBounds(L1, L2, b_lower)
+
+
+@pytest.mark.parametrize(
+    "kind,gains,unused",
+    [
+        ("PD", (7.0, 5.0, 7.0), "'ki'"),
+        ("PD", (7.0, -1e-300, 7.0), "'ki'"),
+        ("PI", (3.0, 1.0, 0.5), "'kd'"),
+    ],
+)
+def test_unused_gain_must_stay_zero(kind, gains, unused):
+    """A PD law has no integral term and a PI law no derivative term, so a
+    nonzero gain there would be recorded without acting on anything."""
+    with pytest.raises(UsageError, match=unused):
+        gs.GainVector(kind, *gains)
+

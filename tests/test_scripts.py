@@ -36,3 +36,25 @@ def test_script_succeeds(script, args, done, written, tmp_path, monkeypatch, cap
     assert done in capsys.readouterr().out
     if written:
         assert (tmp_path / written).is_file()
+
+
+def test_robustness_sweep_fails_a_rising_v(tmp_path, monkeypatch, capsys):
+    """The script judges each run as ``simulate`` does: V reported rising
+    fails it although every envelope holds."""
+    import dataclasses
+
+    from pidcert import simulator
+
+    real = simulator.lyapunov_monitor
+    monkeypatch.setattr(
+        simulator, "lyapunov_monitor",
+        lambda traj: dataclasses.replace(real(traj), nonincreasing_pass=False),
+    )
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["robustness_sweep.py", "--t-final", "5"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SCRIPTS / "robustness_sweep.py"), run_name="__main__")
+    assert exc.value.code == 2
+    out = capsys.readouterr().out
+    assert "envelope=FAIL" not in out
+    assert "V increases" in out and "SOME CHECKS FAILED" in out

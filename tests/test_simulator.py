@@ -1,6 +1,7 @@
 """Tests for the closed-loop simulator and its trajectory audits."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -166,6 +167,7 @@ class TestFitDecay:
             edots=np.zeros((n, 1)),
             controls=np.zeros((n, 1)),
             y_star=np.zeros(1),
+            t_final=float(times[-1]),
         )
 
     def test_exact_exponential(self):
@@ -254,6 +256,7 @@ class TestEnvelopeAudit:
             edots=np.zeros((t.size, 1)),
             controls=np.zeros((t.size, 1)),
             y_star=np.zeros(1),
+            t_final=100.0,
             envelope=env,
             envelope_margin=env - sig,
             cert=cert,
@@ -351,6 +354,37 @@ class TestLyapunovMonitor:
         rep = pc.lyapunov_monitor(traj)
         assert rep.nonincreasing_pass
         assert rep.decrease_pass
+
+
+class TestJudge:
+    def certified_run(self, sin_cert, **kw):
+        cfg = pc.SimConfig(
+            plant=sin_plant(), gains=G_PID, y_star=[0.5], x0=[1.0, -0.5], **kw
+        )
+        return pc.simulate(cfg, cert=sin_cert)
+
+    def test_rising_v_fails_while_the_envelope_holds(self, sin_cert):
+        """V bumped up by 1% of V(0) halfway through: the envelope still
+        holds, V does not decrease, and the run fails."""
+        honest = self.certified_run(sin_cert, t_final=10.0)
+        assert pc.judge(honest).passed
+        v = honest.v_values.copy()
+        v[500] += 0.01 * v[0]
+        verdict = pc.judge(dataclasses.replace(honest, v_values=v))
+        assert verdict.envelope_pass is True
+        assert verdict.v_nonincreasing is False
+        assert verdict.passed is False
+
+    def test_rk4_run_is_fit_on_its_configured_horizon(self, sin_cert):
+        """Fixed-step RK4 at dt = 0.1 ends 1.8e-15 short of t_final = 5, and
+        a window scaled from that last sample holds other samples; the fit
+        uses [0.5, 4.5], from the configured horizon."""
+        traj = self.certified_run(sin_cert, t_final=5.0, dt_max=0.1, integrator=RK4_FIXED)
+        assert traj.t_final == 5.0 and traj.times[-1] < 5.0
+        verdict = pc.judge(traj)
+        assert (verdict.lambda_emp, verdict.M_emp) == pc.fit_decay(traj, (0.5, 4.5))
+        last = traj.times[-1]
+        assert verdict.lambda_emp != pc.fit_decay(traj, (0.1 * last, 0.9 * last))[0]
 
 
 class TestCsvExport:
