@@ -272,12 +272,18 @@ def mode_sweep(config: dict, out: Path, seed: int) -> tuple:
         _expect(p.n == n, "sweep mode: all plants must share the block dimension")
     setpoints = [_vector(y, n, f"sweep mode: setpoints[{i}]") for i, y in enumerate(y_nodes)]
     x0s = [_x0(x, n, gs.ORDER[kind], f"sweep mode: x0s[{i}]") for i, x in enumerate(x_nodes)]
-    # one run per plant, built before any cell runs, checks the sim settings
-    # and the plant's order once; each cell's run is a copy of its plant's
-    plant_cfgs = [
-        sim.SimConfig(plant=p, gains=gains[0], y_star=setpoints[0], x0=x0s[0], **opts)
-        for p in plants
-    ]
+    # one run per plant, built before any cell runs, checks the plant's order
+    # and then the sim settings once; each cell's run is a copy of its plant's
+    plant_cfgs = []
+    for i, p in enumerate(plants):
+        try:
+            plant_cfgs.append(
+                sim.SimConfig(plant=p, gains=gains[0], y_star=setpoints[0], x0=x0s[0], **opts)
+            )
+        except UsageError as exc:
+            # SimConfig tests the plant's order before the run settings
+            node = f"plants[{i}]" if p.order != gs.ORDER[kind] else "sim"
+            raise UsageError(f"sweep mode: {node}: {exc}") from None
 
     # membership and one certificate per gain set
     member = [gs.membership(g, ub).member for g in gains]

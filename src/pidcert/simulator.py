@@ -23,7 +23,9 @@ law with (N, 1) gains and (N, n) setpoints and calls the plant once for each
 run of adjacent cells that share it, and the integrator runs once.  Each
 right-hand-side call checks each run's plant values once, through
 ``PlantModel.eval_checked``: shape (rows, n) and all finite, or a
-PlantError naming the first failing point.
+PlantError naming the first failing point.  Each run writes its values in
+place, into its own rows of the output block; a run that spans the batch
+passes the state blocks whole, without row views.
 Fixed-step RK4 advances each cell exactly as a one-cell run does.  RK45
 shares one step size across the cells, so it is given rtol/sqrt(N) and
 atol/sqrt(N): its RMS error norm over the stacked state is then
@@ -35,7 +37,9 @@ Both integrators are numpy alone.  RK45 is the Dormand-Prince 5(4) pair with
 Shampine's quartic interpolant for the recorded samples, stepped and
 recorded with the arithmetic of scipy's ``solve_ivp(method="RK45",
 t_eval=...)``, so its trajectories and ``nfev`` are the ones that call
-returns, bit for bit.
+returns, bit for bit.  The stepper builds its stage views (``K[:k].T``,
+``K[:-1].T``, ``K.T``), the stage rows of A and the nodes once per
+integration; per step it only does the step's arithmetic.
 
 ``judge`` is the one verdict on a certified trajectory: the envelope audit,
 the V monitor and the decay fit on ``[0.1, 0.9] t_final``; a run passes when
@@ -91,7 +95,7 @@ def _control(gains: tuple, e: np.ndarray, i=None, v=None) -> np.ndarray:
     if i is not None:
         u = u + ki * i
     if v is not None:
-        u = u + kd * -v
+        u = u - kd * v
     return u
 
 
@@ -109,6 +113,11 @@ class SimConfig:
     integral_state0: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        # the plant's order first, then the run settings, so a caller can tell
+        # which of the two a UsageError is about
+        kind = self.gains.kind
+        if self.plant.order != ORDER[kind]:
+            raise UsageError(f"{kind} control needs a {ORDER[kind].replace('_', '-')} plant")
         if not self.t_final > 0:
             raise UsageError("t_final must be > 0")
         if not self.dt_max > 0:
@@ -119,9 +128,6 @@ class SimConfig:
                 raise UsageError(f"{name} must be >= 0")
         if self.integrator not in (RK4_FIXED, RK45_ADAPTIVE):
             raise UsageError(f"unknown integrator {self.integrator!r}")
-        kind = self.gains.kind
-        if self.plant.order != ORDER[kind]:
-            raise UsageError(f"{kind} control needs a {ORDER[kind].replace('_', '-')} plant")
         n = self.plant.n
         self.y_star = np.atleast_1d(np.asarray(self.y_star, dtype=float)).reshape(n)
         want = 2 * n if self.plant.order == SECOND_ORDER else n
@@ -280,15 +286,15 @@ def _rhs_factory(cells: Sequence[Cell]):
         np.array([[getattr(c.cfg.gains, k)] for c in cells]) for k in ("kp", "ki", "kd")
     )
     y = np.array([c.cfg.y_star for c in cells])
-    runs = _plant_runs(cells)
-
-    def plant_values(*args):
-        if len(runs) == 1:
-            return runs[0][0].eval_checked(*args)
-        # the runs are adjacent slices that cover the cells in order
-        return np.concatenate(
-            [plant.eval_checked(*(a[rows] for a in args)) for plant, rows in runs]
-        )
+    # f fills the v block, or the x block of a kind without v: each run of
+    # cells that share a plant writes its values into its own rows, and a run
+    # that spans the batch (rows None) passes the blocks whole
+    fb = xs if vb is None else vb
+    whole = slice(0, len(cells))
+    runs = [
+        (plant, None if rows == whole else rows, (rows, fb))
+        for plant, rows in _plant_runs(cells)
+    ]
 
     def rhs(t, s):
         s = s.reshape(shape)
@@ -300,10 +306,12 @@ def _rhs_factory(cells: Sequence[Cell]):
         # d/dt of (i, x, v) is (e, v, f); a kind without i or v drops its entry
         out = np.empty(shape)
         if v is None:
-            out[:, xs] = plant_values(x, u)
+            args = (x, u)
         else:
             out[:, xs] = v
-            out[:, vb] = plant_values(x, v, u)
+            args = (x, v, u)
+        for plant, rows, dst in runs:
+            out[dst] = plant.eval_checked(*(args if rows is None else [a[rows] for a in args]))
         if i is not None:
             out[:, ib] = e
         return out.reshape(-1)
@@ -371,8 +379,10 @@ _ERROR_EXPONENT = -1 / 5  # -1/(order of the error estimate + 1)
 _RTOL_FLOOR = 100 * np.finfo(float).eps
 
 
-def _rms(x: np.ndarray):
-    return np.linalg.norm(x) / x.size ** 0.5
+def _rms(x: np.ndarray) -> float:
+    """np.linalg.norm(x) / x.size ** 0.5 for a 1-D x: the norm is
+    sqrt(x.dot(x)), the same arithmetic without that function's wrapper."""
+    return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
 def _initial_step(rhs, s0, f0, t_final, rtol, atol):
@@ -399,8 +409,13 @@ def _integrate_rk45(rhs, s0: np.ndarray, cfg: SimConfig, cells: int):
     root = math.sqrt(cells)
     rtol, atol = max(cfg.rtol / root, _RTOL_FLOOR), cfg.atol / root
     states = np.empty((n_rec, s0.size))
+    # the stage block K and its views, and for each stage k its node as a
+    # float, the view of the stages before it and its row of A, built once
     K = np.empty((7, s0.size))
+    KT, KT_B = K.T, K[:-1].T
+    stages = [(k, float(_DP_C[k]), K[:k].T, _DP_A[k, :k]) for k in range(1, 6)]
     t, s, f = 0.0, s0, rhs(0.0, s0)
+    abs_s = np.abs(s)  # |s| of the step's start: the last accepted |s_new|
     h_abs = _initial_step(rhs, s, f, t_final, rtol, atol)
     nfev, done = 2, 0  # rhs calls; samples recorded
     while t < t_final:
@@ -417,13 +432,14 @@ def _integrate_rk45(rhs, s0: np.ndarray, cfg: SimConfig, cells: int):
             h = t_new - t
             h_abs = abs(h)
             K[0] = f
-            for k in range(1, 6):
-                K[k] = rhs(t + _DP_C[k] * h, s + np.dot(K[:k].T, _DP_A[k, :k]) * h)
-            s_new = s + h * np.dot(K[:-1].T, _DP_B)
+            for k, c, KT_k, a in stages:
+                K[k] = rhs(t + c * h, s + np.dot(KT_k, a) * h)
+            s_new = s + h * np.dot(KT_B, _DP_B)
             K[-1] = f_new = rhs(t + h, s_new)
             nfev += 6
-            scale = atol + np.maximum(np.abs(s), np.abs(s_new)) * rtol
-            error = _rms(np.dot(K.T, _DP_E) * h / scale)
+            abs_new = np.abs(s_new)
+            scale = atol + np.maximum(abs_s, abs_new) * rtol
+            error = _rms(np.dot(KT, _DP_E) * h / scale)
             if error < 1:
                 factor = _MAX_FACTOR if error == 0 else min(
                     _MAX_FACTOR, _SAFETY * error ** _ERROR_EXPONENT
@@ -436,11 +452,12 @@ def _integrate_rk45(rhs, s0: np.ndarray, cfg: SimConfig, cells: int):
         stop = int(np.searchsorted(t_eval, t_new, side="right"))
         if stop > done:
             x = (t_eval[done:stop] - t) / h
-            y = h * np.dot(K.T.dot(_DP_P), np.cumprod(np.tile(x, (4, 1)), axis=0))
+            # x, x^2, x^3, x^4 by running products, as cumprod forms them
+            y = h * np.dot(KT.dot(_DP_P), np.multiply.accumulate(x[None].repeat(4, 0)))
             y += s[:, None]
             states[done:stop] = y.T
             done = stop
-        t, s, f = t_new, s_new, f_new
+        t, s, f, abs_s = t_new, s_new, f_new, abs_new
     return t_eval, states, nfev, 0
 
 

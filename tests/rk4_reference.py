@@ -1,7 +1,8 @@
 """The plain closed-loop right-hand side and RK4 loop, kept as a reference.
 
 ``simulator._rhs_factory`` builds its block slices and gain columns once and
-writes the rates into one preallocated block; ``simulator._integrate_rk4``
+writes the rates into one preallocated block, each plant run into its own
+rows; ``simulator._integrate_rk4``
 writes into preallocated records.  These helpers do the same arithmetic the
 straightforward way: a dict of named state blocks per call, the control law
 written out, ``PlantModel.eval_checked`` on every plant run, and lists of

@@ -340,15 +340,24 @@ class TestSweepMode:
     @pytest.mark.parametrize(
         "change,message",
         [
-            ({"sim": {"atol": -1e-10}}, "atol must be >= 0"),
-            ({"sim": {"t_final": -1}}, "t_final must be > 0"),
-            ({"sim": {"integrator": "euler"}}, "unknown integrator 'euler'"),
+            ({"sim": {"atol": -1e-10}}, "sweep mode: sim: atol must be >= 0"),
+            ({"sim": {"t_final": -1}}, "sweep mode: sim: t_final must be > 0"),
+            ({"sim": {"integrator": "euler"}}, "sweep mode: sim: unknown integrator 'euler'"),
             (
                 {"plants": [{"family": "sinusoidal_scalar", "params": {"order": "first_order"}}]},
-                "PID control needs a second-order plant",
+                "sweep mode: plants[0]: PID control needs a second-order plant",
+            ),
+            (
+                {
+                    "plants": [
+                        {"family": "sinusoidal_scalar", "params": {"c1": 1.0, "c2": 1.0}},
+                        {"family": "sinusoidal_scalar", "params": {"order": "first_order"}},
+                    ]
+                },
+                "sweep mode: plants[1]: PID control needs a second-order plant",
             ),
         ],
-        ids=["atol", "t_final", "integrator", "plant-order"],
+        ids=["atol", "t_final", "integrator", "plant-order", "second-plant-order"],
     )
     def test_bad_run_setting_is_one_config_error(self, tmp_path, capsys, change, message):
         """A sweep-wide setting is checked once, before any cell: exit 1 and

@@ -46,6 +46,32 @@ class TestTableau:
         np.testing.assert_array_equal(np.triu(_DP_A), 0.0)
 
 
+class TestRmsNorm:
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.random.default_rng(5).normal(size=36),
+            np.random.default_rng(6).normal(size=2921),
+            np.full(18, 1e200),
+            np.array([1e308, -1e308, 3.0]),
+            np.full(24, 5e-324),
+            np.array([2.2e-308, -1e-310, 4e-320]),
+            np.zeros(12),
+            np.array([-0.0]),
+        ],
+        ids=["random", "random-2921", "huge", "overflow", "subnormal", "mixed-tiny", "zero", "minus-zero"],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_bitwise_equal_to_the_norm_over_root_size(self, x):
+        """sqrt(x.x) is what np.linalg.norm computes for a 1-D array.  The
+        size is rooted as x.size ** 0.5, as scipy's RK45 roots it: for some
+        sizes (2921 is the first) that differs from math.sqrt(size) in the
+        last bit."""
+        want = np.linalg.norm(x) / x.size ** 0.5
+        got = simulator._rms(x)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 class TestInterpolant:
     def test_row_sums_are_the_weights(self):
         """At x = 1 the quartic's powers are all 1: y_old + h K^T (P 1) must

@@ -19,7 +19,7 @@ import pidcert as pc
 from pidcert import cli, simulator
 from pidcert.errors import PlantError
 from pidcert.simulator import RK4_FIXED, RK45_ADAPTIVE
-from rk4_reference import reference_rhs, reference_rk4
+from rk4_reference import control, reference_rhs, reference_rk4
 
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 G_PID = pc.GainVector("PID", 7, 1, 7)
@@ -103,6 +103,104 @@ class TestBitwiseAgainstReference:
         # the whole adaptive integration then takes the same steps
         _, ref_states, _, _ = simulator._integrate_rk45(ref, initial_state(cells), cells[0].cfg, 4)
         np.testing.assert_array_equal(states, ref_states)
+
+
+G_PI = pc.GainVector("PI", 3.0, ki=1.0)
+
+
+def pi_plants():
+    """The first-order mix of the benchmark's PI sweep: sinusoidal, cubic
+    input and linear, each its own run of cells."""
+    return [
+        pc.build_family("sinusoidal_scalar", {"order": "first_order", "c1": 0.9}),
+        pc.build_family("nonaffine_cubic_u", {"order": "first_order", "c1": 0.7, "b_lower": 1.2}),
+        pc.build_family("linear_matrix", {"order": "first_order", "A": [[-0.8]], "Theta": [[1.1]]}),
+    ]
+
+
+PI_POINTS = [([1.0], [0.2]), ([-0.5], [-0.4])]
+
+
+class TestThreePlantPIBatch:
+    """Each plant run writes its rows of the rate block in place; the three
+    runs must give the reference's concatenated rates, bit for bit."""
+
+    def test_rhs_values_and_rk45_states(self):
+        cells = cells_of([(p, PI_POINTS) for p in pi_plants()], G_PI, RK45_ADAPTIVE)
+        times, states = stacked_states(cells)
+        rhs, ref = simulator._rhs_factory(cells), reference_rhs(cells)
+        for t, s in zip(times, states):
+            np.testing.assert_array_equal(rhs(t, s), ref(t, s))
+        _, ref_states, _, _ = simulator._integrate_rk45(ref, initial_state(cells), cells[0].cfg, 6)
+        np.testing.assert_array_equal(states, ref_states)
+
+    def test_rk4_states(self):
+        cells = cells_of([(p, PI_POINTS) for p in pi_plants()], G_PI, RK4_FIXED)
+        times, states = stacked_states(cells)
+        ref_times, ref_states = reference_rk4(reference_rhs(cells), initial_state(cells), 5.0, 0.01)
+        np.testing.assert_array_equal(times, ref_times)
+        np.testing.assert_array_equal(states, ref_states)
+
+    def test_nan_in_the_last_run(self):
+        """The linear plant, last of three runs, is NaN above x = 1.2, which
+        its y* = 1.5 cell crosses; the error is the reference's, word for word."""
+        sin_p, cubic_p, linear_p = pi_plants()
+        points = [([1.0], [0.2]), ([1.5], [0.0])]
+        cells = cells_of([(sin_p, points), (cubic_p, points)], G_PI, RK4_FIXED) + with_plant(
+            cells_of([(linear_p, points)], G_PI, RK4_FIXED), nan_above(linear_p, 1.2)
+        )
+        got = raised(lambda: stacked_states(cells))
+        want = raised(lambda: reference_rk4(reference_rhs(cells), initial_state(cells), 5.0, 0.01))
+        assert got == want
+        assert got.startswith("plant returned non-finite value at (array([1.2")
+
+    def test_control_keeps_the_signed_zeros(self):
+        """u - kd v and the reference's u + kd (-v) agree in every bit, signed
+        zeros included, at v = +-0 and at every sign of e, i and kd."""
+        zeros = np.array([0.0, -0.0])
+        e, i, v = (a.reshape(-1, 1) for a in np.meshgrid(zeros, zeros, zeros, indexing="ij"))
+        for kd in (0.0, -0.0, 2.5, -2.5):
+            gains = (1.5, 0.5, kd)
+            for blocks in ({"v": v}, {"i": i, "v": v}):
+                got = simulator._control(gains, e, blocks.get("i"), blocks["v"])
+                assert got.tobytes() == control(gains, blocks, e).tobytes()
+
+
+def counted(plant, calls, tag):
+    """``plant`` with ``tag`` appended to ``calls`` at each call of its f."""
+    f = plant.f
+
+    def f_counted(*args):
+        calls.append(tag)
+        return f(*args)
+
+    return dataclasses.replace(plant, f=f_counted)
+
+
+class TestOneCallPerRun:
+    """Each rhs call calls each run's plant once, and nfev counts rhs calls."""
+
+    @pytest.mark.parametrize("integrator", [RK4_FIXED, RK45_ADAPTIVE])
+    def test_each_plant_once_per_rhs_call(self, integrator):
+        calls = []
+        plants = [counted(p, calls, k) for k, p in enumerate(pi_plants())]
+        cells = cells_of([(p, PI_POINTS) for p in plants], G_PI, integrator, t_final=2.0)
+        rhs_calls = []
+        rhs = simulator._rhs_factory(cells)
+
+        def counting_rhs(t, s):
+            rhs_calls.append(t)
+            return rhs(t, s)
+
+        s0 = initial_state(cells)
+        calls.clear()  # the equilibrium solves of prepare_cell call f too
+        if integrator == RK4_FIXED:
+            _, _, nfev, _ = simulator._integrate_rk4(counting_rhs, s0, 2.0, 0.01)
+        else:
+            _, _, nfev, _ = simulator._integrate_rk45(counting_rhs, s0, cells[0].cfg, len(cells))
+        assert nfev == len(rhs_calls) > 0
+        # in run order, once per call
+        assert calls == [0, 1, 2] * len(rhs_calls)
 
 
 def with_plant(cells, plant):
