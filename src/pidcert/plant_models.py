@@ -22,9 +22,7 @@ call.  The built-in families broadcast (a matrix acts as ``x @ A.T``);
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional
 
@@ -73,8 +71,14 @@ class PlantModel:
         """f at one point or at each row of a batch; the result has shape
         (..., n) like the first argument and must be finite.  A result of
         another shape is reshaped only at one point."""
+        return self.checked(self.f(*args), args)
+
+    def checked(self, value, args: tuple) -> np.ndarray:
+        """``value``, f's result at ``args``, as ``eval_checked`` returns it:
+        a float array of shape (..., n), or a PlantError naming the first
+        failing point."""
         shape = np.shape(args[0])[:-1] + (self.n,)
-        out = np.asarray(self.f(*args), dtype=float)
+        out = np.asarray(value, dtype=float)
         if out.shape != shape:
             # only one point's n values can be reshaped without mixing points
             if math.prod(shape) != self.n or out.size != self.n:
@@ -325,10 +329,22 @@ def _linear(mats: list, theta: np.ndarray, ub: UncertaintyBounds | None = None) 
         L1, L2 = [mk.operator_norm(m) for m in mats] + [0.0] * (2 - len(mats))
         order = SECOND_ORDER if len(mats) == 2 else FIRST_ORDER
         ub = UncertaintyBounds(L1=L1, L2=L2, b_lower=b_exact, order=order)
-    terms = (*mats, theta)
+    # the transposes are built once; the terms are summed left to right
+    if len(mats) == 1:
+        AT, TT = mats[0].T, theta.T
+
+        def f(x, u):
+            return x @ AT + u @ TT
+
+    else:
+        A1T, A2T, TT = mats[0].T, mats[1].T, theta.T
+
+        def f(x1, x2, u):
+            return x1 @ A1T + x2 @ A2T + u @ TT
+
     return PlantModel(
         n=n,
-        f=lambda *args: functools.reduce(operator.add, (x @ m.T for x, m in zip(args, terms))),
+        f=f,
         jac_x1=_constant(mats[0]),
         jac_x2=_constant(mats[1]) if len(mats) == 2 else None,
         jac_u=_constant(theta),

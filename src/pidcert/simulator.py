@@ -19,13 +19,20 @@ and the Lyapunov decrease can be checked pointwise.
 ``simulate_batch`` integrates N closed loops that share the kind, n, the
 horizon, the integrator and its tolerances as one stacked system: the states
 form an (N, dim) array, one right-hand side evaluates every cell's control
-law with (N, 1) gains and (N, n) setpoints and calls the plant once for each
-run of adjacent cells that share it, and the integrator runs once.  Each
-right-hand-side call checks each run's plant values once, through
-``PlantModel.eval_checked``: shape (rows, n) and all finite, or a
-PlantError naming the first failing point.  Each run writes its values in
-place, into its own rows of the output block; a run that spans the batch
-passes the state blocks whole, without row views.
+law with (N, n) gain blocks and setpoints and calls the plant once for each
+run of adjacent cells that share it, and the integrator runs once.
+
+The right-hand side is ``rhs(t, s, out)``: ``s`` and ``out`` are (N, dim)
+arrays, and it writes the i rate, the x rate and each run's plant values in
+place into ``out``, which is one of the stepper's stage rows.  Each call
+checks each run's plant values once.  A float64 array of the run's
+(rows, n) shape with every entry finite is written as it is; any other value
+goes to ``PlantModel.checked``, the check of ``eval_checked``, which
+reshapes it or raises the PlantError naming the first failing point.  A run
+that spans the batch passes the state blocks whole, without row views.
+RK4 keeps its four stage rows as one (4, N, dim) block and records into a
+(steps + 1, N, dim) block.  RK45 keeps its seven stages as a (7, N, dim)
+block, with a flat (7, N dim) view for the stage sums and the interpolant.
 Fixed-step RK4 advances each cell exactly as a one-cell run does.  RK45
 shares one step size across the cells, so it is given rtol/sqrt(N) and
 atol/sqrt(N): its RMS error norm over the stacked state is then
@@ -38,8 +45,8 @@ Shampine's quartic interpolant for the recorded samples, stepped and
 recorded with the arithmetic of scipy's ``solve_ivp(method="RK45",
 t_eval=...)``, so its trajectories and ``nfev`` are the ones that call
 returns, bit for bit.  The stepper builds its stage views (``K[:k].T``,
-``K[:-1].T``, ``K.T``), the stage rows of A and the nodes once per
-integration; per step it only does the step's arithmetic.
+``K[:-1].T``, ``K.T`` of the flat view), the stage rows of A and the nodes
+once per integration; per step it only does the step's arithmetic.
 
 ``judge`` is the one verdict on a certified trajectory: the envelope audit,
 the V monitor and the decay fit on ``[0.1, 0.9] t_final``; a run passes when
@@ -86,7 +93,7 @@ def _split(kind: str, n: int, s: np.ndarray) -> dict:
 def _control(gains: tuple, e: np.ndarray, i=None, v=None) -> np.ndarray:
     """u = kp e + ki i + kd edot with edot = -v, for the blocks the kind has.
 
-    ``gains`` is (kp, ki, kd), as scalars or as (cells, 1) columns.  Missing
+    ``gains`` is (kp, ki, kd), as scalars or as (cells, n) blocks.  Missing
     terms are left out rather than added as zeros, which would turn a -0.0
     into 0.0.
     """
@@ -126,6 +133,11 @@ class SimConfig:
         for name in ("rtol", "atol"):
             if not getattr(self, name) >= 0:
                 raise UsageError(f"{name} must be >= 0")
+        # +inf passes the sign tests: a horizon or a step without end, or an
+        # error test that passes every step
+        for name in ("t_final", "dt_max", "rtol", "atol"):
+            if math.isinf(getattr(self, name)):
+                raise UsageError(f"{name} must be finite, got inf")
         if self.integrator not in (RK4_FIXED, RK45_ADAPTIVE):
             raise UsageError(f"unknown integrator {self.integrator!r}")
         n = self.plant.n
@@ -272,18 +284,23 @@ def _plant_runs(cells: Sequence[Cell]) -> list:
 
 
 def _rhs_factory(cells: Sequence[Cell]):
-    """Right-hand side of the stacked system, on the flattened (cells, dim) state.
+    """Right-hand side ``rhs(t, s, out)`` of the stacked system: ``s`` and
+    ``out`` are (cells, dim) arrays, and the rates are written into ``out``.
 
-    The block slices, gain columns and setpoints are built once; each call
-    checks the plant's values once, through ``PlantModel.eval_checked``.
+    The block slices, gain blocks and setpoints are built once.  Each call
+    checks each plant run's values once: a float64 array of the run's
+    (rows, n) shape with every entry finite is written as it is; any other
+    value goes to ``PlantModel.checked``, which reshapes it as
+    ``eval_checked`` would or raises its PlantError.
     """
     kind, n = cells[0].cfg.gains.kind, cells[0].cfg.plant.n
     layout = LAYOUT[kind]
-    shape = (len(cells), len(layout) * n)
     block = {name: slice(k * n, (k + 1) * n) for k, name in enumerate(layout)}
     xs, ib, vb = block["x"], block.get("i"), block.get("v")
+    # each gain as a (cells, n) block, so the control law's products are
+    # elementwise on equal shapes, which numpy does faster than broadcasting
     gains = tuple(
-        np.array([[getattr(c.cfg.gains, k)] for c in cells]) for k in ("kp", "ki", "kd")
+        np.array([[getattr(c.cfg.gains, k)] * n for c in cells]) for k in ("kp", "ki", "kd")
     )
     y = np.array([c.cfg.y_star for c in cells])
     # f fills the v block, or the x block of a kind without v: each run of
@@ -292,29 +309,36 @@ def _rhs_factory(cells: Sequence[Cell]):
     fb = xs if vb is None else vb
     whole = slice(0, len(cells))
     runs = [
-        (plant, None if rows == whole else rows, (rows, fb))
+        (plant.f, plant.checked, None if rows == whole else rows, (rows, fb),
+         (rows.stop - rows.start, n))
         for plant, rows in _plant_runs(cells)
     ]
+    # numpy's float64 dtype is one object; any other dtype takes the checked path
+    f64 = np.dtype(np.float64)
 
-    def rhs(t, s):
-        s = s.reshape(shape)
+    def rhs(t, s, out):
         x = s[:, xs]
         i = None if ib is None else s[:, ib]
         v = None if vb is None else s[:, vb]
         e = y - x
         u = _control(gains, e, i, v)
         # d/dt of (i, x, v) is (e, v, f); a kind without i or v drops its entry
-        out = np.empty(shape)
         if v is None:
             args = (x, u)
         else:
             out[:, xs] = v
             args = (x, v, u)
-        for plant, rows, dst in runs:
-            out[dst] = plant.eval_checked(*(args if rows is None else [a[rows] for a in args]))
+        for f, checked, rows, dst, shape in runs:
+            a = args if rows is None else tuple([b[rows] for b in args])
+            val = f(*a)
+            if not (
+                type(val) is np.ndarray and val.dtype is f64 and val.shape == shape
+                and np.count_nonzero(np.isfinite(val)) == val.size
+            ):
+                val = checked(val, a)
+            out[dst] = val
         if i is not None:
             out[:, ib] = e
-        return out.reshape(-1)
 
     return rhs
 
@@ -327,21 +351,25 @@ def _initial_state(cfg: SimConfig) -> np.ndarray:
 
 
 def _integrate_rk4(rhs, s0: np.ndarray, t_final: float, dt: float):
+    """Classical fixed-step RK4 from t = 0 on the (cells, dim) state ``s0``;
+    the last step is shortened to end on t_final."""
     n_steps = max(1, int(math.ceil(t_final / dt - 1e-12)))
     times = np.empty(n_steps + 1)
-    states = np.empty((n_steps + 1, s0.size))
+    states = np.empty((n_steps + 1, *s0.shape))
     times[0], states[0] = 0.0, s0
+    k1, k2, k3, k4 = np.empty((4, *s0.shape))
     t, s = 0.0, s0
     for k in range(1, n_steps + 1):
         h = min(dt, t_final - t)
         half = h / 2.0
-        k1 = rhs(t, s)
-        k2 = rhs(t + half, s + half * k1)
-        k3 = rhs(t + half, s + half * k2)
-        k4 = rhs(t + h, s + h * k3)
+        rhs(t, s, k1)
+        rhs(t + half, s + half * k1, k2)
+        rhs(t + half, s + half * k2, k3)
+        rhs(t + h, s + h * k3, k4)
         s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = t + h
-        if not np.isfinite(s).all():
+        # all() by count, as PlantModel.checked tests a plant's values
+        if np.count_nonzero(np.isfinite(s)) != s.size:
             raise IntegrationError(f"state became non-finite at t = {t:.6g}")
         times[k], states[k] = t, s
     return times, states, 4 * n_steps, 0
@@ -385,13 +413,16 @@ def _rms(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
-def _initial_step(rhs, s0, f0, t_final, rtol, atol):
-    """Hairer, Norsett & Wanner's first step: one trial Euler step sizes it."""
+def _initial_step(rhs, s0, f0, t_final, rtol, atol, out):
+    """Hairer, Norsett & Wanner's first step: one trial Euler step sizes it.
+    ``s0`` and ``f0`` are flat; the trial rhs call writes into the
+    (cells, dim) block ``out``."""
     scale = atol + np.abs(s0) * rtol
     d0, d1 = _rms(s0 / scale), _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_final)
-    d2 = _rms((rhs(h0, s0 + h0 * f0) - f0) / scale) / h0
+    rhs(h0, (s0 + h0 * f0).reshape(out.shape), out)
+    d2 = _rms((out.reshape(-1) - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -399,24 +430,33 @@ def _initial_step(rhs, s0, f0, t_final, rtol, atol):
     return min(100 * h0, h1, t_final)
 
 
-def _integrate_rk45(rhs, s0: np.ndarray, cfg: SimConfig, cells: int):
-    """Adaptive Dormand-Prince 5(4) from 0 to t_final, recorded by the
-    interpolant at max(2, round(t_final/dt_max) + 1) evenly spaced times."""
+def _integrate_rk45(rhs, s0: np.ndarray, cfg: SimConfig):
+    """Adaptive Dormand-Prince 5(4) from 0 to t_final on the (cells, dim)
+    state ``s0``, recorded by the interpolant at
+    max(2, round(t_final/dt_max) + 1) evenly spaced times."""
     t_final = float(cfg.t_final)
     n_rec = max(2, int(round(t_final / cfg.dt_max)) + 1)
     t_eval = np.linspace(0.0, t_final, n_rec)
+    shape = s0.shape
     # each cell's own error test holds when the stacked RMS norm passes
-    root = math.sqrt(cells)
+    root = math.sqrt(shape[0])
     rtol, atol = max(cfg.rtol / root, _RTOL_FLOOR), cfg.atol / root
-    states = np.empty((n_rec, s0.size))
-    # the stage block K and its views, and for each stage k its node as a
-    # float, the view of the stages before it and its row of A, built once
-    K = np.empty((7, s0.size))
-    KT, KT_B = K.T, K[:-1].T
-    stages = [(k, float(_DP_C[k]), K[:k].T, _DP_A[k, :k]) for k in range(1, 6)]
-    t, s, f = 0.0, s0, rhs(0.0, s0)
+    states = np.empty((n_rec, *shape))
+    SF = states.reshape(n_rec, -1)
+    # the stage block K, whose rows rhs writes, and its flat views for the
+    # stage sums; for each stage k its node as a float, the view of the
+    # stages before it and its row of A, built once.  The stepper's own
+    # state is flat.
+    K = np.empty((7, *shape))
+    KF = K.reshape(7, -1)
+    KT, KT_B = KF.T, KF[:-1].T
+    stages = [(k, float(_DP_C[k]), KF[:k].T, _DP_A[k, :k]) for k in range(1, 6)]
+    t, s = 0.0, s0.reshape(-1)
+    # K[0] holds f at the step's start; a rejected step leaves it alone
+    rhs(0.0, s0, K[0])
     abs_s = np.abs(s)  # |s| of the step's start: the last accepted |s_new|
-    h_abs = _initial_step(rhs, s, f, t_final, rtol, atol)
+    # K[1] is free until the first step's stages: the trial call writes there
+    h_abs = _initial_step(rhs, s, KF[0], t_final, rtol, atol, K[1])
     nfev, done = 2, 0  # rhs calls; samples recorded
     while t < t_final:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
@@ -431,11 +471,10 @@ def _integrate_rk45(rhs, s0: np.ndarray, cfg: SimConfig, cells: int):
             t_new = min(t + h_abs, t_final)
             h = t_new - t
             h_abs = abs(h)
-            K[0] = f
             for k, c, KT_k, a in stages:
-                K[k] = rhs(t + c * h, s + np.dot(KT_k, a) * h)
+                rhs(t + c * h, (s + np.dot(KT_k, a) * h).reshape(shape), K[k])
             s_new = s + h * np.dot(KT_B, _DP_B)
-            K[-1] = f_new = rhs(t + h, s_new)
+            rhs(t + h, s_new.reshape(shape), K[-1])
             nfev += 6
             abs_new = np.abs(s_new)
             scale = atol + np.maximum(abs_s, abs_new) * rtol
@@ -455,9 +494,10 @@ def _integrate_rk45(rhs, s0: np.ndarray, cfg: SimConfig, cells: int):
             # x, x^2, x^3, x^4 by running products, as cumprod forms them
             y = h * np.dot(KT.dot(_DP_P), np.multiply.accumulate(x[None].repeat(4, 0)))
             y += s[:, None]
-            states[done:stop] = y.T
+            SF[done:stop] = y.T
             done = stop
-        t, s, f, abs_s = t_new, s_new, f_new, abs_new
+        t, s, abs_s = t_new, s_new, abs_new
+        K[0] = K[-1]
     return t_eval, states, nfev, 0
 
 
@@ -532,17 +572,16 @@ def simulate_batch(cells: Sequence[Cell]) -> Iterator[Trajectory]:
             "cells of one batch must share the kind, n, t_final, dt_max, "
             "integrator and tolerances"
         )
-    s0 = np.concatenate([_initial_state(c.cfg) for c in cells])
+    s0 = np.array([_initial_state(c.cfg) for c in cells])
     rhs = _rhs_factory(cells)
     if cfg.integrator == RK4_FIXED:
         times, states, nfev, status = _integrate_rk4(rhs, s0, cfg.t_final, cfg.dt_max)
     else:
-        times, states, nfev, status = _integrate_rk45(rhs, s0, cfg, len(cells))
+        times, states, nfev, status = _integrate_rk45(rhs, s0, cfg)
     stats = {"nfev": int(nfev), "status": int(status), "cells": len(cells)}
-    dim = s0.size // len(cells)
     for k, cell in enumerate(cells):
         # row-major, so e, edot, u and z rebuilt from it are row-major too
-        own = np.ascontiguousarray(states[:, k * dim : (k + 1) * dim])
+        own = np.ascontiguousarray(states[:, k])
         yield _trajectory(cell, times, own, stats)
 
 

@@ -1,12 +1,14 @@
 """The plain closed-loop right-hand side and RK4 loop, kept as a reference.
 
-``simulator._rhs_factory`` builds its block slices and gain columns once and
-writes the rates into one preallocated block, each plant run into its own
-rows; ``simulator._integrate_rk4``
-writes into preallocated records.  These helpers do the same arithmetic the
-straightforward way: a dict of named state blocks per call, the control law
-written out, ``PlantModel.eval_checked`` on every plant run, and lists of
-copied states.  Equal inputs must give bitwise equal results.
+``simulator._rhs_factory`` builds its block slices and gain blocks once and
+its ``rhs(t, s, out)`` writes the rates of the (cells, dim) state into the
+stepper's stage block, each plant run into its own rows;
+``simulator._integrate_rk4`` writes into preallocated stage rows and records.
+These helpers do the same arithmetic the straightforward way, on the flat
+state: a dict of named state blocks per call, the control law written out,
+``PlantModel.eval_checked`` on every plant run, a new rate vector per call
+and lists of copied states.  Equal inputs must give bitwise equal results.
+``in_place`` lets a flat right-hand side drive the simulator's steppers.
 """
 
 import itertools
@@ -70,6 +72,13 @@ def reference_rhs(cells):
         return np.concatenate([rate[k] for k in layout], axis=1).reshape(-1)
 
     return rhs
+
+
+def in_place(rhs):
+    """The flat ``rhs(t, s) -> rates`` as a stepper's ``rhs(t, s, out)`` on (cells, dim) blocks."""
+    def rhs_out(t, s, out):
+        out[...] = np.reshape(rhs(t, s.reshape(-1)), out.shape)
+    return rhs_out
 
 
 def reference_rk4(rhs, s0, t_final, dt):

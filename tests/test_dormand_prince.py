@@ -4,7 +4,10 @@ The tableau is checked against the order conditions it must meet, the
 interpolant against its end values, the integration against the matrix
 exponential of a linear system, and the whole run against scipy's
 ``solve_ivp(method="RK45")``, whose arithmetic the stepper repeats: scipy is
-a test-only oracle here.
+a test-only oracle here.  The stepper's ``rhs(t, s, out)`` writes into its
+stage block; the flat right-hand sides below drive it through
+``rk4_reference.in_place``, and solve_ivp integrates the closed loop through
+the flat reference right-hand side.
 """
 
 import math
@@ -20,6 +23,7 @@ import pidcert as pc
 from pidcert import simulator
 from pidcert.errors import IntegrationError
 from pidcert.simulator import _DP_A, _DP_B, _DP_C, _DP_E, _DP_P
+from rk4_reference import in_place, reference_rhs
 
 
 def run_config(t_final, dt_max=0.01, rtol=1e-8, atol=1e-10):
@@ -97,9 +101,11 @@ class TestAgainstTheMatrixExponential:
     def test_error_scales_with_the_tolerance(self, rtol, atol):
         m, s0 = stacked_linear_system()
         times, states, nfev, status = simulator._integrate_rk45(
-            lambda t, s: m @ s, s0, run_config(10.0, 0.05, rtol, atol), 3
+            in_place(lambda t, s: m @ s), s0.reshape(3, 2), run_config(10.0, 0.05, rtol, atol)
         )
         assert status == 0 and (nfev - 2) % 6 == 0
+        assert states.shape == (201, 3, 2)
+        states = states.reshape(201, 6)
         exact = np.array([expm(m * t) @ s0 for t in times])
         error = np.max(np.abs(states - exact), axis=1)
         # the global error stays within a modest multiple of the local
@@ -107,6 +113,11 @@ class TestAgainstTheMatrixExponential:
         assert np.all(error <= 20 * (rtol * np.max(np.abs(exact), axis=1) + atol))
         np.testing.assert_array_equal(times, np.linspace(0.0, 10.0, 201))
         np.testing.assert_array_equal(states[0], s0)
+
+
+def stacked_state(cells):
+    """The cells' initial states as one (cells, dim) block."""
+    return np.array([simulator._initial_state(c.cfg) for c in cells])
 
 
 def sweep_cells():
@@ -130,16 +141,16 @@ class TestAgainstSolveIvp:
         cells = sweep_cells()
         assert len(cells) == 12
         rhs = simulator._rhs_factory(cells)
-        s0 = np.concatenate([simulator._initial_state(c.cfg) for c in cells])
+        s0 = stacked_state(cells)
         cfg = cells[0].cfg
-        times, states, nfev, status = simulator._integrate_rk45(rhs, s0, cfg, 12)
+        times, states, nfev, status = simulator._integrate_rk45(rhs, s0, cfg)
         root = math.sqrt(12)
         sol = solve_ivp(
-            rhs, (0.0, cfg.t_final), s0, method="RK45",
+            reference_rhs(cells), (0.0, cfg.t_final), s0.reshape(-1), method="RK45",
             t_eval=np.linspace(0.0, cfg.t_final, 801), rtol=cfg.rtol / root, atol=cfg.atol / root,
         )
         assert np.array_equal(times, sol.t)
-        assert np.array_equal(states, sol.y.T)
+        assert np.array_equal(states.reshape(801, -1), sol.y.T)
         assert (nfev, status) == (sol.nfev, sol.status)
         # simulate_batch reports the same statistics on every trajectory
         trajs = list(pc.simulate_batch(cells))
@@ -155,21 +166,23 @@ class TestAgainstSolveIvp:
             return np.ones_like(s) if t < 1.0 else -50.0 * s
 
         s0 = np.array([0.0, 0.5])
-        _, states, nfev, _ = simulator._integrate_rk45(jump, s0, run_config(3.0, rtol=rtol), 1)
+        _, states, nfev, _ = simulator._integrate_rk45(
+            in_place(jump), s0.reshape(1, 2), run_config(3.0, rtol=rtol)
+        )
         sol = solve_ivp(jump, (0.0, 3.0), s0, method="RK45",
                         t_eval=np.linspace(0.0, 3.0, 301), rtol=rtol, atol=1e-10)
-        assert np.array_equal(states, sol.y.T) and nfev == sol.nfev
+        assert np.array_equal(states.reshape(301, 2), sol.y.T) and nfev == sol.nfev
 
     def test_zero_rtol_runs_at_scipys_floor(self):
         """rtol below 100 eps is raised to it, as scipy raises it."""
         cells = sweep_cells()[:1]
         rhs = simulator._rhs_factory(cells)
-        s0 = simulator._initial_state(cells[0].cfg)
-        got = simulator._integrate_rk45(rhs, s0, run_config(2.0, rtol=0.0), 1)
+        s0 = stacked_state(cells)
+        got = simulator._integrate_rk45(rhs, s0, run_config(2.0, rtol=0.0))
         with pytest.warns(UserWarning, match="rtol"):
-            sol = solve_ivp(rhs, (0.0, 2.0), s0, method="RK45",
+            sol = solve_ivp(reference_rhs(cells), (0.0, 2.0), s0.reshape(-1), method="RK45",
                             t_eval=np.linspace(0.0, 2.0, 201), rtol=0.0, atol=1e-10)
-        assert np.array_equal(got[1], sol.y.T) and got[2] == sol.nfev
+        assert np.array_equal(got[1].reshape(201, -1), sol.y.T) and got[2] == sol.nfev
 
 
 class TestStepControl:
@@ -177,9 +190,9 @@ class TestStepControl:
         """With f = 0 every error estimate is exactly 0, so each step is ten
         times the last from the first step of 1e-6: 1e-6, ..., 1e-1 and the
         rest of the horizon, 7 steps of 6 calls after the 2 of the start."""
-        s0 = np.array([1.0, -2.0])
+        s0 = np.array([[1.0, -2.0]])
         _, states, nfev, _ = simulator._integrate_rk45(
-            lambda t, s: np.zeros_like(s), s0, run_config(1.0), 1
+            in_place(lambda t, s: np.zeros_like(s)), s0, run_config(1.0)
         )
         assert nfev == 2 + 7 * 6
         assert np.all(states == s0)
@@ -193,7 +206,7 @@ class TestStepControl:
             called.append(t)
             return 1e-4 * s
 
-        simulator._integrate_rk45(slow, np.ones(1), run_config(1.0), 1)
+        simulator._integrate_rk45(in_place(slow), np.ones((1, 1)), run_config(1.0))
         assert 0.0 <= min(called) and max(called) <= 1.0
 
 
@@ -207,4 +220,4 @@ class TestStepUnderflow:
             "Required step size is less than spacing between numbers."
         )
         with pytest.raises(IntegrationError, match=re.escape(message)):
-            simulator._integrate_rk45(lambda t, y: y * y, np.ones(1), run_config(2.0), 1)
+            simulator._integrate_rk45(in_place(lambda t, y: y * y), np.ones((1, 1)), run_config(2.0))

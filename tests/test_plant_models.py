@@ -1,6 +1,8 @@
 """Tests for the plant families and class-membership validation."""
 
 import dataclasses
+import functools
+import operator
 import re
 
 import numpy as np
@@ -273,6 +275,35 @@ BATCH_FAMILIES = [
     ("nonaffine_cubic_u", {"order": FIRST_ORDER, "c1": 0.6, "b_lower": 0.9}),
     ("rotation_gain", {"b_lower": 1.0, "s": 10.0, "a1": 0.5, "a2": 0.2}),
 ]
+
+
+LINEAR_FAMILIES = [
+    ("linear_matrix", {"A1": [[0.4, 0.1], [0.0, 0.3]], "A2": [[0.2, 0.0], [0.1, 0.5]], "Theta": [[2.0, 0.3], [0.1, 1.5]]}),
+    ("linear_matrix", {"order": FIRST_ORDER, "A": [[-0.5, 0.2], [0.1, -0.3]], "Theta": [[1.5, 0.4], [-0.4, 1.0]]}),
+    ("rotation_gain", {"b_lower": 1.1, "s": 2.5, "a1": -0.7, "a2": -0.9}),
+]
+
+
+class TestLinearPlantSum:
+    """The linear plants' f builds its transposes once and sums the terms
+    left to right; it must give the bits of the reduce over
+    x_k @ A_k.T and u @ Theta.T."""
+
+    @pytest.mark.parametrize("rows", [None, 1, 6], ids=["point", "1-row", "6-row"])
+    @pytest.mark.parametrize("fam,params", LINEAR_FAMILIES)
+    def test_bitwise_equal_to_the_reduce_form(self, fam, params, rows):
+        p = pm.build_family(fam, params)
+        rng = np.random.default_rng(11)
+        lead = () if rows is None else (rows,)
+        args = [rng.uniform(-3.0, 3.0, size=lead + (p.n,)) for _ in range(p.nargs)]
+        # the constant Jacobians are the matrices A_k and Theta
+        point = [a.reshape(-1, p.n)[0] for a in args]
+        jacs = [p.jac_x1, p.jac_x2, p.jac_u] if p.nargs == 3 else [p.jac_x1, p.jac_u]
+        terms = [jac(*point) for jac in jacs]
+        want = functools.reduce(operator.add, (x @ m.T for x, m in zip(args, terms)))
+        got = p.f(*args)
+        assert got.shape == lead + (p.n,)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestBatchAxis:

@@ -1,9 +1,12 @@
 """The stacked right-hand side and the RK4 loop against the plain reference.
 
 The reference lives in ``rk4_reference.py`` next to this file.  The
-simulator's own rhs builds its slices and gain columns once rather than per
-call, so the failure paths are checked here too: they must raise the
-reference's error, word for word.
+simulator's own rhs builds its slices and gain blocks once rather than per
+call, writes its rates in place and checks each plant run's values inline,
+handing any value that is not a finite float64 block of the run's shape to
+``PlantModel.checked``; so the failure paths and those values are checked
+here too: they must give the reference's states, or raise its error word
+for word.
 """
 
 import dataclasses
@@ -19,7 +22,7 @@ import pidcert as pc
 from pidcert import cli, simulator
 from pidcert.errors import PlantError
 from pidcert.simulator import RK4_FIXED, RK45_ADAPTIVE
-from rk4_reference import control, reference_rhs, reference_rk4
+from rk4_reference import control, in_place, reference_rhs, reference_rk4
 
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 G_PID = pc.GainVector("PID", 7, 1, 7)
@@ -52,7 +55,29 @@ def stacked_states(cells):
 
 
 def initial_state(cells):
+    """The flat stacked initial state, as the reference takes it."""
     return np.concatenate([simulator._initial_state(c.cfg) for c in cells])
+
+
+def initial_block(cells):
+    """The (cells, dim) initial state, as the simulator's steppers take it."""
+    return np.array([simulator._initial_state(c.cfg) for c in cells])
+
+
+def rates(rhs, t, s, cells):
+    """The simulator's rates at the flat state ``s``, flattened."""
+    out = np.empty((len(cells), s.size // len(cells)))
+    rhs(t, s.reshape(out.shape), out)
+    return out.reshape(-1)
+
+
+def reference_rk45_states(cells):
+    """The recorded states of the simulator's RK45 stepper driven by the
+    reference rhs, with the cells side by side."""
+    _, states, _, _ = simulator._integrate_rk45(
+        in_place(reference_rhs(cells)), initial_block(cells), cells[0].cfg
+    )
+    return states.reshape(len(states), -1)
 
 
 ONE_CELL = {
@@ -99,13 +124,32 @@ class TestBitwiseAgainstReference:
         times, states = stacked_states(cells)
         rhs, ref = simulator._rhs_factory(cells), reference_rhs(cells)
         for t, s in zip(times, states):
-            np.testing.assert_array_equal(rhs(t, s), ref(t, s))
+            np.testing.assert_array_equal(rates(rhs, t, s, cells), ref(t, s))
         # the whole adaptive integration then takes the same steps
-        _, ref_states, _, _ = simulator._integrate_rk45(ref, initial_state(cells), cells[0].cfg, 4)
+        np.testing.assert_array_equal(states, reference_rk45_states(cells))
+
+    def test_two_plant_pd_rk4_batch(self):
+        """The multi-run PD path under fixed-step RK4: x rates from v, and
+        each plant's values into its own rows of the v block."""
+        g = pc.GainVector("PD", 8.0, kd=8.0)
+        points = [([0.0, 0.0], [1.0, -0.5, 0.2, 0.0]), ([0.0, 0.0], [-0.3, 0.8, 0.0, 0.4])]
+        cells = cells_of([(p, points) for p in pd_plants()], g, RK4_FIXED)
+        times, states = stacked_states(cells)
+        ref_times, ref_states = reference_rk4(reference_rhs(cells), initial_state(cells), 5.0, 0.01)
+        np.testing.assert_array_equal(times, ref_times)
         np.testing.assert_array_equal(states, ref_states)
 
 
 G_PI = pc.GainVector("PI", 3.0, ki=1.0)
+
+
+def pd_plants():
+    """The second-order mix of the benchmark's PD sweep: tanh-coupled and
+    the linear rotation-gain plant, each its own run of cells."""
+    return [
+        pc.build_family("tanh_coupled", {"n": 2, "l1": 0.8, "l2": 0.6, "b_lower": 1.2}),
+        pc.build_family("rotation_gain", {"b_lower": 1.1, "s": 2.5, "a1": -0.7, "a2": -0.9}),
+    ]
 
 
 def pi_plants():
@@ -130,9 +174,8 @@ class TestThreePlantPIBatch:
         times, states = stacked_states(cells)
         rhs, ref = simulator._rhs_factory(cells), reference_rhs(cells)
         for t, s in zip(times, states):
-            np.testing.assert_array_equal(rhs(t, s), ref(t, s))
-        _, ref_states, _, _ = simulator._integrate_rk45(ref, initial_state(cells), cells[0].cfg, 6)
-        np.testing.assert_array_equal(states, ref_states)
+            np.testing.assert_array_equal(rates(rhs, t, s, cells), ref(t, s))
+        np.testing.assert_array_equal(states, reference_rk45_states(cells))
 
     def test_rk4_states(self):
         cells = cells_of([(p, PI_POINTS) for p in pi_plants()], G_PI, RK4_FIXED)
@@ -177,30 +220,104 @@ def counted(plant, calls, tag):
     return dataclasses.replace(plant, f=f_counted)
 
 
-class TestOneCallPerRun:
-    """Each rhs call calls each run's plant once, and nfev counts rhs calls."""
+def as_list(plant):
+    """``plant`` with f returning a nested list: a value the inline check
+    hands to ``PlantModel.checked``."""
+    f = plant.f
+    return dataclasses.replace(plant, f=lambda *args: f(*args).tolist())
 
-    @pytest.mark.parametrize("integrator", [RK4_FIXED, RK45_ADAPTIVE])
-    def test_each_plant_once_per_rhs_call(self, integrator):
+
+class TestOneCallPerRun:
+    """Each rhs call calls each run's plant once, on the inline check's path
+    and on the path through ``PlantModel.checked`` alike, and nfev counts rhs
+    calls."""
+
+    @staticmethod
+    def assert_once_per_call(integrator, wrap):
         calls = []
-        plants = [counted(p, calls, k) for k, p in enumerate(pi_plants())]
+        plants = [counted(wrap(p), calls, k) for k, p in enumerate(pi_plants())]
         cells = cells_of([(p, PI_POINTS) for p in plants], G_PI, integrator, t_final=2.0)
         rhs_calls = []
         rhs = simulator._rhs_factory(cells)
 
-        def counting_rhs(t, s):
+        def counting_rhs(t, s, out):
             rhs_calls.append(t)
-            return rhs(t, s)
+            rhs(t, s, out)
 
-        s0 = initial_state(cells)
+        s0 = initial_block(cells)
         calls.clear()  # the equilibrium solves of prepare_cell call f too
         if integrator == RK4_FIXED:
             _, _, nfev, _ = simulator._integrate_rk4(counting_rhs, s0, 2.0, 0.01)
         else:
-            _, _, nfev, _ = simulator._integrate_rk45(counting_rhs, s0, cells[0].cfg, len(cells))
+            _, _, nfev, _ = simulator._integrate_rk45(counting_rhs, s0, cells[0].cfg)
         assert nfev == len(rhs_calls) > 0
         # in run order, once per call
         assert calls == [0, 1, 2] * len(rhs_calls)
+
+    @pytest.mark.parametrize("integrator", [RK4_FIXED, RK45_ADAPTIVE])
+    def test_each_plant_once_per_rhs_call(self, integrator):
+        self.assert_once_per_call(integrator, lambda p: p)
+
+    @pytest.mark.parametrize("integrator", [RK4_FIXED, RK45_ADAPTIVE])
+    def test_a_checked_value_costs_no_second_call(self, integrator):
+        self.assert_once_per_call(integrator, as_list)
+
+    def test_a_batch_reports_its_rhs_calls(self):
+        """simulate_batch's nfev is the number of rhs calls: four per RK4 step."""
+        calls = []
+        plants = [counted(p, calls, k) for k, p in enumerate(pd_plants())]
+        points = [([0.0, 0.0], [1.0, -0.5, 0.2, 0.0])]
+        cells = cells_of([(p, points) for p in plants], pc.GainVector("PD", 8.0, kd=8.0),
+                         RK4_FIXED, t_final=1.0)
+        calls.clear()
+        trajs = list(pc.simulate_batch(cells))
+        assert {t.nfev for t in trajs} == {4 * 100}
+        assert calls == [0, 1] * (4 * 100)
+
+
+def plant_returning(kind):
+    """The PID test plant with f's values handed back in another form: each
+    is a value the inline check hands to ``PlantModel.checked``, which turns
+    it into the float64 block ``eval_checked`` returns."""
+    plant = sin_plant()
+    f = plant.f
+    forms = {
+        "list": lambda v: v.tolist(),
+        "float32": lambda v: v.astype(np.float32),
+        "int": lambda v: np.rint(4.0 * v).astype(np.int64),
+        "flat": np.ravel,
+    }
+    return dataclasses.replace(plant, f=lambda *args: forms[kind](f(*args)))
+
+
+class TestCheckedValues:
+    @pytest.mark.parametrize("kind", ["list", "float32", "int", "flat"])
+    def test_one_cell_states_equal_the_reference(self, kind):
+        cells = cells_of([(plant_returning(kind), [([1.0], [0.3, -0.2])])], G_PID, RK4_FIXED)
+        times, states = stacked_states(cells)
+        ref_times, ref_states = reference_rk4(reference_rhs(cells), initial_state(cells), 5.0, 0.01)
+        np.testing.assert_array_equal(times, ref_times)
+        np.testing.assert_array_equal(states, ref_states)
+        assert np.isfinite(states).all()
+
+    @pytest.mark.parametrize("kind", ["list", "float32", "int"])
+    def test_batch_states_equal_the_reference(self, kind):
+        """In a batch a run's value has its rows: list, float32 and int
+        values of the right shape pass."""
+        points = [([1.0], [0.0, 0.0]), ([-0.5], [0.3, -0.2])]
+        cells = cells_of([(plant_returning(kind), points), (cubic_plant(), points)],
+                         G_PID, RK4_FIXED)
+        times, states = stacked_states(cells)
+        ref_times, ref_states = reference_rk4(reference_rhs(cells), initial_state(cells), 5.0, 0.01)
+        np.testing.assert_array_equal(times, ref_times)
+        np.testing.assert_array_equal(states, ref_states)
+
+    def test_a_float32_run_takes_the_reference_rk45_steps(self):
+        points = [([1.0], [0.0, 0.0]), ([-0.5], [0.3, -0.2])]
+        cells = cells_of([(plant_returning("float32"), points), (cubic_plant(), points)],
+                         G_PID, RK45_ADAPTIVE)
+        _, states = stacked_states(cells)
+        np.testing.assert_array_equal(states, reference_rk45_states(cells))
 
 
 def with_plant(cells, plant):
@@ -243,8 +360,7 @@ class TestSingleCheckFailurePaths:
         cells = with_plant(cells_of([(sin_plant(), [([1.5], [0.0, 0.0])])], G_PID, RK45_ADAPTIVE),
                            nan_above(sin_plant(), 1.2))
         got = raised(lambda: stacked_states(cells))
-        want = raised(lambda: simulator._integrate_rk45(
-            reference_rhs(cells), initial_state(cells), cells[0].cfg, 1))
+        want = raised(lambda: reference_rk45_states(cells))
         assert got == want
         assert got.startswith("plant returned non-finite value at (array([1.2")
 

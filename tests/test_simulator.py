@@ -120,6 +120,19 @@ class TestSimulate:
         with pytest.raises(UsageError):
             pc.SimConfig(plant=first, gains=G_PID, y_star=[0.0], x0=[0.0], t_final=1.0)
 
+    @pytest.mark.parametrize("key", ["t_final", "dt_max", "rtol", "atol"])
+    def test_infinite_setting_is_usage_error(self, key):
+        """+inf passes the sign tests; -inf and NaN keep their sign messages."""
+        run = dict(plant=sin_plant(), gains=G_PID, y_star=[0.5], x0=[0.0, 0.0], t_final=1.0)
+        with pytest.raises(UsageError) as info:
+            pc.SimConfig(**(run | {key: math.inf}))
+        assert str(info.value) == f"{key} must be finite, got inf"
+        sign = "> 0" if key in ("t_final", "dt_max") else ">= 0"
+        for value in (-math.inf, math.nan):
+            with pytest.raises(UsageError) as info:
+                pc.SimConfig(**(run | {key: value}))
+            assert str(info.value) == f"{key} must be {sign}"
+
     def test_nan_plant_raises(self):
         bad = pc.custom_plant(
             n=1,
