@@ -18,23 +18,34 @@ and the Lyapunov decrease can be checked pointwise.
 
 ``simulate_batch`` integrates N closed loops that share the kind, n, the
 horizon, the integrator and its tolerances as one stacked system: the states
-form an (N, dim) array, one right-hand side evaluates every cell's control
-law with (N, n) gain blocks and setpoints and calls the plant once for each
-run of adjacent cells that share it, and the integrator runs once.
+form a block-major (blocks, N, n) array, in ``LAYOUT[kind]`` order, one
+right-hand side evaluates every cell's control law with (N, n) gain blocks
+and setpoints and calls the plant once for each run of adjacent cells that
+share it, and the integrator runs once.  Block-major, ``s[j]`` is block j of
+every cell as one contiguous (N, n) array, and a plant run's rows of it are
+a contiguous slice, so every array the control law and the plant read or
+write is contiguous; a cell-major (N, dim) state would make each of them a
+strided view, on which numpy takes about twice as long per call.  A cell's
+own recorded states are ``states[:, :, k]``, flattened to (samples, dim).
 
-The right-hand side is ``rhs(t, s, out)``: ``s`` and ``out`` are (N, dim)
-arrays, and it writes the i rate, the x rate and each run's plant values in
-place into ``out``, which is one of the stepper's stage rows.  Each call
-checks each run's plant values once.  A float64 array of the run's
-(rows, n) shape with every entry finite is written as it is; any other value
-goes to ``PlantModel.checked``, the check of ``eval_checked``, which
-reshapes it or raises the PlantError naming the first failing point.  A run
-that spans the batch passes the state blocks whole, without row views.
-RK4 keeps its four stage rows as one (4, N, dim) block and records into a
-(steps + 1, N, dim) block.  RK45 keeps its seven stages as a (7, N, dim)
-block, with a flat (7, N dim) view for the stage sums and the interpolant.
-Fixed-step RK4 advances each cell exactly as a one-cell run does.  RK45
-shares one step size across the cells, so it is given rtol/sqrt(N) and
+The right-hand side is ``rhs(t, s, out)``: ``s`` and ``out`` are
+(blocks, N, n) arrays, and it writes the i rate, the x rate and each run's
+plant values in place into ``out``, which is one of the stepper's stage
+rows.  Each run's value is tested for its type, dtype and (rows, n) shape;
+a float64 array of that shape is written as it is, and any other value goes
+to ``PlantModel.checked``, the check of ``eval_checked``, which reshapes it
+or raises the PlantError naming the first failing point.  Finiteness is
+tested once per call over the whole f block; when it fails, the runs are
+checked again in order, so the error names the first failing run's point,
+as checking each run in turn would.  A run that spans the batch passes the
+state blocks whole, without row views.  RK4 keeps its four stage rows as
+one (4, blocks, N, n) block and records into a (steps + 1, blocks, N, n)
+block.  RK45 keeps its seven stages as a (7, blocks, N, n) block, with a
+flat (7, size) view for the stage sums, the error norm and the
+interpolant; a one-cell batch flattens in the order of its (dim,) state
+vector.  Fixed-step RK4 advances each cell exactly as a one-cell run does;
+a step in which a value overflows is an IntegrationError naming the step.
+RK45 shares one step size across the cells, so it is given rtol/sqrt(N) and
 atol/sqrt(N): its RMS error norm over the stacked state is then
 sqrt(sum_c norm_c^2) >= max_c norm_c, where norm_c is the norm a one-cell
 run at the configured tolerances tests, and every accepted step passes each
@@ -44,9 +55,10 @@ Both integrators are numpy alone.  RK45 is the Dormand-Prince 5(4) pair with
 Shampine's quartic interpolant for the recorded samples, stepped and
 recorded with the arithmetic of scipy's ``solve_ivp(method="RK45",
 t_eval=...)``, so its trajectories and ``nfev`` are the ones that call
-returns, bit for bit.  The stepper builds its stage views (``K[:k].T``,
-``K[:-1].T``, ``K.T`` of the flat view), the stage rows of A and the nodes
-once per integration; per step it only does the step's arithmetic.
+returns on the same flat order, bit for bit.  The stepper builds its stage
+views (``K[:k].T``, ``K[:-1].T``, ``K.T`` of the flat view), the stage rows
+of A and the nodes once per integration; per step it only does the step's
+arithmetic.
 
 ``judge`` is the one verdict on a certified trajectory: the envelope audit,
 the V monitor and the decay fit on ``[0.1, 0.9] t_final``; a run passes when
@@ -285,18 +297,21 @@ def _plant_runs(cells: Sequence[Cell]) -> list:
 
 def _rhs_factory(cells: Sequence[Cell]):
     """Right-hand side ``rhs(t, s, out)`` of the stacked system: ``s`` and
-    ``out`` are (cells, dim) arrays, and the rates are written into ``out``.
+    ``out`` are block-major (blocks, cells, n) arrays, and the rates are
+    written into ``out``.  Each block ``s[j]`` is a contiguous (cells, n)
+    array, and a plant run's rows of it are a contiguous slice.
 
-    The block slices, gain blocks and setpoints are built once.  Each call
-    checks each plant run's values once: a float64 array of the run's
-    (rows, n) shape with every entry finite is written as it is; any other
-    value goes to ``PlantModel.checked``, which reshapes it as
-    ``eval_checked`` would or raises its PlantError.
+    The block indices, gain blocks and setpoints are built once.  Each plant
+    run's value is tested for its type, dtype and (rows, n) shape: a float64
+    array of that shape is written as it is; any other value goes to
+    ``PlantModel.checked``, which reshapes it as ``eval_checked`` would or
+    raises its PlantError.  Finiteness is tested once per call over the
+    whole f block; if it fails, the runs are checked again in order, so the
+    PlantError is the one a check of each run in turn raises.
     """
     kind, n = cells[0].cfg.gains.kind, cells[0].cfg.plant.n
-    layout = LAYOUT[kind]
-    block = {name: slice(k * n, (k + 1) * n) for k, name in enumerate(layout)}
-    xs, ib, vb = block["x"], block.get("i"), block.get("v")
+    index = {name: k for k, name in enumerate(LAYOUT[kind])}
+    xk, ik, vk = index["x"], index.get("i"), index.get("v")
     # each gain as a (cells, n) block, so the control law's products are
     # elementwise on equal shapes, which numpy does faster than broadcasting
     gains = tuple(
@@ -306,39 +321,48 @@ def _rhs_factory(cells: Sequence[Cell]):
     # f fills the v block, or the x block of a kind without v: each run of
     # cells that share a plant writes its values into its own rows, and a run
     # that spans the batch (rows None) passes the blocks whole
-    fb = xs if vb is None else vb
+    fk = xk if vk is None else vk
     whole = slice(0, len(cells))
     runs = [
-        (plant.f, plant.checked, None if rows == whole else rows, (rows, fb),
-         (rows.stop - rows.start, n))
-        for plant, rows in _plant_runs(cells)
+        (k, plant.f, plant.checked, None if rows == whole else rows,
+         fk if rows == whole else (fk, rows), (rows.stop - rows.start, n))
+        for k, (plant, rows) in enumerate(_plant_runs(cells))
     ]
+    size = len(cells) * n
     # numpy's float64 dtype is one object; any other dtype takes the checked path
     f64 = np.dtype(np.float64)
 
+    def check_runs(out, args, stop):
+        """Raise the PlantError of the first of the runs before ``stop``
+        whose values in ``out`` are not finite."""
+        for _, _, checked, rows, dst, _ in runs[:stop]:
+            checked(out[dst], args if rows is None else tuple([b[rows] for b in args]))
+
     def rhs(t, s, out):
-        x = s[:, xs]
-        i = None if ib is None else s[:, ib]
-        v = None if vb is None else s[:, vb]
+        x = s[xk]
+        i = None if ik is None else s[ik]
+        v = None if vk is None else s[vk]
         e = y - x
         u = _control(gains, e, i, v)
         # d/dt of (i, x, v) is (e, v, f); a kind without i or v drops its entry
         if v is None:
             args = (x, u)
         else:
-            out[:, xs] = v
+            out[xk] = v
             args = (x, v, u)
-        for f, checked, rows, dst, shape in runs:
+        for k, f, checked, rows, dst, shape in runs:
             a = args if rows is None else tuple([b[rows] for b in args])
             val = f(*a)
-            if not (
-                type(val) is np.ndarray and val.dtype is f64 and val.shape == shape
-                and np.count_nonzero(np.isfinite(val)) == val.size
-            ):
+            if not (type(val) is np.ndarray and val.dtype is f64 and val.shape == shape):
+                # the runs before this one are checked before it
+                check_runs(out, args, k)
                 val = checked(val, a)
             out[dst] = val
+        # all() by count, as PlantModel.checked tests a plant's values
+        if np.count_nonzero(np.isfinite(out[fk])) != size:
+            check_runs(out, args, len(runs))
         if i is not None:
-            out[:, ib] = e
+            out[ik] = e
 
     return rhs
 
@@ -351,27 +375,41 @@ def _initial_state(cfg: SimConfig) -> np.ndarray:
 
 
 def _integrate_rk4(rhs, s0: np.ndarray, t_final: float, dt: float):
-    """Classical fixed-step RK4 from t = 0 on the (cells, dim) state ``s0``;
-    the last step is shortened to end on t_final."""
+    """Classical fixed-step RK4 from t = 0 on the block-major
+    (blocks, cells, n) state ``s0``; the last step is shortened to end on
+    t_final.  The stage rows and the record keep that layout, so each block
+    of a stage row is a contiguous (cells, n) array.
+
+    A step in which any value overflows, in the plant or in the stage sums,
+    raises an IntegrationError naming the step's start and size: a diverging
+    run fails as an integration, not as a plant that returned inf.
+    """
     n_steps = max(1, int(math.ceil(t_final / dt - 1e-12)))
     times = np.empty(n_steps + 1)
     states = np.empty((n_steps + 1, *s0.shape))
     times[0], states[0] = 0.0, s0
     k1, k2, k3, k4 = np.empty((4, *s0.shape))
     t, s = 0.0, s0
-    for k in range(1, n_steps + 1):
-        h = min(dt, t_final - t)
-        half = h / 2.0
-        rhs(t, s, k1)
-        rhs(t + half, s + half * k1, k2)
-        rhs(t + half, s + half * k2, k3)
-        rhs(t + h, s + h * k3, k4)
-        s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = t + h
-        # all() by count, as PlantModel.checked tests a plant's values
-        if np.count_nonzero(np.isfinite(s)) != s.size:
-            raise IntegrationError(f"state became non-finite at t = {t:.6g}")
-        times[k], states[k] = t, s
+    try:
+        with np.errstate(over="raise"):
+            for k in range(1, n_steps + 1):
+                h = min(dt, t_final - t)
+                half = h / 2.0
+                rhs(t, s, k1)
+                rhs(t + half, s + half * k1, k2)
+                rhs(t + half, s + half * k2, k3)
+                rhs(t + h, s + h * k3, k4)
+                s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                t = t + h
+                # all() by count, as PlantModel.checked tests a plant's values
+                if np.count_nonzero(np.isfinite(s)) != s.size:
+                    raise IntegrationError(f"state became non-finite at t = {t:.6g}")
+                times[k], states[k] = t, s
+    except FloatingPointError as exc:
+        # t and h are still the failed step's: t advances after the step
+        raise IntegrationError(
+            f"fixed-step RK4 diverged in the step from t = {t:.6g} of size h = {h:.6g}: {exc}"
+        ) from exc
     return times, states, 4 * n_steps, 0
 
 
@@ -416,7 +454,7 @@ def _rms(x: np.ndarray) -> float:
 def _initial_step(rhs, s0, f0, t_final, rtol, atol, out):
     """Hairer, Norsett & Wanner's first step: one trial Euler step sizes it.
     ``s0`` and ``f0`` are flat; the trial rhs call writes into the
-    (cells, dim) block ``out``."""
+    (blocks, cells, n) block ``out``."""
     scale = atol + np.abs(s0) * rtol
     d0, d1 = _rms(s0 / scale), _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
@@ -431,15 +469,19 @@ def _initial_step(rhs, s0, f0, t_final, rtol, atol, out):
 
 
 def _integrate_rk45(rhs, s0: np.ndarray, cfg: SimConfig):
-    """Adaptive Dormand-Prince 5(4) from 0 to t_final on the (cells, dim)
-    state ``s0``, recorded by the interpolant at
-    max(2, round(t_final/dt_max) + 1) evenly spaced times."""
+    """Adaptive Dormand-Prince 5(4) from 0 to t_final on the block-major
+    (blocks, cells, n) state ``s0``, recorded by the interpolant at
+    max(2, round(t_final/dt_max) + 1) evenly spaced times into a
+    (samples, blocks, cells, n) block.  The stage block K is
+    (7, blocks, cells, n), so each block of a stage row that rhs writes is a
+    contiguous (cells, n) array; the stage sums, the error norm and the
+    interpolant work on the flat views, in block-major order."""
     t_final = float(cfg.t_final)
     n_rec = max(2, int(round(t_final / cfg.dt_max)) + 1)
     t_eval = np.linspace(0.0, t_final, n_rec)
     shape = s0.shape
     # each cell's own error test holds when the stacked RMS norm passes
-    root = math.sqrt(shape[0])
+    root = math.sqrt(shape[1])
     rtol, atol = max(cfg.rtol / root, _RTOL_FLOOR), cfg.atol / root
     states = np.empty((n_rec, *shape))
     SF = states.reshape(n_rec, -1)
@@ -572,7 +614,9 @@ def simulate_batch(cells: Sequence[Cell]) -> Iterator[Trajectory]:
             "cells of one batch must share the kind, n, t_final, dt_max, "
             "integrator and tolerances"
         )
+    # block-major (blocks, cells, n): s0[j] is block j of every cell
     s0 = np.array([_initial_state(c.cfg) for c in cells])
+    s0 = np.ascontiguousarray(s0.reshape(len(cells), -1, cfg.plant.n).swapaxes(0, 1))
     rhs = _rhs_factory(cells)
     if cfg.integrator == RK4_FIXED:
         times, states, nfev, status = _integrate_rk4(rhs, s0, cfg.t_final, cfg.dt_max)
@@ -580,8 +624,9 @@ def simulate_batch(cells: Sequence[Cell]) -> Iterator[Trajectory]:
         times, states, nfev, status = _integrate_rk45(rhs, s0, cfg)
     stats = {"nfev": int(nfev), "status": int(status), "cells": len(cells)}
     for k, cell in enumerate(cells):
-        # row-major, so e, edot, u and z rebuilt from it are row-major too
-        own = np.ascontiguousarray(states[:, k])
+        # (samples, dim), row-major, so e, edot, u and z rebuilt from it are
+        # row-major too: a copy, or a view of a one-cell batch's record
+        own = states[:, :, k].reshape(len(times), -1)
         yield _trajectory(cell, times, own, stats)
 
 

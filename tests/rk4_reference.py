@@ -1,13 +1,17 @@
 """The plain closed-loop right-hand side and RK4 loop, kept as a reference.
 
-``simulator._rhs_factory`` builds its block slices and gain blocks once and
-its ``rhs(t, s, out)`` writes the rates of the (cells, dim) state into the
-stepper's stage block, each plant run into its own rows;
-``simulator._integrate_rk4`` writes into preallocated stage rows and records.
-These helpers do the same arithmetic the straightforward way, on the flat
-state: a dict of named state blocks per call, the control law written out,
+``simulator._rhs_factory`` builds its block indices and gain blocks once and
+its ``rhs(t, s, out)`` writes the rates of the block-major
+(blocks, cells, n) state into the stepper's stage block, each plant run into
+its own rows; ``simulator._integrate_rk4`` writes into preallocated stage
+rows and records.  Block-major, each block ``s[j]`` of every cell is one
+contiguous (cells, n) array, and a plant run's rows are a contiguous slice
+of it.  These helpers do the same arithmetic the straightforward way, on
+the cell-major flat state, each cell's (dim,) vector after the last: a dict
+of named state blocks per call, the control law written out,
 ``PlantModel.eval_checked`` on every plant run, a new rate vector per call
 and lists of copied states.  Equal inputs must give bitwise equal results.
+``block_major`` and ``cell_major`` convert between the two layouts, and
 ``in_place`` lets a flat right-hand side drive the simulator's steppers.
 """
 
@@ -74,10 +78,25 @@ def reference_rhs(cells):
     return rhs
 
 
+def block_major(flat, shape):
+    """The cell-major flat state ``flat`` as the steppers' block-major
+    ``shape`` = (blocks, cells, n) stack, a new contiguous array."""
+    blocks, cells, n = shape
+    return np.reshape(flat, (cells, blocks, n)).swapaxes(0, 1).copy()
+
+
+def cell_major(stack):
+    """The block-major (..., blocks, cells, n) stack as cell-major flat
+    states (..., cells * blocks * n): a record of stacks becomes one flat
+    state per sample."""
+    return stack.swapaxes(-3, -2).reshape(*stack.shape[:-3], -1)
+
+
 def in_place(rhs):
-    """The flat ``rhs(t, s) -> rates`` as a stepper's ``rhs(t, s, out)`` on (cells, dim) blocks."""
+    """The flat ``rhs(t, s) -> rates`` on cell-major states as a stepper's
+    ``rhs(t, s, out)`` on (blocks, cells, n) stacks."""
     def rhs_out(t, s, out):
-        out[...] = np.reshape(rhs(t, s.reshape(-1)), out.shape)
+        out[...] = block_major(rhs(t, cell_major(s)), out.shape)
     return rhs_out
 
 

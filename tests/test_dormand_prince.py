@@ -5,9 +5,10 @@ interpolant against its end values, the integration against the matrix
 exponential of a linear system, and the whole run against scipy's
 ``solve_ivp(method="RK45")``, whose arithmetic the stepper repeats: scipy is
 a test-only oracle here.  The stepper's ``rhs(t, s, out)`` writes into its
-stage block; the flat right-hand sides below drive it through
-``rk4_reference.in_place``, and solve_ivp integrates the closed loop through
-the flat reference right-hand side.
+block-major (blocks, cells, n) stage block; the flat right-hand sides below
+drive it through ``rk4_reference.in_place``, and solve_ivp integrates the
+closed loop through the flat reference right-hand side, on the block-major
+flat order the stepper integrates in.
 """
 
 import math
@@ -23,7 +24,7 @@ import pidcert as pc
 from pidcert import simulator
 from pidcert.errors import IntegrationError
 from pidcert.simulator import _DP_A, _DP_B, _DP_C, _DP_E, _DP_P
-from rk4_reference import in_place, reference_rhs
+from rk4_reference import block_major, cell_major, in_place, reference_rhs
 
 
 def run_config(t_final, dt_max=0.01, rtol=1e-8, atol=1e-10):
@@ -101,11 +102,11 @@ class TestAgainstTheMatrixExponential:
     def test_error_scales_with_the_tolerance(self, rtol, atol):
         m, s0 = stacked_linear_system()
         times, states, nfev, status = simulator._integrate_rk45(
-            in_place(lambda t, s: m @ s), s0.reshape(3, 2), run_config(10.0, 0.05, rtol, atol)
+            in_place(lambda t, s: m @ s), s0.reshape(1, 3, 2), run_config(10.0, 0.05, rtol, atol)
         )
         assert status == 0 and (nfev - 2) % 6 == 0
-        assert states.shape == (201, 3, 2)
-        states = states.reshape(201, 6)
+        assert states.shape == (201, 1, 3, 2)
+        states = cell_major(states)
         exact = np.array([expm(m * t) @ s0 for t in times])
         error = np.max(np.abs(states - exact), axis=1)
         # the global error stays within a modest multiple of the local
@@ -116,8 +117,16 @@ class TestAgainstTheMatrixExponential:
 
 
 def stacked_state(cells):
-    """The cells' initial states as one (cells, dim) block."""
-    return np.array([simulator._initial_state(c.cfg) for c in cells])
+    """The cells' initial states as one block-major (blocks, cells, n) stack."""
+    flat = np.concatenate([simulator._initial_state(c.cfg) for c in cells])
+    n = cells[0].cfg.plant.n
+    return block_major(flat, (flat.size // (len(cells) * n), len(cells), n))
+
+
+def block_major_rhs(rhs, shape):
+    """The flat cell-major ``rhs(t, s)`` on flat states in the block-major
+    order of ``shape``: the order the stepper's flat views integrate in."""
+    return lambda t, s: block_major(rhs(t, cell_major(s.reshape(shape))), shape).reshape(-1)
 
 
 def sweep_cells():
@@ -146,8 +155,9 @@ class TestAgainstSolveIvp:
         times, states, nfev, status = simulator._integrate_rk45(rhs, s0, cfg)
         root = math.sqrt(12)
         sol = solve_ivp(
-            reference_rhs(cells), (0.0, cfg.t_final), s0.reshape(-1), method="RK45",
-            t_eval=np.linspace(0.0, cfg.t_final, 801), rtol=cfg.rtol / root, atol=cfg.atol / root,
+            block_major_rhs(reference_rhs(cells), s0.shape), (0.0, cfg.t_final), s0.reshape(-1),
+            method="RK45", t_eval=np.linspace(0.0, cfg.t_final, 801),
+            rtol=cfg.rtol / root, atol=cfg.atol / root,
         )
         assert np.array_equal(times, sol.t)
         assert np.array_equal(states.reshape(801, -1), sol.y.T)
@@ -155,7 +165,7 @@ class TestAgainstSolveIvp:
         # simulate_batch reports the same statistics on every trajectory
         trajs = list(pc.simulate_batch(cells))
         assert {t.nfev for t in trajs} == {sol.nfev}
-        assert np.array_equal(np.hstack([t.states for t in trajs]), sol.y.T)
+        assert np.array_equal(np.hstack([t.states for t in trajs]), cell_major(states))
 
     @pytest.mark.parametrize("rtol", [1e-3, 1e-8])
     def test_a_jump_in_the_rhs_matches_bitwise(self, rtol):
@@ -167,11 +177,11 @@ class TestAgainstSolveIvp:
 
         s0 = np.array([0.0, 0.5])
         _, states, nfev, _ = simulator._integrate_rk45(
-            in_place(jump), s0.reshape(1, 2), run_config(3.0, rtol=rtol)
+            in_place(jump), block_major(s0, (1, 1, 2)), run_config(3.0, rtol=rtol)
         )
         sol = solve_ivp(jump, (0.0, 3.0), s0, method="RK45",
                         t_eval=np.linspace(0.0, 3.0, 301), rtol=rtol, atol=1e-10)
-        assert np.array_equal(states.reshape(301, 2), sol.y.T) and nfev == sol.nfev
+        assert np.array_equal(cell_major(states), sol.y.T) and nfev == sol.nfev
 
     def test_zero_rtol_runs_at_scipys_floor(self):
         """rtol below 100 eps is raised to it, as scipy raises it."""
@@ -180,9 +190,9 @@ class TestAgainstSolveIvp:
         s0 = stacked_state(cells)
         got = simulator._integrate_rk45(rhs, s0, run_config(2.0, rtol=0.0))
         with pytest.warns(UserWarning, match="rtol"):
-            sol = solve_ivp(reference_rhs(cells), (0.0, 2.0), s0.reshape(-1), method="RK45",
+            sol = solve_ivp(reference_rhs(cells), (0.0, 2.0), cell_major(s0), method="RK45",
                             t_eval=np.linspace(0.0, 2.0, 201), rtol=0.0, atol=1e-10)
-        assert np.array_equal(got[1].reshape(201, -1), sol.y.T) and got[2] == sol.nfev
+        assert np.array_equal(cell_major(got[1]), sol.y.T) and got[2] == sol.nfev
 
 
 class TestStepControl:
@@ -190,7 +200,7 @@ class TestStepControl:
         """With f = 0 every error estimate is exactly 0, so each step is ten
         times the last from the first step of 1e-6: 1e-6, ..., 1e-1 and the
         rest of the horizon, 7 steps of 6 calls after the 2 of the start."""
-        s0 = np.array([[1.0, -2.0]])
+        s0 = np.array([[[1.0, -2.0]]])
         _, states, nfev, _ = simulator._integrate_rk45(
             in_place(lambda t, s: np.zeros_like(s)), s0, run_config(1.0)
         )
@@ -206,7 +216,7 @@ class TestStepControl:
             called.append(t)
             return 1e-4 * s
 
-        simulator._integrate_rk45(in_place(slow), np.ones((1, 1)), run_config(1.0))
+        simulator._integrate_rk45(in_place(slow), np.ones((1, 1, 1)), run_config(1.0))
         assert 0.0 <= min(called) and max(called) <= 1.0
 
 
@@ -220,4 +230,4 @@ class TestStepUnderflow:
             "Required step size is less than spacing between numbers."
         )
         with pytest.raises(IntegrationError, match=re.escape(message)):
-            simulator._integrate_rk45(in_place(lambda t, y: y * y), np.ones((1, 1)), run_config(2.0))
+            simulator._integrate_rk45(in_place(lambda t, y: y * y), np.ones((1, 1, 1)), run_config(2.0))

@@ -1,12 +1,14 @@
 """The stacked right-hand side and the RK4 loop against the plain reference.
 
 The reference lives in ``rk4_reference.py`` next to this file.  The
-simulator's own rhs builds its slices and gain blocks once rather than per
-call, writes its rates in place and checks each plant run's values inline,
-handing any value that is not a finite float64 block of the run's shape to
-``PlantModel.checked``; so the failure paths and those values are checked
-here too: they must give the reference's states, or raise its error word
-for word.
+simulator's own rhs builds its block indices and gain blocks once rather
+than per call, writes its rates in place into a block-major
+(blocks, cells, n) stage row, hands any value that is not a float64 block
+of the run's shape to ``PlantModel.checked``, and tests finiteness once per
+call over the whole f block; so the failure paths and those values are
+checked here too: they must give the reference's states, or raise its error
+word for word.  The reference works on cell-major flat states, and
+``block_major`` and ``cell_major`` convert between the two.
 """
 
 import dataclasses
@@ -20,9 +22,10 @@ import pytest
 
 import pidcert as pc
 from pidcert import cli, simulator
-from pidcert.errors import PlantError
+from pidcert.errors import IntegrationError, PlantError
+from pidcert.gain_sets import LAYOUT
 from pidcert.simulator import RK4_FIXED, RK45_ADAPTIVE
-from rk4_reference import control, in_place, reference_rhs, reference_rk4
+from rk4_reference import block_major, cell_major, control, in_place, reference_rhs, reference_rk4
 
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 G_PID = pc.GainVector("PID", 7, 1, 7)
@@ -59,16 +62,24 @@ def initial_state(cells):
     return np.concatenate([simulator._initial_state(c.cfg) for c in cells])
 
 
+def stack_shape(cells):
+    """(blocks, cells, n) of the simulator's block-major stacked state."""
+    kind, n = cells[0].cfg.gains.kind, cells[0].cfg.plant.n
+    return (len(LAYOUT[kind]), len(cells), n)
+
+
 def initial_block(cells):
-    """The (cells, dim) initial state, as the simulator's steppers take it."""
-    return np.array([simulator._initial_state(c.cfg) for c in cells])
+    """The block-major initial state, as the simulator's steppers take it."""
+    return block_major(initial_state(cells), stack_shape(cells))
 
 
 def rates(rhs, t, s, cells):
-    """The simulator's rates at the flat state ``s``, flattened."""
-    out = np.empty((len(cells), s.size // len(cells)))
-    rhs(t, s.reshape(out.shape), out)
-    return out.reshape(-1)
+    """The simulator's rates at the cell-major flat state ``s``, cell-major
+    and flat."""
+    shape = stack_shape(cells)
+    out = np.empty(shape)
+    rhs(t, block_major(s, shape), out)
+    return cell_major(out)
 
 
 def reference_rk45_states(cells):
@@ -77,7 +88,14 @@ def reference_rk45_states(cells):
     _, states, _, _ = simulator._integrate_rk45(
         in_place(reference_rhs(cells)), initial_block(cells), cells[0].cfg
     )
-    return states.reshape(len(states), -1)
+    return cell_major(states)
+
+
+def reference_states(cells):
+    """The reference's recorded states under the cells' integrator."""
+    if cells[0].cfg.integrator == RK4_FIXED:
+        return reference_rk4(reference_rhs(cells), initial_state(cells), 5.0, 0.01)[1]
+    return reference_rk45_states(cells)
 
 
 ONE_CELL = {
@@ -197,6 +215,39 @@ class TestThreePlantPIBatch:
         assert got == want
         assert got.startswith("plant returned non-finite value at (array([1.2")
 
+    @pytest.mark.parametrize("integrator", [RK4_FIXED, RK45_ADAPTIVE])
+    @pytest.mark.parametrize("bad", [0, 1], ids=["first-run", "middle-run"])
+    def test_nan_in_an_earlier_run(self, bad, integrator):
+        """One plant of the three is NaN above x = 1.2, which its y* = 1.5
+        cell crosses: the finiteness test over the whole f block fails, and
+        the error is the reference's, word for word."""
+        plants = pi_plants()
+        points = [([1.0], [0.2]), ([1.5], [0.0])]
+        runs = [cells_of([(p, points)], G_PI, integrator) for p in plants]
+        runs[bad] = with_plant(runs[bad], nan_above(plants[bad], 1.2))
+        cells = [c for run in runs for c in run]
+        got = raised(lambda: stacked_states(cells))
+        assert got == raised(lambda: reference_states(cells))
+        assert got.startswith("plant returned non-finite value at (array([1.2")
+
+    @pytest.mark.parametrize("integrator", [RK4_FIXED, RK45_ADAPTIVE])
+    def test_an_earlier_nan_is_named_before_a_later_checked_value(self, integrator):
+        """At the first call the first run's float64 values are NaN at
+        x = 1.3 and the last run returns a list with a NaN at x = 1.4: the
+        first run fails first, as in the reference, though the last run's
+        value goes to PlantModel.checked."""
+        sin_p, cubic_p, linear_p = pi_plants()
+        cells = (
+            with_plant(cells_of([(sin_p, [([1.0], [1.3])])], G_PI, integrator),
+                       nan_above(sin_p, 1.2))
+            + cells_of([(cubic_p, PI_POINTS)], G_PI, integrator)
+            + with_plant(cells_of([(linear_p, [([1.0], [1.4])])], G_PI, integrator),
+                         as_list(nan_above(linear_p, 1.2)))
+        )
+        got = raised(lambda: stacked_states(cells))
+        assert got == raised(lambda: reference_states(cells))
+        assert got.startswith("plant returned non-finite value at (array([1.3])")
+
     def test_control_keeps_the_signed_zeros(self):
         """u - kd v and the reference's u + kd (-v) agree in every bit, signed
         zeros included, at v = +-0 and at every sign of e, i and kd."""
@@ -273,6 +324,39 @@ class TestOneCallPerRun:
         trajs = list(pc.simulate_batch(cells))
         assert {t.nfev for t in trajs} == {4 * 100}
         assert calls == [0, 1] * (4 * 100)
+
+
+def recording(plant, flags):
+    """``plant`` with the ``c_contiguous`` flag of each argument of each f
+    call appended to ``flags``."""
+    f = plant.f
+
+    def f_recording(*args):
+        flags.extend(a.flags.c_contiguous for a in args)
+        return f(*args)
+
+    return dataclasses.replace(plant, f=f_recording)
+
+
+class TestContiguousBlocks:
+    """The stacked state is block-major, so every block a plant run reads
+    is a contiguous array, though the runs take row slices of it."""
+
+    @pytest.mark.parametrize("integrator", [RK4_FIXED, RK45_ADAPTIVE])
+    @pytest.mark.parametrize("kind", ["PID", "PD"])
+    def test_every_plant_argument_is_contiguous(self, kind, integrator):
+        if kind == "PID":
+            plants, gains = [sin_plant(), cubic_plant()], G_PID
+            points = [([1.0], [0.0, 0.0]), ([-0.5], [0.3, -0.2])]
+        else:
+            plants, gains = pd_plants(), pc.GainVector("PD", 8.0, kd=8.0)
+            points = [([0.0, 0.0], [1.0, -0.5, 0.2, 0.0]), ([0.0, 0.0], [-0.3, 0.8, 0.0, 0.4])]
+        flags = []
+        cells = cells_of([(recording(p, flags), points) for p in plants], gains, integrator,
+                         t_final=1.0)
+        flags.clear()  # the equilibrium solves of prepare_cell call f too
+        list(pc.simulate_batch(cells))
+        assert flags and all(flags)
 
 
 def plant_returning(kind):
@@ -382,11 +466,23 @@ class TestSingleCheckFailurePaths:
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
 
-    # the cubic input term overflows on the diverging cells
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_an_rk4_overflow_names_the_step(self):
+        """The rates jump to 1e308 at t = 0.25, inside the third step, whose
+        stage sum 2 k2 then overflows: an IntegrationError, not a warning."""
+        def jump(t, s):
+            return np.full_like(s, 1e308) if t >= 0.25 else np.zeros_like(s)
+
+        with pytest.raises(IntegrationError) as info:
+            simulator._integrate_rk4(in_place(jump), np.zeros((1, 1, 1)), 1.0, 0.1)
+        assert str(info.value) == (
+            "fixed-step RK4 diverged in the step from t = 0.2 of size h = 0.1: "
+            "overflow encountered in multiply"
+        )
+
     def test_rk4_sweep_keeps_its_divergence_rows(self, tmp_path):
         """Fixed-step RK4 diverges on three nonaffine_cubic_u cells of the
-        small sweep; each row keeps the PlantError it had."""
+        small sweep: the cubic input term overflows, and each of those rows
+        names the step as an IntegrationError, not the plant."""
         config = json.loads((CONFIGS / "sweep_small.json").read_text())
         config["sim"]["integrator"] = RK4_FIXED
         path = tmp_path / "sweep_rk4.json"
@@ -396,10 +492,7 @@ class TestSingleCheckFailurePaths:
         lines = (tmp_path / "out" / "sweep.csv").read_bytes().split(b"\r\n")
         errors = {int(line.split(b",")[0]): line.split(b",", 15)[15] for line in lines[1:19]}
         assert {k: v for k, v in errors.items() if v} == {
-            11: b'"PlantError: plant returned non-finite value at (array([-1.9524587e+81]), '
-                b'array([8.50978203e+249]), array([-5.95684742e+250]))"',
-            12: b'"PlantError: plant returned non-finite value at (array([1.06824909e+52]), '
-                b'array([-1.1849059e+163]), array([1.06641531e+164]))"',
-            14: b'"PlantError: plant returned non-finite value at (array([5.02716349e+74]), '
-                b'array([-1.23490996e+231]), array([1.11141896e+232]))"',
+            cell: b"IntegrationError: fixed-step RK4 diverged in the step from "
+                  b"t = %s of size h = 0.01: overflow encountered in power" % t
+            for cell, t in ((11, b"0.01"), (12, b"0.02"), (14, b"0.01"))
         }
