@@ -43,9 +43,12 @@ one (4, blocks, N, n) block and records into a (steps + 1, blocks, N, n)
 block.  RK45 keeps its seven stages as a (7, blocks, N, n) block, with a
 flat (7, size) view for the stage sums, the error norm and the
 interpolant; a one-cell batch flattens in the order of its (dim,) state
-vector.  Fixed-step RK4 advances each cell exactly as a one-cell run does;
-a step in which a value overflows is an IntegrationError naming the step.
-RK45 shares one step size across the cells, so it is given rtol/sqrt(N) and
+vector.  Fixed-step RK4 advances each cell exactly as a one-cell run does.
+Both integrators step under ``np.errstate(over="raise")``: a step in which
+a value overflows, in the plant or in the stepper's own arithmetic, is an
+IntegrationError naming the step's start t and size h, so a diverging run
+fails as an integration, not as a plant that returned inf.  RK45 shares
+one step size across the cells, so it is given rtol/sqrt(N) and
 atol/sqrt(N): its RMS error norm over the stacked state is then
 sqrt(sum_c norm_c^2) >= max_c norm_c, where norm_c is the norm a one-cell
 run at the configured tolerances tests, and every accepted step passes each
@@ -374,16 +377,21 @@ def _initial_state(cfg: SimConfig) -> np.ndarray:
     return np.concatenate([i0, cfg.x0])
 
 
+def _diverged(method: str, t: float, h: float, exc: FloatingPointError) -> IntegrationError:
+    """The error of a step from ``t`` of size ``h`` in which a value
+    overflowed; each integrator steps under ``np.errstate(over="raise")``
+    and raises this from the FloatingPointError."""
+    return IntegrationError(
+        f"{method} diverged in the step from t = {t:.6g} of size h = {h:.6g}: {exc}"
+    )
+
+
 def _integrate_rk4(rhs, s0: np.ndarray, t_final: float, dt: float):
     """Classical fixed-step RK4 from t = 0 on the block-major
     (blocks, cells, n) state ``s0``; the last step is shortened to end on
     t_final.  The stage rows and the record keep that layout, so each block
-    of a stage row is a contiguous (cells, n) array.
-
-    A step in which any value overflows, in the plant or in the stage sums,
-    raises an IntegrationError naming the step's start and size: a diverging
-    run fails as an integration, not as a plant that returned inf.
-    """
+    of a stage row is a contiguous (cells, n) array.  An overflow is
+    ``_diverged``'s IntegrationError."""
     n_steps = max(1, int(math.ceil(t_final / dt - 1e-12)))
     times = np.empty(n_steps + 1)
     states = np.empty((n_steps + 1, *s0.shape))
@@ -407,9 +415,7 @@ def _integrate_rk4(rhs, s0: np.ndarray, t_final: float, dt: float):
                 times[k], states[k] = t, s
     except FloatingPointError as exc:
         # t and h are still the failed step's: t advances after the step
-        raise IntegrationError(
-            f"fixed-step RK4 diverged in the step from t = {t:.6g} of size h = {h:.6g}: {exc}"
-        ) from exc
+        raise _diverged("fixed-step RK4", t, h, exc) from exc
     return times, states, 4 * n_steps, 0
 
 
@@ -494,52 +500,59 @@ def _integrate_rk45(rhs, s0: np.ndarray, cfg: SimConfig):
     KT, KT_B = KF.T, KF[:-1].T
     stages = [(k, float(_DP_C[k]), KF[:k].T, _DP_A[k, :k]) for k in range(1, 6)]
     t, s = 0.0, s0.reshape(-1)
-    # K[0] holds f at the step's start; a rejected step leaves it alone
-    rhs(0.0, s0, K[0])
-    abs_s = np.abs(s)  # |s| of the step's start: the last accepted |s_new|
-    # K[1] is free until the first step's stages: the trial call writes there
-    h_abs = _initial_step(rhs, s, KF[0], t_final, rtol, atol, K[1])
-    nfev, done = 2, 0  # rhs calls; samples recorded
-    while t < t_final:
-        min_step = 10 * (math.nextafter(t, math.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                raise IntegrationError(
-                    f"adaptive integration failed at t = {t:.6g}: "
-                    "Required step size is less than spacing between numbers."
-                )
-            t_new = min(t + h_abs, t_final)
-            h = t_new - t
-            h_abs = abs(h)
-            for k, c, KT_k, a in stages:
-                rhs(t + c * h, (s + np.dot(KT_k, a) * h).reshape(shape), K[k])
-            s_new = s + h * np.dot(KT_B, _DP_B)
-            rhs(t + h, s_new.reshape(shape), K[-1])
-            nfev += 6
-            abs_new = np.abs(s_new)
-            scale = atol + np.maximum(abs_s, abs_new) * rtol
-            error = _rms(np.dot(KT, _DP_E) * h / scale)
-            if error < 1:
-                factor = _MAX_FACTOR if error == 0 else min(
-                    _MAX_FACTOR, _SAFETY * error ** _ERROR_EXPONENT
-                )
-                h_abs *= min(1, factor) if rejected else factor
-                break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * error ** _ERROR_EXPONENT)
-            rejected = True
-        # the samples up to t_new not yet recorded, from the step's quartic interpolant
-        stop = int(np.searchsorted(t_eval, t_new, side="right"))
-        if stop > done:
-            x = (t_eval[done:stop] - t) / h
-            # x, x^2, x^3, x^4 by running products, as cumprod forms them
-            y = h * np.dot(KT.dot(_DP_P), np.multiply.accumulate(x[None].repeat(4, 0)))
-            y += s[:, None]
-            SF[done:stop] = y.T
-            done = stop
-        t, s, abs_s = t_new, s_new, abs_new
-        K[0] = K[-1]
+    # h is 0 until the first step: the start's rhs calls belong to no step
+    h = 0.0
+    try:
+        with np.errstate(over="raise"):
+            # K[0] holds f at the step's start; a rejected step leaves it alone
+            rhs(0.0, s0, K[0])
+            abs_s = np.abs(s)  # |s| of the step's start: the last accepted |s_new|
+            # K[1] is free until the first step's stages: the trial call writes there
+            h_abs = _initial_step(rhs, s, KF[0], t_final, rtol, atol, K[1])
+            nfev, done = 2, 0  # rhs calls; samples recorded
+            while t < t_final:
+                min_step = 10 * (math.nextafter(t, math.inf) - t)
+                h_abs = max(h_abs, min_step)
+                rejected = False
+                while True:
+                    if h_abs < min_step:
+                        raise IntegrationError(
+                            f"adaptive integration failed at t = {t:.6g}: "
+                            "Required step size is less than spacing between numbers."
+                        )
+                    t_new = min(t + h_abs, t_final)
+                    h = t_new - t
+                    h_abs = abs(h)
+                    for k, c, KT_k, a in stages:
+                        rhs(t + c * h, (s + np.dot(KT_k, a) * h).reshape(shape), K[k])
+                    s_new = s + h * np.dot(KT_B, _DP_B)
+                    rhs(t + h, s_new.reshape(shape), K[-1])
+                    nfev += 6
+                    abs_new = np.abs(s_new)
+                    scale = atol + np.maximum(abs_s, abs_new) * rtol
+                    error = _rms(np.dot(KT, _DP_E) * h / scale)
+                    if error < 1:
+                        factor = _MAX_FACTOR if error == 0 else min(
+                            _MAX_FACTOR, _SAFETY * error ** _ERROR_EXPONENT
+                        )
+                        h_abs *= min(1, factor) if rejected else factor
+                        break
+                    h_abs *= max(_MIN_FACTOR, _SAFETY * error ** _ERROR_EXPONENT)
+                    rejected = True
+                # the samples up to t_new not yet recorded, from the step's quartic interpolant
+                stop = int(np.searchsorted(t_eval, t_new, side="right"))
+                if stop > done:
+                    x = (t_eval[done:stop] - t) / h
+                    # x, x^2, x^3, x^4 by running products, as cumprod forms them
+                    y = h * np.dot(KT.dot(_DP_P), np.multiply.accumulate(x[None].repeat(4, 0)))
+                    y += s[:, None]
+                    SF[done:stop] = y.T
+                    done = stop
+                t, s, abs_s = t_new, s_new, abs_new
+                K[0] = K[-1]
+    except FloatingPointError as exc:
+        # t and h are the step's that overflowed: t advances after it
+        raise _diverged("adaptive RK45", t, h, exc) from exc
     return t_eval, states, nfev, 0
 
 

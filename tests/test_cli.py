@@ -876,9 +876,40 @@ REPORTS = {
 @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
 def test_shipped_config_runs(path, tmp_path, capsys):
     """Every config under scripts/configs runs in its declared mode and
-    passes; a mode with a JSON report echoes exactly what it writes."""
-    mode = json.loads(path.read_text())["mode"]
+    passes; a mode with a JSON report echoes exactly what it writes, and a
+    sweep writes one row per cell and a pass fraction of 1."""
+    config = json.loads(path.read_text())
+    mode = config["mode"]
     out = tmp_path / "out"
     assert cli.run(mode, str(path), out_dir=str(out)) == 0
     if mode in REPORTS:
         assert capsys.readouterr().out == (out / REPORTS[mode]).read_text()
+    if mode == "sweep":
+        *cells, last = csv.DictReader((out / "sweep.csv").open())
+        n_cells = np.prod([len(config.get(k, [None])) for k in SWEEP_AXES])
+        assert [r["cell"] for r in cells] == [str(k) for k in range(n_cells)]
+        assert (last["cell"], last["plant"]) == ("pass_fraction", "1.0")
+
+
+SWEEP_AXES = ("plants", "gain_sets", "setpoints", "x0s")
+UNIT_BOUNDS = gain_sets.UncertaintyBounds(1.0, 1.0, 1.0)
+
+
+def shipped_gains(name):
+    config = json.loads((CONFIG_DIR / name).read_text())
+    return [gain_sets.GainVector(config["kind"], **g) for g in config["gain_sets"]]
+
+
+def test_grid_config_gains_are_the_design_formula():
+    """The grid sweep's gain sets are suggest_gains' PID triples for the
+    bounds (1, 1, 1) at ki = 0.5, 1 and 2, to the last bit."""
+    want = [gain_sets.suggest_gains("PID", UNIT_BOUNDS, ki=k) for k in (0.5, 1.0, 2.0)]
+    assert shipped_gains("sweep_envelope_grid.json") == want
+
+
+def test_robustness_config_gains_are_the_scaled_triple():
+    """The robustness sweep's gain sets are the ki = 1 triple scaled by 1, 2,
+    5 and 20: the region is closed under scaling by any factor >= 1."""
+    g = gain_sets.suggest_gains("PID", UNIT_BOUNDS, ki=1.0)
+    want = [g.scaled(a) for a in (1.0, 2.0, 5.0, 20.0)]
+    assert shipped_gains("sweep_robustness.json") == want

@@ -231,3 +231,28 @@ class TestStepUnderflow:
         )
         with pytest.raises(IntegrationError, match=re.escape(message)):
             simulator._integrate_rk45(in_place(lambda t, y: y * y), np.ones((1, 1, 1)), run_config(2.0))
+
+
+class TestOverflow:
+    @pytest.mark.parametrize(
+        "integrator,step",
+        [
+            ("rk45_adaptive", "adaptive RK45 diverged in the step from t = 2829.32 of size h = 0.0818947"),
+            ("rk4_fixed", "fixed-step RK4 diverged in the step from t = 2901 of size h = 1"),
+        ],
+        ids=["rk45_adaptive", "rk4_fixed"],
+    )
+    def test_a_diverging_loop_names_the_step(self, integrator, step):
+        """PI (0.5, 1) on x' = x + u is unstable (kp b <= L), and the state
+        grows until a value overflows: both integrators raise an
+        IntegrationError naming that step, not a warning and a PlantError
+        that blames the plant for the inf."""
+        plant = pc.build_family(
+            "linear_matrix", {"order": "first_order", "A": [[1.0]], "Theta": [[1.0]]}
+        )
+        cfg = pc.SimConfig(
+            plant=plant, gains=pc.GainVector("PI", 0.5, 1.0), y_star=[0.0], x0=[1.0],
+            t_final=3000.0, dt_max=1.0, integrator=integrator,
+        )
+        with pytest.raises(IntegrationError, match=re.escape(step) + ": overflow encountered in "):
+            pc.simulate(cfg)
