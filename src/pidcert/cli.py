@@ -299,7 +299,8 @@ def mode_sweep(config: dict, out: Path, seed: int) -> tuple:
             "kp": g.kp,
             "ki": g.ki,
             "kd": g.kd,
-            "y_star": float(y_star[0]),
+            # each component's repr, space-separated: one number at n = 1
+            "y_star": " ".join(map(repr, y_star.tolist())),
             "member": member[ig],
         }
         rows.append(row)

@@ -388,9 +388,10 @@ def _tanh_coupled(n, l1, l2, b_lower, w_scale) -> PlantModel:
     # rank-one PSD perturbation keeps lambda_min(Sym[Theta]) = b_lower exactly
     v = np.ones(n) / np.sqrt(n)
     theta = b_lower * np.eye(n) + w_scale * b_lower * np.outer(v, v)
+    TT = theta.T  # built once, as in _linear
     return PlantModel(
         n=n,
-        f=lambda x1, x2, u: l1 * np.tanh(x1) + l2 * np.tanh(x2) + u @ theta.T,
+        f=lambda x1, x2, u: l1 * np.tanh(x1) + l2 * np.tanh(x2) + u @ TT,
         jac_x1=lambda x1, x2, u: _diag(l1 * (1.0 / np.cosh(x1) ** 2)),
         jac_x2=lambda x1, x2, u: _diag(l2 * (1.0 / np.cosh(x2) ** 2)),
         jac_u=_constant(theta),

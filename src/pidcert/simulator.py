@@ -28,22 +28,18 @@ write is contiguous; a cell-major (N, dim) state would make each of them a
 strided view, on which numpy takes about twice as long per call.  A cell's
 own recorded states are ``states[:, :, k]``, flattened to (samples, dim).
 
-The right-hand side is ``rhs(t, s, out)``: ``s`` and ``out`` are
-(blocks, N, n) arrays, and it writes the i rate, the x rate and each run's
-plant values in place into ``out``, which is one of the stepper's stage
-rows.  Each run's value is tested for its type, dtype and (rows, n) shape;
-a float64 array of that shape is written as it is, and any other value goes
-to ``PlantModel.checked``, the check of ``eval_checked``, which reshapes it
-or raises the PlantError naming the first failing point.  Finiteness is
-tested once per call over the whole f block; when it fails, the runs are
-checked again in order, so the error names the first failing run's point,
-as checking each run in turn would.  A run that spans the batch passes the
-state blocks whole, without row views.  RK4 keeps its four stage rows as
-one (4, blocks, N, n) block and records into a (steps + 1, blocks, N, n)
-block.  RK45 keeps its seven stages as a (7, blocks, N, n) block, with a
-flat (7, size) view for the stage sums, the error norm and the
-interpolant; a one-cell batch flattens in the order of its (dim,) state
-vector.  Fixed-step RK4 advances each cell exactly as a one-cell run does.
+The right-hand side is a binder, built by ``_rhs_factory``: ``bind(s, out)``
+on (blocks, N, n) arrays builds once the views that depend only on the two
+buffers and returns ``evaluate(t)``, which writes the rates at ``s`` into
+``out``, one of the stepper's stage rows.  Each plant run's value is checked
+as ``PlantModel.eval_checked`` checks it, and a bad one raises the same
+PlantError.  The steppers form each stage input in place, in one fixed
+block, with the arithmetic and order of ``s + c * k``, and bind once per
+integration.  RK4 records into a (steps + 1, blocks, N, n) block.  RK45
+keeps its seven stages as a (7, blocks, N, n) block, with a flat (7, size)
+view for the stage sums, the error norm and the interpolant; a one-cell
+batch flattens in the order of its (dim,) state vector.  Fixed-step RK4
+advances each cell exactly as a one-cell run does.
 Both integrators step under ``np.errstate(over="raise")``: a step in which
 a value overflows, in the plant or in the stepper's own arithmetic, is an
 IntegrationError naming the step's start t and size h, so a diverging run
@@ -60,8 +56,8 @@ recorded with the arithmetic of scipy's ``solve_ivp(method="RK45",
 t_eval=...)``, so its trajectories and ``nfev`` are the ones that call
 returns on the same flat order, bit for bit.  The stepper builds its stage
 views (``K[:k].T``, ``K[:-1].T``, ``K.T`` of the flat view), the stage rows
-of A and the nodes once per integration; per step it only does the step's
-arithmetic.
+of A, the nodes and the bindings once per integration; per step it only does
+the step's arithmetic.
 
 ``judge`` is the one verdict on a certified trajectory: the envelope audit,
 the V monitor and the decay fit on ``[0.1, 0.9] t_final``; a run passes when
@@ -105,19 +101,20 @@ def _split(kind: str, n: int, s: np.ndarray) -> dict:
     return {name: s[..., k * n : (k + 1) * n] for k, name in enumerate(LAYOUT[kind])}
 
 
-def _control(gains: tuple, e: np.ndarray, i=None, v=None) -> np.ndarray:
-    """u = kp e + ki i + kd edot with edot = -v, for the blocks the kind has.
+def _control(gains: tuple, e: np.ndarray, i=None, v=None, out=None) -> np.ndarray:
+    """u = kp e + ki i + kd edot with edot = -v, for the blocks the kind has,
+    written into ``out`` when it is given (it may be ``e`` itself).
 
     ``gains`` is (kp, ki, kd), as scalars or as (cells, n) blocks.  Missing
     terms are left out rather than added as zeros, which would turn a -0.0
     into 0.0.
     """
     kp, ki, kd = gains
-    u = kp * e
+    u = np.multiply(kp, e, out=out)
     if i is not None:
-        u = u + ki * i
+        u = np.add(u, ki * i, out=out)
     if v is not None:
-        u = u - kd * v
+        u = np.subtract(u, kd * v, out=out)
     return u
 
 
@@ -299,14 +296,17 @@ def _plant_runs(cells: Sequence[Cell]) -> list:
 
 
 def _rhs_factory(cells: Sequence[Cell]):
-    """Right-hand side ``rhs(t, s, out)`` of the stacked system: ``s`` and
-    ``out`` are block-major (blocks, cells, n) arrays, and the rates are
-    written into ``out``.  Each block ``s[j]`` is a contiguous (cells, n)
-    array, and a plant run's rows of it are a contiguous slice.
+    """The binder of the stacked system's right-hand side: ``bind(s, out)``,
+    on block-major (blocks, cells, n) arrays, returns ``evaluate(t)``, which
+    writes the rates at ``s`` into ``out``.
 
-    The block indices, gain blocks and setpoints are built once.  Each plant
-    run's value is tested for its type, dtype and (rows, n) shape: a float64
-    array of that shape is written as it is; any other value goes to
+    The gain blocks, setpoints and plant runs are built once, and ``bind``
+    builds what depends on its two buffers: the block views of ``s``, each
+    run's arguments and rows of ``out``, and the f block.  e is written
+    straight into the i rate (for a kind without i, into the (cells, n)
+    scratch block of u, which every binding shares), so ``evaluate`` runs
+    only the control law, the plant calls and their checks.  A run's value
+    that is not a float64 array of its (rows, n) shape goes to
     ``PlantModel.checked``, which reshapes it as ``eval_checked`` would or
     raises its PlantError.  Finiteness is tested once per call over the
     whole f block; if it fails, the runs are checked again in order, so the
@@ -321,53 +321,60 @@ def _rhs_factory(cells: Sequence[Cell]):
         np.array([[getattr(c.cfg.gains, k)] * n for c in cells]) for k in ("kp", "ki", "kd")
     )
     y = np.array([c.cfg.y_star for c in cells])
+    u = np.empty_like(y)
     # f fills the v block, or the x block of a kind without v: each run of
     # cells that share a plant writes its values into its own rows, and a run
     # that spans the batch (rows None) passes the blocks whole
     fk = xk if vk is None else vk
     whole = slice(0, len(cells))
     runs = [
-        (k, plant.f, plant.checked, None if rows == whole else rows,
-         fk if rows == whole else (fk, rows), (rows.stop - rows.start, n))
+        (k, plant.f, plant.checked, None if rows == whole else rows, (rows.stop - rows.start, n))
         for k, (plant, rows) in enumerate(_plant_runs(cells))
     ]
     size = len(cells) * n
     # numpy's float64 dtype is one object; any other dtype takes the checked path
     f64 = np.dtype(np.float64)
 
-    def check_runs(out, args, stop):
-        """Raise the PlantError of the first of the runs before ``stop``
-        whose values in ``out`` are not finite."""
-        for _, _, checked, rows, dst, _ in runs[:stop]:
-            checked(out[dst], args if rows is None else tuple([b[rows] for b in args]))
-
-    def rhs(t, s, out):
+    def bind(s, out):
         x = s[xk]
         i = None if ik is None else s[ik]
         v = None if vk is None else s[vk]
-        e = y - x
-        u = _control(gains, e, i, v)
+        e = u if ik is None else out[ik]
         # d/dt of (i, x, v) is (e, v, f); a kind without i or v drops its entry
-        if v is None:
-            args = (x, u)
-        else:
-            out[xk] = v
-            args = (x, v, u)
-        for k, f, checked, rows, dst, shape in runs:
-            a = args if rows is None else tuple([b[rows] for b in args])
-            val = f(*a)
-            if not (type(val) is np.ndarray and val.dtype is f64 and val.shape == shape):
-                # the runs before this one are checked before it
-                check_runs(out, args, k)
-                val = checked(val, a)
-            out[dst] = val
-        # all() by count, as PlantModel.checked tests a plant's values
-        if np.count_nonzero(np.isfinite(out[fk])) != size:
-            check_runs(out, args, len(runs))
-        if i is not None:
-            out[ik] = e
+        x_rate = None if vk is None else out[xk]
+        args = (x, u) if vk is None else (x, v, u)
+        fb = out[fk]
+        bound = [
+            (k, f, checked, args if rows is None else tuple([b[rows] for b in args]),
+             fb if rows is None else fb[rows], shape)
+            for k, f, checked, rows, shape in runs
+        ]
 
-    return rhs
+        def check_runs(stop):
+            """Raise the PlantError of the first of the runs before ``stop``
+            whose values in ``out`` are not finite."""
+            for _, _, checked, a, dst, _ in bound[:stop]:
+                checked(dst, a)
+
+        def evaluate(t):
+            np.subtract(y, x, out=e)
+            _control(gains, e, i, v, out=u)
+            if x_rate is not None:
+                x_rate[...] = v
+            for k, f, checked, a, dst, shape in bound:
+                val = f(*a)
+                if not (type(val) is np.ndarray and val.dtype is f64 and val.shape == shape):
+                    # the runs before this one are checked before it
+                    check_runs(k)
+                    val = checked(val, a)
+                dst[...] = val
+            # all() by count, as PlantModel.checked tests a plant's values
+            if np.count_nonzero(np.isfinite(fb)) != size:
+                check_runs(len(bound))
+
+        return evaluate
+
+    return bind
 
 
 def _initial_state(cfg: SimConfig) -> np.ndarray:
@@ -386,28 +393,47 @@ def _diverged(method: str, t: float, h: float, exc: FloatingPointError) -> Integ
     )
 
 
-def _integrate_rk4(rhs, s0: np.ndarray, t_final: float, dt: float):
+def _integrate_rk4(bind, s0: np.ndarray, t_final: float, dt: float):
     """Classical fixed-step RK4 from t = 0 on the block-major
     (blocks, cells, n) state ``s0``; the last step is shortened to end on
-    t_final.  The stage rows and the record keep that layout, so each block
-    of a stage row is a contiguous (cells, n) array.  An overflow is
-    ``_diverged``'s IntegrationError."""
+    t_final.  The state, the stage input and the stage sum are fixed blocks
+    of that layout, each formed in place, and the four stages are bound to
+    them once: (state, k1), then (stage input, k2 | k3 | k4).  An overflow
+    is ``_diverged``'s IntegrationError."""
     n_steps = max(1, int(math.ceil(t_final / dt - 1e-12)))
     times = np.empty(n_steps + 1)
     states = np.empty((n_steps + 1, *s0.shape))
     times[0], states[0] = 0.0, s0
+    t, s = 0.0, s0.copy()
+    mid, acc = np.empty((2, *s0.shape))
     k1, k2, k3, k4 = np.empty((4, *s0.shape))
-    t, s = 0.0, s0
+    stage1, stage2, stage3, stage4 = bind(s, k1), bind(mid, k2), bind(mid, k3), bind(mid, k4)
+
+    def stage_input(c, k):
+        """s + c k into the stage input block."""
+        np.multiply(c, k, out=mid)
+        np.add(s, mid, out=mid)
+
     try:
         with np.errstate(over="raise"):
             for k in range(1, n_steps + 1):
                 h = min(dt, t_final - t)
                 half = h / 2.0
-                rhs(t, s, k1)
-                rhs(t + half, s + half * k1, k2)
-                rhs(t + half, s + half * k2, k3)
-                rhs(t + h, s + h * k3, k4)
-                s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                stage1(t)
+                stage_input(half, k1)
+                stage2(t + half)
+                stage_input(half, k2)
+                stage3(t + half)
+                stage_input(h, k3)
+                stage4(t + h)
+                # s + (h / 6) (k1 + 2 k2 + 2 k3 + k4), summed left to right
+                np.multiply(2.0, k2, out=acc)
+                np.add(k1, acc, out=acc)
+                np.multiply(2.0, k3, out=mid)
+                np.add(acc, mid, out=acc)
+                np.add(acc, k4, out=acc)
+                np.multiply(h / 6.0, acc, out=acc)
+                np.add(s, acc, out=s)
                 t = t + h
                 # all() by count, as PlantModel.checked tests a plant's values
                 if np.count_nonzero(np.isfinite(s)) != s.size:
@@ -457,16 +483,18 @@ def _rms(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
-def _initial_step(rhs, s0, f0, t_final, rtol, atol, out):
+def _initial_step(evaluate, trial, f_trial, s0, f0, t_final, rtol, atol):
     """Hairer, Norsett & Wanner's first step: one trial Euler step sizes it.
-    ``s0`` and ``f0`` are flat; the trial rhs call writes into the
-    (blocks, cells, n) block ``out``."""
+    ``evaluate`` is bound to the flat views ``trial``, where s0 + h0 f0 is
+    formed, and ``f_trial``, where its rates land."""
     scale = atol + np.abs(s0) * rtol
     d0, d1 = _rms(s0 / scale), _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_final)
-    rhs(h0, (s0 + h0 * f0).reshape(out.shape), out)
-    d2 = _rms((out.reshape(-1) - f0) / scale) / h0
+    np.multiply(h0, f0, out=trial)
+    np.add(s0, trial, out=trial)
+    evaluate(h0)
+    d2 = _rms((f_trial - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -474,14 +502,15 @@ def _initial_step(rhs, s0, f0, t_final, rtol, atol, out):
     return min(100 * h0, h1, t_final)
 
 
-def _integrate_rk45(rhs, s0: np.ndarray, cfg: SimConfig):
+def _integrate_rk45(bind, s0: np.ndarray, cfg: SimConfig):
     """Adaptive Dormand-Prince 5(4) from 0 to t_final on the block-major
     (blocks, cells, n) state ``s0``, recorded by the interpolant at
     max(2, round(t_final/dt_max) + 1) evenly spaced times into a
     (samples, blocks, cells, n) block.  The stage block K is
-    (7, blocks, cells, n), so each block of a stage row that rhs writes is a
-    contiguous (cells, n) array; the stage sums, the error norm and the
-    interpolant work on the flat views, in block-major order."""
+    (7, blocks, cells, n); the stage sums, the error norm and the
+    interpolant work on its flat views, in block-major order.  Each stage
+    input is formed in place in one fixed block and the new state in
+    another, so the seven stage rows are bound once per integration."""
     t_final = float(cfg.t_final)
     n_rec = max(2, int(round(t_final / cfg.dt_max)) + 1)
     t_eval = np.linspace(0.0, t_final, n_rec)
@@ -491,24 +520,26 @@ def _integrate_rk45(rhs, s0: np.ndarray, cfg: SimConfig):
     rtol, atol = max(cfg.rtol / root, _RTOL_FLOOR), cfg.atol / root
     states = np.empty((n_rec, *shape))
     SF = states.reshape(n_rec, -1)
-    # the stage block K, whose rows rhs writes, and its flat views for the
-    # stage sums; for each stage k its node as a float, the view of the
-    # stages before it and its row of A, built once.  The stepper's own
-    # state is flat.
+    # the stage block K and its flat views for the stage sums; for each stage
+    # k its node as a float, the view of the stages before it, its row of A
+    # and its binding, built once.  The stepper's own state is flat.
     K = np.empty((7, *shape))
     KF = K.reshape(7, -1)
     KT, KT_B = KF.T, KF[:-1].T
-    stages = [(k, float(_DP_C[k]), KF[:k].T, _DP_A[k, :k]) for k in range(1, 6)]
-    t, s = 0.0, s0.reshape(-1)
+    mid, new = np.empty((2, *shape))
+    mid_f, s_new = mid.reshape(-1), new.reshape(-1)
+    stages = [(float(_DP_C[k]), KF[:k].T, _DP_A[k, :k], bind(mid, K[k])) for k in range(1, 6)]
+    last = bind(new, K[-1])
+    t, s = 0.0, s0.reshape(-1).copy()
     # h is 0 until the first step: the start's rhs calls belong to no step
     h = 0.0
     try:
         with np.errstate(over="raise"):
             # K[0] holds f at the step's start; a rejected step leaves it alone
-            rhs(0.0, s0, K[0])
+            bind(s0, K[0])(0.0)
             abs_s = np.abs(s)  # |s| of the step's start: the last accepted |s_new|
             # K[1] is free until the first step's stages: the trial call writes there
-            h_abs = _initial_step(rhs, s, KF[0], t_final, rtol, atol, K[1])
+            h_abs = _initial_step(stages[0][3], mid_f, KF[1], s, KF[0], t_final, rtol, atol)
             nfev, done = 2, 0  # rhs calls; samples recorded
             while t < t_final:
                 min_step = 10 * (math.nextafter(t, math.inf) - t)
@@ -523,10 +554,16 @@ def _integrate_rk45(rhs, s0: np.ndarray, cfg: SimConfig):
                     t_new = min(t + h_abs, t_final)
                     h = t_new - t
                     h_abs = abs(h)
-                    for k, c, KT_k, a in stages:
-                        rhs(t + c * h, (s + np.dot(KT_k, a) * h).reshape(shape), K[k])
-                    s_new = s + h * np.dot(KT_B, _DP_B)
-                    rhs(t + h, s_new.reshape(shape), K[-1])
+                    # s + (K[:k]^T a) h and s + h (K[:6]^T B), in place
+                    for c, KT_k, a, evaluate in stages:
+                        np.dot(KT_k, a, out=mid_f)
+                        np.multiply(mid_f, h, out=mid_f)
+                        np.add(s, mid_f, out=mid_f)
+                        evaluate(t + c * h)
+                    np.dot(KT_B, _DP_B, out=s_new)
+                    np.multiply(h, s_new, out=s_new)
+                    np.add(s, s_new, out=s_new)
+                    last(t + h)
                     nfev += 6
                     abs_new = np.abs(s_new)
                     scale = atol + np.maximum(abs_s, abs_new) * rtol
@@ -548,7 +585,8 @@ def _integrate_rk45(rhs, s0: np.ndarray, cfg: SimConfig):
                     y += s[:, None]
                     SF[done:stop] = y.T
                     done = stop
-                t, s, abs_s = t_new, s_new, abs_new
+                t, abs_s = t_new, abs_new
+                s[...] = s_new
                 K[0] = K[-1]
     except FloatingPointError as exc:
         # t and h are the step's that overflowed: t advances after it
@@ -630,11 +668,11 @@ def simulate_batch(cells: Sequence[Cell]) -> Iterator[Trajectory]:
     # block-major (blocks, cells, n): s0[j] is block j of every cell
     s0 = np.array([_initial_state(c.cfg) for c in cells])
     s0 = np.ascontiguousarray(s0.reshape(len(cells), -1, cfg.plant.n).swapaxes(0, 1))
-    rhs = _rhs_factory(cells)
+    bind = _rhs_factory(cells)
     if cfg.integrator == RK4_FIXED:
-        times, states, nfev, status = _integrate_rk4(rhs, s0, cfg.t_final, cfg.dt_max)
+        times, states, nfev, status = _integrate_rk4(bind, s0, cfg.t_final, cfg.dt_max)
     else:
-        times, states, nfev, status = _integrate_rk45(rhs, s0, cfg)
+        times, states, nfev, status = _integrate_rk45(bind, s0, cfg)
     stats = {"nfev": int(nfev), "status": int(status), "cells": len(cells)}
     for k, cell in enumerate(cells):
         # (samples, dim), row-major, so e, edot, u and z rebuilt from it are

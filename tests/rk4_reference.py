@@ -1,18 +1,22 @@
 """The plain closed-loop right-hand side and RK4 loop, kept as a reference.
 
 ``simulator._rhs_factory`` builds its block indices and gain blocks once and
-its ``rhs(t, s, out)`` writes the rates of the block-major
-(blocks, cells, n) state into the stepper's stage block, each plant run into
-its own rows; ``simulator._integrate_rk4`` writes into preallocated stage
-rows and records.  Block-major, each block ``s[j]`` of every cell is one
-contiguous (cells, n) array, and a plant run's rows are a contiguous slice
-of it.  These helpers do the same arithmetic the straightforward way, on
+returns a binder: ``bind(s, out)`` builds the block views of the
+block-major (blocks, cells, n) state ``s``, each plant run's arguments and
+its rows of the stage row ``out`` once, and returns ``evaluate(t)``, which
+writes the rates at ``s`` into ``out``.  ``simulator._integrate_rk4`` forms
+each stage input in place in one fixed block, binds its four stages once
+and records into a preallocated block.  Block-major, each block ``s[j]`` of
+every cell is one contiguous (cells, n) array, and a plant run's rows are a
+contiguous slice of it.  These helpers do the same arithmetic the
+straightforward way, on
 the cell-major flat state, each cell's (dim,) vector after the last: a dict
 of named state blocks per call, the control law written out,
 ``PlantModel.eval_checked`` on every plant run, a new rate vector per call
 and lists of copied states.  Equal inputs must give bitwise equal results.
 ``block_major`` and ``cell_major`` convert between the two layouts, and
-``in_place`` lets a flat right-hand side drive the simulator's steppers.
+``in_place`` turns a flat right-hand side into a binder, so it can drive the
+simulator's steppers.
 """
 
 import itertools
@@ -94,10 +98,13 @@ def cell_major(stack):
 
 def in_place(rhs):
     """The flat ``rhs(t, s) -> rates`` on cell-major states as a stepper's
-    ``rhs(t, s, out)`` on (blocks, cells, n) stacks."""
-    def rhs_out(t, s, out):
-        out[...] = block_major(rhs(t, cell_major(s)), out.shape)
-    return rhs_out
+    binder: ``bind(s, out)`` on (blocks, cells, n) stacks returns
+    ``evaluate(t)``, which writes the rates at ``s`` into ``out``."""
+    def bind(s, out):
+        def evaluate(t):
+            out[...] = block_major(rhs(t, cell_major(s)), out.shape)
+        return evaluate
+    return bind
 
 
 def reference_rk4(rhs, s0, t_final, dt):

@@ -228,6 +228,31 @@ class TestSweepMode:
         last = (out / "sweep.csv").read_text().splitlines()[-1]
         assert last.startswith("pass_fraction,1.0")
 
+    def test_y_star_cell_keeps_every_component(self, tmp_path):
+        """At n = 2 the setpoints [1, 2] and [1, 3] are two different rows:
+        each y_star cell holds every component's repr, space-separated; at
+        n = 1 it holds the one number."""
+        two = write_config(
+            tmp_path, "n2.json",
+            {
+                "kind": "PID",
+                "bounds": {"L1": 1, "L2": 1, "b_lower": 1},
+                "plants": [{"family": "linear_matrix", "params": {
+                    "A1": [[0.5, 0.0], [0.0, 0.5]], "A2": [[0.5, 0.0], [0.0, 0.5]],
+                    "Theta": [[1.0, 0.0], [0.0, 1.0]],
+                }}],
+                "gain_sets": [{"kp": 7, "ki": 1, "kd": 7}],
+                "setpoints": [[1, 2], [1, 3]],
+                "sim": {"t_final": 2.0},
+            },
+        )
+        cli.run("sweep", two, out_dir=str(tmp_path / "n2"))
+        rows = list(csv.DictReader((tmp_path / "n2" / "sweep.csv").open()))
+        assert [r["y_star"] for r in rows[:2]] == ["1.0 2.0", "1.0 3.0"]
+        cli.run("sweep", self.sweep_config(tmp_path), out_dir=str(tmp_path / "n1"))
+        rows = list(csv.DictReader((tmp_path / "n1" / "sweep.csv").open()))
+        assert [r["y_star"] for r in rows[:2]] == ["0.5", "-1.0"]
+
 
     def test_out_of_class_cell_is_not_a_pass(self, tmp_path, capsys):
         """Bounds (0.01, 0.01, 1) certify gains that a plant with declared

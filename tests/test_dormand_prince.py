@@ -4,9 +4,10 @@ The tableau is checked against the order conditions it must meet, the
 interpolant against its end values, the integration against the matrix
 exponential of a linear system, and the whole run against scipy's
 ``solve_ivp(method="RK45")``, whose arithmetic the stepper repeats: scipy is
-a test-only oracle here.  The stepper's ``rhs(t, s, out)`` writes into its
-block-major (blocks, cells, n) stage block; the flat right-hand sides below
-drive it through ``rk4_reference.in_place``, and solve_ivp integrates the
+a test-only oracle here.  The stepper takes a binder, whose
+``bind(s, out)(t)`` writes the rates into a row of its block-major
+(blocks, cells, n) stage block; the flat right-hand sides below drive it
+through ``rk4_reference.in_place``, and solve_ivp integrates the
 closed loop through the flat reference right-hand side, on the block-major
 flat order the stepper integrates in.
 """
@@ -149,10 +150,10 @@ class TestAgainstSolveIvp:
     def test_a_stacked_sweep_matches_bitwise(self):
         cells = sweep_cells()
         assert len(cells) == 12
-        rhs = simulator._rhs_factory(cells)
+        bind = simulator._rhs_factory(cells)
         s0 = stacked_state(cells)
         cfg = cells[0].cfg
-        times, states, nfev, status = simulator._integrate_rk45(rhs, s0, cfg)
+        times, states, nfev, status = simulator._integrate_rk45(bind, s0, cfg)
         root = math.sqrt(12)
         sol = solve_ivp(
             block_major_rhs(reference_rhs(cells), s0.shape), (0.0, cfg.t_final), s0.reshape(-1),
@@ -186,9 +187,9 @@ class TestAgainstSolveIvp:
     def test_zero_rtol_runs_at_scipys_floor(self):
         """rtol below 100 eps is raised to it, as scipy raises it."""
         cells = sweep_cells()[:1]
-        rhs = simulator._rhs_factory(cells)
+        bind = simulator._rhs_factory(cells)
         s0 = stacked_state(cells)
-        got = simulator._integrate_rk45(rhs, s0, run_config(2.0, rtol=0.0))
+        got = simulator._integrate_rk45(bind, s0, run_config(2.0, rtol=0.0))
         with pytest.warns(UserWarning, match="rtol"):
             sol = solve_ivp(reference_rhs(cells), (0.0, 2.0), cell_major(s0), method="RK45",
                             t_eval=np.linspace(0.0, 2.0, 201), rtol=0.0, atol=1e-10)

@@ -306,6 +306,24 @@ class TestLinearPlantSum:
         assert got.tobytes() == want.tobytes()
 
 
+class TestTanhCoupledTranspose:
+    """tanh_coupled's f builds theta.T once; it must give the bits of the
+    sum with u @ Theta.T formed at each call."""
+
+    @pytest.mark.parametrize("rows", [None, 6], ids=["point", "6-row"])
+    def test_bitwise_equal_to_the_per_call_transpose(self, rows):
+        l1, l2 = 0.8, 0.6
+        p = pm.build_family("tanh_coupled", {"n": 3, "l1": l1, "l2": l2, "b_lower": 1.2})
+        rng = np.random.default_rng(13)
+        lead = () if rows is None else (rows,)
+        x1, x2, u = (rng.uniform(-3.0, 3.0, size=lead + (3,)) for _ in range(3))
+        theta = p.jac_u(x1, x2, u).reshape(-1, 3, 3)[0]
+        want = l1 * np.tanh(x1) + l2 * np.tanh(x2) + u @ theta.T
+        got = p.f(x1, x2, u)
+        assert got.shape == lead + (3,)
+        assert got.tobytes() == want.tobytes()
+
+
 class TestBatchAxis:
     @pytest.mark.parametrize("fam,params", BATCH_FAMILIES)
     def test_builtin_f_equals_row_by_row(self, fam, params):

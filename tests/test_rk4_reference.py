@@ -1,9 +1,11 @@
 """The stacked right-hand side and the RK4 loop against the plain reference.
 
 The reference lives in ``rk4_reference.py`` next to this file.  The
-simulator's own rhs builds its block indices and gain blocks once rather
-than per call, writes its rates in place into a block-major
-(blocks, cells, n) stage row, hands any value that is not a float64 block
+simulator's own right-hand side builds its block indices and gain blocks
+once per integration and its views once per binding of a state block and a
+stage row, rather than per call, writes its rates in place into a
+block-major (blocks, cells, n) stage row, forms u in a scratch block every
+binding shares, hands any value that is not a float64 block
 of the run's shape to ``PlantModel.checked``, and tests finiteness once per
 call over the whole f block; so the failure paths and those values are
 checked here too: they must give the reference's states, or raise its error
@@ -73,12 +75,12 @@ def initial_block(cells):
     return block_major(initial_state(cells), stack_shape(cells))
 
 
-def rates(rhs, t, s, cells):
+def rates(bind, t, s, cells):
     """The simulator's rates at the cell-major flat state ``s``, cell-major
     and flat."""
     shape = stack_shape(cells)
     out = np.empty(shape)
-    rhs(t, block_major(s, shape), out)
+    bind(block_major(s, shape), out)(t)
     return cell_major(out)
 
 
@@ -140,9 +142,9 @@ class TestBitwiseAgainstReference:
         ]
         cells = cells_of([(p, points) for p in plants], g, RK45_ADAPTIVE)
         times, states = stacked_states(cells)
-        rhs, ref = simulator._rhs_factory(cells), reference_rhs(cells)
+        bind, ref = simulator._rhs_factory(cells), reference_rhs(cells)
         for t, s in zip(times, states):
-            np.testing.assert_array_equal(rates(rhs, t, s, cells), ref(t, s))
+            np.testing.assert_array_equal(rates(bind, t, s, cells), ref(t, s))
         # the whole adaptive integration then takes the same steps
         np.testing.assert_array_equal(states, reference_rk45_states(cells))
 
@@ -190,9 +192,9 @@ class TestThreePlantPIBatch:
     def test_rhs_values_and_rk45_states(self):
         cells = cells_of([(p, PI_POINTS) for p in pi_plants()], G_PI, RK45_ADAPTIVE)
         times, states = stacked_states(cells)
-        rhs, ref = simulator._rhs_factory(cells), reference_rhs(cells)
+        bind, ref = simulator._rhs_factory(cells), reference_rhs(cells)
         for t, s in zip(times, states):
-            np.testing.assert_array_equal(rates(rhs, t, s, cells), ref(t, s))
+            np.testing.assert_array_equal(rates(bind, t, s, cells), ref(t, s))
         np.testing.assert_array_equal(states, reference_rk45_states(cells))
 
     def test_rk4_states(self):
@@ -260,6 +262,15 @@ class TestThreePlantPIBatch:
                 assert got.tobytes() == control(gains, blocks, e).tobytes()
 
 
+def integrate(bind, cells):
+    """The cells' integrator run directly on ``bind``, from their stacked
+    initial state: (times, states, nfev, status)."""
+    cfg = cells[0].cfg
+    if cfg.integrator == RK4_FIXED:
+        return simulator._integrate_rk4(bind, initial_block(cells), cfg.t_final, cfg.dt_max)
+    return simulator._integrate_rk45(bind, initial_block(cells), cfg)
+
+
 def counted(plant, calls, tag):
     """``plant`` with ``tag`` appended to ``calls`` at each call of its f."""
     f = plant.f
@@ -289,18 +300,19 @@ class TestOneCallPerRun:
         plants = [counted(wrap(p), calls, k) for k, p in enumerate(pi_plants())]
         cells = cells_of([(p, PI_POINTS) for p in plants], G_PI, integrator, t_final=2.0)
         rhs_calls = []
-        rhs = simulator._rhs_factory(cells)
+        bind = simulator._rhs_factory(cells)
 
-        def counting_rhs(t, s, out):
-            rhs_calls.append(t)
-            rhs(t, s, out)
+        def counting_bind(s, out):
+            evaluate = bind(s, out)
 
-        s0 = initial_block(cells)
+            def counted(t):
+                rhs_calls.append(t)
+                evaluate(t)
+
+            return counted
+
         calls.clear()  # the equilibrium solves of prepare_cell call f too
-        if integrator == RK4_FIXED:
-            _, _, nfev, _ = simulator._integrate_rk4(counting_rhs, s0, 2.0, 0.01)
-        else:
-            _, _, nfev, _ = simulator._integrate_rk45(counting_rhs, s0, cells[0].cfg)
+        _, _, nfev, _ = integrate(counting_bind, cells)
         assert nfev == len(rhs_calls) > 0
         # in run order, once per call
         assert calls == [0, 1, 2] * len(rhs_calls)
@@ -324,6 +336,53 @@ class TestOneCallPerRun:
         trajs = list(pc.simulate_batch(cells))
         assert {t.nfev for t in trajs} == {4 * 100}
         assert calls == [0, 1] * (4 * 100)
+
+
+class TestBindingContract:
+    """The steppers bind the closed loop to their buffers once per
+    integration, whatever its length: the fixed stage blocks are built
+    before the first step, so a longer run makes no more bindings."""
+
+    @pytest.mark.parametrize("integrator,binds", [(RK4_FIXED, 4), (RK45_ADAPTIVE, 7)])
+    def test_bind_calls_do_not_grow_with_the_horizon(self, integrator, binds):
+        counts = []
+        for t_final in (2.0, 4.0):
+            cells = cells_of([(p, PI_POINTS) for p in pi_plants()], G_PI, integrator,
+                             t_final=t_final)
+            bind, bound = simulator._rhs_factory(cells), []
+
+            def counting_bind(s, out):
+                bound.append((s, out))
+                return bind(s, out)
+
+            integrate(counting_bind, cells)
+            counts.append(len(bound))
+        assert counts == [binds, binds]
+
+
+# a plant value that is one of f's own arguments: u lives in the scratch
+# block every binding shares, and x is a view of a fixed stage-input block
+ALIASED = {"u": lambda *args: args[-1], "x": lambda *args: args[0]}
+
+
+class TestAliasedPlantValues:
+    @pytest.mark.parametrize("integrator", [RK4_FIXED, RK45_ADAPTIVE])
+    @pytest.mark.parametrize("arg", sorted(ALIASED))
+    @pytest.mark.parametrize("kind", sorted(ONE_CELL))
+    def test_two_run_batch_equals_the_reference(self, kind, arg, integrator):
+        """Two runs of a plant whose f returns its own u or x argument give
+        the reference's states bit for bit.  The cells are prepared on the
+        kind's test plant, so the equilibrium solve does not see the
+        aliasing f."""
+        make, gains, points = ONE_CELL[kind]
+        cells = []
+        for _ in range(2):
+            plant = make()
+            cells += with_plant(cells_of([(plant, points)], gains, integrator),
+                                dataclasses.replace(plant, f=ALIASED[arg]))
+        _, states = stacked_states(cells)
+        assert np.isfinite(states).all()
+        np.testing.assert_array_equal(states, reference_states(cells))
 
 
 def recording(plant, flags):
