@@ -377,29 +377,21 @@ _MODES = {
 
 def run(mode: str, config_path: str, seed: int = 0, out_dir: str = "pidcert_out") -> int:
     """Execute one mode; returns the process exit code."""
-    if mode not in _MODES:
-        print(f"error: unknown mode {mode!r}", file=sys.stderr)
-        return EXIT_USAGE
     try:
-        with open(config_path) as fh:
-            config = json.load(fh)
-    except FileNotFoundError:
-        print(f"error: config file not found: {config_path}", file=sys.stderr)
-        return EXIT_USAGE
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON in {config_path}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if not isinstance(config, dict):
-        print("error: config root must be a JSON object", file=sys.stderr)
-        return EXIT_USAGE
-    declared_mode = config.get("mode")
-    if declared_mode is not None and declared_mode != mode:
-        print(
-            f"error: config declares mode {declared_mode!r} but {mode!r} was requested",
-            file=sys.stderr,
+        _expect(mode in _MODES, f"unknown mode {mode!r}")
+        try:
+            with open(config_path) as fh:
+                config = json.load(fh)
+        except FileNotFoundError:
+            raise UsageError(f"config file not found: {config_path}") from None
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"malformed JSON in {config_path}: {exc}") from None
+        _expect(isinstance(config, dict), "config root must be a JSON object")
+        declared_mode = config.get("mode")
+        _expect(
+            declared_mode is None or declared_mode == mode,
+            f"config declares mode {declared_mode!r} but {mode!r} was requested",
         )
-        return EXIT_USAGE
-    try:
         _check_keys(config, _MODE_KEYS[mode] | {"mode"}, f"{mode} mode")
         code, name, report = _MODES[mode](config, Path(out_dir), seed)
     except UsageError as exc:

@@ -16,7 +16,7 @@ attains both bounds and has an eigenvalue with nonnegative real part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -146,6 +146,15 @@ def necessity_counterexample(
     L, b = ub.L, ub.b_lower
     plant = build_family("linear_matrix", {"order": FIRST_ORDER, "A": [[L]], "Theta": [[b]]})
 
+    def run(x0, t_final: float, at_equilibrium: bool = False):
+        """The linear member's loop from x0, with the integral at u*/ki when
+        ``at_equilibrium``, solved once SimConfig has checked y*."""
+        cfg = SimConfig(plant=plant, gains=gains, y_star=y_star, x0=x0, t_final=t_final)
+        if at_equilibrium:
+            ustar = solve_equilibrium(plant, cfg.y_star).u_star
+            cfg = replace(cfg, integral_state0=ustar / gains.ki)
+        return simulate(cfg)
+
     if case == "ki_zero":
         if gains.ki != 0.0:
             raise UsageError("ki_zero case requires ki == 0")
@@ -153,16 +162,8 @@ def necessity_counterexample(
             raise UsageError("ki_zero case requires a nonzero setpoint")
         if L - b * gains.kp >= 0:
             raise UsageError("ki_zero case expects a stable proportional loop (kp*b > L)")
+        e_obs = float(run(0.0, 40.0 / (b * gains.kp - L)).errors[-1, 0])
         e_inf = L * y_star / (L - b * gains.kp)
-        cfg = SimConfig(
-            plant=plant,
-            gains=gains,
-            y_star=np.array([y_star]),
-            x0=np.zeros(1),
-            t_final=40.0 / (b * gains.kp - L),
-        )
-        traj = simulate(cfg)
-        e_obs = float(traj.errors[-1, 0])
         return CounterexampleReport(
             case=case,
             y_star=float(y_star),
@@ -178,16 +179,7 @@ def necessity_counterexample(
         if pi_relaxed_membership(gains, ub).member:
             raise UsageError("unstable_linear case requires gains outside the region")
         max_re = _linear_max_re(gains, ub)
-        ustar = solve_equilibrium(plant, [y_star]).u_star
-        cfg = SimConfig(
-            plant=plant,
-            gains=gains,
-            y_star=np.array([y_star]),
-            x0=np.array([y_star + 1.0]),
-            t_final=20.0,
-            integral_state0=ustar / gains.ki,
-        )
-        traj = simulate(cfg)
+        traj = run(y_star + 1.0, 20.0, at_equilibrium=True)
         e_abs = np.abs(traj.errors[:, 0])
         third = traj.times[-1] / 3.0
         head = float(np.max(e_abs[traj.times <= third]))

@@ -40,11 +40,14 @@ keeps its seven stages as a (7, blocks, N, n) block, with a flat (7, size)
 view for the stage sums, the error norm and the interpolant; a one-cell
 batch flattens in the order of its (dim,) state vector.  Fixed-step RK4
 advances each cell exactly as a one-cell run does.
-Both integrators step under ``np.errstate(over="raise")``: a step in which
-a value overflows, in the plant or in the stepper's own arithmetic, is an
-IntegrationError naming the step's start t and size h, so a diverging run
-fails as an integration, not as a plant that returned inf.  RK45 shares
-one step size across the cells, so it is given rtol/sqrt(N) and
+Three guards keep the state finite, each where its failure enters:
+``SimConfig`` refuses non-finite or wrong-sized initial data (UsageError),
+each rhs call tests the plant's values over the whole f block (PlantError),
+and both integrators step under ``np.errstate(over="raise")``, so a step in
+which a value overflows, in the plant or in the stepper, is an
+IntegrationError naming the step's start t and size h, not a plant fault.
+RK4 only adds and multiplies finite values, so it does not test the state.
+RK45 shares one step size across the cells, so it is given rtol/sqrt(N) and
 atol/sqrt(N): its RMS error norm over the stacked state is then
 sqrt(sum_c norm_c^2) >= max_c norm_c, where norm_c is the norm a one-cell
 run at the configured tolerances tests, and every accepted step passes each
@@ -120,6 +123,16 @@ def _control(gains: tuple, e: np.ndarray, i=None, v=None, out=None) -> np.ndarra
 
 @dataclass
 class SimConfig:
+    """One closed-loop run.
+
+    ``dt_max`` is fixed-step RK4's step and adaptive RK45's record spacing;
+    RK45's own steps follow ``rtol`` and ``atol`` and are not bounded by it.
+    The paper's guarantee is for finite initial states, so ``y_star`` (n),
+    ``x0`` (2n, or n for a first-order plant) and ``integral_state0`` (n,
+    when given) must be that many finite numbers; each is stored as a flat
+    float copy, and anything else is a UsageError naming the field.
+    """
+
     plant: PlantModel
     gains: GainVector
     y_star: np.ndarray
@@ -153,13 +166,20 @@ class SimConfig:
         if self.integrator not in (RK4_FIXED, RK45_ADAPTIVE):
             raise UsageError(f"unknown integrator {self.integrator!r}")
         n = self.plant.n
-        self.y_star = np.atleast_1d(np.asarray(self.y_star, dtype=float)).reshape(n)
-        want = 2 * n if self.plant.order == SECOND_ORDER else n
-        self.x0 = np.atleast_1d(np.asarray(self.x0, dtype=float)).reshape(want)
+        sizes = {"y_star": n, "x0": 2 * n if self.plant.order == SECOND_ORDER else n}
         if self.integral_state0 is not None:
-            self.integral_state0 = np.atleast_1d(
-                np.asarray(self.integral_state0, dtype=float)
-            ).reshape(n)
+            sizes["integral_state0"] = n
+        for name, size in sizes.items():
+            value = getattr(self, name)
+            try:
+                flat = np.array(value, dtype=float).ravel()
+            except (TypeError, ValueError, OverflowError):
+                flat = None
+            if flat is None or flat.size != size or np.count_nonzero(np.isfinite(flat)) != size:
+                numbers = f"{size} finite number" + "s" * (size > 1)
+                got = value if flat is None else flat.tolist()
+                raise UsageError(f"{name} must be {numbers}, got {got!r}")
+            setattr(self, name, flat)
 
 
 @dataclass
@@ -323,14 +343,9 @@ def _rhs_factory(cells: Sequence[Cell]):
     y = np.array([c.cfg.y_star for c in cells])
     u = np.empty_like(y)
     # f fills the v block, or the x block of a kind without v: each run of
-    # cells that share a plant writes its values into its own rows, and a run
-    # that spans the batch (rows None) passes the blocks whole
+    # cells that share a plant writes its values into its own rows
     fk = xk if vk is None else vk
-    whole = slice(0, len(cells))
-    runs = [
-        (k, plant.f, plant.checked, None if rows == whole else rows, (rows.stop - rows.start, n))
-        for k, (plant, rows) in enumerate(_plant_runs(cells))
-    ]
+    runs = [(k, plant.f, plant.checked, rows) for k, (plant, rows) in enumerate(_plant_runs(cells))]
     size = len(cells) * n
     # numpy's float64 dtype is one object; any other dtype takes the checked path
     f64 = np.dtype(np.float64)
@@ -345,9 +360,8 @@ def _rhs_factory(cells: Sequence[Cell]):
         args = (x, u) if vk is None else (x, v, u)
         fb = out[fk]
         bound = [
-            (k, f, checked, args if rows is None else tuple([b[rows] for b in args]),
-             fb if rows is None else fb[rows], shape)
-            for k, f, checked, rows, shape in runs
+            (k, f, checked, tuple([b[rows] for b in args]), fb[rows], fb[rows].shape)
+            for k, f, checked, rows in runs
         ]
 
         def check_runs(stop):
@@ -435,9 +449,6 @@ def _integrate_rk4(bind, s0: np.ndarray, t_final: float, dt: float):
                 np.multiply(h / 6.0, acc, out=acc)
                 np.add(s, acc, out=s)
                 t = t + h
-                # all() by count, as PlantModel.checked tests a plant's values
-                if np.count_nonzero(np.isfinite(s)) != s.size:
-                    raise IntegrationError(f"state became non-finite at t = {t:.6g}")
                 times[k], states[k] = t, s
     except FloatingPointError as exc:
         # t and h are still the failed step's: t advances after the step

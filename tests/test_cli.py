@@ -665,6 +665,39 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "bounds" in err or "b_lower" in err
 
+    @pytest.mark.parametrize(
+        "mode, text, message",
+        [
+            ("bogus", None, "unknown mode 'bogus'"),
+            ("gains", None, "config file not found: {path}"),
+            (
+                "gains",
+                "{not json",
+                "malformed JSON in {path}: Expecting property name enclosed in "
+                "double quotes: line 1 column 2 (char 1)",
+            ),
+            ("gains", "[1, 2]", "config root must be a JSON object"),
+            (
+                "gains",
+                '{"mode": "certify"}',
+                "config declares mode 'certify' but 'gains' was requested",
+            ),
+        ],
+        ids=["unknown-mode", "missing-file", "malformed-json", "non-object-root", "mode-mismatch"],
+    )
+    def test_config_file_error_is_one_usage_line(self, tmp_path, capsys, mode, text, message):
+        """Each error in reading the config file prints one line on stderr,
+        nothing on stdout, writes nothing and exits 1."""
+        path = tmp_path / "c.json"
+        if text is not None:
+            path.write_text(text)
+        out = tmp_path / "out"
+        assert cli.run(mode, str(path), out_dir=str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message.format(path=path)}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_main_entry_point(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, "g.json",

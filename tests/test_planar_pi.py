@@ -1,6 +1,7 @@
 """Tests for the scalar PI planar analysis and the necessity counterexamples."""
 
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -217,6 +218,17 @@ class TestNecessity:
         g = pc.GainVector("PI", 2.0, 1.0)
         with pytest.raises(UsageError):
             necessity_counterexample("unstable_linear", UB_PI, g, 0.0)
+
+    @pytest.mark.parametrize("y_star", [math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "case, gains", [("ki_zero", (2.0, 0.0)), ("unstable_linear", (0.5, 1.0))]
+    )
+    def test_non_finite_setpoint_is_usage_error(self, case, gains, y_star):
+        """The setpoint reaches SimConfig's check before any plant call."""
+        g = pc.GainVector("PI", *gains)
+        message = r"^y_star must be 1 finite number, got \[(inf|nan)\]$"
+        with pytest.raises(UsageError, match=message):
+            necessity_counterexample(case, UB_PI, g, y_star)
 
     def test_unknown_case(self):
         with pytest.raises(UsageError):

@@ -11,7 +11,7 @@ from scipy.linalg import expm
 
 import pidcert as pc
 from pidcert.errors import CertificateError, PlantError, UsageError
-from pidcert.simulator import RK4_FIXED, Trajectory
+from pidcert.simulator import RK4_FIXED, RK45_ADAPTIVE, Trajectory
 
 UB111 = pc.UncertaintyBounds(1.0, 1.0, 1.0)
 UB00 = pc.UncertaintyBounds(0.0, 0.0, 1.0)
@@ -132,6 +132,48 @@ class TestSimulate:
             with pytest.raises(UsageError) as info:
                 pc.SimConfig(**(run | {key: value}))
             assert str(info.value) == f"{key} must be {sign}"
+
+    # gains, sinusoidal_scalar params and a rest x0 of each kind
+    INITIAL = {
+        "PID": (G_PID, {}, [0.0, 0.0]),
+        "PD": (pc.GainVector("PD", 6, kd=6), {}, [0.0, 0.0]),
+        "PI": (pc.GainVector("PI", 3, 1), {"order": "first_order"}, [0.0]),
+    }
+
+    @pytest.mark.parametrize("integrator", [RK4_FIXED, RK45_ADAPTIVE])
+    @pytest.mark.parametrize("kind", ["PID", "PD", "PI"])
+    @pytest.mark.parametrize("field", ["y_star", "x0", "integral_state0"])
+    @pytest.mark.parametrize("bad", ["size", "inf", "nan"])
+    def test_bad_initial_data_is_usage_error(self, bad, field, kind, integrator):
+        """A wrong-sized or non-finite y*, x0 or integral state is outside the
+        paper's finite initial states: SimConfig refuses it by name, before
+        any plant call could blame the plant."""
+        gains, params, x0 = self.INITIAL[kind]
+        run = dict(
+            plant=pc.build_family("sinusoidal_scalar", params), gains=gains, y_star=[0.5],
+            x0=x0, integral_state0=[0.0], t_final=1.0, integrator=integrator,
+        )
+        good = run[field]
+        value = good + [0.0] if bad == "size" else [float(bad)] + good[1:]
+        size = f"{len(good)} finite number" + ("s" if len(good) > 1 else "")
+        with pytest.raises(UsageError) as info:
+            pc.simulate(pc.SimConfig(**(run | {field: value})))
+        assert str(info.value) == f"{field} must be {size}, got {value}"
+
+    @pytest.mark.parametrize("value", ["zero", [0.0, [1.0]], None])
+    def test_non_numeric_initial_data_is_usage_error(self, value):
+        run = dict(plant=sin_plant(), gains=G_PID, y_star=[0.5], t_final=1.0)
+        with pytest.raises(UsageError, match=r"^x0 must be 2 finite numbers, got "):
+            pc.SimConfig(**run, x0=value)
+
+    def test_initial_data_is_stored_as_flat_float_copies(self):
+        x0 = np.array([[1.0], [0.0]])
+        cfg = pc.SimConfig(plant=sin_plant(), gains=G_PID, y_star=0.5, x0=x0,
+                           integral_state0=(2,), t_final=1.0)
+        for got, want in ((cfg.y_star, [0.5]), (cfg.x0, [1.0, 0.0]), (cfg.integral_state0, [2.0])):
+            assert got.dtype == np.float64 and got.tolist() == want
+        x0[0, 0] = 7
+        assert cfg.x0.tolist() == [1.0, 0.0]
 
     def test_nan_plant_raises(self):
         bad = pc.custom_plant(
