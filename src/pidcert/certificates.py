@@ -7,17 +7,17 @@ uniform lower bound alpha on lambda_min(Q) over the whole uncertainty ball
 
     |a| <= L1,  |b| <= L2,  Sym[theta] >= b_lower * I.
 
-The paper's closed-form core of P (``_core_P``) is the one per-kind formula.
-P is its lift core x I_n, A the block companion matrix over the state blocks
-of ``gain_sets.LAYOUT``, and the decrease core C = -(core A0 + A0^T core)
-comes from A at a = b = 0, theta = b_lower, n = 1.  All three kinds share one
-margin path, a sandwich on C.  The upper bound is the smallest eigenvalue
-over the corners a = +-L1 I, b = +-L2 I, which lie in the ball; the lower
-bound is an S-procedure bound that holds for every n.  alpha is the lower of
-the two; the certificate records both and their gap, and its method reads
-``exact`` when they agree to 1e-9 relative and ``lower_bound`` otherwise.
-From (P, alpha) we get the trajectory envelope constants: decay rate
-lambda = alpha/(2 lambda_max(P)) and overshoot gain M.
+P is the lift core x I_n of the paper's closed-form core (``_core_P``), A the
+block companion matrix over the state blocks of ``gain_sets.LAYOUT``, and the
+decrease core C = -(core A0 + A0^T core) comes from A at a = b = 0, theta =
+b_lower, n = 1.  All kinds share one margin path, a sandwich on C: the upper
+bound is the least eigenvalue over the corners a = +-L1 I, b = +-L2 I (in the
+ball), the lower an S-procedure bound for every n.  alpha is the lower; the
+certificate records both and their gap, and its method is ``exact`` when they
+agree to 1e-9 relative, else ``lower_bound``.  Eigen solves are stacked, as
+per-call overhead sets their cost: a certificate makes three (core, corners,
+bound), ``q_report`` two (core; Q - Q0, Q and Q0).  (P, alpha) give the
+envelope: decay rate lambda = alpha/(2 lambda_max(P)), overshoot gain M.
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ BOUND_SLACK = 1e-9
 EXACT_GAP = 1e-9
 # relative mismatch allowed between a stored and a recomputed certificate
 RELOAD_RTOL = 1e-12
+_BLOCK_GAIN = {"i": "ki", "x": "kp", "v": "kd"}  # the gain of each LAYOUT block
+_CORNER_SIGNS = tuple(np.array(list(itertools.product((1.0, -1.0), repeat=k))) for k in range(3))
 
 
 @dataclass
@@ -223,16 +225,15 @@ def _companion(kind: str, g: GainVector, theta: np.ndarray, a=None, b=None) -> n
     is -k_s theta for the gain k_s of each block s, plus a at x and b at v
     (a matrix given as None is 0)."""
     blocks = LAYOUT[kind]
-    gain = {"i": g.ki, "x": g.kp, "v": g.kd}
-    extra = {"x": a, "v": b}
     n, m = theta.shape[0], len(blocks)
     A = np.zeros((m * n, m * n))
-    A[:-n, n:] = np.eye((m - 1) * n)
+    A.ravel()[n : (m - 1) * n * m * n : m * n + 1] = 1.0  # the identity A[:-n, n:]
     for j, name in enumerate(blocks):
-        cols = slice(j * n, (j + 1) * n)
-        A[-n:, cols] = -gain[name] * theta
-        if extra.get(name) is not None:
-            A[-n:, cols] += extra[name]
+        block = A[-n:, j * n : (j + 1) * n]
+        np.multiply(-getattr(g, _BLOCK_GAIN[name]), theta, out=block)
+        extra = a if name == "x" else b if name == "v" else None
+        if extra is not None:
+            block += extra
     return A
 
 
@@ -273,21 +274,21 @@ def q_report(
     core, _ = _checked_core(kind, g, ub, "q_report")
     P = _lift(core, n)
     A = assemble_A(kind, g, fu, n)
-    Q = mk.symmetrize(-(P @ A + A.T @ P))
-    A0 = _companion(kind, g, ub.b_lower * np.eye(n), fu.a, fu.b)
-    Q0 = mk.symmetrize(-(P @ A0 + A0.T @ P))
-    gap_min, _ = mk.eig_extrema(Q - Q0)
+    S = np.empty((3,) + A.shape)  # [Q - Q0, Q, Q0], for one eigen solve
+    for Sk, Ak in zip(S[1:], (A, _companion(kind, g, ub.b_lower * np.eye(n), fu.a, fu.b))):
+        T = -(P @ Ak + Ak.T @ P)
+        np.divide(np.add(T, T.T, out=Sk), 2.0, out=Sk)  # symmetrize's arithmetic
+    np.subtract(S[1], S[2], out=S[0])
+    gap_min, lam_q, lam_q0 = mk.eig_extrema(S)[0].tolist()
     if gap_min < -1e-9:
         raise CertificateError(
             f"theta-floor substitution step failed: lambda_min(Q - Q0) = {gap_min:.3e}"
         )
-    lam_q, _ = mk.eig_extrema(Q)
-    lam_q0, _ = mk.eig_extrema(Q0)
     if lam_q0 <= 0:
         raise CertificateError(
             f"worst-case decrease block check failed: lambda_min(Q0) = {lam_q0:.3e}"
         )
-    return QReport(Q=Q, Q0=Q0, lambda_min_Q=lam_q, lambda_min_Q0=lam_q0)
+    return QReport(Q=S[1], Q0=S[2], lambda_min_Q=lam_q, lambda_min_Q0=lam_q0)
 
 
 # ---------------------------------------------------------------------------
@@ -329,21 +330,20 @@ def sandwich_margin(
     tightness, never soundness.
     """
     C, u, channels = _margin_core(kind, core, g, ub)
-    js = [j for j, _ in channels]
     # corner A_j = s_j L_j I gives the core C - (u v^T + v u^T), v = sum_j s_j L_j e_j
-    signs = np.array(list(itertools.product((1.0, -1.0), repeat=len(js))))
+    signs = _CORNER_SIGNS[len(channels)]
     v = np.zeros((signs.shape[0], u.size))
-    v[:, js] = signs * [L for _, L in channels]
+    v[:, [j for j, _ in channels]] = signs * [L for _, L in channels]
     uv = u[None, :, None] * v[:, None, :]
     lam, vec = np.linalg.eigh(C - uv - uv.transpose(0, 2, 1))
     worst = int(np.argmin(lam[:, 0]))
     upper = float(lam[worst, 0])
-    x = vec[worst, :, 0]
-    ux = abs(float(u @ x))
+    x = vec[worst, :, 0].tolist()
+    ux = abs(float(u @ vec[worst, :, 0]))
     bound = C.copy()
     tau_sum = 0.0
     for j, L in channels:
-        tau = L * abs(float(x[j])) / ux if ux > 0.0 else 0.0
+        tau = L * abs(x[j]) / ux if ux > 0.0 else 0.0
         if not (tau > 0.0 and math.isfinite(tau) and math.isfinite(L * L / tau)):
             tau = L / float(np.linalg.norm(u))  # balances the two terms at |w| = |u||z_j|
         bound[j, j] -= L * L / tau

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, as_vector
 from .gain_sets import SECOND_ORDER
 from .plant_models import PlantModel
 
@@ -57,8 +57,9 @@ def _stalled(rn: float) -> NumericalError:
 
 def solve_equilibrium(p: PlantModel, y_star, u0=None) -> EquilibriumSolution:
     """Damped Newton on Phi(u) = f(y*, 0, u) with residual-decrease
-    acceptance, stopped at the tolerance relative to |Phi(0)| above."""
-    y = np.atleast_1d(np.asarray(y_star, dtype=float)).reshape(p.n)
+    acceptance, stopped at the tolerance relative to |Phi(0)| above.  A
+    setpoint that is not n finite numbers is a UsageError naming y_star."""
+    y = as_vector(y_star, p.n, "y_star")
     phi, jac = _phi_and_jac(p, y)
     u = np.zeros(p.n)
     r = phi(u)

@@ -1,7 +1,10 @@
-"""Exception hierarchy shared across the package, and the one rule by which
-a number is read from a config or a params dict (``as_number``)."""
+"""Exception hierarchy shared across the package, the one rule by which a
+number is read from a config or a params dict (``as_number``), and the one
+rule by which a vector of finite numbers is taken (``as_vector``)."""
 
 import math
+
+import numpy as np
 
 
 class PidcertError(Exception):
@@ -49,3 +52,17 @@ def as_number(value, where: str, cast=float):
         kind = "an integer" if cast is int else "a finite number"
         raise UsageError(f"{where} must be {kind}, got {value!r}")
     return number
+
+
+def as_vector(value, size: int, where: str) -> np.ndarray:
+    """``value`` as a flat float copy; anything but ``size`` finite numbers
+    is a UsageError that names ``where`` it was given."""
+    try:
+        flat = np.array(value, dtype=float).ravel()
+    except (TypeError, ValueError, OverflowError):
+        flat = None
+    if flat is None or flat.size != size or np.count_nonzero(np.isfinite(flat)) != size:
+        numbers = f"{size} finite number" + "s" * (size > 1)
+        got = value if flat is None else flat.tolist()
+        raise UsageError(f"{where} must be {numbers}, got {got!r}")
+    return flat

@@ -82,7 +82,7 @@ import numpy as np
 
 from .certificates import LyapunovCertificate
 from .equilibrium import solve_equilibrium
-from .errors import CertificateError, IntegrationError, UsageError
+from .errors import CertificateError, IntegrationError, UsageError, as_vector
 from .gain_sets import LAYOUT, ORDER, SECOND_ORDER, GainVector, covers
 from .plant_models import PlantModel, equilibrium_shift_check
 
@@ -154,10 +154,12 @@ class SimConfig:
             raise UsageError("t_final must be > 0")
         if not self.dt_max > 0:
             raise UsageError("dt_max must be > 0")
-        # rtol = 0 is allowed: the stepper raises it to its floor of 100 eps
-        for name in ("rtol", "atol"):
-            if not getattr(self, name) >= 0:
-                raise UsageError(f"{name} must be >= 0")
+        # rtol = 0 is allowed: the stepper raises it to its floor of 100 eps;
+        # atol = 0 is not: RK45's error scale is 0 at a zero state component
+        if not self.rtol >= 0:
+            raise UsageError("rtol must be >= 0")
+        if not self.atol > 0:
+            raise UsageError("atol must be > 0")
         # +inf passes the sign tests: a horizon or a step without end, or an
         # error test that passes every step
         for name in ("t_final", "dt_max", "rtol", "atol"):
@@ -170,16 +172,7 @@ class SimConfig:
         if self.integral_state0 is not None:
             sizes["integral_state0"] = n
         for name, size in sizes.items():
-            value = getattr(self, name)
-            try:
-                flat = np.array(value, dtype=float).ravel()
-            except (TypeError, ValueError, OverflowError):
-                flat = None
-            if flat is None or flat.size != size or np.count_nonzero(np.isfinite(flat)) != size:
-                numbers = f"{size} finite number" + "s" * (size > 1)
-                got = value if flat is None else flat.tolist()
-                raise UsageError(f"{name} must be {numbers}, got {got!r}")
-            setattr(self, name, flat)
+            setattr(self, name, as_vector(getattr(self, name), size, name))
 
 
 @dataclass

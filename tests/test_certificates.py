@@ -91,18 +91,28 @@ class TestBuildP:
             ct.certify_margin("PD", G_PID, UB111, 1)
 
     def test_one_membership_check_per_call(self, monkeypatch):
-        calls = []
+        """One membership check per public call, and a fixed number of
+        numpy.linalg eigen solves: the core's, then the sandwich's corner
+        and bound solves, or q_report's one stacked audit solve."""
+        calls, solves = [], []
         real = ct.membership
         monkeypatch.setattr(ct, "membership", lambda g, ub: calls.append(g) or real(g, ub))
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            solver = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name, lambda *a, _f=solver, _n=name, **k: solves.append(_n) or _f(*a, **k)
+            )
         fu = ct.FrozenUncertainty.checked(UB111, a=[[0.0]], theta=[[1.0]], b=[[0.0]])
-        for call in (
-            lambda: ct.build_P("PID", G_PID, UB111, 2),
-            lambda: ct.certify_margin("PID", G_PID, UB111, 2),
-            lambda: ct.q_report("PID", G_PID, UB111, fu, 1),
+        for call, eigen in (
+            (lambda: ct.build_P("PID", G_PID, UB111, 2), 1),
+            (lambda: ct.certify_margin("PID", G_PID, UB111, 2), 3),
+            (lambda: ct.q_report("PID", G_PID, UB111, fu, 1), 2),
         ):
             calls.clear()
+            solves.clear()
             call()
             assert len(calls) == 1
+            assert len(solves) == eigen, solves
 
 
 class TestAssembleA:
@@ -215,6 +225,24 @@ class TestQReport:
         scale = 1.0 + np.max(np.abs(gap))
         assert np.max(np.abs((rep.Q - rep.Q0) - gap)) / scale < 1e-12
 
+    @pytest.mark.parametrize("kind", ["PID", "PD", "PI"])
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_stacked_audit_matches_one_matrix_at_a_time(self, kind, n):
+        """Q and Q0 are symmetrize(-(P A + A^T P)) of build_P and assemble_A,
+        and each returned lambda is eig_extrema of its own matrix, bit for
+        bit: the one stacked solve changes no digit."""
+        rng = np.random.default_rng({"PID": 61, "PD": 62, "PI": 63}[kind] + n)
+        g, ub = _random_member(kind, rng)
+        fu = sample_frozen_uncertainty(ub, n, rng)
+        rep = ct.q_report(kind, g, ub, fu, n)
+        P = ct.build_P(kind, g, ub, n)
+        floor = ct.FrozenUncertainty(a=fu.a, theta=ub.b_lower * np.eye(n), b=fu.b)
+        for got, frozen in ((rep.Q, fu), (rep.Q0, floor)):
+            A = ct.assemble_A(kind, g, frozen, n)
+            assert np.array_equal(got, mk.symmetrize(-(P @ A + A.T @ P)))
+        assert rep.lambda_min_Q == mk.eig_extrema(rep.Q)[0]
+        assert rep.lambda_min_Q0 == mk.eig_extrema(rep.Q0)[0]
+        assert mk.eig_extrema(rep.Q - rep.Q0)[0] >= -1e-9
 
     @pytest.mark.parametrize("kind", ["PD", "PI"])
     def test_frozen_point_outside_the_ball_rejected(self, kind):

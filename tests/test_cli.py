@@ -149,7 +149,8 @@ class TestSimulateMode:
         cfg = write_config(tmp_path, "s.json", config | {key: -1e-10})
         out = tmp_path / "out"
         assert cli.run("simulate", cfg, out_dir=str(out)) == 1
-        assert capsys.readouterr().err == f"error: {key} must be >= 0\n"
+        sign = ">= 0" if key == "rtol" else "> 0"
+        assert capsys.readouterr().err == f"error: {key} must be {sign}\n"
         assert not (out / "summary.json").exists()
 
     @pytest.mark.parametrize("certify", ["no", 0, 1, None])
@@ -365,7 +366,7 @@ class TestSweepMode:
     @pytest.mark.parametrize(
         "change,message",
         [
-            ({"sim": {"atol": -1e-10}}, "sweep mode: sim: atol must be >= 0"),
+            ({"sim": {"atol": -1e-10}}, "sweep mode: sim: atol must be > 0"),
             ({"sim": {"t_final": -1}}, "sweep mode: sim: t_final must be > 0"),
             ({"sim": {"integrator": "euler"}}, "sweep mode: sim: unknown integrator 'euler'"),
             (

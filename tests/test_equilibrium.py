@@ -5,7 +5,7 @@ import pytest
 
 from pidcert import equilibrium as eq
 from pidcert import plant_models as pm
-from pidcert.errors import NumericalError
+from pidcert.errors import NumericalError, UsageError
 from pidcert.gain_sets import FIRST_ORDER, UncertaintyBounds
 from oracles import monotonicity_probe
 
@@ -24,6 +24,15 @@ def family_zoo():
 
 
 class TestSolveEquilibrium:
+    @pytest.mark.parametrize("y_star", [[np.inf], [np.nan], [0.5, 0.5], "x"])
+    def test_bad_setpoint_is_usage_error(self, y_star):
+        """A setpoint that is not n finite numbers is refused by name, before
+        the plant is called with it (a RuntimeWarning, which fails the suite)
+        and blamed for it."""
+        p = pm.build_family("sinusoidal_scalar", {"order": "first_order", "c1": 1.0})
+        with pytest.raises(UsageError, match=r"^y_star must be 1 finite number, got "):
+            eq.solve_equilibrium(p, y_star)
+
     def test_linear_closed_form(self):
         p = pm.build_family(
             "linear_matrix", {"A1": np.eye(2).tolist(), "A2": np.zeros((2, 2)).tolist(), "Theta": np.eye(2).tolist()}

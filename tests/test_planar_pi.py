@@ -42,6 +42,16 @@ SHIPPED_FIRST_ORDER = [
 ]
 
 
+class TestPlanarFieldBuild:
+    @pytest.mark.parametrize("y_star", [math.inf, math.nan])
+    def test_non_finite_setpoint_is_usage_error(self, y_star):
+        """The setpoint is checked once, by the equilibrium solve, and named;
+        the plant is not called with it (a RuntimeWarning, which fails the
+        suite) and blamed."""
+        with pytest.raises(UsageError, match=r"^y_star must be 1 finite number, got "):
+            PlanarField.build(sin_plant(), pc.GainVector("PI", 3, 1), y_star)
+
+
 class TestJacobianConditions:
     def test_linear_constant_jacobian(self):
         field = PlanarField.build(linear_plant(), pc.GainVector("PI", 2, 1), 0.5)

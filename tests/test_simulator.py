@@ -127,11 +127,25 @@ class TestSimulate:
         with pytest.raises(UsageError) as info:
             pc.SimConfig(**(run | {key: math.inf}))
         assert str(info.value) == f"{key} must be finite, got inf"
-        sign = "> 0" if key in ("t_final", "dt_max") else ">= 0"
+        sign = ">= 0" if key == "rtol" else "> 0"
         for value in (-math.inf, math.nan):
             with pytest.raises(UsageError) as info:
                 pc.SimConfig(**(run | {key: value}))
             assert str(info.value) == f"{key} must be {sign}"
+
+    def test_zero_atol_is_usage_error(self):
+        """With atol = 0, RK45's error scale is 0 at the zero state component
+        of this rest start: refused by name, before a step divides by it (a
+        RuntimeWarning, which fails the suite) and blames the plant.  rtol = 0
+        stays allowed."""
+        run = dict(
+            plant=pc.build_family("sinusoidal_scalar", {"order": "first_order", "c1": 1.0}),
+            gains=pc.GainVector("PI", 3, 1), y_star=[0.5], x0=[0.0], t_final=1.0,
+        )
+        with pytest.raises(UsageError) as info:
+            pc.simulate(pc.SimConfig(**run, atol=0.0))
+        assert str(info.value) == "atol must be > 0"
+        assert pc.simulate(pc.SimConfig(**run, rtol=0.0)).status == 0
 
     # gains, sinusoidal_scalar params and a rest x0 of each kind
     INITIAL = {
