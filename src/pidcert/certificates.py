@@ -15,13 +15,18 @@ bound is the least eigenvalue over the corners a = +-L1 I, b = +-L2 I (in the
 ball), the lower an S-procedure bound for every n.  alpha is the lower; the
 certificate records both and their gap, and its method is ``exact`` when they
 agree to 1e-9 relative, else ``lower_bound``.  Eigen solves are stacked, as
-per-call overhead sets their cost: a certificate makes three (core, corners,
-bound), ``q_report`` two (core; Q - Q0, Q and Q0).  (P, alpha) give the
-envelope: decay rate lambda = alpha/(2 lambda_max(P)), overshoot gain M.
+per-call overhead sets their cost.  The membership check and the core's
+eigen solve are kept for the last (gains, bounds) seen, one entry, so a
+certificate and the audits that follow it on the same gains share them: a
+certificate makes two more solves (corners, bound), ``q_report`` one
+(Q - Q0, Q and Q0), and a call on new gains one more (the core).  (P, alpha)
+give the envelope: decay rate lambda = alpha/(2 lambda_max(P)), overshoot
+gain M.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -185,19 +190,34 @@ def _core_P(kind: str, g: GainVector, b: float) -> np.ndarray:
     return np.array([[2 * kp * ki * b, ki], [ki, kp]])  # PI
 
 
+@functools.lru_cache(maxsize=1)
+def _member_core(g: GainVector, ub: UncertaintyBounds):
+    """(core, its ascending eigenvalues) when ``g`` is a region member for
+    ``ub``, else None.  Every hit hands out the same arrays, so both are
+    read-only."""
+    if not membership(g, ub).member:
+        return None
+    core = _core_P(g.kind, g, ub.b_lower)
+    lam = np.linalg.eigvalsh(core)
+    core.flags.writeable = lam.flags.writeable = False
+    return core, lam
+
+
 def _checked_core(kind: str, g: GainVector, ub: UncertaintyBounds, what: str):
-    """(core, its ascending eigenvalues) for region members; the one
-    membership check and the one positivity check of every public call."""
+    """(core, its ascending eigenvalues), both read-only, for region
+    members; the one membership check and the one positivity check of every
+    public call."""
     if g.kind != kind:
         raise UsageError(f"{what}: a {kind!r} certificate needs {kind!r} gains, got {g.kind}")
-    report = membership(g, ub)
-    if not report.member:
+    checked = _member_core(g, ub)
+    if checked is None:
+        # slacks from the caller's own gains: 0.0 == -0.0, so both share a key
+        report = membership(g, ub)
         raise UsageError(
             f"{what} requires gains inside the {g.kind} region; "
             f"failing slacks: {[(k, v) for k, v in report.margins if v <= 0]}"
         )
-    core = _core_P(kind, g, ub.b_lower)
-    lam = np.linalg.eigvalsh(core)
+    core, lam = checked
     if not lam[0] > 0:
         raise CertificateError(
             f"{kind} Lyapunov core is not positive definite for a region member "
@@ -274,12 +294,18 @@ def q_report(
     core, _ = _checked_core(kind, g, ub, "q_report")
     P = _lift(core, n)
     A = assemble_A(kind, g, fu, n)
+    # A and its floor A0 as one stack; matmul forms each slice as it forms a
+    # 2-D product, so Q and Q0 keep their bits
+    AA = np.array((A, _companion(kind, g, ub.b_lower * np.eye(n), fu.a, fu.b)))
+    T = P @ AA
+    np.negative(np.add(T, AA.transpose(0, 2, 1) @ P, out=T), out=T)  # -(PA + A^T P)
     S = np.empty((3,) + A.shape)  # [Q - Q0, Q, Q0], for one eigen solve
-    for Sk, Ak in zip(S[1:], (A, _companion(kind, g, ub.b_lower * np.eye(n), fu.a, fu.b))):
-        T = -(P @ Ak + Ak.T @ P)
-        np.divide(np.add(T, T.T, out=Sk), 2.0, out=Sk)  # symmetrize's arithmetic
+    np.divide(np.add(T, T.transpose(0, 2, 1), out=S[1:]), 2.0, out=S[1:])  # symmetrize's arithmetic
     np.subtract(S[1], S[2], out=S[0])
-    gap_min, lam_q, lam_q0 = mk.eig_extrema(S)[0].tolist()
+    # (T + T^T) / 2 is exactly symmetric, as addition commutes, and so is the
+    # difference of two such matrices: the stack needs no symmetry test
+    mk.require_finite(S)
+    gap_min, lam_q, lam_q0 = mk.eigvalsh(S)[:, 0].tolist()
     if gap_min < -1e-9:
         raise CertificateError(
             f"theta-floor substitution step failed: lambda_min(Q - Q0) = {gap_min:.3e}"

@@ -121,13 +121,6 @@ def _x0(node, n: int, order: str, where: str) -> np.ndarray:
     return np.zeros(want) if node is None else _vector(node, want, where)
 
 
-def _dump_json(path: Path, obj) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def mode_gains(config: dict, out: Path, seed: int) -> tuple:
     ub = _parse_bounds(config.get("bounds"), "gains mode")
     g = gs.suggest_gains(
@@ -401,8 +394,12 @@ def run(mode: str, config_path: str, seed: int = 0, out_dir: str = "pidcert_out"
         print(f"check failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     if name is not None:
-        _dump_json(Path(out_dir) / name, report)
-        print(json.dumps(report, indent=2, sort_keys=True))
+        # encoded once: the file holds the printed text and its newline
+        text = json.dumps(report, indent=2, sort_keys=True)
+        path = Path(out_dir) / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text + "\n")
+        print(text)
     return code
 
 

@@ -9,7 +9,9 @@ exact-symmetry check and the package's own error types.
 take a stack of matrices, shape (..., n, n), and then act on each matrix in
 one stacked LAPACK call: ``eig_extrema`` returns two arrays and
 ``operator_norm`` one, with the leading shape of the stack.  A single matrix
-gives plain floats.
+gives plain floats.  ``require_finite`` and ``eigvalsh`` are the finiteness
+test and the error-mapped solve alone, for a stack its caller built exactly
+symmetric.
 """
 
 from __future__ import annotations
@@ -32,10 +34,16 @@ def as_square(m, name: str = "matrix") -> np.ndarray:
         raise DimensionError(f"{name} must be square, got shape {a.shape}")
     if a.shape[-1] < 1:
         raise DimensionError(f"{name} must have dimension >= 1")
-    if not np.all(np.isfinite(a)):
+    require_finite(a, name)
+    return a
+
+
+def require_finite(a: np.ndarray, name: str = "matrix") -> None:
+    """Raise UsageError, naming the first offending matrix of a stack,
+    unless every entry of ``a`` is finite."""
+    if np.count_nonzero(np.isfinite(a)) != a.size:
         where = "" if a.ndim == 2 else f" (matrix {np.argwhere(~np.isfinite(a))[0][:-2].tolist()})"
         raise UsageError(f"{name} contains NaN or Inf entries{where}")
-    return a
 
 
 def symmetrize(m) -> np.ndarray:
@@ -52,13 +60,19 @@ def eig_extrema(s):
     a = as_square(s)
     if not np.array_equal(a, np.swapaxes(a, -1, -2)):
         raise UsageError("matrix must be exactly symmetric; use symmetrize() first")
-    try:
-        vals = np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"symmetric eigenvalue solver failed: {exc}") from exc
+    vals = eigvalsh(a)
     if a.ndim == 2:
         return float(vals[0]), float(vals[-1])
     return vals[..., 0], vals[..., -1]
+
+
+def eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a finite, exactly symmetric matrix (of each
+    matrix of a stack), unchecked; a LAPACK failure is a NumericalError."""
+    try:
+        return np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"symmetric eigenvalue solver failed: {exc}") from exc
 
 
 def operator_norm(m):

@@ -21,7 +21,6 @@ from typing import Optional
 
 import numpy as np
 
-from .certificates import FrozenUncertainty, assemble_A
 from .equilibrium import solve_equilibrium
 from .errors import UsageError
 from .gain_sets import FIRST_ORDER, PI, GainVector, UncertaintyBounds, pi_relaxed_membership
@@ -78,9 +77,11 @@ class CounterexampleReport:
 
 def _linear_max_re(gains: GainVector, ub: UncertaintyBounds) -> float:
     """Largest real part of the closed-loop eigenvalues of ``gains`` on the
-    linear member a = L, theta = b of the class ``ub``."""
-    member = FrozenUncertainty.checked(ub, a=[[ub.L]], theta=[[ub.b_lower]])
-    return float(np.max(np.real(np.linalg.eigvals(assemble_A(PI, gains, member, 1)))))
+    linear member a = L, theta = b of the class ``ub``: the eigenvalues of its
+    companion matrix [[0, 1], [-ki b, -kp b + L]]."""
+    L, b = float(ub.L), float(ub.b_lower)
+    A = np.array([[0.0, 1.0], [-gains.ki * b, -gains.kp * b + L]])
+    return float(np.max(np.real(np.linalg.eigvals(A))))
 
 
 def jacobian_conditions(

@@ -1,7 +1,10 @@
 """Tests for the Lyapunov matrix constructions and margin certificates."""
 
+import dataclasses
 import json
 import math
+import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +12,7 @@ import pytest
 
 from pidcert import certificates as ct
 from pidcert import matrix_kernel as mk
-from pidcert.errors import CertificateError, UsageError
+from pidcert.errors import CertificateError, NumericalError, UsageError
 from pidcert.gain_sets import GainVector, UncertaintyBounds, suggest_gains
 from oracles import pd_closed_form_margin, pi_closed_form_margin, sample_frozen_uncertainty
 
@@ -91,9 +94,12 @@ class TestBuildP:
             ct.certify_margin("PD", G_PID, UB111, 1)
 
     def test_one_membership_check_per_call(self, monkeypatch):
-        """One membership check per public call, and a fixed number of
-        numpy.linalg eigen solves: the core's, then the sandwich's corner
-        and bound solves, or q_report's one stacked audit solve."""
+        """build_P, certify_margin and q_report on one (gains, bounds) share
+        one membership check and one core solve: 1 + 2 + 1 numpy.linalg
+        eigen solves (the core's, the sandwich's corner and bound solves,
+        q_report's one stacked audit solve).  Each call on fresh gains makes
+        its own membership check."""
+        ct._member_core.cache_clear()
         calls, solves = [], []
         real = ct.membership
         monkeypatch.setattr(ct, "membership", lambda g, ub: calls.append(g) or real(g, ub))
@@ -103,16 +109,26 @@ class TestBuildP:
                 np.linalg, name, lambda *a, _f=solver, _n=name, **k: solves.append(_n) or _f(*a, **k)
             )
         fu = ct.FrozenUncertainty.checked(UB111, a=[[0.0]], theta=[[1.0]], b=[[0.0]])
-        for call, eigen in (
-            (lambda: ct.build_P("PID", G_PID, UB111, 2), 1),
-            (lambda: ct.certify_margin("PID", G_PID, UB111, 2), 3),
-            (lambda: ct.q_report("PID", G_PID, UB111, fu, 1), 2),
-        ):
-            calls.clear()
+
+        def public_calls(g):
+            return (
+                lambda: ct.build_P("PID", g, UB111, 2),
+                lambda: ct.certify_margin("PID", g, UB111, 2),
+                lambda: ct.q_report("PID", g, UB111, fu, 1),
+            )
+
+        per_call = []
+        for call in public_calls(G_PID):
             solves.clear()
             call()
-            assert len(calls) == 1
-            assert len(solves) == eigen, solves
+            per_call.append(solves[:])
+        assert calls == [G_PID]
+        assert per_call == [["eigvalsh"], ["eigh", "eigvalsh"], ["eigvalsh"]]
+        fresh = [GainVector("PID", 8, 1, 8), GainVector("PID", 9, 1, 9), GainVector("PID", 7, 0.5, 7)]
+        for k, g in enumerate(fresh):
+            calls.clear()
+            public_calls(g)[k]()
+            assert calls == [g]
 
 
 class TestAssembleA:
@@ -255,6 +271,93 @@ class TestQReport:
         low = ct.FrozenUncertainty(a=np.zeros((1, 1)), theta=np.array([[0.5]]), b=b)
         with pytest.raises(CertificateError, match="theta-floor"):
             ct.q_report(kind, g, ub, low, 1)
+
+
+def _as_bytes(obj):
+    """Every field of a certificate or audit, floats and arrays as bytes."""
+    out = []
+    for f in dataclasses.fields(obj):
+        v = getattr(obj, f.name)
+        if isinstance(v, np.ndarray):
+            v = (v.dtype.str, v.shape, v.tobytes())
+        elif isinstance(v, float):
+            v = (type(v), struct.pack("<d", v))
+        out.append((f.name, v))
+    return out
+
+
+class TestMemberCore:
+    """The one-entry memo of the membership check and the core solve."""
+
+    @pytest.mark.parametrize("kind", ["PID", "PD", "PI"])
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_hit_matches_a_cold_call_bit_for_bit(self, kind, n):
+        rng = np.random.default_rng({"PID": 71, "PD": 72, "PI": 73}[kind] + n)
+        g, ub = _random_member(kind, rng)
+        fu = sample_frozen_uncertainty(ub, n, rng)
+        ct._member_core.cache_clear()
+        cold_cert = ct.certify_margin(kind, g, ub, n)
+        ct._member_core.cache_clear()
+        cold_q = ct.q_report(kind, g, ub, fu, n)
+        hits = ct._member_core.cache_info().hits
+        hit_cert = ct.certify_margin(kind, g, ub, n)
+        hit_q = ct.q_report(kind, g, ub, fu, n)
+        assert ct._member_core.cache_info().hits == hits + 2
+        assert _as_bytes(hit_cert) == _as_bytes(cold_cert)
+        assert _as_bytes(hit_q) == _as_bytes(cold_q)
+
+    def test_cached_arrays_are_read_only(self):
+        core, lam = ct._checked_core("PID", G_PID, UB111, "test")
+        assert ct._checked_core("PID", G_PID, UB111, "test")[0] is core
+        with pytest.raises(ValueError, match="read-only"):
+            core[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            lam[0] = 0.0
+
+    def test_non_member_message_uses_the_callers_gains(self):
+        ct._member_core.cache_clear()
+        with pytest.raises(UsageError, match=re.escape("('ki_positive', 0.0)")):
+            ct.build_P("PID", GainVector("PID", 7, 0.0, 7), UB111, 1)
+        # equal to the gains above as a key, but a slack of -0.0
+        with pytest.raises(UsageError, match=re.escape("('ki_positive', -0.0)")):
+            ct.build_P("PID", GainVector("PID", 7, -0.0, 7), UB111, 1)
+        ct.certify_margin("PID", G_PID, UB111, 1)
+        fu = ct.FrozenUncertainty.checked(UB111, a=[[0.0]], theta=[[1.0]], b=[[0.0]])
+        with pytest.raises(UsageError, match="^q_report requires gains inside the PID region"):
+            ct.q_report("PID", GainVector("PID", 1, 1, 1), UB111, fu, 1)
+
+
+class TestQReportStack:
+    """q_report solves its own stack [Q - Q0, Q, Q0] without eig_extrema."""
+
+    @pytest.mark.parametrize("kind", ["PID", "PD", "PI"])
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_q_and_q0_are_exactly_symmetric(self, kind, n):
+        rng = np.random.default_rng({"PID": 81, "PD": 82, "PI": 83}[kind] + n)
+        for _ in range(20):
+            g, ub = _random_member(kind, rng)
+            fu = sample_frozen_uncertainty(ub, n, rng)
+            skew = rng.standard_normal((n, n))
+            fu.theta = fu.theta + 1e3 * (skew - skew.T)  # Sym[theta] kept up to rounding
+            rep = ct.q_report(kind, g, ub, fu, n)
+            assert np.array_equal(rep.Q, rep.Q.T)
+            assert np.array_equal(rep.Q0, rep.Q0.T)
+
+    def test_solver_failure_is_numerical_error(self, monkeypatch):
+        fu = ct.FrozenUncertainty.checked(UB111, a=[[0.0]], theta=[[1.0]], b=[[0.0]])
+        ct.build_P("PID", G_PID, UB111, 1)  # the core solve is cached before the patch
+
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(NumericalError, match="solver failed: Eigenvalues did not converge"):
+            ct.q_report("PID", G_PID, UB111, fu, 1)
+
+    def test_non_finite_stack_names_its_matrix(self):
+        fu = ct.FrozenUncertainty(a=np.zeros((1, 1)), theta=np.array([[np.inf]]), b=np.zeros((1, 1)))
+        with pytest.raises(UsageError, match=re.escape("NaN or Inf entries (matrix [0])")):
+            ct.q_report("PID", G_PID, UB111, fu, 1)
 
 
 class TestDerivedCore:

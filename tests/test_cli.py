@@ -942,12 +942,19 @@ def test_shipped_config_runs(path, tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.run(mode, str(path), out_dir=str(out)) == 0
     if mode in REPORTS:
-        assert capsys.readouterr().out == (out / REPORTS[mode]).read_text()
+        assert capsys.readouterr().out.encode() == (out / REPORTS[mode]).read_bytes()
     if mode == "sweep":
         *cells, last = csv.DictReader((out / "sweep.csv").open())
         n_cells = np.prod([len(config.get(k, [None])) for k in SWEEP_AXES])
         assert [r["cell"] for r in cells] == [str(k) for k in range(n_cells)]
         assert (last["cell"], last["plant"]) == ("pass_fraction", "1.0")
+
+
+def test_every_json_report_mode_has_a_shipped_config():
+    """test_shipped_config_runs then checks every report byte for byte;
+    sweep is the one mode without a JSON report."""
+    assert set(REPORTS) == set(cli._MODES) - {"sweep"}
+    assert set(REPORTS) <= {json.loads(p.read_text())["mode"] for p in SHIPPED_CONFIGS}
 
 
 SWEEP_AXES = ("plants", "gain_sets", "setpoints", "x0s")
