@@ -15,13 +15,17 @@ bound is the least eigenvalue over the corners a = +-L1 I, b = +-L2 I (in the
 ball), the lower an S-procedure bound for every n.  alpha is the lower; the
 certificate records both and their gap, and its method is ``exact`` when they
 agree to 1e-9 relative, else ``lower_bound``.  Eigen solves are stacked, as
-per-call overhead sets their cost.  The membership check and the core's
-eigen solve are kept for the last (gains, bounds) seen, one entry, so a
-certificate and the audits that follow it on the same gains share them: a
-certificate makes two more solves (corners, bound), ``q_report`` one
-(Q - Q0, Q and Q0), and a call on new gains one more (the core).  (P, alpha)
-give the envelope: decay rate lambda = alpha/(2 lambda_max(P)), overshoot
-gain M.
+per-call overhead sets their cost, and go through ``matrix_kernel``, so a
+LAPACK failure is a NumericalError.  The membership check and the core's
+eigen solve are kept for the last (gains, bounds) seen, and the lift P for
+the last (gains, bounds, n), one entry each and read-only, so a certificate
+and the audits that follow it on the same gains share them: a certificate
+makes two more solves (corners, bound), ``q_report`` one (Q - Q0, Q and
+Q0), and a call on new gains one more (the core).  The matrices around the
+solves are built in one pass each: ``q_report`` one companion stack over
+[theta, b_lower I], the margin its n = 1 companion directly and its corner
+offsets from a sign table built at import.  (P, alpha) give the envelope:
+decay rate lambda = alpha/(2 lambda_max(P)), overshoot gain M.
 """
 
 from __future__ import annotations
@@ -53,7 +57,32 @@ EXACT_GAP = 1e-9
 # relative mismatch allowed between a stored and a recomputed certificate
 RELOAD_RTOL = 1e-12
 _BLOCK_GAIN = {"i": "ki", "x": "kp", "v": "kd"}  # the gain of each LAYOUT block
-_CORNER_SIGNS = tuple(np.array(list(itertools.product((1.0, -1.0), repeat=k))) for k in range(3))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only, as it is handed to every caller."""
+    a.flags.writeable = False
+    return a
+
+
+def _corner_table(m: int, cols: tuple) -> np.ndarray:
+    """Corner signs s over the blocks ``cols`` of an m-block core, one row
+    per corner in itertools.product order, 0 at every other block: the
+    corner offsets are this table times each block's bound."""
+    table = np.zeros((2 ** len(cols), m))
+    table[:, list(cols)] = list(itertools.product((1.0, -1.0), repeat=len(cols)))
+    return _read_only(table)
+
+
+# every set of bounded blocks of a 2- or 3-block core
+_CORNER_TABLES = {
+    (m, cols): _corner_table(m, cols)
+    for m in (2, 3)
+    for k in range(m + 1)
+    for cols in itertools.combinations(range(m), k)
+}
+# the superdiagonal identity of a 2- or 3-block companion at n = 1
+_SHIFTS = {m: _read_only(np.eye(m, k=1)) for m in (2, 3)}
 
 
 @dataclass
@@ -198,9 +227,17 @@ def _member_core(g: GainVector, ub: UncertaintyBounds):
     if not membership(g, ub).member:
         return None
     core = _core_P(g.kind, g, ub.b_lower)
-    lam = np.linalg.eigvalsh(core)
+    lam = mk.eigvalsh(core)
     core.flags.writeable = lam.flags.writeable = False
     return core, lam
+
+
+@functools.lru_cache(maxsize=1)
+def _member_lift(g: GainVector, ub: UncertaintyBounds, n: int) -> np.ndarray:
+    """The lift core x I_n of a member's core (``_checked_core`` first),
+    kept for the last (gains, bounds, n) and read-only, so a certificate's
+    P and the audits on the same gains share one array."""
+    return _read_only(_lift(_member_core(g, ub)[0], n))
 
 
 def _checked_core(kind: str, g: GainVector, ub: UncertaintyBounds, what: str):
@@ -226,10 +263,16 @@ def _checked_core(kind: str, g: GainVector, ub: UncertaintyBounds, what: str):
     return core, lam
 
 
+@functools.lru_cache(maxsize=4)
+def _eye(n: int) -> np.ndarray:
+    """I_n, read-only, kept for the last few n."""
+    return _read_only(np.eye(n))
+
+
 def _lift(core: np.ndarray, n: int) -> np.ndarray:
     """kron(core, I_n), the same products without np.kron's overhead."""
     m = core.shape[0]
-    return (core[:, None, :, None] * np.eye(n)[None, :, None, :]).reshape(m * n, m * n)
+    return (core[:, None, :, None] * _eye(n)[None, :, None, :]).reshape(m * n, m * n)
 
 
 def build_P(kind: str, g: GainVector, ub: UncertaintyBounds, n: int) -> np.ndarray:
@@ -243,13 +286,15 @@ def _companion(kind: str, g: GainVector, theta: np.ndarray, a=None, b=None) -> n
     """Block companion matrix over the state blocks of LAYOUT[kind]: each
     block but the last is the derivative of the next, and the last block row
     is -k_s theta for the gain k_s of each block s, plus a at x and b at v
-    (a matrix given as None is 0)."""
+    (a matrix given as None is 0).  A (k, n, n) stack of theta gives the
+    (k, mn, mn) stack of companions that share a and b."""
     blocks = LAYOUT[kind]
-    n, m = theta.shape[0], len(blocks)
-    A = np.zeros((m * n, m * n))
-    A.ravel()[n : (m - 1) * n * m * n : m * n + 1] = 1.0  # the identity A[:-n, n:]
+    n, m = theta.shape[-1], len(blocks)
+    A = np.zeros(theta.shape[:-2] + (m * n, m * n))
+    # the identity A[..., :-n, n:]
+    A.reshape(-1, (m * n) ** 2)[:, n : (m - 1) * n * m * n : m * n + 1] = 1.0
     for j, name in enumerate(blocks):
-        block = A[-n:, j * n : (j + 1) * n]
+        block = A[..., -n:, j * n : (j + 1) * n]
         np.multiply(-getattr(g, _BLOCK_GAIN[name]), theta, out=block)
         extra = a if name == "x" else b if name == "v" else None
         if extra is not None:
@@ -264,6 +309,13 @@ def assemble_A(kind: str, g: GainVector, fu: FrozenUncertainty, n: int) -> np.nd
     substitution replaces it by b_lower * I.
     """
     n = _dimension(n)
+    _check_frozen(kind, fu, n)
+    return _companion(kind, g, fu.theta, fu.a, fu.b)
+
+
+def _check_frozen(kind: str, fu: FrozenUncertainty, n: int) -> None:
+    """The kind and the n x n shapes (b present if the kind has a v block)
+    that the companion of ``fu`` needs."""
     if kind not in LAYOUT:
         raise UsageError(f"unknown certificate kind {kind!r}")
     if "v" in LAYOUT[kind] and fu.b is None:
@@ -273,7 +325,6 @@ def assemble_A(kind: str, g: GainVector, fu: FrozenUncertainty, n: int) -> np.nd
             raise UsageError(
                 f"frozen uncertainty {name} has shape {np.shape(mat)}, not ({n}, {n})"
             )
-    return _companion(kind, g, fu.theta, fu.a, fu.b)
 
 
 def q_report(
@@ -291,15 +342,18 @@ def q_report(
     definite, as happens at points outside the ball.
     """
     n = _dimension(n)
-    core, _ = _checked_core(kind, g, ub, "q_report")
-    P = _lift(core, n)
-    A = assemble_A(kind, g, fu, n)
-    # A and its floor A0 as one stack; matmul forms each slice as it forms a
-    # 2-D product, so Q and Q0 keep their bits
-    AA = np.array((A, _companion(kind, g, ub.b_lower * np.eye(n), fu.a, fu.b)))
+    _checked_core(kind, g, ub, "q_report")
+    _check_frozen(kind, fu, n)
+    P = _member_lift(g, ub, n)
+    # A and its floor A0 as one stack, from theta and b_lower * I; matmul
+    # forms each slice as it forms a 2-D product, so Q and Q0 keep their bits
+    theta = np.empty((2, n, n))
+    theta[0] = fu.theta
+    np.multiply(ub.b_lower, _eye(n), out=theta[1])
+    AA = _companion(kind, g, theta, fu.a, fu.b)
     T = P @ AA
     np.negative(np.add(T, AA.transpose(0, 2, 1) @ P, out=T), out=T)  # -(PA + A^T P)
-    S = np.empty((3,) + A.shape)  # [Q - Q0, Q, Q0], for one eigen solve
+    S = np.empty((3,) + P.shape)  # [Q - Q0, Q, Q0], for one eigen solve
     np.divide(np.add(T, T.transpose(0, 2, 1), out=S[1:]), 2.0, out=S[1:])  # symmetrize's arithmetic
     np.subtract(S[1], S[2], out=S[0])
     # (T + T^T) / 2 is exactly symmetric, as addition commutes, and so is the
@@ -326,16 +380,21 @@ def _margin_core(kind: str, core: np.ndarray, g: GainVector, ub: UncertaintyBoun
     """(C, u, channels) with Q0(A, B) = kron(C, I) - 2 Sym[kron(u, I) sum_j A_j E_j].
 
     C = -(core A0 + A0^T core) for the companion core A0 at a = b = 0 and
-    theta = b_lower, and u = core[:, -1], the column that multiplies the last
-    block row of A.  The n x mn selector E_j picks the state block that the
-    uncertainty matrix A_j multiplies: A = df/dx1 the block x and
-    B = df/dx2 the block v.  ``channels`` lists (block index j, bound L_j)
-    for every matrix whose bound is positive; a zero bound pins its matrix to
-    0, so its term drops out.
+    theta = b_lower (the shift matrix with last row -k_s b_lower), and
+    u = core[:, -1], the column that multiplies the last block row of A.
+    The n x mn selector E_j picks the state block that the uncertainty
+    matrix A_j multiplies: A = df/dx1 the block x and B = df/dx2 the
+    block v.  ``channels`` lists (block index j, bound L_j) for every
+    matrix whose bound is positive; a zero bound pins its matrix to 0, so
+    its term drops out.
     """
-    core_A0 = core @ _companion(kind, g, np.array([[float(ub.b_lower)]]))
+    blocks = LAYOUT[kind]
+    A0 = _SHIFTS[len(blocks)].copy()
+    b = float(ub.b_lower)
+    A0[-1] = [-getattr(g, _BLOCK_GAIN[s]) * b for s in blocks]
+    core_A0 = core @ A0
     bound = {"x": float(ub.L1), "v": float(ub.L2)}
-    channels = [(j, bound[s]) for j, s in enumerate(LAYOUT[kind]) if bound.get(s, 0.0) > 0]
+    channels = [(j, bound[s]) for j, s in enumerate(blocks) if bound.get(s, 0.0) > 0]
     return -(core_A0 + core_A0.T), core[:, -1], channels
 
 
@@ -357,16 +416,16 @@ def sandwich_margin(
     """
     C, u, channels = _margin_core(kind, core, g, ub)
     # corner A_j = s_j L_j I gives the core C - (u v^T + v u^T), v = sum_j s_j L_j e_j
-    signs = _CORNER_SIGNS[len(channels)]
-    v = np.zeros((signs.shape[0], u.size))
-    v[:, [j for j, _ in channels]] = signs * [L for _, L in channels]
-    uv = u[None, :, None] * v[:, None, :]
-    lam, vec = np.linalg.eigh(C - uv - uv.transpose(0, 2, 1))
-    worst = int(np.argmin(lam[:, 0]))
+    bound_of = dict(channels)
+    v = _CORNER_TABLES[u.size, tuple(bound_of)] * [bound_of.get(j, 0.0) for j in range(u.size)]
+    uv = u[:, None] * v[:, None, :]
+    lam, vec = mk.eigh(C - uv - uv.transpose(0, 2, 1))
+    worst = int(lam[:, 0].argmin())
     upper = float(lam[worst, 0])
-    x = vec[worst, :, 0].tolist()
-    ux = abs(float(u @ vec[worst, :, 0]))
-    bound = C.copy()
+    w = vec[worst, :, 0]
+    x = w.tolist()
+    ux = abs(float(u @ w))
+    bound = C  # C is not read past here
     tau_sum = 0.0
     for j, L in channels:
         tau = L * abs(x[j]) / ux if ux > 0.0 else 0.0
@@ -374,8 +433,8 @@ def sandwich_margin(
             tau = L / float(np.linalg.norm(u))  # balances the two terms at |w| = |u||z_j|
         bound[j, j] -= L * L / tau
         tau_sum += tau
-    bound -= tau_sum * np.outer(u, u)
-    lower = float(np.linalg.eigvalsh(bound)[0])
+    bound -= tau_sum * (u[:, None] * u)
+    lower = float(mk.eigvalsh(bound)[0])
     return lower, upper
 
 
@@ -412,7 +471,7 @@ def certify_margin(
         n=n,
         gains=g,
         bounds=ub,
-        P=_lift(core, n),
+        P=_member_lift(g, ub, n),
         alpha=alpha,
         alpha_lower=lower,
         alpha_upper=upper,

@@ -9,9 +9,9 @@ exact-symmetry check and the package's own error types.
 take a stack of matrices, shape (..., n, n), and then act on each matrix in
 one stacked LAPACK call: ``eig_extrema`` returns two arrays and
 ``operator_norm`` one, with the leading shape of the stack.  A single matrix
-gives plain floats.  ``require_finite`` and ``eigvalsh`` are the finiteness
-test and the error-mapped solve alone, for a stack its caller built exactly
-symmetric.
+gives plain floats.  ``require_finite`` is the finiteness test alone, and
+``eigvalsh`` and ``eigh`` the error-mapped solves alone, for a matrix or
+stack its caller built finite and exactly symmetric.
 """
 
 from __future__ import annotations
@@ -73,6 +73,16 @@ def eigvalsh(a: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"symmetric eigenvalue solver failed: {exc}") from exc
+
+
+def eigh(a: np.ndarray):
+    """(ascending eigenvalues, eigenvectors as columns) of a finite, exactly
+    symmetric matrix (of each matrix of a stack), unchecked; a LAPACK
+    failure is a NumericalError."""
+    try:
+        return np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"symmetric eigenvector solver failed: {exc}") from exc
 
 
 def operator_norm(m):

@@ -1,18 +1,27 @@
 """Test oracles: the paper's closed-form margins, a random frozen point of the
-uncertainty ball, a sampled monotonicity ratio, and the planar PI field's
-Jacobian trace and determinant point by point.
+uncertainty ball, a sampled monotonicity ratio, the planar PI field's
+Jacobian trace and determinant point by point, and the certificate path
+built one matrix at a time.
 
 pidcert's certificates use the sandwich margin, its equilibrium solve uses
 Newton and its planar verdict uses two analytic bounds; these helpers state
 the paper's own formulas and the class property behind them, so tests can
-check the package against them.
+check the package against them.  ``reference_certificate`` and
+``reference_q_report`` build every matrix of a certificate and of a
+frozen-point audit plainly: a 2-D companion per theta, the general
+companion at n = 1, corner offsets written into zeros, ``np.outer`` and a
+fresh Kronecker lift.  They call the same LAPACK routines as the package,
+so the package's numbers must equal theirs bit for bit.
 """
+
+import itertools
+import math
 
 import numpy as np
 
 from pidcert.certificates import FrozenUncertainty
 from pidcert.errors import UsageError
-from pidcert.gain_sets import FIRST_ORDER, PD, PI, SECOND_ORDER, coupling_term
+from pidcert.gain_sets import FIRST_ORDER, LAYOUT, PD, PI, PID, SECOND_ORDER, coupling_term, membership
 
 
 def sample_frozen_uncertainty(ub, n, rng):
@@ -111,3 +120,114 @@ def planar_trace_det(field, radius=20.0, points=41):
             det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
             out.append(((z0, z1), trace, det))
     return out
+
+
+def _reference_core(g, ub):
+    """The closed-form core of P, the same products as the package's."""
+    kp, ki, kd, b = float(g.kp), float(g.ki), float(g.kd), float(ub.b_lower)
+    if g.kind == PID:
+        return np.array(
+            [
+                [2 * ki * kp * b, 2 * ki * kd * b, ki],
+                [2 * ki * kd * b, 2 * kp * kd * b - ki, kp],
+                [ki, kp, kd],
+            ]
+        )
+    if g.kind == PD:
+        return np.array([[2 * kp * kd * b, kp], [kp, kd]])
+    return np.array([[2 * kp * ki * b, ki], [ki, kp]])
+
+
+def _reference_companion(kind, g, theta, a=None, b=None):
+    """One 2-D block companion matrix, block by block."""
+    gain = {"i": g.ki, "x": g.kp, "v": g.kd}
+    blocks = list(LAYOUT[kind])
+    n, m = theta.shape[0], len(blocks)
+    A = np.zeros((m * n, m * n))
+    A[:-n, n:] = np.eye((m - 1) * n)
+    for j, name in enumerate(blocks):
+        block = A[-n:, j * n : (j + 1) * n]
+        np.multiply(-gain[name], theta, out=block)
+        extra = a if name == "x" else b if name == "v" else None
+        if extra is not None:
+            block += extra
+    return A
+
+
+def _reference_lift(core, n):
+    m = core.shape[0]
+    return (core[:, None, :, None] * np.eye(n)[None, :, None, :]).reshape(m * n, m * n)
+
+
+def _reference_sandwich(kind, core, g, ub):
+    """(lower, upper) of the sandwich margin, one temporary at a time."""
+    core_A0 = core @ _reference_companion(kind, g, np.array([[float(ub.b_lower)]]))
+    C = -(core_A0 + core_A0.T)
+    u = core[:, -1]
+    bound_of = {"x": float(ub.L1), "v": float(ub.L2)}
+    channels = [(j, bound_of[s]) for j, s in enumerate(LAYOUT[kind]) if bound_of.get(s, 0.0) > 0]
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=len(channels))))
+    v = np.zeros((signs.shape[0], u.size))
+    v[:, [j for j, _ in channels]] = signs * [L for _, L in channels]
+    uv = u[None, :, None] * v[:, None, :]
+    lam, vec = np.linalg.eigh(C - uv - uv.transpose(0, 2, 1))
+    worst = int(np.argmin(lam[:, 0]))
+    upper = float(lam[worst, 0])
+    x = vec[worst, :, 0].tolist()
+    ux = abs(float(u @ vec[worst, :, 0]))
+    bound = C.copy()
+    tau_sum = 0.0
+    for j, L in channels:
+        tau = L * abs(x[j]) / ux if ux > 0.0 else 0.0
+        if not (tau > 0.0 and math.isfinite(tau) and math.isfinite(L * L / tau)):
+            tau = L / float(np.linalg.norm(u))
+        bound[j, j] -= L * L / tau
+        tau_sum += tau
+    bound -= tau_sum * np.outer(u, u)
+    return float(np.linalg.eigvalsh(bound)[0]), upper
+
+
+def reference_certificate(kind, g, ub, n):
+    """The numbers of ``certify_margin(kind, g, ub, n)`` as a dict: P, the
+    sandwich bounds, alpha, the extreme eigenvalues of P and the envelope
+    (M, lambda).  Region members only."""
+    if not membership(g, ub).member:
+        raise UsageError(f"{g} is not in the {kind} region for {ub}")
+    core = _reference_core(g, ub)
+    lam_p = np.linalg.eigvalsh(core)
+    lam_min_p, lam_max_p = float(lam_p[0]), float(lam_p[-1])
+    lower, upper = _reference_sandwich(kind, core, g, ub)
+    alpha = min(lower, upper)
+    m1 = math.sqrt(2.0 * lam_max_p / lam_min_p)
+    if kind == PID:
+        M = max(m1, m1 / g.ki)
+    elif kind == PD:
+        M = m1
+    else:
+        M = math.sqrt(lam_max_p / lam_min_p)
+    return {
+        "P": _reference_lift(core, n),
+        "alpha": alpha,
+        "alpha_lower": lower,
+        "alpha_upper": upper,
+        "lambda_min_P": lam_min_p,
+        "lambda_max_P": lam_max_p,
+        "M": float(M),
+        "lambda": alpha / (2.0 * lam_max_p),
+    }
+
+
+def reference_q_report(kind, g, ub, fu, n):
+    """(Q, Q0, lambda_min(Q), lambda_min(Q0)) of ``q_report``: A and its
+    floor A0 built as two companions, Q = symmetrize(-(P A + A^T P)) with
+    symmetrize's arithmetic, and one stacked solve over [Q - Q0, Q, Q0]."""
+    P = _reference_lift(_reference_core(g, ub), n)
+    A = _reference_companion(kind, g, fu.theta, fu.a, fu.b)
+    A0 = _reference_companion(kind, g, ub.b_lower * np.eye(n), fu.a, fu.b)
+    sym = []
+    for M in (A, A0):
+        T = -(P @ M + M.T @ P)
+        sym.append((T + T.T) / 2.0)
+    Q, Q0 = sym
+    lam = np.linalg.eigvalsh(np.array((Q - Q0, Q, Q0)))[:, 0]
+    return Q, Q0, float(lam[1]), float(lam[2])

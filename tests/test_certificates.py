@@ -14,7 +14,13 @@ from pidcert import certificates as ct
 from pidcert import matrix_kernel as mk
 from pidcert.errors import CertificateError, NumericalError, UsageError
 from pidcert.gain_sets import GainVector, UncertaintyBounds, suggest_gains
-from oracles import pd_closed_form_margin, pi_closed_form_margin, sample_frozen_uncertainty
+from oracles import (
+    pd_closed_form_margin,
+    pi_closed_form_margin,
+    reference_certificate,
+    reference_q_report,
+    sample_frozen_uncertainty,
+)
 
 UB111 = UncertaintyBounds(1.0, 1.0, 1.0)
 UB_PI = UncertaintyBounds.first_order(1.0, 1.0)
@@ -358,6 +364,171 @@ class TestQReportStack:
         fu = ct.FrozenUncertainty(a=np.zeros((1, 1)), theta=np.array([[np.inf]]), b=np.zeros((1, 1)))
         with pytest.raises(UsageError, match=re.escape("NaN or Inf entries (matrix [0])")):
             ct.q_report("PID", G_PID, UB111, fu, 1)
+
+
+def _fail_solver(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+class TestSolverFailure:
+    """A LAPACK failure on the core, corner or bound solve is a
+    NumericalError, and a failed solve is not kept."""
+
+    @pytest.mark.parametrize("solver", ["eigvalsh", "eigh"])
+    def test_cold_certificate(self, monkeypatch, solver):
+        ct._member_core.cache_clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, solver, _fail_solver)
+            with pytest.raises(NumericalError, match="solver failed: Eigenvalues did not converge"):
+                ct.certify_margin("PID", G_PID, UB111, 1)
+        cert = ct.certify_margin("PID", G_PID, UB111, 1)
+        assert cert.method == "exact" and cert.alpha > 0
+
+    @pytest.mark.parametrize("call", ["build_P", "q_report"])
+    def test_cold_core_solve(self, monkeypatch, call):
+        fu = ct.FrozenUncertainty.checked(UB111, a=[[0.0]], theta=[[1.0]], b=[[0.0]])
+        public = {
+            "build_P": lambda: ct.build_P("PID", G_PID, UB111, 1),
+            "q_report": lambda: ct.q_report("PID", G_PID, UB111, fu, 1),
+        }[call]
+        ct._member_core.cache_clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigvalsh", _fail_solver)
+            with pytest.raises(NumericalError, match="solver failed"):
+                public()
+        public()
+
+
+def _oracle_cases(kind, rng):
+    """Fixed bounds with L1 = 0 and with L2 = 0 (L = 0 for PI), then 200
+    random region members."""
+    if kind == "PI":
+        fixed = [UncertaintyBounds.first_order(0.0, 1.0), UB_PI]
+    else:
+        fixed = [
+            UncertaintyBounds(0.0, 1.0, 1.0),
+            UncertaintyBounds(1.0, 0.0, 1.0),
+            UncertaintyBounds(0.0, 0.0, 1.0),
+            UB111,
+        ]
+    for ub in fixed:
+        yield suggest_gains(kind, ub, **({} if kind == "PD" else {"ki": 0.7})), ub
+    for _ in range(200):
+        yield _random_member(kind, rng)
+
+
+class TestReferenceOracle:
+    """Every certificate and audit number equals the plain one-matrix-at-a-
+    time construction of ``oracles``, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["PID", "PD", "PI"])
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_certificate_and_audit_equal_the_reference(self, kind, n):
+        rng = np.random.default_rng({"PID": 91, "PD": 92, "PI": 93}[kind] + 10 * n)
+        for g, ub in _oracle_cases(kind, rng):
+            fu = sample_frozen_uncertainty(ub, n, rng)
+            cert = ct.certify_margin(kind, g, ub, n)
+            rep = ct.q_report(kind, g, ub, fu, n)
+            ref = reference_certificate(kind, g, ub, n)
+            got = {
+                "alpha": cert.alpha,
+                "alpha_lower": cert.alpha_lower,
+                "alpha_upper": cert.alpha_upper,
+                "lambda_min_P": cert.lambda_min_P,
+                "lambda_max_P": cert.lambda_max_P,
+                "M": cert.M,
+                "lambda": cert.lambda_decay,
+            }
+            assert {k: v.hex() for k, v in got.items()} == {k: ref[k].hex() for k in got}, (g, ub)
+            assert _array_bytes(cert.P) == _array_bytes(ref["P"])
+            Q, Q0, lam_q, lam_q0 = reference_q_report(kind, g, ub, fu, n)
+            assert _array_bytes(rep.Q) == _array_bytes(Q), (g, ub)
+            assert _array_bytes(rep.Q0) == _array_bytes(Q0), (g, ub)
+            assert (rep.lambda_min_Q.hex(), rep.lambda_min_Q0.hex()) == (lam_q.hex(), lam_q0.hex())
+
+
+def _array_bytes(a):
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+class TestSharedLift:
+    """The lift core x I_n is kept for the last (gains, bounds, n): a
+    certificate's P and the audits on the same gains share it."""
+
+    def test_certificate_P_is_read_only_and_shared(self):
+        cert = ct.certify_margin("PID", G_PID, UB111, 3)
+        with pytest.raises(ValueError, match="read-only"):
+            cert.P[0, 0] = 0.0
+        assert ct.certify_margin("PID", G_PID, UB111, 3).P is cert.P
+
+    def test_another_n_gets_its_own_lift(self):
+        cert3 = ct.certify_margin("PID", G_PID, UB111, 3)
+        cert1 = ct.certify_margin("PID", G_PID, UB111, 1)
+        assert cert3.P.shape == (9, 9) and cert1.P.shape == (3, 3)
+        assert np.array_equal(cert3.P, ct.build_P("PID", G_PID, UB111, 3))
+        assert np.array_equal(cert1.P, ct.build_P("PID", G_PID, UB111, 1))
+        fu = ct.FrozenUncertainty.checked(UB111, a=0.5 * np.eye(3), theta=np.eye(3), b=0.5 * np.eye(3))
+        rep = ct.q_report("PID", G_PID, UB111, fu, 3)
+        assert rep.Q.shape == (9, 9)
+
+    def test_build_P_returns_a_writable_array(self):
+        cert = ct.certify_margin("PD", G_PD, UB111, 2)
+        P = ct.build_P("PD", G_PD, UB111, 2)
+        assert P is not cert.P and np.array_equal(P, cert.P)
+        P[0, 0] = 0.0
+        assert cert.P[0, 0] == 72.0
+
+
+class TestQReportInputErrors:
+    """q_report checks the frozen point before it stacks theta with its
+    floor, so its input errors are assemble_A's."""
+
+    @pytest.mark.parametrize(
+        "kind,field,shape",
+        [
+            ("PID", "a", (2, 2)),
+            ("PID", "theta", (3, 4)),
+            ("PID", "theta", (3,)),
+            ("PID", "theta", (2, 3, 3)),
+            ("PID", "b", (1, 1)),
+            ("PD", "b", (2, 3, 3)),
+            ("PI", "a", (4, 4)),
+            ("PI", "theta", (1, 1)),
+        ],
+    )
+    def test_mis_shaped_matrix(self, kind, field, shape):
+        n = 3
+        g, ub = {"PID": (G_PID, UB111), "PD": (G_PD, UB111), "PI": (G_PI, UB_PI)}[kind]
+        mats = {"a": np.zeros((n, n)), "theta": np.eye(n), "b": None if kind == "PI" else np.zeros((n, n))}
+        mats[field] = np.ones(shape)
+        fu = ct.FrozenUncertainty(**mats)
+        with pytest.raises(UsageError) as want:
+            ct.assemble_A(kind, g, fu, n)
+        with pytest.raises(UsageError) as got:
+            ct.q_report(kind, g, ub, fu, n)
+        assert str(got.value) == str(want.value)
+        assert "has shape" in str(got.value)
+
+    @pytest.mark.parametrize("kind", ["PID", "PD"])
+    def test_missing_b(self, kind):
+        g = G_PID if kind == "PID" else G_PD
+        fu = ct.FrozenUncertainty(a=np.zeros((2, 2)), theta=np.eye(2))
+        with pytest.raises(UsageError) as want:
+            ct.assemble_A(kind, g, fu, 2)
+        with pytest.raises(UsageError) as got:
+            ct.q_report(kind, g, UB111, fu, 2)
+        assert str(got.value) == str(want.value) == f"{kind} assembly needs the b matrix"
+
+    @pytest.mark.parametrize(
+        "n,field,value",
+        [(1, "theta", np.nan), (2, "theta", np.nan), (2, "a", np.nan), (2, "b", np.nan)],
+    )
+    def test_non_finite_matrix_names_its_place_in_the_stack(self, n, field, value):
+        mats = {"a": np.zeros((n, n)), "theta": np.eye(n), "b": np.zeros((n, n))}
+        mats[field][n - 1, 0] = value
+        fu = ct.FrozenUncertainty(**mats)
+        with pytest.raises(UsageError, match=re.escape("matrix contains NaN or Inf entries (matrix [0])")):
+            ct.q_report("PID", G_PID, UB111, fu, n)
 
 
 class TestDerivedCore:
