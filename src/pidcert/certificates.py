@@ -16,7 +16,8 @@ ball), the lower an S-procedure bound for every n.  alpha is the lower; the
 certificate records both and their gap, and its method is ``exact`` when they
 agree to 1e-9 relative, else ``lower_bound``.  Eigen solves are stacked, as
 per-call overhead sets their cost, and go through ``matrix_kernel``, so a
-LAPACK failure is a NumericalError.  The membership check and the core's
+LAPACK failure is a NumericalError (it calls numpy's LAPACK gufuncs, not
+numpy.linalg's per-call wrapper).  The membership check and the core's
 eigen solve are kept for the last (gains, bounds) seen, and the lift P for
 the last (gains, bounds, n), one entry each and read-only, so a certificate
 and the audits that follow it on the same gains share them: a certificate
@@ -25,7 +26,8 @@ Q0), and a call on new gains one more (the core).  The matrices around the
 solves are built in one pass each: ``q_report`` one companion stack over
 [theta, b_lower I], the margin its n = 1 companion directly and its corner
 offsets from a sign table built at import.  (P, alpha) give the envelope:
-decay rate lambda = alpha/(2 lambda_max(P)), overshoot gain M.
+decay rate lambda = alpha/(2 lambda_max(P)), overshoot gain M.  A frozen
+point's matrices are checked finite and square when it is built.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from . import matrix_kernel as mk
-from .errors import CertificateError, UsageError
+from .errors import CertificateError, DimensionError, UsageError
 from .gain_sets import (
     FIRST_ORDER,
     LAYOUT,
@@ -89,35 +91,47 @@ _SHIFTS = {m: _read_only(np.eye(m, k=1)) for m in (2, 3)}
 class FrozenUncertainty:
     """A point of the uncertainty ball: constant matrices (a, b, theta).
 
-    ``b`` is absent for first-order (PI) plants.  Bound membership is checked
-    at construction against the given class bounds.
+    ``b`` is absent for first-order (PI) plants.  Each matrix given must be
+    one finite square matrix, checked at construction; ``checked`` also
+    checks bound membership against the given class bounds.
     """
 
     a: np.ndarray
     theta: np.ndarray
     b: Optional[np.ndarray] = None
 
+    def __post_init__(self):
+        self.a = _point_matrix(self.a, "a")
+        self.theta = _point_matrix(self.theta, "theta")
+        if self.b is not None:
+            self.b = _point_matrix(self.b, "b")
+
     @staticmethod
     def checked(ub: UncertaintyBounds, a, theta, b=None) -> "FrozenUncertainty":
-        am = mk.as_square(a, "a")
-        tm = mk.as_square(theta, "theta")
-        if mk.operator_norm(am) > ub.L1 + BOUND_SLACK:
-            raise UsageError(f"|a| = {mk.operator_norm(am):.6g} exceeds L1 = {ub.L1}")
-        lam_min, _ = mk.eig_extrema(mk.symmetrize(tm))
+        fu = FrozenUncertainty(a=a, theta=theta, b=b)
+        if mk.operator_norm(fu.a) > ub.L1 + BOUND_SLACK:
+            raise UsageError(f"|a| = {mk.operator_norm(fu.a):.6g} exceeds L1 = {ub.L1}")
+        lam_min, _ = mk.eig_extrema(mk.symmetrize(fu.theta))
         if lam_min < ub.b_lower - BOUND_SLACK:
             raise UsageError(
                 f"lambda_min(Sym[theta]) = {lam_min:.6g} below b_lower = {ub.b_lower}"
             )
-        bm = None
-        if b is not None:
-            bm = mk.as_square(b, "b")
-            if mk.operator_norm(bm) > ub.L2 + BOUND_SLACK:
+        if fu.b is not None:
+            if mk.operator_norm(fu.b) > ub.L2 + BOUND_SLACK:
                 raise UsageError(
-                    f"|b| = {mk.operator_norm(bm):.6g} exceeds L2 = {ub.L2}"
+                    f"|b| = {mk.operator_norm(fu.b):.6g} exceeds L2 = {ub.L2}"
                 )
         elif ub.order != FIRST_ORDER:
             raise UsageError("second-order frozen uncertainty needs the b matrix")
-        return FrozenUncertainty(a=am, theta=tm, b=bm)
+        return fu
+
+
+def _point_matrix(m, name: str) -> np.ndarray:
+    """``m`` as one finite square float matrix (a copy), not a stack."""
+    a = mk.as_square(m, name)
+    if a.ndim != 2:
+        raise DimensionError(f"{name} must be one square matrix, got shape {a.shape}")
+    return a
 
 
 @dataclass
@@ -357,7 +371,8 @@ def q_report(
     np.divide(np.add(T, T.transpose(0, 2, 1), out=S[1:]), 2.0, out=S[1:])  # symmetrize's arithmetic
     np.subtract(S[1], S[2], out=S[0])
     # (T + T^T) / 2 is exactly symmetric, as addition commutes, and so is the
-    # difference of two such matrices: the stack needs no symmetry test
+    # difference of two such matrices: the stack needs no symmetry test.
+    # fu was checked finite at construction, so only an overflow fails this
     mk.require_finite(S)
     gap_min, lam_q, lam_q0 = mk.eigvalsh(S)[:, 0].tolist()
     if gap_min < -1e-9:

@@ -1,8 +1,13 @@
 """Dense symmetric linear-algebra primitives used by the certificate checks.
 
-Everything here operates on plain ``numpy`` float arrays.  Eigenvalues of
-symmetric matrices come from LAPACK (``numpy.linalg.eigvalsh``) and spectral
-norms from ``numpy.linalg.norm(., 2)``; the wrappers add input validation, an
+Everything here operates on plain ``numpy`` float arrays.  Symmetric eigen
+solves call LAPACK's ``dsyevd`` through the gufuncs ``eigvalsh_lo`` and
+``eigh_lo`` of ``numpy.linalg._umath_linalg``, the same calls that
+``numpy.linalg.eigvalsh`` and ``eigh`` make, so every bit is theirs.  They are
+called directly because on the 1x1 to 3x3 matrices and small stacks of the
+certificate path numpy's per-call wrapper (coercion, type dispatch, an
+errstate with a Python callback) costs more than the solve.  Spectral norms
+come from ``numpy.linalg.norm(., 2)``.  The wrappers add input validation, an
 exact-symmetry check and the package's own error types.
 
 ``as_square``, ``symmetrize``, ``eig_extrema`` and ``operator_norm`` also
@@ -17,8 +22,16 @@ stack its caller built finite and exactly symmetric.
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DimensionError, NumericalError, UsageError
+
+# LAPACK's symmetric eigen solvers on the lower triangle: the gufuncs that
+# numpy.linalg.eigvalsh and eigh call.  Non-convergence raises numpy's
+# invalid flag, which numpy.linalg turns into LinAlgError and _solve into
+# NumericalError.
+_eigvalsh_lo = _umath_linalg.eigvalsh_lo
+_eigh_lo = _umath_linalg.eigh_lo
 
 
 def as_square(m, name: str = "matrix") -> np.ndarray:
@@ -69,20 +82,22 @@ def eig_extrema(s):
 def eigvalsh(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a finite, exactly symmetric matrix (of each
     matrix of a stack), unchecked; a LAPACK failure is a NumericalError."""
-    try:
-        return np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"symmetric eigenvalue solver failed: {exc}") from exc
+    return _solve(_eigvalsh_lo, a, "d->d", "eigenvalue")
 
 
 def eigh(a: np.ndarray):
     """(ascending eigenvalues, eigenvectors as columns) of a finite, exactly
     symmetric matrix (of each matrix of a stack), unchecked; a LAPACK
     failure is a NumericalError."""
+    return _solve(_eigh_lo, a, "d->dd", "eigenvector")
+
+
+def _solve(gufunc, a, signature: str, what: str):
     try:
-        return np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"symmetric eigenvector solver failed: {exc}") from exc
+        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+            return gufunc(a, signature=signature)
+    except FloatingPointError as exc:
+        raise NumericalError(f"symmetric {what} solver did not converge") from exc
 
 
 def operator_norm(m):

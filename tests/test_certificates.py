@@ -12,7 +12,7 @@ import pytest
 
 from pidcert import certificates as ct
 from pidcert import matrix_kernel as mk
-from pidcert.errors import CertificateError, NumericalError, UsageError
+from pidcert.errors import CertificateError, DimensionError, NumericalError, UsageError
 from pidcert.gain_sets import GainVector, UncertaintyBounds, suggest_gains
 from oracles import (
     pd_closed_form_margin,
@@ -101,18 +101,24 @@ class TestBuildP:
 
     def test_one_membership_check_per_call(self, monkeypatch):
         """build_P, certify_margin and q_report on one (gains, bounds) share
-        one membership check and one core solve: 1 + 2 + 1 numpy.linalg
-        eigen solves (the core's, the sandwich's corner and bound solves,
-        q_report's one stacked audit solve).  Each call on fresh gains makes
-        its own membership check."""
+        one membership check and one core solve: 1 + 2 + 1 LAPACK eigen
+        solves (the core's, the sandwich's corner and bound solves,
+        q_report's one stacked audit solve), all through matrix_kernel's
+        gufuncs and none through numpy.linalg's wrappers.  Each call on fresh
+        gains makes its own membership check."""
         ct._member_core.cache_clear()
-        calls, solves = [], []
+        calls, solves, wrapped = [], [], []
         real = ct.membership
         monkeypatch.setattr(ct, "membership", lambda g, ub: calls.append(g) or real(g, ub))
+        for seam, name in (("_eigvalsh_lo", "eigvalsh"), ("_eigh_lo", "eigh")):
+            gufunc = getattr(mk, seam)
+            monkeypatch.setattr(
+                mk, seam, lambda *a, _f=gufunc, _n=name, **k: solves.append(_n) or _f(*a, **k)
+            )
         for name in ("eig", "eigh", "eigvals", "eigvalsh"):
             solver = getattr(np.linalg, name)
             monkeypatch.setattr(
-                np.linalg, name, lambda *a, _f=solver, _n=name, **k: solves.append(_n) or _f(*a, **k)
+                np.linalg, name, lambda *a, _f=solver, _n=name, **k: wrapped.append(_n) or _f(*a, **k)
             )
         fu = ct.FrozenUncertainty.checked(UB111, a=[[0.0]], theta=[[1.0]], b=[[0.0]])
 
@@ -130,6 +136,7 @@ class TestBuildP:
             per_call.append(solves[:])
         assert calls == [G_PID]
         assert per_call == [["eigvalsh"], ["eigh", "eigvalsh"], ["eigvalsh"]]
+        assert wrapped == []
         fresh = [GainVector("PID", 8, 1, 8), GainVector("PID", 9, 1, 9), GainVector("PID", 7, 0.5, 7)]
         for k, g in enumerate(fresh):
             calls.clear()
@@ -352,22 +359,23 @@ class TestQReportStack:
     def test_solver_failure_is_numerical_error(self, monkeypatch):
         fu = ct.FrozenUncertainty.checked(UB111, a=[[0.0]], theta=[[1.0]], b=[[0.0]])
         ct.build_P("PID", G_PID, UB111, 1)  # the core solve is cached before the patch
-
-        def fail(_):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-        with pytest.raises(NumericalError, match="solver failed: Eigenvalues did not converge"):
+        monkeypatch.setattr(mk, "_eigvalsh_lo", _nonconvergent)
+        with pytest.raises(NumericalError, match="^symmetric eigenvalue solver did not converge$"):
             ct.q_report("PID", G_PID, UB111, fu, 1)
 
     def test_non_finite_stack_names_its_matrix(self):
-        fu = ct.FrozenUncertainty(a=np.zeros((1, 1)), theta=np.array([[np.inf]]), b=np.zeros((1, 1)))
-        with pytest.raises(UsageError, match=re.escape("NaN or Inf entries (matrix [0])")):
-            ct.q_report("PID", G_PID, UB111, fu, 1)
+        """A finite frozen point whose products overflow, with numpy's
+        warnings switched off: the stack's finiteness test names Q - Q0."""
+        fu = ct.FrozenUncertainty(a=np.zeros((1, 1)), theta=np.array([[1e307]]), b=np.zeros((1, 1)))
+        with np.errstate(all="ignore"):
+            with pytest.raises(UsageError, match=re.escape("NaN or Inf entries (matrix [0])")):
+                ct.q_report("PID", G_PID, UB111, fu, 1)
 
 
-def _fail_solver(*args, **kwargs):
-    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+def _nonconvergent(a, signature):
+    """Stands in for a LAPACK eigen gufunc that does not converge: like the
+    real one, it raises numpy's invalid flag (here by 0/0) and gives NaN."""
+    return np.divide(np.zeros(a.shape[:-1]), 0.0)
 
 
 class TestSolverFailure:
@@ -378,8 +386,8 @@ class TestSolverFailure:
     def test_cold_certificate(self, monkeypatch, solver):
         ct._member_core.cache_clear()
         with monkeypatch.context() as patch:
-            patch.setattr(np.linalg, solver, _fail_solver)
-            with pytest.raises(NumericalError, match="solver failed: Eigenvalues did not converge"):
+            patch.setattr(mk, f"_{solver}_lo", _nonconvergent)
+            with pytest.raises(NumericalError, match="solver did not converge"):
                 ct.certify_margin("PID", G_PID, UB111, 1)
         cert = ct.certify_margin("PID", G_PID, UB111, 1)
         assert cert.method == "exact" and cert.alpha > 0
@@ -393,8 +401,8 @@ class TestSolverFailure:
         }[call]
         ct._member_core.cache_clear()
         with monkeypatch.context() as patch:
-            patch.setattr(np.linalg, "eigvalsh", _fail_solver)
-            with pytest.raises(NumericalError, match="solver failed"):
+            patch.setattr(mk, "_eigvalsh_lo", _nonconvergent)
+            with pytest.raises(NumericalError, match="solver did not converge"):
                 public()
         public()
 
@@ -480,18 +488,15 @@ class TestSharedLift:
 
 
 class TestQReportInputErrors:
-    """q_report checks the frozen point before it stacks theta with its
-    floor, so its input errors are assemble_A's."""
+    """A frozen point holds one finite square matrix per field, checked at
+    construction; q_report checks the kind and the n x n shapes before it
+    stacks theta with its floor, so those input errors are assemble_A's."""
 
     @pytest.mark.parametrize(
         "kind,field,shape",
         [
             ("PID", "a", (2, 2)),
-            ("PID", "theta", (3, 4)),
-            ("PID", "theta", (3,)),
-            ("PID", "theta", (2, 3, 3)),
             ("PID", "b", (1, 1)),
-            ("PD", "b", (2, 3, 3)),
             ("PI", "a", (4, 4)),
             ("PI", "theta", (1, 1)),
         ],
@@ -509,6 +514,21 @@ class TestQReportInputErrors:
         assert str(got.value) == str(want.value)
         assert "has shape" in str(got.value)
 
+    @pytest.mark.parametrize(
+        "field,shape,text",
+        [
+            ("theta", (3, 4), "theta must be square, got shape (3, 4)"),
+            ("theta", (3,), "theta must be square, got shape (3,)"),
+            ("theta", (2, 3, 3), "theta must be one square matrix, got shape (2, 3, 3)"),
+            ("b", (2, 3, 3), "b must be one square matrix, got shape (2, 3, 3)"),
+        ],
+    )
+    def test_non_square_matrix_refused_at_construction(self, field, shape, text):
+        mats = {"a": np.zeros((3, 3)), "theta": np.eye(3), "b": np.zeros((3, 3))}
+        mats[field] = np.ones(shape)
+        with pytest.raises(DimensionError, match=f"^{re.escape(text)}$"):
+            ct.FrozenUncertainty(**mats)
+
     @pytest.mark.parametrize("kind", ["PID", "PD"])
     def test_missing_b(self, kind):
         g = G_PID if kind == "PID" else G_PD
@@ -519,16 +539,27 @@ class TestQReportInputErrors:
             ct.q_report(kind, g, UB111, fu, 2)
         assert str(got.value) == str(want.value) == f"{kind} assembly needs the b matrix"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "n,field,value",
-        [(1, "theta", np.nan), (2, "theta", np.nan), (2, "a", np.nan), (2, "b", np.nan)],
+        [
+            (1, "theta", np.nan),
+            (2, "theta", np.nan),
+            (2, "a", np.nan),
+            (2, "b", np.nan),
+            # an inf here once reached q_report's arithmetic, and numpy
+            # warned before the finiteness test could raise
+            (2, "theta", np.inf),
+            (1, "a", -np.inf),
+        ],
     )
-    def test_non_finite_matrix_names_its_place_in_the_stack(self, n, field, value):
+    def test_non_finite_matrix_refused_at_construction(self, n, field, value):
         mats = {"a": np.zeros((n, n)), "theta": np.eye(n), "b": np.zeros((n, n))}
         mats[field][n - 1, 0] = value
-        fu = ct.FrozenUncertainty(**mats)
-        with pytest.raises(UsageError, match=re.escape("matrix contains NaN or Inf entries (matrix [0])")):
-            ct.q_report("PID", G_PID, UB111, fu, n)
+        with pytest.raises(UsageError, match=f"^{field} contains NaN or Inf entries$"):
+            ct.FrozenUncertainty(**mats)
+        with pytest.raises(UsageError, match=f"^{field} contains NaN or Inf entries$"):
+            ct.FrozenUncertainty.checked(UB111, **mats)
 
 
 class TestDerivedCore:

@@ -2,7 +2,9 @@
 
 The kernel calls LAPACK's symmetric eigen solver, so it is cross-checked
 against independent routes: the general (non-symmetric) eigen solver, the
-SVD, hand arithmetic and Rayleigh quotients.
+SVD, hand arithmetic and Rayleigh quotients.  It reaches LAPACK through the
+gufuncs that numpy.linalg.eigvalsh and eigh call, so it must give their
+bytes and fail where they fail.
 """
 
 import math
@@ -19,6 +21,12 @@ from pidcert.errors import DimensionError, NumericalError, UsageError
 def random_symmetric(rng, n, scale=5.0):
     a = rng.uniform(-scale, scale, size=(n, n))
     return mk.symmetrize(a)
+
+
+def _nonconvergent(a, signature):
+    """Stands in for a LAPACK eigen gufunc that does not converge: like the
+    real one, it raises numpy's invalid flag (here by 0/0) and gives NaN."""
+    return np.divide(np.zeros(a.shape[:-1]), 0.0)
 
 
 class TestSymmetrize:
@@ -86,11 +94,8 @@ class TestEigExtrema:
         assert abs(hi - ref[-1]) < tol
 
     def test_solver_failure_is_numerical_error(self, monkeypatch):
-        def fail(_):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-        with pytest.raises(NumericalError, match="did not converge"):
+        monkeypatch.setattr(mk, "_eigvalsh_lo", _nonconvergent)
+        with pytest.raises(NumericalError, match="^symmetric eigenvalue solver did not converge$"):
             mk.eig_extrema(np.eye(2))
 
     @given(st.integers(0, 10**6), st.integers(1, 6))
@@ -170,9 +175,55 @@ class TestStacks:
             mk.operator_norm(np.ones((3, 2, 3)))
 
     def test_solver_failure_is_numerical_error(self, monkeypatch):
-        def fail(_):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-        with pytest.raises(NumericalError, match="did not converge"):
+        monkeypatch.setattr(mk, "_eigvalsh_lo", _nonconvergent)
+        with pytest.raises(NumericalError, match="^symmetric eigenvalue solver did not converge$"):
             mk.eig_extrema(np.stack([np.eye(2)] * 3))
+
+
+
+def _solved(solver, m):
+    """The bytes, dtype and shape of each array a solver returns."""
+    out = solver(m)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in (out if isinstance(out, tuple) else (out,))]
+
+
+class TestLapackSeam:
+    """mk.eigvalsh and mk.eigh call numpy.linalg's gufuncs directly and give
+    numpy.linalg.eigvalsh's and eigh's results byte for byte."""
+
+    PAIRS = ((mk.eigvalsh, np.linalg.eigvalsh), (mk.eigh, np.linalg.eigh))
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_single_matrix(self, n):
+        rng = np.random.default_rng(1000 + n)
+        for _ in range(5):
+            s = random_symmetric(rng, n, scale=10.0 ** rng.uniform(-3, 3))
+            for ours, theirs in self.PAIRS:
+                assert _solved(ours, s) == _solved(theirs, s)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(4, 3, 3), (2, 2, 2)] + [(3, mn, mn) for mn in (2, 3, 6, 9, 16, 24)],
+        ids=lambda shape: "x".join(map(str, shape)),
+    )
+    def test_stack(self, shape):
+        rng = np.random.default_rng(shape[0] * 100 + shape[-1])
+        for _ in range(5):
+            s = mk.symmetrize(rng.standard_normal(shape))
+            for ours, theirs in self.PAIRS:
+                assert _solved(ours, s) == _solved(theirs, s)
+
+    def test_fails_where_numpy_linalg_fails(self):
+        """A real LAPACK failure, unpatched: each input either fails in both
+        (NumericalError here, LinAlgError in numpy.linalg) or gives both the
+        same bytes.  With the OpenBLAS that numpy 2.4's wheels bundle, a
+        5 x 5 NaN matrix fails to converge."""
+        for m in (np.full((5, 5), np.nan), np.full((2, 2), np.nan), np.eye(3)):
+            for ours, theirs in self.PAIRS:
+                try:
+                    want = _solved(theirs, m)
+                except np.linalg.LinAlgError:
+                    with pytest.raises(NumericalError, match="solver did not converge$"):
+                        ours(m)
+                else:
+                    assert _solved(ours, m) == want
