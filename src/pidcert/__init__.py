@@ -6,15 +6,7 @@ matrices with certified uniform decrease margins, and audits closed-loop
 simulations against the resulting exponential envelopes.
 """
 
-from .certificates import (
-    FrozenUncertainty,
-    LyapunovCertificate,
-    QReport,
-    assemble_A,
-    build_P,
-    certify_margin,
-    q_report,
-)
+from .certificates import LyapunovCertificate, certify_margin
 from .equilibrium import EquilibriumSolution, solve_equilibrium
 from .errors import (
     CertificateError,

@@ -21,13 +21,14 @@ numpy.linalg's per-call wrapper).  The membership check and the core's
 eigen solve are kept for the last (gains, bounds) seen, and the lift P for
 the last (gains, bounds, n), one entry each and read-only, so a certificate
 and the audits that follow it on the same gains share them: a certificate
-makes two more solves (corners, bound), ``q_report`` one (Q - Q0, Q and
-Q0), and a call on new gains one more (the core).  The matrices around the
-solves are built in one pass each: ``q_report`` one companion stack over
-[theta, b_lower I], the margin its n = 1 companion directly and its corner
-offsets from a sign table built at import.  (P, alpha) give the envelope:
-decay rate lambda = alpha/(2 lambda_max(P)), overshoot gain M.  A frozen
-point's matrices are checked finite and square when it is built.
+makes two more solves (corners, bound), ``q_report`` two (Sym[theta], then
+Q and Q0), and a call on new gains one more (the core).  The matrices
+around the solves are built in one pass each: ``q_report`` one companion
+stack over [theta, b_lower I], the margin its n = 1 companion directly and
+its corner offsets from a sign table built at import.  (P, alpha) give the
+envelope: decay rate lambda = alpha/(2 lambda_max(P)), overshoot gain M.
+A frozen point is immutable, its matrices checked when it is built, and
+``checked`` and ``q_report`` test its theta floor by one rule.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from . import matrix_kernel as mk
-from .errors import CertificateError, DimensionError, UsageError
+from .errors import CertificateError, UsageError
 from .gain_sets import (
     FIRST_ORDER,
     LAYOUT,
@@ -87,13 +88,13 @@ _CORNER_TABLES = {
 _SHIFTS = {m: _read_only(np.eye(m, k=1)) for m in (2, 3)}
 
 
-@dataclass
+@dataclass(frozen=True)
 class FrozenUncertainty:
     """A point of the uncertainty ball: constant matrices (a, b, theta).
 
     ``b`` is absent for first-order (PI) plants.  Each matrix given must be
-    one finite square matrix, checked at construction; ``checked`` also
-    checks bound membership against the given class bounds.
+    one finite square matrix, checked at construction (``mk.as_matrix``);
+    ``checked`` also checks bound membership against the given class bounds.
     """
 
     a: np.ndarray
@@ -101,18 +102,18 @@ class FrozenUncertainty:
     b: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.a = _point_matrix(self.a, "a")
-        self.theta = _point_matrix(self.theta, "theta")
-        if self.b is not None:
-            self.b = _point_matrix(self.b, "b")
+        for name in ("a", "theta", "b"):
+            m = getattr(self, name)
+            if m is not None:
+                object.__setattr__(self, name, mk.as_matrix(m, name))
 
     @staticmethod
     def checked(ub: UncertaintyBounds, a, theta, b=None) -> "FrozenUncertainty":
         fu = FrozenUncertainty(a=a, theta=theta, b=b)
         if mk.operator_norm(fu.a) > ub.L1 + BOUND_SLACK:
             raise UsageError(f"|a| = {mk.operator_norm(fu.a):.6g} exceeds L1 = {ub.L1}")
-        lam_min, _ = mk.eig_extrema(mk.symmetrize(fu.theta))
-        if lam_min < ub.b_lower - BOUND_SLACK:
+        lam_min = _sym_min(fu.theta)
+        if not lam_min >= ub.b_lower - BOUND_SLACK:
             raise UsageError(
                 f"lambda_min(Sym[theta]) = {lam_min:.6g} below b_lower = {ub.b_lower}"
             )
@@ -126,12 +127,10 @@ class FrozenUncertainty:
         return fu
 
 
-def _point_matrix(m, name: str) -> np.ndarray:
-    """``m`` as one finite square float matrix (a copy), not a stack."""
-    a = mk.as_square(m, name)
-    if a.ndim != 2:
-        raise DimensionError(f"{name} must be one square matrix, got shape {a.shape}")
-    return a
+def _sym_min(theta: np.ndarray) -> float:
+    """lambda_min(Sym[theta]), which both theta-floor checks compare with
+    b_lower - BOUND_SLACK (an overflow's NaN fails them)."""
+    return float(mk.eigvalsh((theta + theta.T) / 2.0)[0])
 
 
 @dataclass
@@ -350,14 +349,22 @@ def q_report(
 ) -> QReport:
     """Q = -(PA + A^T P) at one frozen point, plus the worst-case bound Q0.
 
-    Q0 replaces theta by its symmetric floor b_lower * I; the gap Q - Q0 is a
-    rank-one-gain Kronecker product with Sym[theta] - b_lower*I, hence PSD.
-    Raises CertificateError when that gap is not PSD or Q0 is not positive
+    Q0 replaces theta by its symmetric floor b_lower * I; the gap Q - Q0 is
+    (2 k k^T) x (Sym[theta] - b_lower*I), PSD when theta meets its floor.
+    That is tested on theta by ``checked``'s rule, as the gap's zero
+    eigenvalues come out as rounding noise of size eps |P| |A|.  Raises
+    CertificateError when theta is below its floor or Q0 is not positive
     definite, as happens at points outside the ball.
     """
     n = _dimension(n)
     _checked_core(kind, g, ub, "q_report")
     _check_frozen(kind, fu, n)
+    lam_theta = _sym_min(fu.theta)
+    if not lam_theta >= ub.b_lower - BOUND_SLACK:
+        raise CertificateError(
+            f"theta-floor substitution step failed: lambda_min(Sym[theta]) = "
+            f"{lam_theta:.6g} below b_lower = {ub.b_lower}"
+        )
     P = _member_lift(g, ub, n)
     # A and its floor A0 as one stack, from theta and b_lower * I; matmul
     # forms each slice as it forms a 2-D product, so Q and Q0 keep their bits
@@ -367,23 +374,18 @@ def q_report(
     AA = _companion(kind, g, theta, fu.a, fu.b)
     T = P @ AA
     np.negative(np.add(T, AA.transpose(0, 2, 1) @ P, out=T), out=T)  # -(PA + A^T P)
-    S = np.empty((3,) + P.shape)  # [Q - Q0, Q, Q0], for one eigen solve
-    np.divide(np.add(T, T.transpose(0, 2, 1), out=S[1:]), 2.0, out=S[1:])  # symmetrize's arithmetic
-    np.subtract(S[1], S[2], out=S[0])
-    # (T + T^T) / 2 is exactly symmetric, as addition commutes, and so is the
-    # difference of two such matrices: the stack needs no symmetry test.
-    # fu was checked finite at construction, so only an overflow fails this
+    S = np.add(T, T.transpose(0, 2, 1))  # [Q, Q0], for one eigen solve
+    np.divide(S, 2.0, out=S)  # symmetrize's arithmetic
+    # (T + T^T) / 2 is exactly symmetric, as addition commutes: the stack needs
+    # no symmetry test.  fu was checked finite at construction, so only an
+    # overflow fails this
     mk.require_finite(S)
-    gap_min, lam_q, lam_q0 = mk.eigvalsh(S)[:, 0].tolist()
-    if gap_min < -1e-9:
-        raise CertificateError(
-            f"theta-floor substitution step failed: lambda_min(Q - Q0) = {gap_min:.3e}"
-        )
+    lam_q, lam_q0 = mk.eigvalsh(S)[:, 0].tolist()
     if lam_q0 <= 0:
         raise CertificateError(
             f"worst-case decrease block check failed: lambda_min(Q0) = {lam_q0:.3e}"
         )
-    return QReport(Q=S[1], Q0=S[2], lambda_min_Q=lam_q, lambda_min_Q0=lam_q0)
+    return QReport(Q=S[0], Q0=S[1], lambda_min_Q=lam_q, lambda_min_Q0=lam_q0)
 
 
 # ---------------------------------------------------------------------------

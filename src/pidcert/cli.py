@@ -33,7 +33,7 @@ from . import gain_sets as gs
 from . import planar_pi
 from . import plant_models as pm
 from . import simulator as sim
-from .errors import PidcertError, UsageError, as_number
+from .errors import PidcertError, UsageError, as_number, as_vector
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -107,18 +107,10 @@ def _parse_plant(node, where: str) -> pm.PlantModel:
     return pm.build_family(node["family"], node.get("params", {}))
 
 
-def _vector(node, n: int, where: str) -> np.ndarray:
-    """``node``, a number or a list of them, as n floats; each entry is read
-    by ``as_number``'s rule."""
-    entries = np.atleast_1d(np.asarray(node, dtype=object)).ravel()
-    _expect(entries.size == n, f"{where}: expected {n} entries, got {entries.size}")
-    return np.array([as_number(v, where) for v in entries], dtype=float)
-
-
 def _x0(node, n: int, order: str, where: str) -> np.ndarray:
     """The initial state of an ``order`` plant from ``node``; None is rest."""
     want = 2 * n if order == gs.SECOND_ORDER else n
-    return np.zeros(want) if node is None else _vector(node, want, where)
+    return np.zeros(want) if node is None else as_vector(node, want, where)
 
 
 def mode_gains(config: dict, out: Path, seed: int) -> tuple:
@@ -175,7 +167,7 @@ def mode_simulate(config: dict, out: Path, seed: int) -> tuple:
     cfg = sim.SimConfig(
         plant=plant,
         gains=g,
-        y_star=_vector(config.get("y_star", 0.0), plant.n, "simulate mode: y_star"),
+        y_star=as_vector(config.get("y_star", 0.0), plant.n, "simulate mode: y_star"),
         x0=_x0(config.get("x0"), plant.n, plant.order, "simulate mode: x0"),
         **_sim_options(config, "simulate mode"),
     )
@@ -263,7 +255,7 @@ def mode_sweep(config: dict, out: Path, seed: int) -> tuple:
     n = plants[0].n
     for p in plants:
         _expect(p.n == n, "sweep mode: all plants must share the block dimension")
-    setpoints = [_vector(y, n, f"sweep mode: setpoints[{i}]") for i, y in enumerate(y_nodes)]
+    setpoints = [as_vector(y, n, f"sweep mode: setpoints[{i}]") for i, y in enumerate(y_nodes)]
     x0s = [_x0(x, n, gs.ORDER[kind], f"sweep mode: x0s[{i}]") for i, x in enumerate(x_nodes)]
     # one run per plant, built before any cell runs, checks the plant's order
     # and then the sim settings once; each cell's run is a copy of its plant's

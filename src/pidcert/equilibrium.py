@@ -58,14 +58,15 @@ def _stalled(rn: float) -> NumericalError:
 def solve_equilibrium(p: PlantModel, y_star, u0=None) -> EquilibriumSolution:
     """Damped Newton on Phi(u) = f(y*, 0, u) with residual-decrease
     acceptance, stopped at the tolerance relative to |Phi(0)| above.  A
-    setpoint that is not n finite numbers is a UsageError naming y_star."""
+    setpoint or a start ``u0`` that is not n finite numbers is a UsageError
+    naming y_star or u0."""
     y = as_vector(y_star, p.n, "y_star")
     phi, jac = _phi_and_jac(p, y)
     u = np.zeros(p.n)
     r = phi(u)
     tol = max(TOL, ROUNDOFF * np.finfo(float).eps * float(np.linalg.norm(r)))
     if u0 is not None:
-        u = np.atleast_1d(np.asarray(u0, dtype=float)).reshape(p.n)
+        u = as_vector(u0, p.n, "u0")
         r = phi(u)
     rn = float(np.linalg.norm(r))
     for it in range(MAX_ITER):

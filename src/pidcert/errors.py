@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the package, the one rule by which a
 number is read from a config or a params dict (``as_number``), and the one
-rule by which a vector of finite numbers is taken (``as_vector``)."""
+rule by which a vector of finite numbers is taken (``as_vector``, entry by
+entry by ``as_number``'s rule), wherever a vector enters the package."""
 
 import math
 
@@ -55,14 +56,14 @@ def as_number(value, where: str, cast=float):
 
 
 def as_vector(value, size: int, where: str) -> np.ndarray:
-    """``value`` as a flat float copy; anything but ``size`` finite numbers
-    is a UsageError that names ``where`` it was given."""
-    try:
-        flat = np.array(value, dtype=float).ravel()
-    except (TypeError, ValueError, OverflowError):
-        flat = None
-    if flat is None or flat.size != size or np.count_nonzero(np.isfinite(flat)) != size:
-        numbers = f"{size} finite number" + "s" * (size > 1)
-        got = value if flat is None else flat.tolist()
-        raise UsageError(f"{where} must be {numbers}, got {got!r}")
-    return flat
+    """``value``, a number or a (nested) list or array of them, as a flat
+    float copy; each entry is read by ``as_number``'s rule, and anything but
+    ``size`` such entries is a UsageError that names ``where`` it was given."""
+    entries = np.array(value, dtype=object).ravel().tolist()
+    if len(entries) == size:
+        try:
+            return np.array([as_number(v, where) for v in entries], dtype=float)
+        except UsageError:
+            pass
+    numbers = f"{size} finite number" + "s" * (size > 1)
+    raise UsageError(f"{where} must be {numbers}, got {entries!r}")

@@ -14,7 +14,8 @@ exact-symmetry check and the package's own error types.
 take a stack of matrices, shape (..., n, n), and then act on each matrix in
 one stacked LAPACK call: ``eig_extrema`` returns two arrays and
 ``operator_norm`` one, with the leading shape of the stack.  A single matrix
-gives plain floats.  ``require_finite`` is the finiteness test alone, and
+gives plain floats.  ``as_matrix`` is ``as_square`` where one matrix and no
+stack belongs.  ``require_finite`` is the finiteness test alone, and
 ``eigvalsh`` and ``eigh`` the error-mapped solves alone, for a matrix or
 stack its caller built finite and exactly symmetric.
 """
@@ -48,6 +49,14 @@ def as_square(m, name: str = "matrix") -> np.ndarray:
     if a.shape[-1] < 1:
         raise DimensionError(f"{name} must have dimension >= 1")
     require_finite(a, name)
+    return a
+
+
+def as_matrix(m, name: str = "matrix") -> np.ndarray:
+    """``as_square`` for one matrix: a stack is a DimensionError."""
+    a = as_square(m, name)
+    if a.ndim != 2:
+        raise DimensionError(f"{name} must be one square matrix, got shape {a.shape}")
     return a
 
 

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from . import matrix_kernel as mk
-from .errors import PlantError, UsageError, as_number
+from .errors import PlantError, UsageError, as_number, as_vector
 from .gain_sets import FIRST_ORDER, SECOND_ORDER, UncertaintyBounds
 
 
@@ -122,13 +122,6 @@ class ValidationReport:
     max_norm_jac_x2_point: Optional[dict]
     min_sym_jac_u_point: dict
     max_fd_rel_error_point: dict
-
-
-def _as_vec(x, n: int) -> np.ndarray:
-    v = np.atleast_1d(np.asarray(x, dtype=float)).reshape(-1)
-    if v.shape != (n,):
-        raise UsageError(f"expected vector of length {n}, got shape {v.shape}")
-    return v
 
 
 def _row_loop(fn: Callable[..., np.ndarray], shape: tuple) -> Callable[..., np.ndarray]:
@@ -281,7 +274,7 @@ def equilibrium_shift_check(p: PlantModel, y_star) -> bool:
     """
     if p.order != SECOND_ORDER:
         raise UsageError("equilibrium_shift_check applies to second-order plants")
-    y = _as_vec(y_star, p.n)
+    y = as_vector(y_star, p.n, "y_star")
     zero = np.zeros(p.n)
     val = p.eval_checked(y, zero, zero)
     return float(np.linalg.norm(val)) <= 1e-10 * (1.0 + float(np.linalg.norm(y)))
@@ -458,10 +451,10 @@ FAMILY_IDS = tuple(_FAMILIES)
 
 
 def _convert(value, default, where: str):
-    """A params value by the rule of its default: a finite square matrix for
-    ``_MATRIX``, else a finite number of the default's type."""
+    """A params value by the rule of its default: one finite square matrix
+    for ``_MATRIX``, else a finite number of the default's type."""
     if default is _MATRIX:
-        return mk.as_square(value, where)
+        return mk.as_matrix(value, where)
     return as_number(value, where, type(default))
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import pidcert as pc
-from pidcert import cli
+from pidcert import certificates, cli
 from pidcert import matrix_kernel as mk
 from pidcert.planar_pi import necessity_counterexample
 from oracles import (
@@ -90,7 +90,7 @@ class TestAcceptance:
 
     def test_criterion_02_p_matrix_reproduction(self):
         g = pc.GainVector("PID", 7, 1, 7)
-        P = pc.build_P("PID", g, UB111, 1)
+        P = certificates.build_P("PID", g, UB111, 1)
         np.testing.assert_array_equal(
             P, [[14.0, 14.0, 1.0], [14.0, 97.0, 7.0], [1.0, 7.0, 7.0]]
         )
@@ -119,8 +119,8 @@ class TestAcceptance:
             g = pc.suggest_gains("PID", ub, ki=rng.uniform(0.1, 2.0))
             cert = pc.certify_margin("PID", g, ub, n)
             fu = sample_frozen_uncertainty(ub, n, rng)
-            rep = pc.q_report("PID", g, ub, fu, n)
-            A = pc.assemble_A("PID", g, fu, n)
+            rep = certificates.q_report("PID", g, ub, fu, n)
+            A = certificates.assemble_A("PID", g, fu, n)
             resid = mk.symmetrize(cert.P @ A + A.T @ cert.P + cert.alpha * np.eye(3 * n))
             _, lam_max = mk.eig_extrema(resid)
             if rep.lambda_min_Q < rep.lambda_min_Q0 - 1e-9:

@@ -101,11 +101,12 @@ class TestBuildP:
 
     def test_one_membership_check_per_call(self, monkeypatch):
         """build_P, certify_margin and q_report on one (gains, bounds) share
-        one membership check and one core solve: 1 + 2 + 1 LAPACK eigen
+        one membership check and one core solve: 1 + 2 + 2 LAPACK eigen
         solves (the core's, the sandwich's corner and bound solves,
-        q_report's one stacked audit solve), all through matrix_kernel's
-        gufuncs and none through numpy.linalg's wrappers.  Each call on fresh
-        gains makes its own membership check."""
+        q_report's n x n theta-floor solve and its one stacked solve over
+        [Q, Q0]), all through matrix_kernel's gufuncs and none through
+        numpy.linalg's wrappers.  Each call on fresh gains makes its own
+        membership check."""
         ct._member_core.cache_clear()
         calls, solves, wrapped = [], [], []
         real = ct.membership
@@ -135,7 +136,7 @@ class TestBuildP:
             call()
             per_call.append(solves[:])
         assert calls == [G_PID]
-        assert per_call == [["eigvalsh"], ["eigh", "eigvalsh"], ["eigvalsh"]]
+        assert per_call == [["eigvalsh"], ["eigh", "eigvalsh"], ["eigvalsh", "eigvalsh"]]
         assert wrapped == []
         fresh = [GainVector("PID", 8, 1, 8), GainVector("PID", 9, 1, 9), GainVector("PID", 7, 0.5, 7)]
         for k, g in enumerate(fresh):
@@ -285,6 +286,46 @@ class TestQReport:
         with pytest.raises(CertificateError, match="theta-floor"):
             ct.q_report(kind, g, ub, low, 1)
 
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_in_ball_points_pass_at_large_gains(self, n):
+        """At gains (2100, 300, 2100) the entries of Q reach about 1e10, and
+        rounding puts noise of about eps |P| |A| on the n(m-1) zero
+        eigenvalues of Q - Q0.  Every point that ``checked`` admits to the
+        ball passes q_report, whose theta-floor check reads theta itself."""
+        g = GainVector("PID", 2100, 300, 2100)
+        rng = np.random.default_rng(n)
+
+        def ball():
+            d = rng.standard_normal((n, n))
+            return d * (rng.uniform(0.0, 0.99) / np.linalg.norm(d, 2))
+
+        for _ in range(200):
+            w = rng.standard_normal((n, n))
+            psd = rng.uniform(0.0, 1.0) * (w @ w.T) * (0.5 / n)
+            skew = rng.standard_normal((n, n))
+            theta = np.eye(n) + psd + rng.uniform(0.0, 10.0) * (skew - skew.T) / 2.0
+            fu = ct.FrozenUncertainty.checked(UB111, a=ball(), theta=theta, b=ball())
+            assert ct.q_report("PID", g, UB111, fu, n).lambda_min_Q0 > 0
+
+    @pytest.mark.parametrize("below,refused", [(0.5e-9, False), (2e-9, True)])
+    def test_checked_and_q_report_share_the_theta_floor(self, below, refused):
+        """Both refuse exactly the theta with lambda_min(Sym[theta]) below
+        b_lower - BOUND_SLACK, whatever the gains; a band on Q - Q0 would
+        scale that slack by 1 / (2 |k|^2)."""
+        mats = dict(a=[[0.0]], theta=[[UB111.b_lower - below]], b=[[0.0]])
+        fu = ct.FrozenUncertainty(**mats)
+        if refused:
+            with pytest.raises(UsageError, match=r"^lambda_min\(Sym\[theta\]\) = "):
+                ct.FrozenUncertainty.checked(UB111, **mats)
+            with pytest.raises(
+                CertificateError,
+                match=r"^theta-floor substitution step failed: lambda_min\(Sym\[theta\]\) = ",
+            ):
+                ct.q_report("PID", G_PID, UB111, fu, 1)
+        else:
+            ct.FrozenUncertainty.checked(UB111, **mats)
+            assert ct.q_report("PID", G_PID, UB111, fu, 1).lambda_min_Q0 > 0
+
 
 def _as_bytes(obj):
     """Every field of a certificate or audit, floats and arrays as bytes."""
@@ -341,7 +382,7 @@ class TestMemberCore:
 
 
 class TestQReportStack:
-    """q_report solves its own stack [Q - Q0, Q, Q0] without eig_extrema."""
+    """q_report solves its own stack [Q, Q0] without eig_extrema."""
 
     @pytest.mark.parametrize("kind", ["PID", "PD", "PI"])
     @pytest.mark.parametrize("n", [2, 3, 8])
@@ -351,7 +392,8 @@ class TestQReportStack:
             g, ub = _random_member(kind, rng)
             fu = sample_frozen_uncertainty(ub, n, rng)
             skew = rng.standard_normal((n, n))
-            fu.theta = fu.theta + 1e3 * (skew - skew.T)  # Sym[theta] kept up to rounding
+            # Sym[theta] kept up to rounding
+            fu = dataclasses.replace(fu, theta=fu.theta + 1e3 * (skew - skew.T))
             rep = ct.q_report(kind, g, ub, fu, n)
             assert np.array_equal(rep.Q, rep.Q.T)
             assert np.array_equal(rep.Q0, rep.Q0.T)
@@ -365,7 +407,7 @@ class TestQReportStack:
 
     def test_non_finite_stack_names_its_matrix(self):
         """A finite frozen point whose products overflow, with numpy's
-        warnings switched off: the stack's finiteness test names Q - Q0."""
+        warnings switched off: the stack's finiteness test names Q."""
         fu = ct.FrozenUncertainty(a=np.zeros((1, 1)), theta=np.array([[1e307]]), b=np.zeros((1, 1)))
         with np.errstate(all="ignore"):
             with pytest.raises(UsageError, match=re.escape("NaN or Inf entries (matrix [0])")):
@@ -528,6 +570,16 @@ class TestQReportInputErrors:
         mats[field] = np.ones(shape)
         with pytest.raises(DimensionError, match=f"^{re.escape(text)}$"):
             ct.FrozenUncertainty(**mats)
+
+    @pytest.mark.parametrize("field", ["a", "theta", "b"])
+    def test_fields_cannot_be_reassigned(self, field):
+        """A point's matrices are checked once, at construction, so none can
+        be swapped after it; a new point goes through the matrix rule."""
+        fu = ct.FrozenUncertainty.checked(UB111, a=[[0.0]], theta=[[1.0]], b=[[0.0]])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(fu, field, [[np.inf]])
+        with pytest.raises(UsageError, match=f"^{field} contains NaN or Inf entries$"):
+            dataclasses.replace(fu, **{field: [[np.inf]]})
 
     @pytest.mark.parametrize("kind", ["PID", "PD"])
     def test_missing_b(self, kind):

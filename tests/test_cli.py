@@ -832,6 +832,18 @@ class TestNonNumericValues:
                 "sweep.csv",
             ),
             ("certify", {"bounds": {"L1": 1, "L2": [1], "b_lower": 1}}, "'L2'", "certificate.json"),
+            # a plant matrix is one square matrix, not a stack
+            (
+                "verify-class",
+                {
+                    "plant": {
+                        "family": "linear_matrix",
+                        "params": {"A1": [[[0.5]]], "A2": [[0.0]], "Theta": [[1.0]]},
+                    }
+                },
+                "'A1'",
+                "validation.json",
+            ),
             # a value the library would default, when set, is read by the same rule
             (
                 "verify-class",

@@ -24,7 +24,7 @@ def family_zoo():
 
 
 class TestSolveEquilibrium:
-    @pytest.mark.parametrize("y_star", [[np.inf], [np.nan], [0.5, 0.5], "x"])
+    @pytest.mark.parametrize("y_star", [[np.inf], [np.nan], [0.5, 0.5], "x", True])
     def test_bad_setpoint_is_usage_error(self, y_star):
         """A setpoint that is not n finite numbers is refused by name, before
         the plant is called with it (a RuntimeWarning, which fails the suite)
@@ -32,6 +32,13 @@ class TestSolveEquilibrium:
         p = pm.build_family("sinusoidal_scalar", {"order": "first_order", "c1": 1.0})
         with pytest.raises(UsageError, match=r"^y_star must be 1 finite number, got "):
             eq.solve_equilibrium(p, y_star)
+
+    @pytest.mark.parametrize("u0", [[1.0, 2.0], [np.nan], [True]])
+    def test_bad_start_is_usage_error(self, u0):
+        """A start u0 is read by the same rule as the setpoint."""
+        p = pm.build_family("sinusoidal_scalar", {"order": "first_order", "c1": 1.0})
+        with pytest.raises(UsageError, match=r"^u0 must be 1 finite number, got "):
+            eq.solve_equilibrium(p, [0.5], u0=u0)
 
     def test_linear_closed_form(self):
         p = pm.build_family(

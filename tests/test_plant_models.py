@@ -225,6 +225,13 @@ class TestEquilibriumShiftCheck:
         with pytest.raises(UsageError):
             pm.equilibrium_shift_check(p, [0.0])
 
+    @pytest.mark.parametrize("y_star", [[np.nan], [np.inf], [0.0, 0.0], True])
+    def test_bad_setpoint_is_usage_error(self, y_star):
+        """Refused by name by the one vector rule, before the plant is called
+        with it and blamed for it."""
+        with pytest.raises(UsageError, match=r"^y_star must be 1 finite number, got "):
+            pm.equilibrium_shift_check(sin_plant(), y_star)
+
 
 class TestCustomPlant:
     def test_fd_fallback_jacobians(self):

@@ -157,18 +157,23 @@ class TestSimulate:
     @pytest.mark.parametrize("integrator", [RK4_FIXED, RK45_ADAPTIVE])
     @pytest.mark.parametrize("kind", ["PID", "PD", "PI"])
     @pytest.mark.parametrize("field", ["y_star", "x0", "integral_state0"])
-    @pytest.mark.parametrize("bad", ["size", "inf", "nan"])
+    @pytest.mark.parametrize("bad", ["size", "inf", "nan", "bool"])
     def test_bad_initial_data_is_usage_error(self, bad, field, kind, integrator):
         """A wrong-sized or non-finite y*, x0 or integral state is outside the
         paper's finite initial states: SimConfig refuses it by name, before
-        any plant call could blame the plant."""
+        any plant call could blame the plant.  A bool is not a number, as
+        everywhere a number is read."""
         gains, params, x0 = self.INITIAL[kind]
         run = dict(
             plant=pc.build_family("sinusoidal_scalar", params), gains=gains, y_star=[0.5],
             x0=x0, integral_state0=[0.0], t_final=1.0, integrator=integrator,
         )
         good = run[field]
-        value = good + [0.0] if bad == "size" else [float(bad)] + good[1:]
+        value = (
+            good + [0.0] if bad == "size"
+            else [True] + good[1:] if bad == "bool"
+            else [float(bad)] + good[1:]
+        )
         size = f"{len(good)} finite number" + ("s" if len(good) > 1 else "")
         with pytest.raises(UsageError) as info:
             pc.simulate(pc.SimConfig(**(run | {field: value})))
