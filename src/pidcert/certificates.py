@@ -7,28 +7,22 @@ uniform lower bound alpha on lambda_min(Q) over the whole uncertainty ball
 
     |a| <= L1,  |b| <= L2,  Sym[theta] >= b_lower * I.
 
-P is the lift core x I_n of the paper's closed-form core (``_core_P``), A the
-block companion matrix over the state blocks of ``gain_sets.LAYOUT``, and the
-decrease core C = -(core A0 + A0^T core) comes from A at a = b = 0, theta =
-b_lower, n = 1.  All kinds share one margin path, a sandwich on C: the upper
-bound is the least eigenvalue over the corners a = +-L1 I, b = +-L2 I (in the
-ball), the lower an S-procedure bound for every n.  alpha is the lower; the
-certificate records both and their gap, and its method is ``exact`` when they
-agree to 1e-9 relative, else ``lower_bound``.  Eigen solves are stacked, as
-per-call overhead sets their cost, and go through ``matrix_kernel``, so a
-LAPACK failure is a NumericalError (it calls numpy's LAPACK gufuncs, not
-numpy.linalg's per-call wrapper).  The membership check and the core's
-eigen solve are kept for the last (gains, bounds) seen, and the lift P for
-the last (gains, bounds, n), one entry each and read-only, so a certificate
-and the audits that follow it on the same gains share them: a certificate
-makes two more solves (corners, bound), ``q_report`` two (Sym[theta], then
-Q and Q0), and a call on new gains one more (the core).  The matrices
-around the solves are built in one pass each: ``q_report`` one companion
-stack over [theta, b_lower I], the margin its n = 1 companion directly and
-its corner offsets from a sign table built at import.  (P, alpha) give the
-envelope: decay rate lambda = alpha/(2 lambda_max(P)), overshoot gain M.
-A frozen point is immutable, its matrices checked when it is built, and
-``checked`` and ``q_report`` test its theta floor by one rule.
+P is the lift core x I_n of the paper's closed-form core (``_core_P``) and A
+the block companion matrix over the state blocks of ``gain_sets.LAYOUT``.
+All kinds share one margin path, ``sandwich_margin``, on the decrease core
+C of A at a = b = 0, theta = b_lower, n = 1: the least eigenvalue over the
+ball's corners bounds the ball minimum above, an S-procedure bound below for
+every n.  alpha is the lower; the certificate records both and their gap,
+and its method is ``exact`` when they agree to EXACT_GAP relative, else
+``lower_bound``.  (P, alpha) give the envelope: decay rate
+lambda = alpha/(2 lambda_max(P)), overshoot gain M.  Eigen solves are
+stacked, as per-call overhead sets their cost, and go through
+``matrix_kernel``, so a LAPACK failure is a NumericalError.  The core's
+membership check and eigen solve are kept for the last (gains, bounds), and
+the lift P for the last (gains, bounds, n), read-only, so a certificate and
+the audits that follow it on the same gains share them.  A frozen point is
+immutable, its matrices checked when it is built, and ``checked`` and
+``q_report`` test it by the class test of its bounds.
 """
 
 from __future__ import annotations
@@ -54,7 +48,6 @@ from .gain_sets import (
     membership,
 )
 
-BOUND_SLACK = 1e-9
 # relative gap between the sandwich bounds up to which alpha counts as exact
 EXACT_GAP = 1e-9
 # relative mismatch allowed between a stored and a recomputed certificate
@@ -94,7 +87,7 @@ class FrozenUncertainty:
 
     ``b`` is absent for first-order (PI) plants.  Each matrix given must be
     one finite square matrix, checked at construction (``mk.as_matrix``);
-    ``checked`` also checks bound membership against the given class bounds.
+    ``checked`` also puts the point to its bounds' class test (``breaches``).
     """
 
     a: np.ndarray
@@ -110,27 +103,13 @@ class FrozenUncertainty:
     @staticmethod
     def checked(ub: UncertaintyBounds, a, theta, b=None) -> "FrozenUncertainty":
         fu = FrozenUncertainty(a=a, theta=theta, b=b)
-        if mk.operator_norm(fu.a) > ub.L1 + BOUND_SLACK:
-            raise UsageError(f"|a| = {mk.operator_norm(fu.a):.6g} exceeds L1 = {ub.L1}")
-        lam_min = _sym_min(fu.theta)
-        if not lam_min >= ub.b_lower - BOUND_SLACK:
-            raise UsageError(
-                f"lambda_min(Sym[theta]) = {lam_min:.6g} below b_lower = {ub.b_lower}"
-            )
-        if fu.b is not None:
-            if mk.operator_norm(fu.b) > ub.L2 + BOUND_SLACK:
-                raise UsageError(
-                    f"|b| = {mk.operator_norm(fu.b):.6g} exceeds L2 = {ub.L2}"
-                )
-        elif ub.order != FIRST_ORDER:
+        norm_b = 0.0 if fu.b is None else mk.operator_norm(fu.b)
+        broken = ub.breaches(mk.operator_norm(fu.a), norm_b, mk.sym_min(fu.theta))
+        if broken:
+            raise UsageError("; ".join(broken))
+        if fu.b is None and ub.order != FIRST_ORDER:
             raise UsageError("second-order frozen uncertainty needs the b matrix")
         return fu
-
-
-def _sym_min(theta: np.ndarray) -> float:
-    """lambda_min(Sym[theta]), which both theta-floor checks compare with
-    b_lower - BOUND_SLACK (an overflow's NaN fails them)."""
-    return float(mk.eigvalsh((theta + theta.T) / 2.0)[0])
 
 
 @dataclass
@@ -351,20 +330,18 @@ def q_report(
 
     Q0 replaces theta by its symmetric floor b_lower * I; the gap Q - Q0 is
     (2 k k^T) x (Sym[theta] - b_lower*I), PSD when theta meets its floor.
-    That is tested on theta by ``checked``'s rule, as the gap's zero
-    eigenvalues come out as rounding noise of size eps |P| |A|.  Raises
-    CertificateError when theta is below its floor or Q0 is not positive
-    definite, as happens at points outside the ball.
+    That is tested on theta by the class test that ``checked`` makes, as the
+    gap's zero eigenvalues come out as rounding noise of size eps |P| |A|.
+    Raises CertificateError when theta is below its floor or Q0 is not
+    positive definite, as happens at points outside the ball.
     """
     n = _dimension(n)
     _checked_core(kind, g, ub, "q_report")
     _check_frozen(kind, fu, n)
-    lam_theta = _sym_min(fu.theta)
-    if not lam_theta >= ub.b_lower - BOUND_SLACK:
-        raise CertificateError(
-            f"theta-floor substitution step failed: lambda_min(Sym[theta]) = "
-            f"{lam_theta:.6g} below b_lower = {ub.b_lower}"
-        )
+    # the class test of theta alone: a zero |a| and |b| meet any L1, L2 >= 0
+    broken = ub.breaches(0.0, 0.0, mk.sym_min(fu.theta))
+    if broken:
+        raise CertificateError(f"theta-floor substitution step failed: {broken[0]}")
     P = _member_lift(g, ub, n)
     # A and its floor A0 as one stack, from theta and b_lower * I; matmul
     # forms each slice as it forms a 2-D product, so Q and Q0 keep their bits
@@ -374,9 +351,9 @@ def q_report(
     AA = _companion(kind, g, theta, fu.a, fu.b)
     T = P @ AA
     np.negative(np.add(T, AA.transpose(0, 2, 1) @ P, out=T), out=T)  # -(PA + A^T P)
-    S = np.add(T, T.transpose(0, 2, 1))  # [Q, Q0], for one eigen solve
-    np.divide(S, 2.0, out=S)  # symmetrize's arithmetic
-    # (T + T^T) / 2 is exactly symmetric, as addition commutes: the stack needs
+    np.divide(T, 2.0, out=T)
+    S = np.add(T, T.transpose(0, 2, 1))  # [Q, Q0], by symmetrize's arithmetic
+    # T/2 + T^T/2 is exactly symmetric, as addition commutes: the stack needs
     # no symmetry test.  fu was checked finite at construction, so only an
     # overflow fails this
     mk.require_finite(S)

@@ -1,9 +1,11 @@
 """Gain regions for PID/PD/PI control of uncertain non-affine plants.
 
 Membership in each region is decided by exact arithmetic on the strict
-inequalities that define it; numerical margins belong to the downstream
-certificate machinery, not here.  All regions are open and unbounded, and the
-PID region is a semi-cone (closed under scaling by any factor >= 1).
+inequalities that define it, without a tolerance.  All regions are open and
+unbounded, and the PID region is a semi-cone (closed under scaling by any
+factor >= 1).  The plant class has one test, ``UncertaintyBounds.breaches``,
+with one tolerance, BOUND_SLACK, for frozen points, plant audits and
+``covers``.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ LAYOUT = {
 # the plant order each kind controls: a kind with a velocity block v controls
 # second-order plants
 ORDER = {kind: SECOND_ORDER if "v" in blocks else FIRST_ORDER for kind, blocks in LAYOUT.items()}
+
+# the class test's tolerance: each derivative bound is met within it
+BOUND_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -68,15 +73,25 @@ class UncertaintyBounds:
         """State bound of a first-order class."""
         return self.L1
 
+    def breaches(self, norm_a: float, norm_b: float, sym_min: float) -> list[str]:
+        """The class test: a message for each bound broken by more than
+        BOUND_SLACK, given |df/dx1| = ``norm_a``, |df/dx2| = ``norm_b`` (0
+        if absent) and lambda_min(Sym[df/du]) = ``sym_min``."""
+        broken = []
+        if not norm_a <= self.L1 + BOUND_SLACK:
+            broken.append(f"|a| = {norm_a:.6g} exceeds L1 = {self.L1}")
+        if not norm_b <= self.L2 + BOUND_SLACK:
+            broken.append(f"|b| = {norm_b:.6g} exceeds L2 = {self.L2}")
+        if not sym_min >= self.b_lower - BOUND_SLACK:
+            broken.append(f"lambda_min(Sym[theta]) = {sym_min:.6g} below b_lower = {self.b_lower}")
+        return broken
+
 
 def covers(cert_bounds: UncertaintyBounds, plant_bounds: UncertaintyBounds) -> bool:
     """True iff the class ``cert_bounds`` contains the class ``plant_bounds``:
-    same order, L1 and L2 no larger and b_lower no smaller."""
-    return (
-        cert_bounds.order == plant_bounds.order
-        and plant_bounds.L1 <= cert_bounds.L1
-        and plant_bounds.L2 <= cert_bounds.L2
-        and plant_bounds.b_lower >= cert_bounds.b_lower
+    the same order, and bounds that pass ``cert_bounds``' class test."""
+    return cert_bounds.order == plant_bounds.order and not cert_bounds.breaches(
+        plant_bounds.L1, plant_bounds.L2, plant_bounds.b_lower
     )
 
 

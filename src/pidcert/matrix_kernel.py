@@ -10,12 +10,12 @@ errstate with a Python callback) costs more than the solve.  Spectral norms
 come from ``numpy.linalg.norm(., 2)``.  The wrappers add input validation, an
 exact-symmetry check and the package's own error types.
 
-``as_square``, ``symmetrize``, ``eig_extrema`` and ``operator_norm`` also
-take a stack of matrices, shape (..., n, n), and then act on each matrix in
-one stacked LAPACK call: ``eig_extrema`` returns two arrays and
-``operator_norm`` one, with the leading shape of the stack.  A single matrix
-gives plain floats.  ``as_matrix`` is ``as_square`` where one matrix and no
-stack belongs.  ``require_finite`` is the finiteness test alone, and
+``as_square``, ``symmetrize``, ``eig_extrema``, ``sym_min`` and
+``operator_norm`` also take a stack of matrices, shape (..., n, n), and then
+act on each matrix in one stacked LAPACK call: ``eig_extrema`` returns two
+arrays and the others one, with the leading shape of the stack.  A single
+matrix gives plain floats.  ``as_matrix`` is ``as_square`` where one matrix
+and no stack belongs.  ``require_finite`` is the finiteness test alone, and
 ``eigvalsh`` and ``eigh`` the error-mapped solves alone, for a matrix or
 stack its caller built finite and exactly symmetric.
 """
@@ -69,11 +69,18 @@ def require_finite(a: np.ndarray, name: str = "matrix") -> None:
 
 
 def symmetrize(m) -> np.ndarray:
-    """Return (m + m^T)/2 (of each matrix of a stack); exactly symmetric."""
-    a = as_square(m)
-    s = (a + np.swapaxes(a, -1, -2)) / 2.0
-    # averaging a[i,j] and a[j,i] is commutative, so s == s.T bitwise
-    return s
+    """Return m/2 + m^T/2 (of each matrix of a stack): exactly symmetric, as
+    addition commutes, and finite for a finite m."""
+    h = as_square(m) / 2.0
+    return h + h.swapaxes(-1, -2)
+
+
+def sym_min(m):
+    """lambda_min(Sym[m]) of a finite square matrix, or the array of them
+    over a stack, by symmetrize's arithmetic without its checks."""
+    h = m / 2.0
+    vals = eigvalsh(h + h.swapaxes(-1, -2))[..., 0]
+    return float(vals) if m.ndim == 2 else vals
 
 
 def eig_extrema(s):

@@ -28,12 +28,10 @@ write is contiguous; a cell-major (N, dim) state would make each of them a
 strided view, on which numpy takes about twice as long per call.  A cell's
 own recorded states are ``states[:, :, k]``, flattened to (samples, dim).
 
-The right-hand side is a binder, built by ``_rhs_factory``: ``bind(s, out)``
-on (blocks, N, n) arrays builds once the views that depend only on the two
-buffers and returns ``evaluate(t)``, which writes the rates at ``s`` into
-``out``, one of the stepper's stage rows.  Each plant run's value is checked
-as ``PlantModel.eval_checked`` checks it, and a bad one raises the same
-PlantError.  The steppers form each stage input in place, in one fixed
+The right-hand side is a binder (``_rhs_factory``): ``bind(s, out)(t)``
+writes the rates at ``s`` into ``out``, one of the stepper's stage rows,
+with each plant run's value checked as ``PlantModel.eval_checked`` checks
+it.  The steppers form each stage input in place, in one fixed
 block, with the arithmetic and order of ``s + c * k``, and bind once per
 integration.  RK4 records into a (steps + 1, blocks, N, n) block.  RK45
 keeps its seven stages as a (7, blocks, N, n) block, with a flat (7, size)
@@ -43,9 +41,10 @@ advances each cell exactly as a one-cell run does.
 Three guards keep the state finite, each where its failure enters:
 ``SimConfig`` refuses non-finite or wrong-sized initial data (UsageError),
 each rhs call tests the plant's values over the whole f block (PlantError),
-and both integrators step under ``np.errstate(over="raise")``, so a step in
-which a value overflows, in the plant or in the stepper, is an
-IntegrationError naming the step's start t and size h, not a plant fault.
+and both integrators step under ``np.errstate(over="raise")``: an RK4 step
+in which a value overflows, in the plant or in the stepper, is an
+IntegrationError naming its start t and size h, not a plant fault, and an
+RK45 trial step is rejected, until its size falls below the float spacing.
 RK4 only adds and multiplies finite values, so it does not test the state.
 RK45 shares one step size across the cells, so it is given rtol/sqrt(N) and
 atol/sqrt(N): its RMS error norm over the stacked state is then
@@ -393,8 +392,7 @@ def _initial_state(cfg: SimConfig) -> np.ndarray:
 
 def _diverged(method: str, t: float, h: float, exc: FloatingPointError) -> IntegrationError:
     """The error of a step from ``t`` of size ``h`` in which a value
-    overflowed; each integrator steps under ``np.errstate(over="raise")``
-    and raises this from the FloatingPointError."""
+    overflowed, raised from its FloatingPointError."""
     return IntegrationError(
         f"{method} diverged in the step from t = {t:.6g} of size h = {h:.6g}: {exc}"
     )
@@ -490,15 +488,19 @@ def _rms(x: np.ndarray) -> float:
 def _initial_step(evaluate, trial, f_trial, s0, f0, t_final, rtol, atol):
     """Hairer, Norsett & Wanner's first step: one trial Euler step sizes it.
     ``evaluate`` is bound to the flat views ``trial``, where s0 + h0 f0 is
-    formed, and ``f_trial``, where its rates land."""
+    formed, and ``f_trial``, where its rates land.  A trial that overflows
+    has d2 = inf, as in scipy's ``select_initial_step``, so h1 = 0."""
     scale = atol + np.abs(s0) * rtol
     d0, d1 = _rms(s0 / scale), _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_final)
-    np.multiply(h0, f0, out=trial)
-    np.add(s0, trial, out=trial)
-    evaluate(h0)
-    d2 = _rms((f_trial - f0) / scale) / h0
+    try:
+        np.multiply(h0, f0, out=trial)
+        np.add(s0, trial, out=trial)
+        evaluate(h0)
+        d2 = _rms((f_trial - f0) / scale) / h0
+    except FloatingPointError:
+        d2 = math.inf
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -514,7 +516,9 @@ def _integrate_rk45(bind, s0: np.ndarray, cfg: SimConfig):
     (7, blocks, cells, n); the stage sums, the error norm and the
     interpolant work on its flat views, in block-major order.  Each stage
     input is formed in place in one fixed block and the new state in
-    another, so the seven stage rows are bound once per integration."""
+    another, so the seven stage rows are bound once per integration.  A
+    trial step that overflows is rejected, as scipy rejects its inf error
+    norm; if the step size then falls below the float spacing, it diverged."""
     t_final = float(cfg.t_final)
     n_rec = max(2, int(round(t_final / cfg.dt_max)) + 1)
     t_eval = np.linspace(0.0, t_final, n_rec)
@@ -549,29 +553,33 @@ def _integrate_rk45(bind, s0: np.ndarray, cfg: SimConfig):
                 min_step = 10 * (math.nextafter(t, math.inf) - t)
                 h_abs = max(h_abs, min_step)
                 rejected = False
+                overflow = None  # the last trial's overflow: the handler below names it
                 while True:
                     if h_abs < min_step:
-                        raise IntegrationError(
+                        raise overflow or IntegrationError(
                             f"adaptive integration failed at t = {t:.6g}: "
                             "Required step size is less than spacing between numbers."
                         )
                     t_new = min(t + h_abs, t_final)
                     h = t_new - t
                     h_abs = abs(h)
-                    # s + (K[:k]^T a) h and s + h (K[:6]^T B), in place
-                    for c, KT_k, a, evaluate in stages:
-                        np.dot(KT_k, a, out=mid_f)
-                        np.multiply(mid_f, h, out=mid_f)
-                        np.add(s, mid_f, out=mid_f)
-                        evaluate(t + c * h)
-                    np.dot(KT_B, _DP_B, out=s_new)
-                    np.multiply(h, s_new, out=s_new)
-                    np.add(s, s_new, out=s_new)
-                    last(t + h)
                     nfev += 6
-                    abs_new = np.abs(s_new)
-                    scale = atol + np.maximum(abs_s, abs_new) * rtol
-                    error = _rms(np.dot(KT, _DP_E) * h / scale)
+                    try:
+                        # s + (K[:k]^T a) h and s + h (K[:6]^T B), in place
+                        for c, KT_k, a, evaluate in stages:
+                            np.dot(KT_k, a, out=mid_f)
+                            np.multiply(mid_f, h, out=mid_f)
+                            np.add(s, mid_f, out=mid_f)
+                            evaluate(t + c * h)
+                        np.dot(KT_B, _DP_B, out=s_new)
+                        np.multiply(h, s_new, out=s_new)
+                        np.add(s, s_new, out=s_new)
+                        last(t + h)
+                        abs_new = np.abs(s_new)
+                        scale = atol + np.maximum(abs_s, abs_new) * rtol
+                        error, overflow = _rms(np.dot(KT, _DP_E) * h / scale), None
+                    except FloatingPointError as exc:
+                        error, overflow = math.inf, exc
                     if error < 1:
                         factor = _MAX_FACTOR if error == 0 else min(
                             _MAX_FACTOR, _SAFETY * error ** _ERROR_EXPONENT

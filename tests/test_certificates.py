@@ -208,6 +208,22 @@ class TestAssembleA:
         with pytest.raises(UsageError):
             ct.FrozenUncertainty.checked(UB111, a=[[0.0]], theta=[[0.5]], b=[[0.0]])
 
+    def test_every_broken_bound_is_named(self):
+        with pytest.raises(UsageError) as info:
+            ct.FrozenUncertainty.checked(UB111, a=[[2.0]], theta=[[0.5]], b=[[3.0]])
+        assert str(info.value) == (
+            "|a| = 2 exceeds L1 = 1.0; |b| = 3 exceeds L2 = 1.0; "
+            "lambda_min(Sym[theta]) = 0.5 below b_lower = 1.0"
+        )
+
+    def test_theta_near_the_float_limit_is_refused_with_a_finite_floor(self):
+        """Sym[theta] is theta/2 + theta^T/2, so entries of 1.7e308 do not
+        overflow (the test suite turns a RuntimeWarning into an error), and
+        the message gives the finite lambda_min(Sym[theta]) = 1 - 1.7e308."""
+        theta = [[1.0, 1.7e308], [1.7e308, 1.0]]
+        with pytest.raises(UsageError, match=re.escape("lambda_min(Sym[theta]) = -1.7e+308 below")):
+            ct.FrozenUncertainty.checked(UB111, a=np.zeros((2, 2)), theta=theta, b=np.zeros((2, 2)))
+
 
 class TestQReport:
     def test_theta_at_floor_gives_zero_gap(self):

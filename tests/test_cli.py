@@ -143,6 +143,41 @@ class TestSimulateMode:
         assert "out of class" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize(
+        "A1,code",
+        [
+            # rotation by 0.1 rad: orthogonal, but its computed norm is 1 + 2.2e-16
+            ([[0.9950041652780258, -0.09983341664682815],
+              [0.09983341664682815, 0.9950041652780258]], 0),
+            ([[1.000000002, 0.0], [0.0, 0.0]], 2),
+        ],
+        ids=["orthogonal", "2e-9_past_L1"],
+    )
+    def test_a_plant_at_the_class_edge(self, tmp_path, capsys, A1, code):
+        """A linear plant declares its computed bounds.  The certificate's
+        class admits them within BOUND_SLACK = 1e-9, as it admits a frozen
+        point: an orthogonal A1 is inside (1, 1, 1), and an A1 of norm
+        1 + 2e-9 is out of class."""
+        cfg = write_config(
+            tmp_path, "s.json",
+            {
+                "plant": {"family": "linear_matrix", "params": {
+                    "A1": A1, "A2": [[0.0, 0.0], [0.0, 0.0]], "Theta": [[1.0, 0.0], [0.0, 1.0]],
+                }},
+                "bounds": {"L1": 1.0, "L2": 1.0, "b_lower": 1.0},
+                "gains": {"kp": 7, "ki": 1, "kd": 7},
+                "y_star": [1.0, -0.5],
+                "x0": [0.0, 0.0, 0.0, 0.0],
+                "t_final": 20.0,
+            },
+        )
+        out = tmp_path / "out"
+        assert cli.run("simulate", cfg, out_dir=str(out)) == code
+        if code == 0:
+            assert json.loads((out / "summary.json").read_text())["envelope_pass"] is True
+        else:
+            assert "out of class" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["rtol", "atol"])
     def test_negative_tolerance_is_usage_error(self, tmp_path, capsys, key):
         config = json.loads((CONFIG_DIR / "simulate_sinusoidal.json").read_text())

@@ -15,6 +15,7 @@ flat order the stepper integrates in.
 import math
 import re
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -196,6 +197,77 @@ class TestAgainstSolveIvp:
         assert np.array_equal(cell_major(got[1]), sol.y.T) and got[2] == sol.nfev
 
 
+def cubic_u_cell(y_star):
+    """A cell of ``scripts/configs/sweep_robustness.json``: PID
+    (154, 20, 154) on ``nonaffine_cubic_u`` (c1 = c2 = b_lower = 1) from
+    rest, whose u^3 overflows in the first trial steps."""
+    g = pc.GainVector("PID", 154.00000000000003, 20.0, 154.00000000000003)
+    plant = pc.build_family("nonaffine_cubic_u", {"c1": 1.0, "c2": 1.0, "b_lower": 1.0})
+    return pc.prepare_cell(pc.SimConfig(
+        plant=plant, gains=g, y_star=[y_star], x0=[0.0, 0.0], t_final=30.0
+    ))
+
+
+def unchecked_rhs(cell):
+    """The one-cell PID right-hand side on the flat state (i, x1, x2) with
+    the plant's f called bare, as solve_ivp calls a user's: an overflow's
+    inf, and the NaN that follows it, reach the error norm."""
+    g, f, y = cell.cfg.gains, cell.cfg.plant.f, cell.cfg.y_star
+
+    def rhs(t, s):
+        i, x, v = s[0:1], s[1:2], s[2:3]
+        e = y - x
+        return np.concatenate([e, v, f(x, v, g.kp * e + g.ki * i - g.kd * v)])
+
+    return rhs
+
+
+def scipy_overflowing(*args, **kwargs):
+    """solve_ivp(*args, **kwargs), which warns of the overflow it meets:
+    the warnings are recorded here, and one must be an overflow."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sol = solve_ivp(*args, **kwargs)
+    assert any("overflow encountered" in str(w.message) for w in caught)
+    return sol
+
+
+class TestOverflowedTrialSteps:
+    def test_a_cell_whose_trial_steps_overflow_matches_bitwise(self):
+        """An overflow in a trial step rejects it with h *= 0.2, as scipy
+        rejects its inf or NaN error norm, and the run reaches t_final with
+        scipy's times, states and nfev."""
+        cell = cubic_u_cell(-2.5)
+        traj = pc.simulate(cell.cfg)
+        sol = scipy_overflowing(
+            unchecked_rhs(cell), (0.0, 30.0), simulator._initial_state(cell.cfg),
+            method="RK45", t_eval=np.linspace(0.0, 30.0, traj.times.size),
+            rtol=cell.cfg.rtol, atol=cell.cfg.atol,
+        )
+        assert sol.status == 0 and traj.status == 0
+        assert np.array_equal(traj.times, sol.t)
+        assert np.array_equal(traj.states, sol.y.T)
+        assert traj.nfev == sol.nfev == 13304
+
+    def test_an_overflowing_first_trial_starts_at_the_least_step(self):
+        """f is 1 at t = 0 and -exp(1e6 (s - 1)) after it, so the trial Euler
+        step to s = 1.001 overflows.  Its d2 is inf, as in scipy's
+        select_initial_step, so the first step is 0, raised to the least
+        step 10 * spacing(0), and the run matches scipy's bit for bit."""
+
+        def kink(t, s):
+            return np.ones_like(s) if t == 0.0 else -np.exp(1e6 * (s - 1.0))
+
+        s0 = np.ones(1)
+        _, states, nfev, _ = simulator._integrate_rk45(
+            in_place(kink), block_major(s0, (1, 1, 1)), run_config(1e-3, dt_max=1e-4)
+        )
+        sol = scipy_overflowing(kink, (0.0, 1e-3), s0, method="RK45",
+                                t_eval=np.linspace(0.0, 1e-3, 11), rtol=1e-8, atol=1e-10)
+        assert sol.status == 0
+        assert np.array_equal(cell_major(states), sol.y.T) and nfev == sol.nfev
+
+
 class TestStepControl:
     def test_a_resting_state_takes_tenfold_steps(self):
         """With f = 0 every error estimate is exactly 0, so each step is ten
@@ -238,7 +310,7 @@ class TestOverflow:
     @pytest.mark.parametrize(
         "integrator,step",
         [
-            ("rk45_adaptive", "adaptive RK45 diverged in the step from t = 2829.32 of size h = 0.0818947"),
+            ("rk45_adaptive", "adaptive RK45 diverged in the step from t = 2829.33 of size h = 1.36424e-11"),
             ("rk4_fixed", "fixed-step RK4 diverged in the step from t = 2901 of size h = 1"),
         ],
         ids=["rk45_adaptive", "rk4_fixed"],
@@ -246,8 +318,11 @@ class TestOverflow:
     def test_a_diverging_loop_names_the_step(self, integrator, step):
         """PI (0.5, 1) on x' = x + u is unstable (kp b <= L), and the state
         grows until a value overflows: both integrators raise an
-        IntegrationError naming that step, not a warning and a PlantError
-        that blames the plant for the inf."""
+        IntegrationError naming a step, not a warning and a PlantError
+        that blames the plant for the inf.  RK4 names the step that
+        overflowed.  RK45 rejects overflowing steps until its step size
+        falls below the spacing of the floats at t, where scipy stops too,
+        and names the last of them."""
         plant = pc.build_family(
             "linear_matrix", {"order": "first_order", "A": [[1.0]], "Theta": [[1.0]]}
         )

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pidcert import gain_sets as gs
+from pidcert import plant_models as pm
+from pidcert.certificates import FrozenUncertainty
 from pidcert.errors import UsageError
 
 UB111 = gs.UncertaintyBounds(1.0, 1.0, 1.0)
@@ -235,6 +237,43 @@ class TestCovers:
         assert not gs.covers(self.UB, first)
         assert not gs.covers(first, gs.UncertaintyBounds(0.5, 0.0, 2.0))
         assert gs.covers(gs.UncertaintyBounds.first_order(L=1.0, b_lower=1.0), first)
+
+
+class TestOneClassTest:
+    """Frozen points, plant audits and certificate coverage put the three
+    derivative bounds to one test, UncertaintyBounds.breaches, with one
+    slack, BOUND_SLACK = 1e-9."""
+
+    @pytest.mark.parametrize("past", [0.5e-9, 2e-9])
+    @pytest.mark.parametrize("bound", ["L1", "L2", "b_lower"])
+    def test_points_audits_and_coverage_agree(self, bound, past):
+        """A point, a plant with that point's constant Jacobians and a
+        plant class each lie ``past`` beyond one bound of (1, 1, 1): all
+        three are inside the class within the slack and outside past it."""
+        edge = {"L1": 1.0, "L2": 1.0, "b_lower": 1.0}
+        edge[bound] += -past if bound == "b_lower" else past
+        a, b, theta = (np.array([[edge[k]]]) for k in ("L1", "L2", "b_lower"))
+        inside = past < gs.BOUND_SLACK
+        try:
+            FrozenUncertainty.checked(UB111, a=a, theta=theta, b=b)
+            point = True
+        except UsageError:
+            point = False
+        plant = pm.custom_plant(
+            1, lambda x1, x2, u: a @ x1 + b @ x2 + theta @ u, UB111,
+            jac_x1=lambda *_: a, jac_x2=lambda *_: b, jac_u=lambda *_: theta,
+        )
+        rows = np.linspace(-1.0, 1.0, 5)[:, None]
+        audit = pm.audit_class(plant, [(rows, -rows, 2.0 * rows)])
+        assert point == audit.passes == gs.covers(UB111, gs.UncertaintyBounds(**edge)) == inside
+
+    def test_each_broken_bound_has_its_message(self):
+        assert UB111.breaches(1.0, 1.0, 1.0) == []
+        assert UB111.breaches(2.0, 3.0, float("nan")) == [
+            "|a| = 2 exceeds L1 = 1.0",
+            "|b| = 3 exceeds L2 = 1.0",
+            "lambda_min(Sym[theta]) = nan below b_lower = 1.0",
+        ]
 
 
 @pytest.mark.parametrize(

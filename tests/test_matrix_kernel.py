@@ -53,6 +53,21 @@ class TestSymmetrize:
         with pytest.raises(UsageError, match="theta must be a matrix of numbers"):
             mk.as_square([["x", 1.0], [0.0, 1.0]], "theta")
 
+    def test_entries_near_the_float_limit_do_not_overflow(self):
+        """m/2 + m^T/2 halves before it adds, so a finite m has a finite
+        Sym[m]: (m + m^T)/2 would overflow to inf here, with a warning."""
+        big = [[1.0, 1.7e308], [1.7e308, 1.0]]
+        np.testing.assert_array_equal(mk.symmetrize(big), big)
+        assert mk.sym_min(np.array(big)) == -1.7e308
+
+    @given(st.integers(0, 10**6), st.integers(1, 6))
+    @settings(max_examples=50, deadline=None)
+    def test_the_bits_of_the_sum_halved(self, seed, n):
+        """Halving is exact outside the subnormal range, so m/2 + m^T/2 has
+        the bits of (m + m^T)/2."""
+        m = np.random.default_rng(seed).uniform(-10, 10, size=(n, n))
+        assert np.array_equal(mk.symmetrize(m), (m + m.T) / 2.0)
+
     @given(st.integers(0, 10**6), st.integers(1, 6))
     @settings(max_examples=50, deadline=None)
     def test_idempotent_bitwise(self, seed, n):
@@ -149,6 +164,17 @@ class TestStacks:
         for k in range(7):
             assert (lo[k], hi[k]) == mk.eig_extrema(sym[k])
             assert norms[k] == mk.operator_norm(stack[k])
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_sym_min_is_the_least_eigenvalue_of_symmetrize(self, n):
+        """sym_min, unchecked, gives eig_extrema's smallest eigenvalue of
+        symmetrize(m), bit for bit, for a stack and for each matrix."""
+        stack = np.random.default_rng(n).uniform(-4, 4, size=(7, n, n))
+        lo = mk.sym_min(stack)
+        assert lo.shape == (7,)
+        assert np.array_equal(lo, mk.eig_extrema(mk.symmetrize(stack))[0])
+        assert all(mk.sym_min(stack[k]) == lo[k] for k in range(7))
+        assert type(mk.sym_min(stack[0])) is float
 
     def test_one_by_one_stack_norm_is_the_absolute_value(self):
         """Exact even where the SVD rescales (|a| near the ends of the range)."""

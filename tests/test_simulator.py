@@ -215,6 +215,28 @@ class TestSimulate:
         assert traj.times[-1] == pytest.approx(40.0)
 
 
+class TestOverflowedTrialSteps:
+    @pytest.mark.parametrize(
+        "params",
+        [{"c1": 1.0, "c2": 1.0, "b_lower": 1.0}, {"c1": 0.3, "c2": 0.9, "b_lower": 1.4}],
+        ids=["c1_1", "c1_0.3"],
+    )
+    @pytest.mark.parametrize("y_star", [-2.5, 2.0])
+    def test_high_gain_cubic_input_cells_reach_t_final(self, params, y_star):
+        """The four cells of scripts/configs/sweep_robustness.json whose
+        first trial steps overflow u^3: RK45 rejects those steps, so each
+        cell run alone reaches t_final and passes its verdict, as it does
+        in the batched sweep."""
+        g = pc.GainVector("PID", 154.00000000000003, 20.0, 154.00000000000003)
+        cfg = pc.SimConfig(
+            plant=pc.build_family("nonaffine_cubic_u", params), gains=g,
+            y_star=[y_star], x0=[0.0, 0.0], t_final=30.0,
+        )
+        traj = pc.simulate(cfg, pc.certify_margin("PID", g, UB111, 1))
+        assert traj.times[-1] == 30.0 and traj.status == 0
+        assert pc.judge(traj).passed
+
+
 class TestIntegratorOrder:
     def test_rk4_halving_step_gains_factor_eight(self):
         """Fourth-order convergence against a fine-step Richardson reference."""
