@@ -62,8 +62,9 @@ of A, the nodes and the bindings once per integration; per step it only does
 the step's arithmetic.
 
 ``judge`` is the one verdict on a certified trajectory: the envelope audit,
-the V monitor and the decay fit on ``[0.1, 0.9] t_final``; a run passes when
-its envelope holds and V does not increase.
+the V gate and the decay fit on ``[0.1, 0.9] t_final``; a run passes when its
+envelope holds and V decays at the certified rate at every step.  Each
+sample's resolution (``_resolution``) is the one slack of all three.
 
 ``Trajectory.to_csv`` writes one row per sample, each float as its ``repr``,
 with CRLF line ends (the bytes ``csv.writer`` writes for the same rows); V
@@ -87,12 +88,6 @@ from .plant_models import PlantModel, equilibrium_shift_check
 
 RK4_FIXED = "rk4_fixed"
 RK45_ADAPTIVE = "rk45_adaptive"
-# envelope_audit's tolerance, relative to the initial envelope value
-ENVELOPE_RTOL = 1e-7
-# lyapunov_monitor's tolerances: the rise V may take in one step, relative to
-# V(0), and the slack of each step's decrease inequality, relative to V(t_k)
-NONINCREASE_RTOL = 1e-6
-DECREASE_RTOL = 1e-5
 # rows Trajectory.to_csv formats and writes per pass, so its memory does not
 # grow with the file size
 _CSV_CHUNK = 1024
@@ -192,6 +187,7 @@ class Trajectory:
     controls: np.ndarray
     y_star: np.ndarray
     t_final: float
+    resolution: np.ndarray
     z: Optional[np.ndarray] = None
     u_star: Optional[np.ndarray] = None
     v_values: Optional[np.ndarray] = None
@@ -236,7 +232,6 @@ class AuditReport:
     passes: bool
     min_margin: float
     first_violation_time: Optional[float]
-    atol_envelope: float
     samples: int
 
 
@@ -244,10 +239,9 @@ class AuditReport:
 class MonitorReport:
     v_initial: float
     v_final: float
-    nonincreasing_pass: bool
-    max_increase: float
-    decrease_pass: bool
-    worst_decrease_excess: float
+    passes: bool
+    worst_excess: float
+    first_violation_time: Optional[float]
 
 
 @dataclass
@@ -606,6 +600,14 @@ def _integrate_rk45(bind, s0: np.ndarray, cfg: SimConfig):
     return t_eval, states, nfev, 0
 
 
+def _resolution(states: np.ndarray, rtol: float, atol: float) -> np.ndarray:
+    """The resolution of each recorded state s_k, sqrt(dim) (atol + rtol
+    |s_k|_inf), rtol at least the stepper's floor: the Euclidean size of the
+    error RK45's step test allows in each component, and so in z."""
+    scale = max(rtol, _RTOL_FLOOR) * np.max(np.abs(states), axis=1)
+    return math.sqrt(states.shape[1]) * (atol + scale)
+
+
 def _trajectory(cell: Cell, times: np.ndarray, states: np.ndarray, stats: dict) -> Trajectory:
     """e, edot, u, z and the envelope of one cell, from its recorded states."""
     cfg, cert, ustar = cell.cfg, cell.cert, cell.u_star
@@ -635,6 +637,7 @@ def _trajectory(cell: Cell, times: np.ndarray, states: np.ndarray, stats: dict) 
         controls=controls,
         y_star=cfg.y_star.copy(),
         t_final=cfg.t_final,
+        resolution=_resolution(states, cfg.rtol, cfg.atol),
         z=z,
         u_star=ustar,
         cert=cert,
@@ -707,7 +710,8 @@ def fit_decay(traj: Trajectory, window: tuple[float, float]) -> tuple[float, flo
     """Least-squares exponential fit of the error signal on a time window.
 
     Returns (lambda_emp, M_emp) from log signal ~ log(M_emp) - lambda_emp*t.
-    Samples below the 1e-14 floor truncate the window.
+    The window ends before the first sample whose signal is at most twice
+    its resolution, where the recorded signal is integration error.
     """
     lo, hi = window
     if not lo < hi:
@@ -719,7 +723,7 @@ def fit_decay(traj: Trajectory, window: tuple[float, float]) -> tuple[float, flo
         raise UsageError("window does not intersect the trajectory")
     tw = t[mask]
     sw = sig[mask]
-    below = np.nonzero(sw < 1e-14)[0]
+    below = np.nonzero(sw <= 2 * traj.resolution[mask])[0]
     if below.size:
         tw, sw = tw[: below[0]], sw[: below[0]]
     if tw.size < 2:
@@ -729,63 +733,54 @@ def fit_decay(traj: Trajectory, window: tuple[float, float]) -> tuple[float, flo
 
 
 def envelope_audit(traj: Trajectory) -> AuditReport:
-    """Check the recorded envelope margin at every sample time.
-
-    Any sample more than ``ENVELOPE_RTOL`` times the initial envelope value
-    below the envelope fails the audit.
-    """
+    """Check the recorded envelope margin at every sample time: a sample
+    fails when its margin is below -2 eps_k, twice its resolution, the most
+    that recorded state error can add to |e| + |edot|."""
     if traj.envelope_margin is None:
         raise UsageError("trajectory has no envelope margins to audit")
-    atol_envelope = ENVELOPE_RTOL * float(traj.envelope[0])
     margin = traj.envelope_margin
-    violations = np.nonzero(margin < -atol_envelope)[0]
+    violations = np.nonzero(margin < -2 * traj.resolution)[0]
     first_violation = float(traj.times[violations[0]]) if violations.size else None
     return AuditReport(
         passes=violations.size == 0,
         min_margin=float(np.min(margin)),
         first_violation_time=first_violation,
-        atol_envelope=atol_envelope,
         samples=int(margin.size),
     )
 
 
 def lyapunov_monitor(traj: Trajectory) -> MonitorReport:
-    """Audit V(z) = z^T P z along a trajectory against the certificate it was
-    simulated with: V and alpha both come from ``traj.cert``.
-
-    (i) V must be non-increasing up to NONINCREASE_RTOL * V(0);
-    (ii) each discrete step must satisfy the decrease inequality
-         dV <= -alpha * min(|z_k|, |z_{k+1}|)^2 * dt + DECREASE_RTOL * V(t_k),
-    the additive slack absorbing sampling and integration error.
-    """
+    """Gate V(z) = z^T P z on the decay ``traj.cert`` proves: from dV/dt <=
+    -2 lambda V, the exact closed loop has V_{k+1} <= exp(-2 lambda h_k) V_k
+    over each recorded step (Gronwall).  Each step must meet that up to
+    delta_k = d_k + d_{k+1}, where d_j = lambda_max(P) (2 |z_j| + eps_j) eps_j
+    bounds |V(z_j + e) - V(z_j)| for |e| <= eps_j, the sample's resolution.
+    A failing step is reported at its end time."""
     if traj.cert is None or traj.v_values is None:
         raise UsageError("trajectory has no certificate to monitor")
-    z = traj.z
-    v = traj.v_values
-    v0 = float(v[0])
-    dv = np.diff(v)
-    max_increase = float(np.max(dv)) if dv.size else 0.0
-    noninc = max_increase <= NONINCREASE_RTOL * max(v0, 1e-300)
-    zn2 = np.sum(z * z, axis=1)
-    min_zn2 = np.minimum(zn2[:-1], zn2[1:])
-    dt = np.diff(traj.times)
-    excess = dv + traj.cert.alpha * min_zn2 * dt - DECREASE_RTOL * v[:-1]
-    worst = float(np.max(excess)) if excess.size else 0.0
+    cert, v, eps = traj.cert, traj.v_values, traj.resolution
+    # |z_j| by einsum, in half the time of np.linalg.norm(z, axis=1)
+    d = cert.lambda_max_P * (2 * np.sqrt(np.einsum("ki,ki->k", traj.z, traj.z)) + eps) * eps
+    decay = np.exp(-2 * cert.lambda_decay * np.diff(traj.times))
+    excess = v[1:] - decay * v[:-1] - (d[:-1] + d[1:])
+    violations = np.nonzero(excess > 0)[0]
+    first_violation = float(traj.times[violations[0] + 1]) if violations.size else None
     return MonitorReport(
-        v_initial=v0,
+        v_initial=float(v[0]),
         v_final=float(v[-1]),
-        nonincreasing_pass=bool(noninc),
-        max_increase=max_increase,
-        decrease_pass=bool(worst <= 0.0),
-        worst_decrease_excess=worst,
+        passes=violations.size == 0,
+        worst_excess=float(np.max(excess)),
+        first_violation_time=first_violation,
     )
 
 
 @dataclass(frozen=True)
 class Verdict:
-    """The verdict of a certified run: its envelope audit, its V monitor and
-    its decay fit on [0.1, 0.9] t_final.  The fit is None when the error
-    signal sits at the floor (a run that starts at rest has nothing to fit)."""
+    """The verdict of a certified run: its envelope audit, its V gate and
+    its decay fit on [0.1, 0.9] t_final.  ``v_nonincreasing`` is the V gate's
+    ``passes``, named as in ``summary.json`` and ``sweep.csv``: V that decays
+    does not increase.  The fit is None when the error signal sits at its
+    resolution (a run that starts at rest has nothing to fit)."""
 
     envelope_pass: bool
     min_margin: float
@@ -796,12 +791,14 @@ class Verdict:
 
     @property
     def passed(self) -> bool:
-        """A certified run passes when its envelope holds and V does not increase."""
+        """A certified run passes when its envelope holds and V decays at
+        the certified rate."""
         return self.envelope_pass and self.v_nonincreasing
 
 
 def judge(traj: Trajectory) -> Verdict:
-    """The verdict of a trajectory simulated with a certificate.
+    """The verdict of a trajectory simulated with a certificate: the
+    envelope audit, the V gate and the decay fit; the first two gate it.
 
     The three checks are looked up as module attributes at each call, so a
     wrapped or patched ``simulator.envelope_audit``, ``lyapunov_monitor`` or
@@ -817,7 +814,7 @@ def judge(traj: Trajectory) -> Verdict:
         envelope_pass=audit.passes,
         min_margin=audit.min_margin,
         first_violation_time=audit.first_violation_time,
-        v_nonincreasing=monitor.nonincreasing_pass,
+        v_nonincreasing=monitor.passes,
         lambda_emp=lam_emp,
         M_emp=m_emp,
     )

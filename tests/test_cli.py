@@ -283,10 +283,10 @@ class TestSweepMode:
             },
         )
         cli.run("sweep", two, out_dir=str(tmp_path / "n2"))
-        rows = list(csv.DictReader((tmp_path / "n2" / "sweep.csv").open()))
+        rows = list(csv.DictReader((tmp_path / "n2" / "sweep.csv").read_text().splitlines()))
         assert [r["y_star"] for r in rows[:2]] == ["1.0 2.0", "1.0 3.0"]
         cli.run("sweep", self.sweep_config(tmp_path), out_dir=str(tmp_path / "n1"))
-        rows = list(csv.DictReader((tmp_path / "n1" / "sweep.csv").open()))
+        rows = list(csv.DictReader((tmp_path / "n1" / "sweep.csv").read_text().splitlines()))
         assert [r["y_star"] for r in rows[:2]] == ["0.5", "-1.0"]
 
 
@@ -308,7 +308,7 @@ class TestSweepMode:
         out = tmp_path / "out"
         assert cli.run("sweep", cfg, out_dir=str(out)) == 2
         assert "0/1 certified cells passed" in capsys.readouterr().out
-        rows = list(csv.DictReader((out / "sweep.csv").open()))
+        rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()))
         assert rows[0]["member"] == "True"
         assert rows[0]["error"].startswith("CertificateError: out of class")
         assert rows[0]["envelope_pass"] == ""
@@ -333,7 +333,7 @@ class TestSweepMode:
         out = tmp_path / "out"
         assert cli.run("sweep", cfg, out_dir=str(out)) == 0
         assert "1/1 certified cells passed" in capsys.readouterr().out
-        row = next(csv.DictReader((out / "sweep.csv").open()))
+        row = next(csv.DictReader((out / "sweep.csv").read_text().splitlines()))
         assert row["envelope_pass"] == row["v_nonincreasing"] == "True"
         assert row["min_margin"] == "0.0"
         assert row["lambda_emp"] == row["M_emp"] == ""
@@ -372,7 +372,7 @@ class TestSweepMode:
         assert cli.run("simulate", sim_cfg, out_dir=str(tmp_path / "s")) == 0
         assert cli.run("sweep", self.one_cell_sweep(tmp_path), out_dir=str(tmp_path / "w")) == 0
         summary = json.loads((tmp_path / "s" / "summary.json").read_text())
-        row = next(csv.DictReader((tmp_path / "w" / "sweep.csv").open()))
+        row = next(csv.DictReader((tmp_path / "w" / "sweep.csv").read_text().splitlines()))
         assert summary["lambda_emp"] is not None
         fields = ("envelope_pass", "min_margin", "first_violation_time",
                   "v_nonincreasing", "lambda_emp", "M_emp")
@@ -387,12 +387,12 @@ class TestSweepMode:
         real = cli.sim.lyapunov_monitor
         monkeypatch.setattr(
             cli.sim, "lyapunov_monitor",
-            lambda traj: dataclasses.replace(real(traj), nonincreasing_pass=False),
+            lambda traj: dataclasses.replace(real(traj), passes=False),
         )
         out = tmp_path / "out"
         assert cli.run("sweep", self.one_cell_sweep(tmp_path), out_dir=str(out)) == 2
         assert "0/1 certified cells passed" in capsys.readouterr().out
-        row = next(csv.DictReader((out / "sweep.csv").open()))
+        row = next(csv.DictReader((out / "sweep.csv").read_text().splitlines()))
         assert row["envelope_pass"] == "True"
         assert row["v_nonincreasing"] == "False"
         assert row["error"] == ""
@@ -464,7 +464,7 @@ class TestSweepMode:
         )
         out = tmp_path / "out"
         assert cli.run("sweep", cfg, out_dir=str(out)) == 2
-        rows = list(csv.DictReader((out / "sweep.csv").open()))[:-1]
+        rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()))[:-1]
         assert sizes == [3, 1, 1, 1]
         assert [r["envelope_pass"] for r in rows] == ["True", "", "True"]
         assert rows[1]["error"].startswith("PlantError: plant returned non-finite value")
@@ -492,7 +492,7 @@ class TestSweepMode:
         )
         out = tmp_path / "out"
         assert cli.run("sweep", cfg, out_dir=str(out)) == 2
-        rows = list(csv.DictReader((out / "sweep.csv").open()))[:-1]
+        rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()))[:-1]
         assert sizes == [2]
         assert [r["envelope_pass"] for r in rows] == ["True", "True", "", ""]
         assert all(r["error"].startswith("UsageError: PD envelope") for r in rows[2:])
@@ -991,7 +991,7 @@ def test_shipped_config_runs(path, tmp_path, capsys):
     if mode in REPORTS:
         assert capsys.readouterr().out.encode() == (out / REPORTS[mode]).read_bytes()
     if mode == "sweep":
-        *cells, last = csv.DictReader((out / "sweep.csv").open())
+        *cells, last = csv.DictReader((out / "sweep.csv").read_text().splitlines())
         n_cells = np.prod([len(config.get(k, [None])) for k in SWEEP_AXES])
         assert [r["cell"] for r in cells] == [str(k) for k in range(n_cells)]
         assert (last["cell"], last["plant"]) == ("pass_fraction", "1.0")

@@ -10,8 +10,9 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import expm
 
 import pidcert as pc
+from pidcert.certificates import FrozenUncertainty, assemble_A
 from pidcert.errors import CertificateError, PlantError, UsageError
-from pidcert.simulator import RK4_FIXED, RK45_ADAPTIVE, Trajectory
+from pidcert.simulator import RK4_FIXED, RK45_ADAPTIVE, Trajectory, _resolution
 
 UB111 = pc.UncertaintyBounds(1.0, 1.0, 1.0)
 UB00 = pc.UncertaintyBounds(0.0, 0.0, 1.0)
@@ -264,6 +265,7 @@ class TestFitDecay:
             controls=np.zeros((n, 1)),
             y_star=np.zeros(1),
             t_final=float(times[-1]),
+            resolution=_resolution(np.zeros((n, 2)), 1e-8, 1e-10),
         )
 
     def test_exact_exponential(self):
@@ -280,11 +282,16 @@ class TestFitDecay:
         assert abs(lam) < 1e-12
 
     def test_floor_truncates_window(self):
+        """The signal meets twice its resolution, 2 sqrt(2) 1e-10, at
+        t ~ 2.2 and sits on a noise plateau after it; the fit stops there."""
         t = np.linspace(0, 10, 200)
-        sig = 1e-10 * np.exp(-10.0 * t)  # underflows past t ~ 2.2
+        sig = np.maximum(np.exp(-10.0 * t), 1e-12)
         traj = self.synthetic(sig, t)
         lam, _ = pc.fit_decay(traj, (0.0, 10.0))
         assert abs(lam - 10.0) < 1e-6
+        k = int(np.argmax(sig <= 2 * traj.resolution))
+        assert 2.1 < t[k] < 2.3
+        assert pc.fit_decay(traj, (0.0, t[k - 1])) == pc.fit_decay(traj, (0.0, 10.0))
 
     def test_empty_window_rejected(self):
         t = np.linspace(0, 1, 50)
@@ -353,6 +360,7 @@ class TestEnvelopeAudit:
             controls=np.zeros((t.size, 1)),
             y_star=np.zeros(1),
             t_final=100.0,
+            resolution=_resolution(np.zeros((t.size, 2)), 1e-8, 1e-10),
             envelope=env,
             envelope_margin=env - sig,
             cert=cert,
@@ -363,7 +371,7 @@ class TestEnvelopeAudit:
         violation, located at the start of the dip."""
         traj = self._banded_trajectory(sin_cert, bump=1.001)
         audit = pc.envelope_audit(traj)
-        assert audit.min_margin < -audit.atol_envelope
+        assert audit.min_margin < -2 * traj.resolution[0]
         assert not audit.passes
         assert 45.0 < audit.first_violation_time < 45.2
 
@@ -425,8 +433,8 @@ class TestLyapunovMonitor:
         )
         traj = pc.simulate(cfg, cert=di_cert)
         rep = pc.lyapunov_monitor(traj)
-        assert rep.nonincreasing_pass
-        assert rep.decrease_pass
+        assert rep.passes
+        assert rep.worst_excess <= 0 and rep.first_violation_time is None
         assert rep.v_final < rep.v_initial
 
     def test_zero_initial_z_keeps_v_zero(self, sin_cert):
@@ -448,8 +456,97 @@ class TestLyapunovMonitor:
         )
         traj = pc.simulate(cfg, cert=sin_cert)
         rep = pc.lyapunov_monitor(traj)
-        assert rep.nonincreasing_pass
-        assert rep.decrease_pass
+        assert rep.passes
+        assert rep.worst_excess <= 0
+
+
+class TestDecayGate:
+    """The V gate is the decay the certificate proves: dV/dt <= -2 lambda V,
+    so V(t_{k+1}) <= exp(-2 lambda h_k) V(t_k) on the exact flow."""
+
+    @staticmethod
+    def corner_run(kind, s1, s2=1.0):
+        """A linear_matrix corner member of the class (A1 = s1 L1 I,
+        A2 = s2 L2 I, Theta = b_lower I) at n = 2, its certificate, its
+        simulated run and its companion matrix."""
+        I = np.eye(2)
+        if kind == "PI":
+            ub, g = pc.UncertaintyBounds.first_order(1.0, 1.0), pc.GainVector("PI", 3, 1)
+            params, x0 = {"order": "first_order", "A": (s1 * I).tolist()}, [0.0, 1.0]
+            fu = FrozenUncertainty(a=s1 * I, theta=I)
+        else:
+            ub, g = UB111, G_PID
+            params, x0 = {"A1": (s1 * I).tolist(), "A2": (s2 * I).tolist()}, [0.0, 0.0, 1.0, 0.0]
+            fu = FrozenUncertainty(a=s1 * I, b=s2 * I, theta=I)
+        plant = pc.build_family("linear_matrix", {**params, "Theta": I.tolist()})
+        cert = pc.certify_margin(kind, g, ub, 2)
+        cfg = pc.SimConfig(plant=plant, gains=g, y_star=[0.5, -1.0], x0=x0, t_final=20.0)
+        return cfg, cert, pc.simulate(cfg, cert=cert), assemble_A(kind, g, fu, 2)
+
+    @pytest.mark.parametrize(
+        "kind,s1,s2",
+        [("PID", 1, 1), ("PID", 1, -1), ("PID", -1, 1), ("PID", -1, -1), ("PI", 1, 1), ("PI", -1, 1)],
+    )
+    def test_exact_flow_meets_the_certified_decay(self, kind, s1, s2):
+        cfg, cert, traj, A = self.corner_run(kind, s1, s2)
+        z = np.array([expm(A * t) @ traj.z[0] for t in traj.times])
+        # the companion matrix is the simulated closed loop's
+        assert np.max(np.abs(z - traj.z)) < 1e-7
+        v = np.einsum("ki,ij,kj->k", z, cert.P, z)
+        decay = np.exp(-2 * cert.lambda_decay * np.diff(traj.times))
+        eps = np.finfo(float).eps
+        assert np.all(v[1:] <= decay * v[:-1] + 4 * eps * v[:-1])
+        rep = pc.lyapunov_monitor(traj)
+        assert rep.passes and rep.worst_excess <= 0 and rep.first_violation_time is None
+
+    def test_doubled_rate_fails_the_gate(self):
+        """On PI's destabilising corner (A = +L I) a certificate claiming
+        twice its proven rate fails the V gate and the verdict."""
+        cfg, cert, _, _ = self.corner_run("PI", 1)
+        fake = dataclasses.replace(cert, lambda_decay=2 * cert.lambda_decay)
+        traj = pc.simulate(cfg, cert=fake)
+        rep = pc.lyapunov_monitor(traj)
+        assert not rep.passes
+        assert rep.worst_excess > 0 and rep.first_violation_time is not None
+        verdict = pc.judge(traj)
+        assert verdict.v_nonincreasing is False and verdict.passed is False
+
+    @pytest.mark.parametrize("side,passes", [(-0.01, True), (0.01, False)])
+    def test_step_slack_is_what_the_resolution_changes_in_v(self, side, passes):
+        """V at t = 1.01 moved to 1% of delta_k = d_k + d_{k+1} below or
+        above exp(-2 lambda h) V(1) + delta_k, with d_j = lambda_max(P)
+        (2 |z_j| + eps_j) eps_j: the gate passes the one and fails the other."""
+        _, cert, traj, _ = self.corner_run("PID", 1, 1)
+        k, eps = 100, traj.resolution
+        d = cert.lambda_max_P * (2 * np.linalg.norm(traj.z, axis=1) + eps) * eps
+        delta = d[k] + d[k + 1]
+        h = traj.times[k + 1] - traj.times[k]
+        v = traj.v_values.copy()
+        v[k + 1] = np.exp(-2 * cert.lambda_decay * h) * v[k] + (1 + side) * delta
+        rep = pc.lyapunov_monitor(dataclasses.replace(traj, v_values=v))
+        assert rep.passes is passes
+        assert rep.first_violation_time == (None if passes else traj.times[k + 1])
+
+    def test_roundoff_below_the_resolution_passes(self):
+        """A PD cell on which the endpoint inequality
+        dV <= -alpha min(|z_k|^2, |z_{k+1}|^2) h + 1e-5 V_k fails once V is
+        roundoff, under 1e-16 V(0): the gate, which allows each sample its
+        resolution, passes it."""
+        g = pc.GainVector("PD", 9.5, kd=6.9)
+        plant = pc.build_family(
+            "tanh_coupled", {"n": 2, "l1": 0.8, "l2": 0.6, "b_lower": 1.2, "w_scale": 0.3}
+        )
+        cert = pc.certify_margin("PD", g, UB111, 2)
+        cfg = pc.SimConfig(plant=plant, gains=g, y_star=[0.0, 0.0],
+                           x0=[-0.92, -0.97, 0.63, 0.83], t_final=20.0)
+        traj = pc.simulate(cfg, cert=cert)
+        v, zn2 = traj.v_values, np.sum(traj.z * traj.z, axis=1)
+        endpoint = (np.diff(v) + cert.alpha * np.minimum(zn2[:-1], zn2[1:]) * np.diff(traj.times)
+                    - 1e-5 * v[:-1])
+        assert np.any(endpoint > 0)
+        assert np.all(v[1:][endpoint > 0] < 1e-16 * v[0])
+        assert pc.lyapunov_monitor(traj).passes
+        assert pc.judge(traj).passed
 
 
 class TestJudge:
@@ -534,7 +631,7 @@ class TestCsvExport:
         traj = pc.simulate(cfg, cert=sin_cert if with_cert else None)
         path = tmp_path / "traj.csv"
         traj.to_csv(path)
-        rows = list(csv.reader(path.open()))[1:]
+        rows = list(csv.reader(path.read_text().splitlines()))[1:]
         expect = np.column_stack(
             [traj.times, traj.states, traj.errors, traj.edots, traj.controls]
         )
@@ -717,7 +814,7 @@ class TestBatch:
             assert ab.passes == as_.passes
             assert ab.min_margin == pytest.approx(as_.min_margin, rel=1e-6)
             mb, ms = pc.lyapunov_monitor(b), pc.lyapunov_monitor(s)
-            assert mb.nonincreasing_pass == ms.nonincreasing_pass
+            assert mb.passes == ms.passes
             assert (b.cells, s.cells) == (len(cfgs), 1)
 
     def test_integrator_statistics_are_shared(self):
