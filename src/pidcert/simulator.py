@@ -601,9 +601,12 @@ def _integrate_rk45(bind, s0: np.ndarray, cfg: SimConfig):
 
 
 def _resolution(states: np.ndarray, rtol: float, atol: float) -> np.ndarray:
-    """The resolution of each recorded state s_k, sqrt(dim) (atol + rtol
-    |s_k|_inf), rtol at least the stepper's floor: the Euclidean size of the
-    error RK45's step test allows in each component, and so in z."""
+    """The resolution eps_k of each recorded state s_k, sqrt(dim) (atol +
+    rtol |s_k|_inf), rtol at least the stepper's floor: the Euclidean size of
+    the error RK45's step test allows in one step at s_k.  It is that test's
+    tolerance, not a bound on the recorded sample's error.  RK4 reads neither
+    tolerance; its runs borrow RK45's.  z is s with constants subtracted and
+    x negated (PI's z is (i - u*/ki, e), no edot), so eps_k is z's too."""
     scale = max(rtol, _RTOL_FLOOR) * np.max(np.abs(states), axis=1)
     return math.sqrt(states.shape[1]) * (atol + scale)
 

@@ -548,6 +548,38 @@ class TestDecayGate:
         assert pc.lyapunov_monitor(traj).passes
         assert pc.judge(traj).passed
 
+    def test_pi_at_the_floor_passes_with_the_state_resolution(self):
+        """PI's z is (i - u*/ki, e): the state less constants, x negated, with
+        no edot block, so a state error of eps moves z by eps however large
+        the gains and df/du (here up to 901).  A long, high-gain PI run whose
+        V falls under 1e-16 V(0) passes the gate on that resolution."""
+        g = pc.GainVector("PI", 30, 10)
+        plant = pc.build_family(
+            "nonaffine_cubic_u", {"c1": 1.0, "b_lower": 1.0, "order": "first_order"}
+        )
+        cert = pc.certify_margin("PI", g, plant.declared_bounds, 1)
+        cfg = pc.SimConfig(plant=plant, gains=g, y_star=[0.5], x0=[1.0], t_final=60.0)
+        traj = pc.simulate(cfg, cert=cert)
+        i, x = traj.states[:, :1], traj.states[:, 1:]
+        np.testing.assert_array_equal(traj.z, np.hstack([i - traj.u_star / 10, 0.5 - x]))
+        assert np.min(traj.v_values) < 1e-16 * traj.v_values[0]
+        assert pc.lyapunov_monitor(traj).passes
+        assert pc.judge(traj).passed
+
+    def test_rk4_borrows_the_rk45_tolerances(self):
+        """Fixed-step RK4 reads neither rtol nor atol: two runs that differ
+        only in them record the same states, and each run's resolution is
+        the one _resolution takes from its own tolerances."""
+        cfg, cert, _, _ = self.corner_run("PID", 1, 1)
+        runs = [
+            pc.simulate(dataclasses.replace(cfg, integrator=RK4_FIXED, rtol=rtol, atol=atol), cert)
+            for rtol, atol in ((1e-8, 1e-10), (1e-6, 1e-9))
+        ]
+        np.testing.assert_array_equal(runs[0].states, runs[1].states)
+        for traj, (rtol, atol) in zip(runs, ((1e-8, 1e-10), (1e-6, 1e-9))):
+            np.testing.assert_array_equal(traj.resolution, _resolution(traj.states, rtol, atol))
+        assert runs[1].resolution[0] > 10 * runs[0].resolution[0]
+
 
 class TestJudge:
     def certified_run(self, sin_cert, **kw):
