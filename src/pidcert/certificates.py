@@ -7,22 +7,24 @@ uniform lower bound alpha on lambda_min(Q) over the whole uncertainty ball
 
     |a| <= L1,  |b| <= L2,  Sym[theta] >= b_lower * I.
 
-P is the lift core x I_n of the paper's closed-form core (``_core_P``) and A
-the block companion matrix over the state blocks of ``gain_sets.LAYOUT``.
-All kinds share one margin path, ``sandwich_margin``, on the decrease core
-C of A at a = b = 0, theta = b_lower, n = 1: the least eigenvalue over the
-ball's corners bounds the ball minimum above, an S-procedure bound below for
-every n.  alpha is the lower; the certificate records both and their gap,
-and its method is ``exact`` when they agree to EXACT_GAP relative, else
-``lower_bound``.  (P, alpha) give the envelope: decay rate
-lambda = alpha/(2 lambda_max(P)), overshoot gain M.  Eigen solves are
-stacked, as per-call overhead sets their cost, and go through
-``matrix_kernel``, so a LAPACK failure is a NumericalError.  The core's
-membership check and eigen solve are kept for the last (gains, bounds), and
-the lift P for the last (gains, bounds, n), read-only, so a certificate and
-the audits that follow it on the same gains share them.  A frozen point is
-immutable, its matrices checked when it is built, and ``checked`` and
-``q_report`` test it by the class test of its bounds.
+P is the lift core x I_n of ``_core_P``, one formula over the state blocks of
+``gain_sets.LAYOUT``: the paper's PID core at the blocks' gains, padded with
+zeros in front and cut to the last m blocks; A is the block companion matrix
+over the same blocks.  All kinds share one margin path, ``sandwich_margin``,
+on the decrease core C of A at a = b = 0, theta = b_lower, n = 1: the least
+eigenvalue over the ball's corners bounds the ball minimum above, an
+S-procedure bound below for every n.  alpha is the lower; the certificate
+records both and their gap, and its method is ``exact`` when they agree to
+EXACT_GAP relative, else ``lower_bound``.  (P, alpha) give the envelope:
+decay rate lambda = alpha/(2 lambda_max(P)), overshoot gain M = sqrt(c kappa)
+over the c blocks x, v of the kind, times max(1, 1/ki) with an i block.
+Eigen solves are stacked, as per-call overhead sets their cost, and go
+through ``matrix_kernel``, so a LAPACK failure is a NumericalError.  The
+core's membership check and eigen solve are kept for the last (gains,
+bounds), and the lift P for the last (gains, bounds, n), read-only, so a
+certificate and the audits that follow it on the same gains share them.  A
+frozen point is immutable, its matrices checked when it is built, and
+``checked`` and ``q_report`` test it by the class test of its bounds.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -38,15 +41,7 @@ import numpy as np
 
 from . import matrix_kernel as mk
 from .errors import CertificateError, UsageError
-from .gain_sets import (
-    FIRST_ORDER,
-    LAYOUT,
-    PD,
-    PID,
-    GainVector,
-    UncertaintyBounds,
-    membership,
-)
+from .gain_sets import FIRST_ORDER, LAYOUT, GainVector, UncertaintyBounds, membership
 
 # relative gap between the sandwich bounds up to which alpha counts as exact
 EXACT_GAP = 1e-9
@@ -194,21 +189,31 @@ def _dimension(n) -> int:
     return int(n)
 
 
+# per kind: the getter of its blocks' gains, the zeros that pad them in front
+# to the PID core's (ki, kp, kd), the getter of the entries in the last m rows
+# and columns of that row-major 3 x 3 core, and m
+_CORE_FORM = {
+    kind: (
+        operator.attrgetter(*(_BLOCK_GAIN[s] for s in blocks)),
+        (0.0,) * (3 - len(blocks)),
+        operator.itemgetter(*(i for i in range(9) if min(divmod(i, 3)) >= 3 - len(blocks))),
+        len(blocks),
+    )
+    for kind, blocks in LAYOUT.items()
+}
+
+
 def _core_P(kind: str, g: GainVector, b: float) -> np.ndarray:
-    """Core block of P for a known kind; the Lyapunov matrix is its
-    Kronecker lift core x I_n."""
-    kp, ki, kd, b = float(g.kp), float(g.ki), float(g.kd), float(b)
-    if kind == PID:
-        return np.array(
-            [
-                [2 * ki * kp * b, 2 * ki * kd * b, ki],
-                [2 * ki * kd * b, 2 * kp * kd * b - ki, kp],
-                [ki, kp, kd],
-            ]
-        )
-    if kind == PD:
-        return np.array([[2 * kp * kd * b, kp], [kp, kd]])
-    return np.array([[2 * kp * ki * b, ki], [ki, kp]])  # PI
+    """Core block of P: the paper's PID core at the gains of LAYOUT[kind]'s
+    blocks, padded with zeros in front, cut to its last m blocks.  PD is PID
+    at ki = 0, and PI's (ki, kp) take PD's (kp, kd) places.  The Lyapunov
+    matrix is its Kronecker lift core x I_n."""
+    gains, pad, last, m = _CORE_FORM[kind]
+    ki, kp, kd = pad + gains(g)
+    ki, kp, kd, b = float(ki), float(kp), float(kd), float(b)
+    c = 2 * ki * kd * b
+    pid = (2 * ki * kp * b, c, ki, c, 2 * kp * kd * b - ki, kp, ki, kp, kd)
+    return np.array(last(pid)).reshape(m, m)
 
 
 @functools.lru_cache(maxsize=1)
@@ -453,13 +458,12 @@ def certify_margin(
             f"certified margin is not positive: {alpha:.3e} (upper bound {upper:.3e})"
         )
     gap = (upper - alpha) / upper
-    m1 = math.sqrt(2.0 * lam_max_p / lam_min_p)
-    if kind == PID:
-        M = max(m1, m1 / g.ki)
-    elif kind == PD:
-        M = m1
-    else:
-        M = math.sqrt(lam_max_p / lam_min_p)
+    # |z(t)| <= sqrt(kappa) e^{-lambda t} |z(0)|, kappa = lambda_max/lambda_min of P;
+    # the error signal sums |e| and |edot| over the c blocks x, v the kind has, so
+    # it is at most sqrt(c) |z|, and an i block gives |z(0)| <= max(1, 1/ki) s0
+    blocks = LAYOUT[kind]
+    m1 = math.sqrt(sum(s != "i" for s in blocks) * lam_max_p / lam_min_p)
+    M = max(m1, m1 / g.ki) if "i" in blocks else m1
     return LyapunovCertificate(
         kind=kind,
         n=n,

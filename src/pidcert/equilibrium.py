@@ -55,20 +55,16 @@ def _stalled(rn: float) -> NumericalError:
     )
 
 
-def solve_equilibrium(p: PlantModel, y_star, u0=None) -> EquilibriumSolution:
-    """Damped Newton on Phi(u) = f(y*, 0, u) with residual-decrease
+def solve_equilibrium(p: PlantModel, y_star) -> EquilibriumSolution:
+    """Damped Newton on Phi(u) = f(y*, 0, u) from u = 0 with residual-decrease
     acceptance, stopped at the tolerance relative to |Phi(0)| above.  A
-    setpoint or a start ``u0`` that is not n finite numbers is a UsageError
-    naming y_star or u0."""
+    setpoint that is not n finite numbers is a UsageError naming y_star."""
     y = as_vector(y_star, p.n, "y_star")
     phi, jac = _phi_and_jac(p, y)
     u = np.zeros(p.n)
     r = phi(u)
-    tol = max(TOL, ROUNDOFF * np.finfo(float).eps * float(np.linalg.norm(r)))
-    if u0 is not None:
-        u = as_vector(u0, p.n, "u0")
-        r = phi(u)
     rn = float(np.linalg.norm(r))
+    tol = max(TOL, ROUNDOFF * np.finfo(float).eps * rn)
     for it in range(MAX_ITER):
         if rn <= tol:
             return EquilibriumSolution(u_star=u, residual_norm=rn, iterations=it, y_star=y)

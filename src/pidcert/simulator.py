@@ -650,12 +650,12 @@ def _trajectory(cell: Cell, times: np.ndarray, states: np.ndarray, stats: dict) 
         if z is None:
             raise UsageError("cannot evaluate the certificate without z coordinates")
         traj.v_values = np.einsum("ki,ij,kj->k", z, cert.P, z)
-        # envelope scale |e(0)| + |edot(0)| + |u*| over the blocks the kind has
-        s0_env = float(np.linalg.norm(errors[0]))
-        if "v" in layout:
-            s0_env += float(np.linalg.norm(edots[0]))
+        # envelope scale s0 = |e(0)| + |edot(0)| + |u* - ki i(0)| over the
+        # blocks the kind has, in that order: ki |z_i(0)| = |u* - ki i(0)|
+        start = {"x": errors[0], "v": edots[0]}
         if "i" in layout:
-            s0_env += float(np.linalg.norm(ustar))
+            start["i"] = ustar - g.ki * b["i"][0]
+        s0_env = sum(float(np.linalg.norm(start[s])) for s in ("x", "v", "i") if s in layout)
         traj.envelope = cert.M * np.exp(-cert.lambda_decay * times) * s0_env
         traj.envelope_margin = traj.envelope - traj.error_signal()
     return traj

@@ -1,7 +1,7 @@
 """Test oracles: the paper's closed-form margins, a random frozen point of the
-uncertainty ball, a sampled monotonicity ratio, the planar PI field's
-Jacobian trace and determinant point by point, and the certificate path
-built one matrix at a time.
+uncertainty ball, a sampled monotonicity ratio, the equilibrium solve from
+another start, the planar PI field's Jacobian trace and determinant point by
+point, and the certificate path built one matrix at a time.
 
 pidcert's certificates use the sandwich margin, its equilibrium solve uses
 Newton and its planar verdict uses two analytic bounds; these helpers state
@@ -14,12 +14,14 @@ fresh Kronecker lift.  They call the same LAPACK routines as the package,
 so the package's numbers must equal theirs bit for bit.
 """
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 
 from pidcert.certificates import FrozenUncertainty
+from pidcert.equilibrium import solve_equilibrium
 from pidcert.errors import UsageError
 from pidcert.gain_sets import FIRST_ORDER, LAYOUT, PD, PI, PID, SECOND_ORDER, coupling_term, membership
 
@@ -97,6 +99,21 @@ def monotonicity_probe(p, y_star, pairs=100, box_radius=10.0, seed=0):
         ratio = float(d @ (phi(u1) - phi(u2))) / dn2
         worst = min(worst, ratio)
     return worst
+
+
+def solve_from(p, y_star, u0):
+    """u* as ``solve_equilibrium`` finds it when Newton starts at ``u0``
+    instead of 0: the solve of the plant with its input shifted by u0, whose
+    iterates are the plant's own from u0 less u0, with u0 added back.  Its
+    stopping tolerance is relative to |f(y*, 0, u0)| rather than to
+    |f(y*, 0, 0)|."""
+    u0 = np.asarray(u0, dtype=float)
+    shifted = dataclasses.replace(
+        p,
+        f=lambda *args: p.f(*args[:-1], args[-1] + u0),
+        jac_u=lambda *args: p.jac_u(*args[:-1], args[-1] + u0),
+    )
+    return solve_equilibrium(shifted, y_star).u_star + u0
 
 
 def planar_trace_det(field, radius=20.0, points=41):
@@ -198,13 +215,15 @@ def reference_certificate(kind, g, ub, n):
     lam_min_p, lam_max_p = float(lam_p[0]), float(lam_p[-1])
     lower, upper = _reference_sandwich(kind, core, g, ub)
     alpha = min(lower, upper)
-    m1 = math.sqrt(2.0 * lam_max_p / lam_min_p)
+    # the envelope's overshoot gain, written out per kind
     if kind == PID:
+        m1 = math.sqrt(2.0 * lam_max_p / lam_min_p)  # sqrt(2 kappa) max(1, 1/ki)
         M = max(m1, m1 / g.ki)
     elif kind == PD:
-        M = m1
+        M = math.sqrt(2.0 * lam_max_p / lam_min_p)  # sqrt(2 kappa)
     else:
-        M = math.sqrt(lam_max_p / lam_min_p)
+        m1 = math.sqrt(lam_max_p / lam_min_p)  # sqrt(kappa) max(1, 1/ki)
+        M = max(m1, m1 / g.ki)
     return {
         "P": _reference_lift(core, n),
         "alpha": alpha,

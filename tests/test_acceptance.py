@@ -6,11 +6,13 @@ from an independent reference computation (cofactor determinants, quadratic
 formulas, dense LAPACK eigenvalues, matrix exponentials).
 """
 
+import itertools
 import math
 import time
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import pidcert as pc
 from pidcert import certificates, cli
@@ -21,6 +23,7 @@ from oracles import (
     pd_closed_form_margin,
     pi_closed_form_margin,
     sample_frozen_uncertainty,
+    solve_from,
 )
 from schur_chain import pid_det_formula
 
@@ -160,6 +163,60 @@ class TestAcceptance:
         assert elapsed < 60.0, f"grid took {elapsed:.1f}s"
         report(5, f"27/27 envelope audits and decay fits passed in {elapsed:.1f}s")
 
+    @pytest.mark.parametrize(
+        "kind, ki", [("PD", 0.0)] + [(k, ki) for k in ("PID", "PI") for ki in (0.5, 0.7, 1.0, 2.0)]
+    )
+    def test_criterion_05_envelope_bounds_the_exact_linear_flow(self, kind, ki):
+        """On the linear members at the corners of the ball, at y* = 0, the
+        shifted loop is z' = A z, so z(t) = expm(A t) z(0) exactly.  At every
+        recorded time the envelope ``simulate`` records bounds the error
+        signal of that flow, from random starts with the integral preloaded
+        where the kind has one, and from x0 = 0 with i(0) = 1."""
+        first = kind == "PI"
+        ub = pc.UncertaintyBounds.first_order(1.0, 1.0) if first else UB111
+        g = pc.suggest_gains(kind, ub, **({} if kind == "PD" else {"ki": ki}))
+        cert = pc.certify_margin(kind, g, ub, 1)
+        blocks = len(pc.LAYOUT[kind])
+        rng = np.random.default_rng(55)
+        starts = [rng.uniform(-3.0, 3.0, blocks) for _ in range(3)]
+        if kind != "PD":
+            starts.append(np.eye(blocks)[0])  # x0 = 0, i(0) = 1
+        # df/dx1 = +-1 (and df/dx2 = +-1 for second order), df/du = 1
+        for corner in itertools.product((1.0, -1.0), repeat=1 if first else 2):
+            a, b = [corner[:1]], None if first else [corner[1:]]
+            mats = {"A": a} if first else {"A1": a, "A2": b}
+            plant = pc.build_family("linear_matrix", {**mats, "Theta": [[1.0]], "order": ub.order})
+            fu = certificates.FrozenUncertainty(a=a, theta=[[1.0]], b=b)
+            A = certificates.assemble_A(kind, g, fu, 1)
+            for s0 in starts:
+                # the state (i, x1[, x2]) is (z_i, -e[, -edot]) at y* = u* = 0
+                i0, x0 = (s0[:1], s0[1:]) if kind != "PD" else (None, s0)
+                cfg = pc.SimConfig(
+                    plant=plant, gains=g, y_star=[0.0], x0=x0, t_final=20.0, dt_max=0.1,
+                    integral_state0=i0,
+                )
+                traj = pc.simulate(cfg, cert=cert)
+                z0 = np.concatenate([[] if i0 is None else i0, -x0])
+                z = expm(A[None] * traj.times[:, None, None]) @ z0
+                # |e| + |edot| over the blocks past i, each of size n = 1
+                signal = np.abs(z[:, blocks - len(x0) :]).sum(axis=1)
+                assert np.all(signal <= traj.envelope), (kind, ki, corner, s0)
+        report(5, f"{kind} ki = {ki}: the recorded envelope bounds the exact linear flow")
+
+    def test_criterion_05_preloaded_integral_passes_judge(self):
+        """A start whose integral is preloaded far from u*/ki: the envelope
+        scale counts |u* - ki i(0)|, not |u*|, so the run passes."""
+        plant = pc.build_family("sinusoidal_scalar", {"c1": 1.0, "c2": 1.0})
+        g = pc.GainVector("PID", 7, 1, 7)
+        cfg = pc.SimConfig(
+            plant=plant, gains=g, y_star=[math.pi / 2], x0=[math.pi / 2, 0.0],
+            t_final=30.0, integral_state0=[-50.0],
+        )
+        verdict = pc.judge(pc.simulate(cfg, cert=pc.certify_margin("PID", g, UB111, 1)))
+        assert verdict.envelope_pass and verdict.v_nonincreasing, verdict
+        assert verdict.min_margin > 0, verdict
+        report(5, f"i(0) = -50 start passes the envelope audit (min margin {verdict.min_margin:.3g})")
+
     def test_criterion_06_lyapunov_monotonicity(self, grid_trajectories):
         cells, _ = grid_trajectories
         for fam, ki, y, cert, traj in cells:
@@ -213,8 +270,7 @@ class TestAcceptance:
                 assert sol.residual_norm <= 1e-10, (fam, y, sol.residual_norm)
                 for _ in range(20):
                     u0 = rng.uniform(-30, 30, size=plant.n)
-                    again = pc.solve_equilibrium(plant, y, u0=u0)
-                    assert np.linalg.norm(again.u_star - sol.u_star) <= 1e-8
+                    assert np.linalg.norm(solve_from(plant, y, u0) - sol.u_star) <= 1e-8
             probe = monotonicity_probe(plant, np.zeros(plant.n), pairs=100, seed=5)
             assert probe >= plant.declared_bounds.b_lower - 1e-8
         report(9, "residuals <= 1e-10, 20-start agreement <= 1e-8, probes >= b_lower")

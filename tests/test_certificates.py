@@ -718,6 +718,15 @@ class TestCertifyMargin:
         m1 = math.sqrt(2 * cert.lambda_max_P / cert.lambda_min_P)
         assert abs(cert.M - m1 / 0.25) < 1e-12
 
+    def test_pi_M_includes_integral_scaling(self):
+        """PI's error signal is |e| alone, so M = sqrt(kappa), and its i block
+        scales the start by 1/ki as PID's does."""
+        cert = ct.certify_margin("PI", GainVector("PI", 2.5, 0.7), UB_PI, 1)
+        assert cert.M == math.sqrt(cert.lambda_max_P / cert.lambda_min_P) / 0.7
+        # ki >= 1: max(1, 1/ki) = 1
+        cert = ct.certify_margin("PI", G_PI, UB_PI, 1)
+        assert cert.M == math.sqrt(cert.lambda_max_P / cert.lambda_min_P)
+
     def test_decay_identity(self):
         cert = ct.certify_margin("PID", G_PID, UB111, 1)
         assert abs(cert.lambda_decay * 2 * cert.lambda_max_P - cert.alpha) <= 1e-12 * cert.alpha
@@ -787,6 +796,16 @@ class TestCertifyMargin:
         d["M"] *= 1.0 + 1e-9
         with pytest.raises(CertificateError):
             ct.LyapunovCertificate.from_json_dict(d)
+
+    def test_pi_file_without_the_integral_scaling_rejected(self, tmp_path):
+        """A PI file with ki < 1 that records M = sqrt(kappa), without the
+        1/ki its start needs, must be certified again."""
+        d = ct.certify_margin("PI", GainVector("PI", 2.5, 0.7), UB_PI, 3).to_json_dict()
+        d["M"] = math.sqrt(d["lambda_max_P"] / d["lambda_min_P"])
+        path = tmp_path / "pi_unscaled_M.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(CertificateError, match=r"^stored M = .* re-certify$"):
+            ct.LyapunovCertificate.load(path)
 
 
 def _ball_matrix(L, n, rng):

@@ -65,9 +65,9 @@ class TestSimulate:
         assert abs(traj.errors[-1, 0]) < 1e-6
 
     def test_equilibrium_start_with_preloaded_integral(self, sin_cert):
-        """x0 = (y*, 0) with the integral preloaded to u*/ki pins the loop at
-        its equilibrium: e stays identically zero and the margin equals the
-        envelope itself."""
+        """x0 = (y*, 0) with the integral preloaded to u*/ki starts the loop
+        at its equilibrium, z(0) = 0: e stays at zero, and the envelope scale
+        |e(0)| + |edot(0)| + |u* - ki i(0)| is 0, so the envelope is 0 too."""
         y = np.pi / 2
         sol = pc.solve_equilibrium(sin_plant(), [y])
         cfg = pc.SimConfig(
@@ -76,8 +76,9 @@ class TestSimulate:
         )
         traj = pc.simulate(cfg, cert=sin_cert)
         assert np.max(np.abs(traj.errors)) < 1e-12
-        expected = sin_cert.M * np.exp(-sin_cert.lambda_decay * traj.times) * np.linalg.norm(sol.u_star)
-        np.testing.assert_allclose(traj.envelope_margin, expected, atol=1e-10)
+        assert not np.any(traj.envelope)
+        np.testing.assert_array_equal(traj.envelope_margin, -traj.error_signal())
+        assert pc.envelope_audit(traj).passes
 
     def test_z0_initial_value(self, sin_cert):
         cfg = pc.SimConfig(
