@@ -1,11 +1,14 @@
 """Structured Lyapunov matrices, decrease certificates, and envelope constants.
 
-For gains inside the PID/PD/PI regions this module builds the closed-form
-block matrix P (positive definite by construction), assembles the frozen
+This module builds the closed-form block matrix P, assembles the frozen
 closed-loop matrix A(a, b, theta), forms Q = -(PA + A^T P), and certifies a
 uniform lower bound alpha on lambda_min(Q) over the whole uncertainty ball
 
     |a| <= L1,  |b| <= L2,  Sym[theta] >= b_lower * I.
+
+The proof is the only gate: a positive definite core and, for a certificate,
+alpha > 0.  The paper's PID/PD/PI regions are sufficient for both; gains
+outside them are certified whenever the proof closes.
 
 P is the lift core x I_n of ``_core_P``, one formula over the state blocks of
 ``gain_sets.LAYOUT``: the paper's PID core at the blocks' gains, padded with
@@ -20,11 +23,11 @@ decay rate lambda = alpha/(2 lambda_max(P)), overshoot gain M = sqrt(c kappa)
 over the c blocks x, v of the kind, times max(1, 1/ki) with an i block.
 Eigen solves are stacked, as per-call overhead sets their cost, and go
 through ``matrix_kernel``, so a LAPACK failure is a NumericalError.  The
-core's membership check and eigen solve are kept for the last (gains,
-bounds), and the lift P for the last (gains, bounds, n), read-only, so a
-certificate and the audits that follow it on the same gains share them.  A
-frozen point is immutable, its matrices checked when it is built, and
-``checked`` and ``q_report`` test it by the class test of its bounds.
+core's eigen solve is kept for the last (gains, bounds), and the lift P for
+the last (gains, bounds, n), read-only, so a certificate and the audits
+that follow it on the same gains share them.  A frozen point is immutable,
+its matrices checked when it is built, and ``checked`` and ``q_report``
+test it by the class test of its bounds.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ import numpy as np
 from . import matrix_kernel as mk
 from .errors import CertificateError, UsageError
 from .gain_sets import FIRST_ORDER, LAYOUT, GainVector, UncertaintyBounds, membership
+from .gain_sets import _require_order
 
 # relative gap between the sandwich bounds up to which alpha counts as exact
 EXACT_GAP = 1e-9
@@ -136,20 +140,11 @@ class LyapunovCertificate:
 
     def to_json_dict(self) -> dict:
         g = self.gains
-        return {
-            "kind": self.kind,
-            "n": self.n,
+        scalars = {k: v for k, v in vars(self).items() if k not in ("P", "lambda_decay")}
+        return scalars | {
             "gains": {"kp": g.kp, "ki": g.ki, "kd": g.kd},
             "bounds": asdict(self.bounds),
-            "alpha": self.alpha,
-            "alpha_lower": self.alpha_lower,
-            "alpha_upper": self.alpha_upper,
-            "gap": self.gap,
-            "lambda_min_P": self.lambda_min_P,
-            "lambda_max_P": self.lambda_max_P,
-            "M": self.M,
             "lambda": self.lambda_decay,
-            "method": self.method,
         }
 
     def save(self, path) -> None:
@@ -217,12 +212,9 @@ def _core_P(kind: str, g: GainVector, b: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _member_core(g: GainVector, ub: UncertaintyBounds):
-    """(core, its ascending eigenvalues) when ``g`` is a region member for
-    ``ub``, else None.  Every hit hands out the same arrays, so both are
-    read-only."""
-    if not membership(g, ub).member:
-        return None
+def _solved_core(g: GainVector, ub: UncertaintyBounds):
+    """(core, its ascending eigenvalues) at ``g`` and ``ub``.  Every hit
+    hands out the same arrays, so both are read-only."""
     core = _core_P(g.kind, g, ub.b_lower)
     lam = mk.eigvalsh(core)
     core.flags.writeable = lam.flags.writeable = False
@@ -230,33 +222,40 @@ def _member_core(g: GainVector, ub: UncertaintyBounds):
 
 
 @functools.lru_cache(maxsize=1)
-def _member_lift(g: GainVector, ub: UncertaintyBounds, n: int) -> np.ndarray:
-    """The lift core x I_n of a member's core (``_checked_core`` first),
-    kept for the last (gains, bounds, n) and read-only, so a certificate's
-    P and the audits on the same gains share one array."""
-    return _read_only(_lift(_member_core(g, ub)[0], n))
+def _shared_lift(g: GainVector, ub: UncertaintyBounds, n: int) -> np.ndarray:
+    """The lift of a checked core (``_checked_core`` first), kept for the last
+    (gains, bounds, n), so a certificate's P and its audits share one array."""
+    return _read_only(_lift(_solved_core(g, ub)[0], n))
+
+
+def _refused(what: str, step: str, g: GainVector, ub: UncertaintyBounds) -> CertificateError:
+    """The error of a proof step that failed for ``what``; gains outside the
+    paper's region also get that region's failing slacks."""
+    # slacks from the caller's own gains: 0.0 == -0.0, so both share a key
+    report = membership(g, ub)
+    if not report.member:
+        failing = [(k, v) for k, v in report.margins if v <= 0]
+        step += f"; the gains are outside the paper's {g.kind} region, failing slacks: {failing}"
+    return CertificateError(f"{what}: {step}")
 
 
 def _checked_core(kind: str, g: GainVector, ub: UncertaintyBounds, what: str):
-    """(core, its ascending eigenvalues), both read-only, for region
-    members; the one membership check and the one positivity check of every
-    public call."""
+    """(core, its ascending eigenvalues), both read-only, once the kind
+    matches the gains and bounds and the core is positive definite.
+
+    That forces every block gain positive.  PID's (1,1), (2,2), (3,3) entries
+    are 2 ki kp b, 2 kp kd b - ki, kd and its {1,3} minor ki (2 kp kd b - ki):
+    ki < 0 needs kp < 0 for (1,1) > 0, then 2 kp kd b - ki < 0 for the minor,
+    against (2,2) > 0; ki = 0 zeroes (1,1).  So ki > 0, kp > 0 and kd > 0; PD's
+    [[2 kp kd b, kp], [kp, kd]] and PI's [[2 ki kp b, ki], [ki, kp]] follow.
+    """
     if g.kind != kind:
         raise UsageError(f"{what}: a {kind!r} certificate needs {kind!r} gains, got {g.kind}")
-    checked = _member_core(g, ub)
-    if checked is None:
-        # slacks from the caller's own gains: 0.0 == -0.0, so both share a key
-        report = membership(g, ub)
-        raise UsageError(
-            f"{what} requires gains inside the {g.kind} region; "
-            f"failing slacks: {[(k, v) for k, v in report.margins if v <= 0]}"
-        )
-    core, lam = checked
+    _require_order(kind, ub)
+    core, lam = _solved_core(g, ub)
     if not lam[0] > 0:
-        raise CertificateError(
-            f"{kind} Lyapunov core is not positive definite for a region member "
-            f"(lambda_min {lam[0]:.6g})"
-        )
+        step = f"the {kind} Lyapunov core is not positive definite (lambda_min {lam[0]:.6g})"
+        raise _refused(what, step, g, ub)
     return core, lam
 
 
@@ -347,7 +346,7 @@ def q_report(
     broken = ub.breaches(0.0, 0.0, mk.sym_min(fu.theta))
     if broken:
         raise CertificateError(f"theta-floor substitution step failed: {broken[0]}")
-    P = _member_lift(g, ub, n)
+    P = _shared_lift(g, ub, n)
     # A and its floor A0 as one stack, from theta and b_lower * I; matmul
     # forms each slice as it forms a 2-D product, so Q and Q0 keep their bits
     theta = np.empty((2, n, n))
@@ -454,9 +453,8 @@ def certify_margin(
     lower, upper = sandwich_margin(kind, core, g, ub)
     alpha = min(lower, upper)
     if not alpha > 0:
-        raise CertificateError(
-            f"certified margin is not positive: {alpha:.3e} (upper bound {upper:.3e})"
-        )
+        step = f"the certified margin is not positive: {alpha:.3e} (upper bound {upper:.3e})"
+        raise _refused("certify_margin", step, g, ub)
     gap = (upper - alpha) / upper
     # |z(t)| <= sqrt(kappa) e^{-lambda t} |z(0)|, kappa = lambda_max/lambda_min of P;
     # the error signal sums |e| and |edot| over the c blocks x, v the kind has, so
@@ -469,7 +467,7 @@ def certify_margin(
         n=n,
         gains=g,
         bounds=ub,
-        P=_member_lift(g, ub, n),
+        P=_shared_lift(g, ub, n),
         alpha=alpha,
         alpha_lower=lower,
         alpha_upper=upper,

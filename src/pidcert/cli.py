@@ -270,7 +270,9 @@ def mode_sweep(config: dict, out: Path, seed: int) -> tuple:
             node = f"plants[{i}]" if p.order != gs.ORDER[kind] else "sim"
             raise UsageError(f"sweep mode: {node}: {exc}") from None
 
-    # membership and one certificate per gain set
+    # membership and one certificate per gain set; only region members are
+    # judged, though the proof certifies about half the outsiders a sweep
+    # may list: judging those too would run about 1.5 times the cells
     member = [gs.membership(g, ub).member for g in gains]
     certs = [cert_mod.certify_margin(kind, g, ub, n) if m else None for g, m in zip(gains, member)]
 

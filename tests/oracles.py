@@ -23,7 +23,7 @@ import numpy as np
 from pidcert.certificates import FrozenUncertainty
 from pidcert.equilibrium import solve_equilibrium
 from pidcert.errors import UsageError
-from pidcert.gain_sets import FIRST_ORDER, LAYOUT, PD, PI, PID, SECOND_ORDER, coupling_term, membership
+from pidcert.gain_sets import FIRST_ORDER, LAYOUT, PD, PI, PID, SECOND_ORDER, coupling_term
 
 
 def sample_frozen_uncertainty(ub, n, rng):
@@ -207,14 +207,17 @@ def _reference_sandwich(kind, core, g, ub):
 def reference_certificate(kind, g, ub, n):
     """The numbers of ``certify_margin(kind, g, ub, n)`` as a dict: P, the
     sandwich bounds, alpha, the extreme eigenvalues of P and the envelope
-    (M, lambda).  Region members only."""
-    if not membership(g, ub).member:
-        raise UsageError(f"{g} is not in the {kind} region for {ub}")
+    (M, lambda).  Only where the proof closes: a positive definite core
+    and alpha > 0, inside the paper's region or not."""
     core = _reference_core(g, ub)
     lam_p = np.linalg.eigvalsh(core)
     lam_min_p, lam_max_p = float(lam_p[0]), float(lam_p[-1])
+    if not lam_min_p > 0:
+        raise UsageError(f"the {kind} core of {g} is not positive definite")
     lower, upper = _reference_sandwich(kind, core, g, ub)
     alpha = min(lower, upper)
+    if not alpha > 0:
+        raise UsageError(f"the margin of {g} for {ub} is not positive")
     # the envelope's overshoot gain, written out per kind
     if kind == PID:
         m1 = math.sqrt(2.0 * lam_max_p / lam_min_p)  # sqrt(2 kappa) max(1, 1/ki)

@@ -1,6 +1,7 @@
 """Tests for the Lyapunov matrix constructions and margin certificates."""
 
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -13,7 +14,7 @@ import pytest
 from pidcert import certificates as ct
 from pidcert import matrix_kernel as mk
 from pidcert.errors import CertificateError, DimensionError, NumericalError, UsageError
-from pidcert.gain_sets import GainVector, UncertaintyBounds, suggest_gains
+from pidcert.gain_sets import GainVector, UncertaintyBounds, membership, suggest_gains
 from oracles import (
     pd_closed_form_margin,
     pi_closed_form_margin,
@@ -28,6 +29,9 @@ G_PID = GainVector("PID", 7, 1, 7)
 G_PD = GainVector("PD", 6, kd=6)
 G_PI = GainVector("PI", 3, 1)
 DATA = Path(__file__).parent / "data"
+# the failed steps a refused call names
+NOT_PD = "the {} Lyapunov core is not positive definite"
+NO_MARGIN = "the certified margin is not positive"
 
 
 class TestBuildP:
@@ -45,10 +49,9 @@ class TestBuildP:
         np.testing.assert_allclose(np.sort(np.repeat(core, 3)), np.sort(block), rtol=1e-12)
 
     def test_pid_rejects_nonpositive_ki(self):
-        with pytest.raises(UsageError):
-            ct.build_P("PID", GainVector("PID", 7, 0.0, 7), UB111, 1)
-        with pytest.raises(UsageError):
-            ct.build_P("PID", GainVector("PID", 7, -1.0, 7), UB111, 1)
+        for ki in (0.0, -1.0):
+            with pytest.raises(CertificateError, match="^build_P: " + NOT_PD.format("PID")):
+                ct.build_P("PID", GainVector("PID", 7, ki, 7), UB111, 1)
 
     def test_pd_reference_matrix(self):
         P = ct.build_P("PD", G_PD, UB111, 1)
@@ -61,8 +64,12 @@ class TestBuildP:
         assert abs(lo1 - lo2) < 1e-12 and abs(hi1 - hi2) < 1e-12
 
     def test_pd_rejects_non_member(self):
-        with pytest.raises(UsageError):
-            ct.build_P("PD", GainVector("PD", 2, kd=2), UB111, 1)
+        """PD (2, 2) has a positive definite core, so build_P gives it; its
+        certificate fails at the margin."""
+        g = GainVector("PD", 2, kd=2)
+        np.testing.assert_array_equal(ct.build_P("PD", g, UB111, 1), [[8.0, 2.0], [2.0, 2.0]])
+        with pytest.raises(CertificateError, match="^certify_margin: " + NO_MARGIN):
+            ct.certify_margin("PD", g, UB111, 1)
 
     def test_pi_reference_matrix(self):
         P = ct.build_P("PI", G_PI, UB_PI, 1)
@@ -75,8 +82,12 @@ class TestBuildP:
         assert abs(lo1 - lo4) < 1e-12 and abs(hi1 - hi4) < 1e-12
 
     def test_pi_rejects_non_member(self):
-        with pytest.raises(UsageError):
-            ct.build_P("PI", GainVector("PI", 1, 1), UB_PI, 1)
+        """PI (1, 1) has a positive definite core, so build_P gives it; its
+        certificate fails at the margin."""
+        g = GainVector("PI", 1, 1)
+        np.testing.assert_array_equal(ct.build_P("PI", g, UB_PI, 1), [[2.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(CertificateError, match="^certify_margin: " + NO_MARGIN):
+            ct.certify_margin("PI", g, UB_PI, 1)
 
     @pytest.mark.parametrize("n", [0, -2, 2.5, True, "3", None])
     def test_dimension_must_be_a_positive_integer(self, n):
@@ -98,16 +109,21 @@ class TestBuildP:
             ct.build_P("PID", G_PD, UB111, 1)
         with pytest.raises(UsageError, match="needs 'PD' gains"):
             ct.certify_margin("PD", G_PID, UB111, 1)
+        # and bounds of the order the kind controls
+        with pytest.raises(UsageError, match="^PID gains need second-order bounds"):
+            ct.certify_margin("PID", G_PID, UB_PI, 1)
+        with pytest.raises(UsageError, match="^PI gains need first-order bounds"):
+            ct.build_P("PI", G_PI, UB111, 1)
 
-    def test_one_membership_check_per_call(self, monkeypatch):
+    def test_no_membership_check_on_certified_calls(self, monkeypatch):
         """build_P, certify_margin and q_report on one (gains, bounds) share
-        one membership check and one core solve: 1 + 2 + 2 LAPACK eigen
+        one core solve and make no membership check: 1 + 2 + 2 LAPACK eigen
         solves (the core's, the sandwich's corner and bound solves,
         q_report's n x n theta-floor solve and its one stacked solve over
         [Q, Q0]), all through matrix_kernel's gufuncs and none through
-        numpy.linalg's wrappers.  Each call on fresh gains makes its own
-        membership check."""
-        ct._member_core.cache_clear()
+        numpy.linalg's wrappers.  Calls on fresh gains make none either; a
+        refused call makes one, to name the region's failing slacks."""
+        ct._solved_core.cache_clear()
         calls, solves, wrapped = [], [], []
         real = ct.membership
         monkeypatch.setattr(ct, "membership", lambda g, ub: calls.append(g) or real(g, ub))
@@ -135,14 +151,17 @@ class TestBuildP:
             solves.clear()
             call()
             per_call.append(solves[:])
-        assert calls == [G_PID]
+        assert calls == []
         assert per_call == [["eigvalsh"], ["eigh", "eigvalsh"], ["eigvalsh", "eigvalsh"]]
         assert wrapped == []
         fresh = [GainVector("PID", 8, 1, 8), GainVector("PID", 9, 1, 9), GainVector("PID", 7, 0.5, 7)]
         for k, g in enumerate(fresh):
-            calls.clear()
             public_calls(g)[k]()
-            assert calls == [g]
+        assert calls == []
+        refused = GainVector("PID", 3, 1, 3)
+        with pytest.raises(CertificateError):
+            public_calls(refused)[1]()
+        assert calls == [refused]
 
 
 class TestAssembleA:
@@ -356,8 +375,8 @@ def _as_bytes(obj):
     return out
 
 
-class TestMemberCore:
-    """The one-entry memo of the membership check and the core solve."""
+class TestSolvedCore:
+    """The one-entry memo of the core solve."""
 
     @pytest.mark.parametrize("kind", ["PID", "PD", "PI"])
     @pytest.mark.parametrize("n", [1, 3, 8])
@@ -365,14 +384,14 @@ class TestMemberCore:
         rng = np.random.default_rng({"PID": 71, "PD": 72, "PI": 73}[kind] + n)
         g, ub = _random_member(kind, rng)
         fu = sample_frozen_uncertainty(ub, n, rng)
-        ct._member_core.cache_clear()
+        ct._solved_core.cache_clear()
         cold_cert = ct.certify_margin(kind, g, ub, n)
-        ct._member_core.cache_clear()
+        ct._solved_core.cache_clear()
         cold_q = ct.q_report(kind, g, ub, fu, n)
-        hits = ct._member_core.cache_info().hits
+        hits = ct._solved_core.cache_info().hits
         hit_cert = ct.certify_margin(kind, g, ub, n)
         hit_q = ct.q_report(kind, g, ub, fu, n)
-        assert ct._member_core.cache_info().hits == hits + 2
+        assert ct._solved_core.cache_info().hits == hits + 2
         assert _as_bytes(hit_cert) == _as_bytes(cold_cert)
         assert _as_bytes(hit_q) == _as_bytes(cold_q)
 
@@ -385,15 +404,15 @@ class TestMemberCore:
             lam[0] = 0.0
 
     def test_non_member_message_uses_the_callers_gains(self):
-        ct._member_core.cache_clear()
-        with pytest.raises(UsageError, match=re.escape("('ki_positive', 0.0)")):
+        ct._solved_core.cache_clear()
+        with pytest.raises(CertificateError, match=re.escape("('ki_positive', 0.0)")):
             ct.build_P("PID", GainVector("PID", 7, 0.0, 7), UB111, 1)
         # equal to the gains above as a key, but a slack of -0.0
-        with pytest.raises(UsageError, match=re.escape("('ki_positive', -0.0)")):
+        with pytest.raises(CertificateError, match=re.escape("('ki_positive', -0.0)")):
             ct.build_P("PID", GainVector("PID", 7, -0.0, 7), UB111, 1)
         ct.certify_margin("PID", G_PID, UB111, 1)
         fu = ct.FrozenUncertainty.checked(UB111, a=[[0.0]], theta=[[1.0]], b=[[0.0]])
-        with pytest.raises(UsageError, match="^q_report requires gains inside the PID region"):
+        with pytest.raises(CertificateError, match="^q_report: " + NOT_PD.format("PID")):
             ct.q_report("PID", GainVector("PID", 1, 1, 1), UB111, fu, 1)
 
 
@@ -442,7 +461,7 @@ class TestSolverFailure:
 
     @pytest.mark.parametrize("solver", ["eigvalsh", "eigh"])
     def test_cold_certificate(self, monkeypatch, solver):
-        ct._member_core.cache_clear()
+        ct._solved_core.cache_clear()
         with monkeypatch.context() as patch:
             patch.setattr(mk, f"_{solver}_lo", _nonconvergent)
             with pytest.raises(NumericalError, match="solver did not converge"):
@@ -457,7 +476,7 @@ class TestSolverFailure:
             "build_P": lambda: ct.build_P("PID", G_PID, UB111, 1),
             "q_report": lambda: ct.q_report("PID", G_PID, UB111, fu, 1),
         }[call]
-        ct._member_core.cache_clear()
+        ct._solved_core.cache_clear()
         with monkeypatch.context() as patch:
             patch.setattr(mk, "_eigvalsh_lo", _nonconvergent)
             with pytest.raises(NumericalError, match="solver did not converge"):
@@ -465,9 +484,13 @@ class TestSolverFailure:
         public()
 
 
+# gain sets outside the paper's PID region that the proof certifies at (1, 1, 1)
+PID_OUTSIDERS = [GainVector("PID", *k) for k in ((4, 1, 4), (5, 1, 5), (4.5, 1, 3.5), (6, 2, 5))]
+
+
 def _oracle_cases(kind, rng):
     """Fixed bounds with L1 = 0 and with L2 = 0 (L = 0 for PI), then 200
-    random region members."""
+    random region members, then certified outsiders."""
     if kind == "PI":
         fixed = [UncertaintyBounds.first_order(0.0, 1.0), UB_PI]
     else:
@@ -481,6 +504,9 @@ def _oracle_cases(kind, rng):
         yield suggest_gains(kind, ub, **({} if kind == "PD" else {"ki": 0.7})), ub
     for _ in range(200):
         yield _random_member(kind, rng)
+    if kind == "PID":
+        yield from ((g, UB111) for g in PID_OUTSIDERS)
+    yield from _certified_outsiders(kind, rng, 40)
 
 
 class TestReferenceOracle:
@@ -746,8 +772,50 @@ class TestCertifyMargin:
             pd_closed_form_margin(G_PID, UB111)
 
     def test_non_member_rejected(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(CertificateError, match="^certify_margin: " + NOT_PD.format("PID")):
             ct.certify_margin("PID", GainVector("PID", 1, 1, 1), UB111, 1)
+
+    def test_the_proof_decides_at_single_points(self):
+        """(4, 1, 4) lies outside the PID region and certifies, its alpha the
+        attained corner minimum; gains where the proof does not close name
+        the failed step and the region's failing slacks."""
+        cert = ct.certify_margin("PID", GainVector("PID", 4, 1, 4), UB111, 1)
+        corner = min(
+            _q0_min_eig("PID", cert.gains, UB111, 1, [[sa]], [[sb]])
+            for sa in (1.0, -1.0)
+            for sb in (1.0, -1.0)
+        )
+        assert not membership(cert.gains, UB111).member
+        assert abs(cert.alpha - corner) <= 1e-9 * corner and cert.method == "exact"
+        rounded = (round(cert.alpha, 2), round(cert.lambda_decay, 5), round(cert.M, 3))
+        assert rounded == (1.05, 0.01541, 4.471)
+        refused = [
+            ("PID", GainVector("PID", 3, 1, 3), UB111, NO_MARGIN),
+            ("PD", GainVector("PD", 2, kd=2), UB111, NO_MARGIN),
+            ("PI", GainVector("PI", 1, 1), UB_PI, NO_MARGIN),
+            ("PID", GainVector("PID", 1, 1, 1), UB111, NOT_PD.format("PID")),
+        ]
+        for kind, g, ub, step in refused:
+            with pytest.raises(CertificateError) as err:
+                ct.certify_margin(kind, g, ub, 1)
+            assert str(err.value).startswith(f"certify_margin: {step}")
+            assert f"outside the paper's {kind} region, failing slacks: [(" in str(err.value)
+
+    @pytest.mark.parametrize("kind", ["PID", "PD", "PI"])
+    def test_no_nonpositive_gain_certifies(self, kind):
+        """A positive definite core forces every block gain positive (see
+        _checked_core), so gains with one at or below zero fail at the core."""
+        rng = np.random.default_rng({"PID": 61, "PD": 62, "PI": 63}[kind])
+        names = {"PID": ("kp", "ki", "kd"), "PD": ("kp", "kd"), "PI": ("kp", "ki")}[kind]
+        cases = [(7.0, k, 7.0) for k in (0.0, -0.0, -1.0)] if kind == "PID" else []
+        while len(cases) < 500:
+            signs = rng.choice([1.0, 0.0, -1.0], size=len(names))
+            if (signs <= 0).any():
+                cases.append(signs * np.exp(rng.uniform(-5.0, 5.0, size=len(names))))
+        for gains in cases:
+            ub = _random_member(kind, rng)[1]
+            with pytest.raises(CertificateError, match=NOT_PD.format(kind)):
+                ct.certify_margin(kind, GainVector(kind, **dict(zip(names, gains))), ub, 1)
 
     def test_roundtrip_reproduces_envelope_margins(self, tmp_path):
         """A reloaded certificate must reproduce bitwise-identical margins."""
@@ -834,15 +902,33 @@ def _random_member(kind, rng):
     return suggest_gains(kind, ub, margin=rng.uniform(0.0, 1.0), **extra), ub
 
 
+def _certified_outsiders(kind, rng, draws):
+    """Of ``draws`` random region members scaled by a factor in [0.3, 1),
+    those outside the paper's region that the reference construction
+    certifies.  PI has none: with ki > 0 its region's quadratic inequality
+    is the determinant test of the decrease core at its worst corner."""
+    for _ in range(draws):
+        g, ub = _random_member(kind, rng)
+        g = g.scaled(rng.uniform(0.3, 1.0))
+        if membership(g, ub).member:
+            continue
+        try:
+            reference_certificate(kind, g, ub, 1)
+        except UsageError:
+            continue
+        yield g, ub
+
+
 class TestSandwichMargin:
     @pytest.mark.parametrize("kind", ["PID", "PD", "PI"])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_alpha_below_sampled_ball_minimum(self, kind, n):
         """Sampling oracle: alpha never exceeds lambda_min(Q0(A, B)) at
-        random points (A, B) of the ball, half of them on its boundary."""
+        random points (A, B) of the ball, half of them on its boundary, for
+        region members and for certified outsiders."""
         rng = np.random.default_rng(100 * n + len(kind))
-        for _ in range(10):
-            g, ub = _random_member(kind, rng)
+        members = (_random_member(kind, rng) for _ in range(10))
+        for g, ub in itertools.chain(members, _certified_outsiders(kind, rng, 20)):
             cert = ct.certify_margin(kind, g, ub, n)
             sampled = min(
                 _q0_min_eig(

@@ -73,7 +73,10 @@ class TestCertifyMode:
         assert "must be an integer" in capsys.readouterr().err
         assert not (out / "certificate.json").exists()
 
-    def test_non_member_is_usage_error(self, tmp_path):
+    def test_unproven_gains_are_a_failed_check(self, tmp_path, capsys):
+        """(1, 1, 1) is outside the PID region and its core is not positive
+        definite: the certificate fails with the step named, and no file is
+        written."""
         cfg = write_config(
             tmp_path, "c.json",
             {
@@ -82,7 +85,13 @@ class TestCertifyMode:
                 "bounds": {"L1": 1, "L2": 1, "b_lower": 1},
             },
         )
-        assert cli.run("certify", cfg, out_dir=str(tmp_path / "out")) == 1
+        out = tmp_path / "out"
+        assert cli.run("certify", cfg, out_dir=str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("check failed: CertificateError: certify_margin: the PID Lyapunov core")
+        assert "is not positive definite" in err
+        assert "outside the paper's PID region, failing slacks" in err
+        assert not (out / "certificate.json").exists()
 
     def test_unused_gain_is_usage_error(self, tmp_path, capsys):
         """A PD certificate has no integral term, so a config that sets ki
@@ -232,6 +241,8 @@ class TestSweepMode:
                 "gain_sets": [
                     {"kp": 7, "ki": 1, "kd": 7},
                     {"kp": 1, "ki": 1, "kd": 1},
+                    # outside the region, yet certified (alpha 1.05)
+                    {"kp": 4, "ki": 1, "kd": 4},
                 ],
                 "setpoints": [0.5, -1.0],
                 "sim": {"t_final": 15.0},
@@ -247,15 +258,18 @@ class TestSweepMode:
         csv1 = (out1 / "sweep.csv").read_bytes()
         csv2 = (out2 / "sweep.csv").read_bytes()
         assert csv1 == csv2  # same config and seed, same bytes
-        text = csv1.decode()
-        rows = text.splitlines()
-        # 2 plants x 2 gain sets x 2 setpoints = 8 cells + header + summary
-        assert len(rows) == 10
-        non_member_rows = [r for r in rows if ",False," in r]
-        assert len(non_member_rows) == 4
+        *rows, last = csv.DictReader(csv1.decode().splitlines())
+        # 2 plants x 3 gain sets x 2 setpoints = 12 cells + header + summary
+        assert len(rows) == 12 and len(csv1.splitlines()) == 14
+        assert last["cell"] == "pass_fraction"
+        non_member_rows = [r for r in rows if r["member"] == "False"]
+        assert len(non_member_rows) == 8
+        assert {r["kp"] for r in non_member_rows} == {"1.0", "4.0"}
+        # only region members are run: a certifiable outsider gets no alpha
+        # and no verdict
+        unrun = cli._SWEEP_COLUMNS[cli._SWEEP_COLUMNS.index("alpha"):]
         for r in non_member_rows:
-            cells = r.split(",")
-            assert cells[7] == ""  # no alpha for gated cells
+            assert [r[k] for k in unrun] == [""] * len(unrun)
 
     def test_summary_row_reports_pass_fraction(self, tmp_path):
         cfg = self.sweep_config(tmp_path)
